@@ -23,9 +23,10 @@
  *    the JSON records the measured ratio honestly either way.)
  *
  * Numbers are host-dependent by design -- nothing here is golden.
- * CI only checks that the binary runs and emits well-formed JSON
- * (scripts/check.sh perf-smoke stage); scripts/bench.sh runs the
- * full version.
+ * The JSON carries a host fingerprint (hardware threads, compiler,
+ * build type); scripts/check.sh gates the per-second rates against
+ * the committed BENCH_selfbench.json only when the fingerprints match
+ * (tools/perfguard.py), and scripts/bench.sh runs the full version.
  *
  * Usage: selfbench [--smoke] [--jobs=N] [--out=PATH]
  *                  [--profile-out=PATH]
@@ -41,6 +42,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -407,6 +409,9 @@ main(int argc, char **argv)
     const unsigned sweepSamples = smoke ? 2 : 8;
 
     bench::banner("Simulator self-benchmark (host performance)");
+    const unsigned nproc = std::thread::hardware_concurrency();
+    std::printf("host: nproc=%u compiler=\"%s\" build_type=%s\n\n",
+                nproc, MERCURY_COMPILER, MERCURY_BUILD_TYPE);
 
     const double intrusive =
         queueEventsPerSec<EventQueue>(queueTotal, 64, clockedDelta);
@@ -474,8 +479,7 @@ main(int argc, char **argv)
     std::snprintf(label, sizeof(label), "sweep --jobs %u", jobs);
     std::printf("%-34s %14.1f ms\n", label, parallelS * 1e3);
     std::printf("%-34s %14.2fx  (%u hardware threads)\n",
-                "sweep speedup", sweepSpeedup,
-                std::thread::hardware_concurrency());
+                "sweep speedup", sweepSpeedup, nproc);
 
     const cluster::ClusterSimParams pdes_params = pdesParams(smoke);
     // At least two shards even on a single-core host: the probe
@@ -519,6 +523,17 @@ main(int argc, char **argv)
     os << '{';
     json::writeKey(os, first, "smoke");
     os << (smoke ? "true" : "false");
+    json::writeKey(os, first, "host");
+    {
+        bool hf = true;
+        os << '{';
+        json::writeField(os, hf, "nproc", std::uint64_t{nproc});
+        json::writeField(os, hf, "compiler",
+                         std::string_view(MERCURY_COMPILER));
+        json::writeField(os, hf, "build_type",
+                         std::string_view(MERCURY_BUILD_TYPE));
+        os << '}';
+    }
     json::writeKey(os, first, "queue");
     {
         bool qf = true;
@@ -561,9 +576,8 @@ main(int argc, char **argv)
         json::writeField(os, wf, "points",
                          std::uint64_t{sweepPoints});
         json::writeField(os, wf, "jobs", std::uint64_t{jobs});
-        json::writeField(
-            os, wf, "hardware_threads",
-            std::uint64_t{std::thread::hardware_concurrency()});
+        json::writeField(os, wf, "hardware_threads",
+                         std::uint64_t{nproc});
         field(os, wf, "serial_ms", "%.2f", serialS * 1e3);
         field(os, wf, "parallel_ms", "%.2f", parallelS * 1e3);
         field(os, wf, "speedup", "%.3f", sweepSpeedup);

@@ -17,9 +17,11 @@
 #
 # Numbers are host-dependent; nothing here is golden, but the
 # per-second rates are compared against the committed
-# BENCH_selfbench.json via tools/perfguard.py (advisory here, a
-# hard gate in scripts/check.sh). Pass --smoke for the CI-sized run
-# (scripts/check.sh uses that for its perf-smoke stage).
+# BENCH_selfbench.json via tools/perfguard.py (advisory here; in
+# scripts/check.sh a hard gate whenever the host fingerprint matches
+# the baseline's). Pass --smoke for the CI-sized run (scripts/check.sh
+# uses that for its perf-smoke stage). After a change that moves the
+# rates, commit the fresh BENCH_selfbench.json as the new baseline.
 #
 # Usage: scripts/bench.sh [--smoke] [--jobs=N] [--out=PATH]
 

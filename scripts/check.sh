@@ -23,7 +23,10 @@
 #   6. a perf smoke: the release selfbench --smoke must run and emit
 #      well-formed JSON, and its per-second rates must stay within
 #      tolerance of the committed BENCH_selfbench.json
-#      (tools/perfguard.py; wall-clock fields stay advisory);
+#      (tools/perfguard.py; a hard failure when the host fingerprint
+#      -- nproc, compiler, build type -- matches the baseline's,
+#      advisory otherwise; wall-clock fields are never compared). A
+#      missing baseline fails the stage;
 #   7. the static-analysis label (`ctest -L lint`): the mercury_lint
 #      fixture goldens for both engines, the repo-clean check, the
 #      suppression budget, and the clang thread-safety negative
@@ -182,6 +185,11 @@ if [ "$skip_build" -eq 0 ]; then
     fi
 
     note "perf smoke (release selfbench)"
+    if [ ! -f BENCH_selfbench.json ]; then
+        echo "check.sh: no committed BENCH_selfbench.json baseline;" \
+             "run scripts/bench.sh and commit the file it writes" >&2
+        exit 1
+    fi
     if ! cmake --build --preset release -j "$(nproc)" \
             --target selfbench; then
         echo "check.sh: selfbench build failed" >&2
@@ -198,6 +206,7 @@ import json, sys
 with open(sys.argv[1]) as fh:
     report = json.load(fh)
 for section, keys in {
+    "host": ["nproc"],
     "queue": ["intrusive_events_per_sec", "reference_events_per_sec",
               "speedup", "arena_events_per_sec"],
     "store": ["ops_per_sec"],

@@ -29,18 +29,8 @@ TraceBuilder::codePass(Addr base, std::uint64_t region_bytes,
     if (lines == 0)
         return compute(instructions);
 
-    const std::uint64_t instr_per_line = instructions / lines;
-    std::uint64_t remainder = instructions % lines;
-    for (std::uint64_t i = 0; i < lines; ++i) {
-        trace_.push_back(
-            Op::ifetch(base + i * line_bytes, Stream::Sequential));
-        std::uint64_t instr = instr_per_line;
-        if (remainder > 0) {
-            ++instr;
-            --remainder;
-        }
-        compute(instr);
-    }
+    trace_.push_back(
+        Op::codePass(base, lines, instructions, line_bytes));
     return *this;
 }
 
@@ -141,52 +131,73 @@ CoreModel::run(const OpTrace &trace, Tick start)
         }
     };
 
-    for (const Op &op : trace) {
-        if (op.kind == Op::Kind::Compute) {
-            // Out-of-order cores keep computing while misses are in
-            // flight; in-order cores have already drained.
-            const Tick t = computeTicksFor(op.instructions);
-            cursor += t;
-            compute_ticks += t;
-            result.instructions += op.instructions;
-            continue;
-        }
+    auto compute = [&](std::uint64_t instructions, Tick t) {
+        // Out-of-order cores keep computing while misses are in
+        // flight; in-order cores have already drained.
+        cursor += t;
+        compute_ticks += t;
+        result.instructions += instructions;
+    };
 
+    // One memory op: send it into the hierarchy, then stall on the
+    // result or leave it in flight.
+    auto memory_op = [&](mem::CpuAccessKind kind, Addr addr,
+                         Stream stream) {
         ++result.memOps;
-        const unsigned window = mlpFor(op.stream);
-        if (op.stream == Stream::Dependent)
+        const unsigned window = mlpFor(stream);
+        if (stream == Stream::Dependent)
             drain_all();
         wait_for_one_slot(window);
 
         cursor += issue_cost;
         compute_ticks += issue_cost;
 
-        mem::CpuAccessKind kind;
-        switch (op.kind) {
-          case Op::Kind::IFetch:
-            kind = mem::CpuAccessKind::IFetch;
-            break;
-          case Op::Kind::Load:
-            kind = mem::CpuAccessKind::Load;
-            break;
-          default:
-            kind = mem::CpuAccessKind::Store;
-            break;
-        }
-
         const mem::AccessResult access =
-            caches_->access(kind, op.addr, cursor);
+            caches_->access(kind, addr, cursor);
 
         if (access.source == mem::ServicedBy::L1) {
             // Hits stay in the pipeline.
             const Tick t = access.completion - cursor;
             cursor = access.completion;
             compute_ticks += t;
-        } else if (op.stream == Stream::Dependent ||
-                   !params_.outOfOrder) {
+        } else if (stream == Stream::Dependent || !params_.outOfOrder) {
             cursor = access.completion;
         } else {
             outstanding.push_back(access.completion);
+        }
+    };
+
+    for (const Op &op : trace) {
+        switch (op.kind) {
+          case Op::Kind::Compute:
+            compute(op.instructions, computeTicksFor(op.instructions));
+            break;
+          case Op::Kind::CodePass: {
+            // Each line is one fetch followed by its share of the
+            // pass's instructions; the first `extra` lines run one
+            // more (see TraceBuilder::codePass).
+            const std::uint64_t per_line = op.instructions / op.lines;
+            const std::uint64_t extra = op.instructions % op.lines;
+            const Tick per_line_ticks = computeTicksFor(per_line);
+            const Tick extra_ticks = computeTicksFor(per_line + 1);
+            Addr addr = op.addr;
+            for (std::uint64_t i = 0; i < op.lines;
+                 ++i, addr += op.lineBytes) {
+                memory_op(mem::CpuAccessKind::IFetch, addr,
+                          Stream::Sequential);
+                if (i < extra)
+                    compute(per_line + 1, extra_ticks);
+                else if (per_line > 0)
+                    compute(per_line, per_line_ticks);
+            }
+            break;
+          }
+          case Op::Kind::Load:
+            memory_op(mem::CpuAccessKind::Load, op.addr, op.stream);
+            break;
+          case Op::Kind::Store:
+            memory_op(mem::CpuAccessKind::Store, op.addr, op.stream);
+            break;
         }
     }
 

@@ -4,10 +4,10 @@
  *
  * Request processing is synthesized as a sequence of operations at
  * cache-line granularity: bulk compute (instruction execution with no
- * interesting memory behaviour), instruction fetches streaming through
- * code regions, and data loads/stores. The server module's trace
- * generator produces these from calibrated per-phase costs plus the
- * functional key-value store's actual probe walks.
+ * interesting memory behaviour), passes of instruction fetches
+ * streaming through code regions, and data loads/stores. The server
+ * module's trace generator produces these from calibrated per-phase
+ * costs plus the functional key-value store's actual probe walks.
  */
 
 #ifndef MERCURY_CPU_OP_TRACE_HH
@@ -35,14 +35,18 @@ enum class Stream
 /** One operation in a trace. */
 struct Op
 {
-    enum class Kind : std::uint8_t { Compute, IFetch, Load, Store };
+    enum class Kind : std::uint8_t { Compute, CodePass, Load, Store };
 
     Kind kind;
     Stream stream = Stream::Sequential;
-    /** Instruction count for Compute ops. */
+    /** Line size of a CodePass. */
+    std::uint32_t lineBytes = 0;
+    /** Instruction count of a Compute op, or of a whole CodePass. */
     std::uint64_t instructions = 0;
-    /** Line-aligned address for memory ops. */
+    /** Line-aligned address for memory ops; first line of a CodePass. */
     Addr addr = 0;
+    /** Lines fetched by a CodePass (at least one). */
+    std::uint64_t lines = 0;
 
     static Op
     compute(std::uint64_t instructions)
@@ -54,12 +58,15 @@ struct Op
     }
 
     static Op
-    ifetch(Addr addr, Stream stream = Stream::Sequential)
+    codePass(Addr base, std::uint64_t lines, std::uint64_t instructions,
+             unsigned line_bytes)
     {
         Op op;
-        op.kind = Kind::IFetch;
-        op.addr = addr;
-        op.stream = stream;
+        op.kind = Kind::CodePass;
+        op.addr = base;
+        op.lines = lines;
+        op.instructions = instructions;
+        op.lineBytes = line_bytes;
         return op;
     }
 
@@ -100,8 +107,17 @@ class TraceBuilder
         return *this;
     }
 
-    /** Stream instruction fetches across a code region once,
-     * interleaving the given instruction count as compute. */
+    /**
+     * Stream instruction fetches across a code region once,
+     * interleaving the given instruction count as compute.
+     *
+     * Emits a single CodePass op that the core walks line by line
+     * without materialising it: line i fetches base + i * line_bytes
+     * and then executes instructions / lines instructions, plus one
+     * for each of the first instructions % lines lines. A line whose
+     * share is zero executes no compute. A zero-byte region is pure
+     * compute.
+     */
     TraceBuilder &codePass(Addr base, std::uint64_t region_bytes,
                            std::uint64_t instructions,
                            unsigned line_bytes = 64);

@@ -20,26 +20,31 @@ SetAssocCache::SetAssocCache(const CacheParams &params)
 
     numSets_ = static_cast<unsigned>(
         params_.sizeBytes / (params_.lineBytes * params_.assoc));
-    mercury_assert(numSets_ > 0, "cache must have at least one set");
+    mercury_assert(std::has_single_bit(numSets_),
+                   "cache set count must be a power of two");
+    lineShift_ = static_cast<unsigned>(
+        std::countr_zero(params_.lineBytes));
+    setShift_ = static_cast<unsigned>(std::countr_zero(numSets_));
+    setMask_ = numSets_ - 1;
     lines_.resize(static_cast<std::size_t>(numSets_) * params_.assoc);
 }
 
 std::uint64_t
 SetAssocCache::lineAddr(Addr addr) const
 {
-    return addr / params_.lineBytes;
+    return addr >> lineShift_;
 }
 
 std::uint64_t
 SetAssocCache::setIndex(Addr addr) const
 {
-    return lineAddr(addr) % numSets_;
+    return lineAddr(addr) & setMask_;
 }
 
 std::uint64_t
 SetAssocCache::tagOf(Addr addr) const
 {
-    return lineAddr(addr) / numSets_;
+    return lineAddr(addr) >> setShift_;
 }
 
 SetAssocCache::Line *
@@ -79,34 +84,35 @@ SetAssocCache::contains(Addr addr) const
 std::optional<Victim>
 SetAssocCache::insert(Addr addr, bool dirty)
 {
-    Line *set = &lines_[setIndex(addr) * params_.assoc];
+    const std::uint64_t set_index = setIndex(addr);
     const std::uint64_t tag = tagOf(addr);
+    Line *set = &lines_[set_index * params_.assoc];
 
-    // Already present: just refresh.
+    // One pass: refresh a hit, else remember the first invalid way
+    // and the least recently used valid way.
+    Line *invalid = nullptr;
+    Line *lru = nullptr;
     for (unsigned way = 0; way < params_.assoc; ++way) {
-        if (set[way].valid && set[way].tag == tag) {
-            set[way].lruStamp = nextStamp_++;
-            set[way].dirty = set[way].dirty || dirty;
+        Line &line = set[way];
+        if (!line.valid) {
+            if (!invalid)
+                invalid = &line;
+        } else if (line.tag == tag) {
+            line.lruStamp = nextStamp_++;
+            line.dirty = line.dirty || dirty;
             return std::nullopt;
+        } else if (!lru || line.lruStamp < lru->lruStamp) {
+            lru = &line;
         }
     }
 
     // Prefer an invalid way; otherwise evict true-LRU.
-    Line *victim_line = &set[0];
-    for (unsigned way = 0; way < params_.assoc; ++way) {
-        if (!set[way].valid) {
-            victim_line = &set[way];
-            break;
-        }
-        if (set[way].lruStamp < victim_line->lruStamp)
-            victim_line = &set[way];
-    }
-
+    Line *victim_line = invalid ? invalid : lru;
     std::optional<Victim> victim;
     if (victim_line->valid) {
         const std::uint64_t victim_line_number =
-            victim_line->tag * numSets_ + setIndex(addr);
-        victim = Victim{victim_line_number * params_.lineBytes,
+            (victim_line->tag << setShift_) | set_index;
+        victim = Victim{victim_line_number << lineShift_,
                         victim_line->dirty};
     }
 

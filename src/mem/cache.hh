@@ -45,7 +45,9 @@ struct Victim
  * A single set-associative cache array with true-LRU replacement.
  *
  * Tag state only; the simulator never stores data in caches (the
- * functional key-value store holds real data natively).
+ * functional key-value store holds real data natively). Line size
+ * and set count must be powers of two, so lines, sets and tags are
+ * shifts and masks of the address.
  */
 class SetAssocCache
 {
@@ -95,6 +97,9 @@ class SetAssocCache
 
     CacheParams params_;
     unsigned numSets_;
+    unsigned lineShift_;
+    unsigned setShift_;
+    std::uint64_t setMask_;
     std::uint64_t nextStamp_ = 1;
     std::vector<Line> lines_;
 };

@@ -1,6 +1,7 @@
 #include "mem/dram.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -21,16 +22,24 @@ DramModel::DramModel(const DramParams &params, stats::StatGroup *parent)
       refreshStallTicks_(&statGroup_, "refreshStallTicks",
                          "ticks stalled behind refresh windows")
 {
-    mercury_assert(params_.numPorts > 0, "DRAM needs at least one port");
-    mercury_assert(params_.banksPerPort > 0,
-                   "DRAM needs at least one bank per port");
-    mercury_assert(params_.capacity % params_.numPorts == 0,
+    mercury_assert(std::has_single_bit(params_.capacity) &&
+                   std::has_single_bit(params_.numPorts) &&
+                   std::has_single_bit(params_.banksPerPort) &&
+                   std::has_single_bit(params_.rowBytes),
+                   "DRAM capacity, ports, banks per port and row size "
+                   "must be powers of two");
+    mercury_assert(params_.capacity >= params_.numPorts,
                    "capacity must divide evenly across ports");
 
-    portSize_ = params_.capacity / params_.numPorts;
-    bankSize_ = portSize_ / params_.banksPerPort;
-    mercury_assert(bankSize_ >= params_.rowBytes,
+    const std::uint64_t port_size = params_.capacity / params_.numPorts;
+    const std::uint64_t bank_size = port_size / params_.banksPerPort;
+    mercury_assert(bank_size >= params_.rowBytes,
                    "bank smaller than one row");
+    portShift_ = static_cast<unsigned>(std::countr_zero(port_size));
+    bankShift_ = static_cast<unsigned>(std::countr_zero(bank_size));
+    rowShift_ = static_cast<unsigned>(
+        std::countr_zero(params_.rowBytes));
+    lineTransfer_ = transferTime(64);
 
     ports_.resize(params_.numPorts);
     for (auto &port : ports_)
@@ -40,20 +49,21 @@ DramModel::DramModel(const DramParams &params, stats::StatGroup *parent)
 unsigned
 DramModel::portIndex(Addr addr) const
 {
-    return static_cast<unsigned>((addr / portSize_) % params_.numPorts);
+    return static_cast<unsigned>((addr >> portShift_) &
+                                 (params_.numPorts - 1));
 }
 
 unsigned
 DramModel::bankIndex(Addr addr) const
 {
-    return static_cast<unsigned>((addr / bankSize_) %
-                                 params_.banksPerPort);
+    return static_cast<unsigned>((addr >> bankShift_) &
+                                 (params_.banksPerPort - 1));
 }
 
 std::int64_t
 DramModel::rowIndex(Addr addr) const
 {
-    return static_cast<std::int64_t>(addr / params_.rowBytes);
+    return static_cast<std::int64_t>(addr >> rowShift_);
 }
 
 Tick
@@ -68,7 +78,7 @@ Tick
 DramModel::access(AccessType type, Addr addr, unsigned size, Tick now)
 {
     mercury_assert(size > 0, "zero-size DRAM access");
-    addr %= params_.capacity;
+    addr &= params_.capacity - 1;
 
     Port &port = ports_[portIndex(addr)];
     Bank &bank = port.banks[bankIndex(addr)];
@@ -98,7 +108,7 @@ DramModel::access(AccessType type, Addr addr, unsigned size, Tick now)
         bank.openRow = params_.pagePolicy == PagePolicy::Open ? row : -1;
     }
 
-    const Tick transfer = transferTime(size);
+    const Tick transfer = size == 64 ? lineTransfer_ : transferTime(size);
     const Tick transfer_start =
         std::max(start + array_latency, port.busyUntil);
     const Tick done = transfer_start + transfer;
@@ -121,7 +131,7 @@ DramModel::access(AccessType type, Addr addr, unsigned size, Tick now)
 Tick
 DramModel::idleReadLatency() const
 {
-    return params_.arrayLatency + transferTime(64);
+    return params_.arrayLatency + lineTransfer_;
 }
 
 double

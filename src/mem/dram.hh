@@ -74,6 +74,10 @@ struct DramParams
 /**
  * Busy-until DRAM timing model with per-bank state and per-port
  * transfer occupancy.
+ *
+ * Capacity, port count, banks per port and row size must be powers
+ * of two, so the port, bank and row of an address are shifts and
+ * masks.
  */
 class DramModel : public MemDevice
 {
@@ -125,8 +129,11 @@ class DramModel : public MemDevice
     Tick transferTime(unsigned size) const;
 
     DramParams params_;
-    std::uint64_t portSize_;
-    std::uint64_t bankSize_;
+    unsigned portShift_;
+    unsigned bankShift_;
+    unsigned rowShift_;
+    /** transferTime(64): the size of nearly every access. */
+    Tick lineTransfer_;
     std::vector<Port> ports_;
 
     stats::StatGroup statGroup_;

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 
 #include "cpu/core.hh"
 #include "mem/dram.hh"
+#include "sim/stats.hh"
 
 namespace
 {
@@ -20,16 +22,30 @@ using namespace mercury::mem;
 struct Rig
 {
     explicit Rig(CoreParams core_params, bool with_l2 = false,
-                 Tick dram_latency = 100 * tickNs)
+                 Tick dram_latency = 100 * tickNs,
+                 bool dram_refresh = false)
     {
         DramParams dp = stackedDramParams();
         dp.arrayLatency = dram_latency;
-        dram = std::make_unique<DramModel>(dp);
+        dp.modelRefresh = dram_refresh;
+        dram = std::make_unique<DramModel>(dp, &stats);
         caches = std::make_unique<CacheHierarchy>(
-            defaultHierarchy(core_params.type, with_l2), dram.get());
+            defaultHierarchy(core_params.type, with_l2), dram.get(),
+            &stats);
         core = std::make_unique<CoreModel>(core_params, caches.get());
     }
 
+    /** Value of a counter under the rig's stats root. */
+    double
+    stat(std::string_view path) const
+    {
+        const auto *scalar =
+            dynamic_cast<const stats::Scalar *>(stats.find(path));
+        EXPECT_NE(scalar, nullptr) << path;
+        return scalar ? scalar->value() : -1.0;
+    }
+
+    stats::StatGroup stats{"rig"};
     std::unique_ptr<DramModel> dram;
     std::unique_ptr<CacheHierarchy> caches;
     std::unique_ptr<CoreModel> core;
@@ -119,6 +135,86 @@ TEST(CoreModel, CodePassDistributesInstructions)
     auto r = rig.core->run(trace, 0);
     EXPECT_EQ(r.instructions, 6400u);
     EXPECT_EQ(r.memOps, 64u);
+}
+
+/**
+ * Run @p whole and @p split on identical fresh rigs, twice each (cold
+ * then warm, so both L1I misses and hits occur), and require the same
+ * timing, L1I hit/miss counts and DRAM reads. DRAM refresh blackouts
+ * make the timing depend on when each fetch starts, not only on the
+ * totals.
+ */
+void
+expectSameWalk(const CoreParams &core_params, const OpTrace &whole,
+               const OpTrace &split)
+{
+    Rig a(core_params, false, 40 * tickNs, true);
+    Rig b(core_params, false, 40 * tickNs, true);
+    Tick start = 1000;
+    for (int pass = 0; pass < 2; ++pass) {
+        const RunResult ra = a.core->run(whole, start);
+        const RunResult rb = b.core->run(split, start);
+        EXPECT_EQ(ra.start, rb.start);
+        EXPECT_EQ(ra.end, rb.end);
+        EXPECT_EQ(ra.computeTicks, rb.computeTicks);
+        EXPECT_EQ(ra.stallTicks, rb.stallTicks);
+        EXPECT_EQ(ra.instructions, rb.instructions);
+        EXPECT_EQ(ra.memOps, rb.memOps);
+        start = ra.end + 1000;
+    }
+    EXPECT_EQ(a.stat("caches.l1iHits"), b.stat("caches.l1iHits"));
+    EXPECT_EQ(a.stat("caches.l1iMisses"), b.stat("caches.l1iMisses"));
+    EXPECT_EQ(a.stat("stackedDram.reads"), b.stat("stackedDram.reads"));
+}
+
+/** One N-line code pass walks exactly like N one-line passes that
+ * carry the split instruction counts. */
+void
+expectCodePassMatchesLineByLine(std::uint64_t lines,
+                                std::uint64_t instructions)
+{
+    const Addr base = 0x100000;
+    OpTrace whole;
+    TraceBuilder(whole).codePass(base, lines * 64, instructions);
+
+    OpTrace split;
+    TraceBuilder b(split);
+    for (std::uint64_t i = 0; i < lines; ++i) {
+        const bool extra = i < instructions % lines;
+        b.codePass(base + i * 64, 64,
+                   instructions / lines + (extra ? 1 : 0));
+    }
+
+    for (const CoreParams &core :
+         {cortexA7Params(), cortexA15Params(1.5)}) {
+        SCOPED_TRACE(core.name);
+        expectSameWalk(core, whole, split);
+    }
+}
+
+TEST(CoreModel, CodePassEqualsOneLinePassesWithSplitCounts)
+{
+    // Every line gets the same share.
+    expectCodePassMatchesLineByLine(64, 6400);
+    // instructions % lines != 0: the first 3 lines run one more.
+    expectCodePassMatchesLineByLine(64, 6403);
+    // instructions < lines: only the first 17 lines compute.
+    expectCodePassMatchesLineByLine(50, 17);
+    // A footprint larger than the 32 KiB L1I: warm passes miss too.
+    expectCodePassMatchesLineByLine(1024, 70001);
+}
+
+TEST(CoreModel, ZeroByteCodePassIsPureCompute)
+{
+    OpTrace pass;
+    TraceBuilder(pass).codePass(0x100000, 0, 500);
+    expectSameWalk(cortexA7Params(), pass, OpTrace{Op::compute(500)});
+
+    Rig rig(cortexA7Params());
+    const RunResult r = rig.core->run(pass, 0);
+    EXPECT_EQ(r.memOps, 0u);
+    EXPECT_EQ(r.instructions, 500u);
+    EXPECT_EQ(rig.stat("caches.l1iMisses"), 0.0);
 }
 
 TEST(CoreModel, L2TurnsRepeatSweepsIntoL2Hits)

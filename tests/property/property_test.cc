@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "kvstore/hash_table.hh"
 #include "kvstore/hash.hh"
@@ -18,6 +21,7 @@
 #include "mem/dram.hh"
 #include "mem/flash.hh"
 #include "server/server_model.hh"
+#include "sim/logging.hh"
 #include "sim/random.hh"
 #include "workload/workload.hh"
 
@@ -80,15 +84,25 @@ TEST_P(CacheGeometryTest, CapacityIsRespected)
 TEST_P(CacheGeometryTest, LruNeverEvictsTheMostRecent)
 {
     auto [size_kib, assoc] = GetParam();
-    if (assoc < 2) {
-        // A direct-mapped cache has no choice: a set conflict always
-        // evicts the (only) resident line, recent or not.
-        GTEST_SKIP();
-    }
     CacheParams params;
     params.sizeBytes = size_kib * kiB;
     params.assoc = assoc;
     SetAssocCache cache(params);
+
+    if (assoc < 2) {
+        // A direct-mapped cache has no choice: a set conflict always
+        // evicts the (only) resident line, recent or not.
+        const Addr resident = 0x1040;
+        const Addr conflicting = resident + size_kib * kiB;
+        EXPECT_FALSE(cache.insert(resident, true).has_value());
+        auto victim = cache.insert(conflicting, false);
+        ASSERT_TRUE(victim.has_value());
+        EXPECT_EQ(victim->lineAddr, resident);
+        EXPECT_TRUE(victim->dirty);
+        EXPECT_FALSE(cache.contains(resident));
+        EXPECT_TRUE(cache.contains(conflicting));
+        return;
+    }
 
     Rng rng(99 + size_kib + assoc);
     Addr last = 0;
@@ -111,6 +125,242 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(32u, 4u),
                       std::make_tuple(32u, 8u),
                       std::make_tuple(256u, 16u)));
+
+// ---------------------------------------------------------------
+// SetAssocCache against a textbook reference, in lockstep
+// ---------------------------------------------------------------
+
+/**
+ * The textbook cache: division indexing, and a victim search that
+ * first looks for an invalid way and only then scans for the oldest
+ * stamp. SetAssocCache must agree with it on every result.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(std::uint64_t size_bytes, unsigned assoc,
+                   unsigned line_bytes)
+        : assoc_(assoc), lineBytes_(line_bytes),
+          numSets_(size_bytes / (std::uint64_t{line_bytes} * assoc)),
+          ways_(numSets_ * assoc)
+    {}
+
+    bool
+    lookup(Addr addr)
+    {
+        Way *way = find(addr);
+        if (!way)
+            return false;
+        way->stamp = ++clock_;
+        return true;
+    }
+
+    bool
+    markDirty(Addr addr)
+    {
+        Way *way = find(addr);
+        if (!way)
+            return false;
+        way->dirty = true;
+        return true;
+    }
+
+    void
+    invalidate(Addr addr)
+    {
+        if (Way *way = find(addr))
+            way->valid = false;
+    }
+
+    std::optional<Victim>
+    insert(Addr addr, bool dirty)
+    {
+        if (Way *way = find(addr)) {
+            way->stamp = ++clock_;
+            way->dirty = way->dirty || dirty;
+            return std::nullopt;
+        }
+        Way *set = setOf(addr);
+        Way *victim = nullptr;
+        for (unsigned i = 0; i < assoc_ && !victim; ++i) {
+            if (!set[i].valid)
+                victim = &set[i];
+        }
+        if (!victim) {
+            victim = &set[0];
+            for (unsigned i = 1; i < assoc_; ++i) {
+                if (set[i].stamp < victim->stamp)
+                    victim = &set[i];
+            }
+        }
+        std::optional<Victim> out;
+        if (victim->valid) {
+            const std::uint64_t set_index =
+                (addr / lineBytes_) % numSets_;
+            out = Victim{(victim->tag * numSets_ + set_index) *
+                             lineBytes_,
+                         victim->dirty};
+        }
+        *victim = Way{tagOf(addr), ++clock_, true, dirty};
+        return out;
+    }
+
+    std::uint64_t numSets() const { return numSets_; }
+
+  private:
+    struct Way
+    {
+        std::uint64_t tag = 0;
+        std::uint64_t stamp = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    std::uint64_t tagOf(Addr addr) const
+    {
+        return addr / lineBytes_ / numSets_;
+    }
+
+    Way *
+    setOf(Addr addr)
+    {
+        return &ways_[(addr / lineBytes_) % numSets_ * assoc_];
+    }
+
+    Way *
+    find(Addr addr)
+    {
+        Way *set = setOf(addr);
+        for (unsigned i = 0; i < assoc_; ++i) {
+            if (set[i].valid && set[i].tag == tagOf(addr))
+                return &set[i];
+        }
+        return nullptr;
+    }
+
+    unsigned assoc_;
+    unsigned lineBytes_;
+    std::uint64_t numSets_;
+    std::uint64_t clock_ = 0;
+    std::vector<Way> ways_;
+};
+
+class CacheReferenceTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{};
+
+TEST_P(CacheReferenceTest, MatchesTextbookCacheStepForStep)
+{
+    auto [size_kib, assoc] = GetParam();
+    CacheParams params;
+    params.sizeBytes = std::uint64_t{size_kib} * kiB;
+    params.assoc = assoc;
+    SetAssocCache cache(params);
+    ReferenceCache reference(params.sizeBytes, assoc, params.lineBytes);
+    ASSERT_EQ(cache.numSets(), reference.numSets());
+
+    Rng rng(7 * size_kib + assoc);
+    const std::uint64_t sets = reference.numSets();
+    auto next_addr = [&]() -> Addr {
+        if (rng.nextInt(2) == 0) {
+            // Uniform over 4 GiB plus a high tag bit now and then:
+            // unaligned, so the offset bits must be ignored.
+            const Addr high = rng.nextInt(8) == 0 ? Addr{1} << 40 : 0;
+            return high + rng.nextInt(4 * giB);
+        }
+        // Crowd a few sets with about twice as many tags as they
+        // have ways, so fills keep evicting.
+        const std::uint64_t set = rng.nextInt(std::min<std::uint64_t>(
+            sets, 4));
+        const std::uint64_t tag = rng.nextInt(2 * assoc + 2);
+        return (tag * sets + set) * 64 + rng.nextInt(64);
+    };
+
+    std::uint64_t victims = 0;
+    for (int step = 0; step < 40000; ++step) {
+        const Addr addr = next_addr();
+        switch (rng.nextInt(10)) {
+          case 0:
+          case 1:
+          case 2:
+            ASSERT_EQ(cache.lookup(addr), reference.lookup(addr))
+                << "step " << step;
+            break;
+          case 3:
+            ASSERT_EQ(cache.markDirty(addr), reference.markDirty(addr))
+                << "step " << step;
+            break;
+          case 4:
+            cache.invalidate(addr);
+            reference.invalidate(addr);
+            break;
+          default: {
+            const bool dirty = rng.nextInt(2) == 0;
+            const auto got = cache.insert(addr, dirty);
+            const auto want = reference.insert(addr, dirty);
+            ASSERT_EQ(got.has_value(), want.has_value())
+                << "step " << step;
+            if (got) {
+                ++victims;
+                ASSERT_EQ(got->lineAddr, want->lineAddr)
+                    << "step " << step;
+                ASSERT_EQ(got->dirty, want->dirty) << "step " << step;
+            }
+            break;
+          }
+        }
+    }
+    EXPECT_GT(victims, 1000u) << "the stream must exercise eviction";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheReferenceTest,
+    ::testing::Values(std::make_tuple(1u, 1u),
+                      std::make_tuple(4u, 2u),
+                      std::make_tuple(32u, 4u),
+                      std::make_tuple(32u, 8u),
+                      std::make_tuple(256u, 16u),
+                      // The Xeon-class L2.
+                      std::make_tuple(8192u, 16u)));
+
+TEST(CacheGeometry, RejectsANonPowerOfTwoSetCount)
+{
+    ScopedLogCapture capture;
+    CacheParams params;
+    params.sizeBytes = 24 * kiB;  // 96 sets of 4 x 64 B
+    params.assoc = 4;
+    EXPECT_THROW(SetAssocCache{params}, SimFatalError);
+}
+
+TEST(DramGeometry, RejectsNonPowerOfTwoGeometry)
+{
+    ScopedLogCapture capture;
+    auto rejects = [](auto edit) {
+        DramParams params = stackedDramParams();
+        edit(params);
+        EXPECT_THROW(DramModel{params}, SimFatalError);
+    };
+    rejects([](DramParams &p) { p.capacity = 3 * giB; });
+    rejects([](DramParams &p) { p.numPorts = 12; });
+    rejects([](DramParams &p) { p.banksPerPort = 6; });
+    rejects([](DramParams &p) { p.rowBytes = 1536; });
+}
+
+TEST(DramGeometry, EveryPresetConstructs)
+{
+    ScopedLogCapture capture;
+    for (const DramParams &params :
+         {stackedDramParams(), ddr3Params(), ddr4Params(),
+          lpddr3Params(), hmc1Params(), wideIoParams(),
+          octopusParams()}) {
+        SCOPED_TRACE(params.name);
+        EXPECT_NO_THROW({
+            DramModel dram(params);
+            EXPECT_GT(dram.access(AccessType::Read, 0x12345, 64, 0),
+                      params.arrayLatency);
+        });
+    }
+}
 
 // ---------------------------------------------------------------
 // Flash page-size sweep

@@ -2,13 +2,18 @@
 """Guard the simulator's host performance against regressions.
 
 Compares a freshly-measured BENCH_selfbench.json against the
-committed baseline and fails when any rate-like field (one ending in
-`_per_sec`) dropped by more than the tolerance. Wall-clock (`_ms`)
-and ratio fields are reported but never gate: they depend on point
-counts and job counts, which differ between smoke and full runs,
-while per-second rates measure the same inner loops at any size.
+committed baseline and flags any rate-like field (one ending in
+`_per_sec`) that dropped by more than the tolerance. Wall-clock (`_ms`)
+and ratio fields are never compared: they depend on point counts and
+job counts, which differ between smoke and full runs, while
+per-second rates measure the same inner loops at any size.
 
     perfguard.py baseline.json fresh.json [--tolerance 0.25]
+
+Rates only compare on like hardware and builds, so each report
+carries a host fingerprint (`host`: nproc, compiler, build_type). A
+regression fails the guard only when the two fingerprints match;
+otherwise it is reported as advisory and the exit code stays 0.
 
 The default tolerance is 25% -- generous on purpose, because these
 are host-dependent numbers and CI machines are noisy; the guard is
@@ -17,8 +22,9 @@ When the two files disagree on their `smoke` flag the tolerance is
 doubled: smoke runs do less warmup, so their rates sit further from
 the full run's steady state.
 
-Exit codes: 0 ok (or no baseline -- nothing to compare), 1 at least
-one rate regressed, 2 usage/parse error.
+Exit codes: 0 ok (or regressions on a different host, advisory), 1 at
+least one rate regressed on a matching host, 2 usage/parse error or
+missing baseline.
 """
 
 import argparse
@@ -41,6 +47,23 @@ def rate_fields(report, prefix=""):
     return out
 
 
+FINGERPRINT_KEYS = ("nproc", "compiler", "build_type")
+
+
+def fingerprint(report):
+    """The host fingerprint of a report, or None if it has none."""
+    host = report.get("host")
+    if not isinstance(host, dict):
+        return None
+    return tuple(host.get(key) for key in FINGERPRINT_KEYS)
+
+
+def describe(fp):
+    if fp is None:
+        return "none"
+    return ", ".join(f"{k}={v}" for k, v in zip(FINGERPRINT_KEYS, fp))
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="Compare selfbench rates against a baseline."
@@ -56,11 +79,8 @@ def main():
     args = parser.parse_args()
 
     if not os.path.exists(args.baseline):
-        print(
-            f"perfguard: no baseline at {args.baseline}; "
-            "nothing to compare"
-        )
-        return 0
+        print(f"perfguard: no baseline at {args.baseline}", file=sys.stderr)
+        return 2
 
     try:
         with open(args.baseline) as fh:
@@ -77,6 +97,16 @@ def main():
         print(
             "perfguard: smoke flags differ between baseline and "
             f"fresh run; tolerance doubled to {tolerance:.0%}"
+        )
+
+    old_fp = fingerprint(baseline)
+    new_fp = fingerprint(fresh)
+    gating = old_fp is not None and old_fp == new_fp
+    if not gating:
+        print(
+            "perfguard: host fingerprints differ (baseline: "
+            f"{describe(old_fp)}; fresh: {describe(new_fp)}); "
+            "regressions are advisory"
         )
 
     old = rate_fields(baseline)
@@ -108,10 +138,11 @@ def main():
     if regressions:
         print(
             f"perfguard: {len(regressions)} rate(s) regressed more "
-            f"than {tolerance:.0%} vs {args.baseline}",
+            f"than {tolerance:.0%} vs {args.baseline}"
+            + ("" if gating else " (advisory: different host)"),
             file=sys.stderr,
         )
-        return 1
+        return 1 if gating else 0
     print(f"perfguard: all rates within {tolerance:.0%} of baseline")
     return 0
 
