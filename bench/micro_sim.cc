@@ -155,20 +155,22 @@ BM_FlashRead(benchmark::State &state)
 }
 BENCHMARK(BM_FlashRead);
 
+/**
+ * Walk one run-length code pass over and over on @p core_params,
+ * counting the ops the core walks: one fetch per line plus one
+ * compute per line whose instruction share is non-zero.
+ */
 void
-BM_CoreTraceExecution(benchmark::State &state)
+walkCodePass(benchmark::State &state, const cpu::CoreParams &core_params)
 {
     mem::DramModel dram(mem::stackedDramParams());
     mem::CacheHierarchy caches(
-        cpu::defaultHierarchy(cpu::CoreType::CortexA7, false), &dram);
-    cpu::CoreModel core(cpu::cortexA7Params(), &caches);
+        cpu::defaultHierarchy(core_params.type, false), &dram);
+    cpu::CoreModel core(core_params, &caches);
 
     cpu::OpTrace trace;
     cpu::TraceBuilder(trace).codePass(0, 12 * kiB, 9000);
 
-    // The trace is one run-length code pass; count the ops the core
-    // walks: one fetch per line plus one compute per line whose
-    // instruction share is non-zero.
     Tick now = 0;
     std::uint64_t walked = 0;
     for (auto _ : state) {
@@ -179,7 +181,23 @@ BM_CoreTraceExecution(benchmark::State &state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(walked));
 }
+
+/** In-order A7: fetches take the blocking fetch loop. */
+void
+BM_CoreTraceExecution(benchmark::State &state)
+{
+    walkCodePass(state, cpu::cortexA7Params());
+}
 BENCHMARK(BM_CoreTraceExecution);
+
+/** Out-of-order A15: fetches take the general memory-op path with its
+ * miss window. */
+void
+BM_CoreTraceExecutionA15(benchmark::State &state)
+{
+    walkCodePass(state, cpu::cortexA15Params());
+}
+BENCHMARK(BM_CoreTraceExecutionA15);
 
 void
 BM_EndToEndGet(benchmark::State &state)

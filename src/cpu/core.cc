@@ -180,15 +180,36 @@ CoreModel::run(const OpTrace &trace, Tick start)
             const std::uint64_t extra = op.instructions % op.lines;
             const Tick per_line_ticks = computeTicksFor(per_line);
             const Tick extra_ticks = computeTicksFor(per_line + 1);
-            Addr addr = op.addr;
-            for (std::uint64_t i = 0; i < op.lines;
-                 ++i, addr += op.lineBytes) {
-                memory_op(mem::CpuAccessKind::IFetch, addr,
-                          Stream::Sequential);
+            auto line_compute = [&](std::uint64_t i) {
                 if (i < extra)
                     compute(per_line + 1, extra_ticks);
                 else if (per_line > 0)
                     compute(per_line, per_line_ticks);
+            };
+            Addr addr = op.addr;
+            if (params_.outOfOrder) {
+                for (std::uint64_t i = 0; i < op.lines;
+                     ++i, addr += op.lineBytes) {
+                    memory_op(mem::CpuAccessKind::IFetch, addr,
+                              Stream::Sequential);
+                    line_compute(i);
+                }
+                break;
+            }
+            // memory_op without its miss window: an in-order core
+            // never has a miss in flight, so each fetch issues, blocks
+            // until it completes and charges an L1 hit to compute.
+            result.memOps += op.lines;
+            for (std::uint64_t i = 0; i < op.lines;
+                 ++i, addr += op.lineBytes) {
+                cursor += issue_cost;
+                compute_ticks += issue_cost;
+                const mem::AccessResult access = caches_->access(
+                    mem::CpuAccessKind::IFetch, addr, cursor);
+                if (access.source == mem::ServicedBy::L1)
+                    compute_ticks += access.completion - cursor;
+                cursor = access.completion;
+                line_compute(i);
             }
             break;
           }

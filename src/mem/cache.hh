@@ -11,6 +11,7 @@
 #ifndef MERCURY_MEM_CACHE_HH
 #define MERCURY_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -48,20 +49,88 @@ struct Victim
  * functional key-value store holds real data natively). Line size
  * and set count must be powers of two, so lines, sets and tags are
  * shifts and masks of the address.
+ *
+ * Way w of set s sits at index s * assoc + w of three parallel
+ * arrays: a key (tag + 1, or 0 for an invalid way), an LRU stamp and
+ * a dirty flag. Invalid ways have stamp 0 and valid ones a stamp of
+ * at least 1, so the first way with the smallest stamp is the first
+ * invalid way, else the least recently used one.
  */
 class SetAssocCache
 {
   public:
+    /**
+     * One scan of a set: the way holding the line on a hit, else the
+     * way a fill of the line would take. Valid until this cache next
+     * changes.
+     */
+    struct Probe
+    {
+        std::size_t way;
+        /** The probed address shifted right by the line size. */
+        std::uint64_t line;
+        bool hit;
+    };
+
     explicit SetAssocCache(const CacheParams &params);
+
+    /** Scan the set of @p addr once, changing nothing. */
+    Probe
+    probe(Addr addr) const
+    {
+        const std::uint64_t line = addr >> lineShift_;
+        const std::uint64_t key = (line >> setShift_) + 1;
+        const std::size_t first = (line & setMask_) * params_.assoc;
+        const std::size_t end = first + params_.assoc;
+        std::size_t victim = first;
+        for (std::size_t way = first; way < end; ++way) {
+            if (keys_[way] == key)
+                return {way, line, true};
+            if (stamps_[way] < stamps_[victim])
+                victim = way;
+        }
+        return {victim, line, false};
+    }
+
+    /** Make a hit most recently used; @p dirty also marks it dirty. */
+    void
+    touch(const Probe &hit, bool dirty)
+    {
+        stamps_[hit.way] = nextStamp_++;
+        dirty_[hit.way] |= dirty;
+    }
+
+    /**
+     * Install the line of a miss in the way its probe chose.
+     *
+     * @return the displaced line, if a valid line was evicted.
+     */
+    std::optional<Victim>
+    fill(const Probe &miss, bool dirty)
+    {
+        std::optional<Victim> victim;
+        if (keys_[miss.way] != 0) {
+            const std::uint64_t victim_line =
+                ((keys_[miss.way] - 1) << setShift_) |
+                (miss.line & setMask_);
+            victim = Victim{victim_line << lineShift_,
+                            dirty_[miss.way] != 0};
+        }
+        keys_[miss.way] = (miss.line >> setShift_) + 1;
+        stamps_[miss.way] = nextStamp_++;
+        dirty_[miss.way] = dirty;
+        return victim;
+    }
 
     /** Probe for a line; updates LRU on hit. */
     bool lookup(Addr addr);
 
     /** Probe without disturbing replacement state. */
-    bool contains(Addr addr) const;
+    bool contains(Addr addr) const { return probe(addr).hit; }
 
     /**
-     * Install the line containing addr.
+     * Install the line containing addr (a present line is refreshed
+     * and keeps its dirty bit).
      *
      * @return the displaced line, if a valid line was evicted.
      */
@@ -81,27 +150,15 @@ class SetAssocCache
     unsigned numSets() const { return numSets_; }
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t lruStamp = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
-
-    std::uint64_t lineAddr(Addr addr) const;
-    std::uint64_t setIndex(Addr addr) const;
-    std::uint64_t tagOf(Addr addr) const;
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
-
     CacheParams params_;
     unsigned numSets_;
     unsigned lineShift_;
     unsigned setShift_;
     std::uint64_t setMask_;
     std::uint64_t nextStamp_ = 1;
-    std::vector<Line> lines_;
+    std::vector<std::uint64_t> keys_;
+    std::vector<std::uint64_t> stamps_;
+    std::vector<std::uint8_t> dirty_;
 };
 
 /** Kind of access issued by a core. */
@@ -150,8 +207,14 @@ class CacheHierarchy : public SimObject
     CacheHierarchy(const HierarchyParams &params, MemDevice *memory,
                    stats::StatGroup *parent = nullptr);
 
-    /** Issue one access at absolute tick @p now. */
-    AccessResult access(CpuAccessKind kind, Addr addr, Tick now);
+    /**
+     * Issue one access at absolute tick @p now. Defined below and
+     * forced inline, with the probe it makes on each level, so the
+     * core's walk makes no call per access (gcc declines to inline it
+     * on its own).
+     */
+    [[gnu::always_inline]] inline AccessResult
+    access(CpuAccessKind kind, Addr addr, Tick now);
 
     /** Drop all cached state (e.g. between measurement phases). */
     void flushAll();
@@ -192,6 +255,94 @@ class CacheHierarchy : public SimObject
     stats::Scalar writebacks_;
     stats::Scalar memAccesses_;
 };
+
+inline AccessResult
+CacheHierarchy::fillFromBelow(Addr line_addr, bool store, Tick now)
+{
+    const unsigned line_bytes = params_.l1d.lineBytes;
+
+    if (l2_) {
+        const Tick after_l2 = now + params_.l2.hitLatency;
+        const SetAssocCache::Probe probe = l2_->probe(line_addr);
+        if (probe.hit) {
+            ++l2Hits_;
+            l2_->touch(probe, store);
+            return {after_l2, ServicedBy::L2};
+        }
+        ++l2Misses_;
+        ++memAccesses_;
+        const Tick mem_done = memory_->access(AccessType::Read, line_addr,
+                                              line_bytes, after_l2);
+        const auto victim = l2_->fill(probe, store);
+        if (victim && victim->dirty) {
+            ++writebacks_;
+            // Off the critical path: occupies the device after the
+            // demand fill completes.
+            memory_->access(AccessType::Write, victim->lineAddr,
+                            line_bytes, mem_done);
+        }
+        return {mem_done, ServicedBy::Memory};
+    }
+
+    ++memAccesses_;
+    const Tick mem_done = memory_->access(AccessType::Read, line_addr,
+                                          line_bytes, now);
+    return {mem_done, ServicedBy::Memory};
+}
+
+inline AccessResult
+CacheHierarchy::access(CpuAccessKind kind, Addr addr, Tick now)
+{
+    SetAssocCache &l1 = kind == CpuAccessKind::IFetch ? l1i_ : l1d_;
+    stats::Scalar &hits =
+        kind == CpuAccessKind::IFetch ? l1iHits_ : l1dHits_;
+    stats::Scalar &misses =
+        kind == CpuAccessKind::IFetch ? l1iMisses_ : l1dMisses_;
+
+    const bool store = kind == CpuAccessKind::Store;
+    const bool write_through = store && params_.writeThroughStores;
+    const Tick after_l1 = now + l1.params().hitLatency;
+
+    const SetAssocCache::Probe probe = l1.probe(addr);
+    if (probe.hit) {
+        ++hits;
+        l1.touch(probe, store && !write_through);
+        if (write_through) {
+            ++memAccesses_;
+            const Tick done = memory_->access(
+                AccessType::Write, addr, l1.params().lineBytes,
+                after_l1);
+            return {done, ServicedBy::Memory};
+        }
+        return {after_l1, ServicedBy::L1};
+    }
+
+    ++misses;
+    if (write_through) {
+        // No write-allocate in write-through mode: the store goes
+        // straight to the device.
+        ++memAccesses_;
+        const Tick done = memory_->access(AccessType::Write, addr,
+                                          l1.params().lineBytes,
+                                          after_l1);
+        return {done, ServicedBy::Memory};
+    }
+    const AccessResult below = fillFromBelow(addr, store, after_l1);
+
+    // Nothing below L1 changes l1, so its probe still holds.
+    const auto victim = l1.fill(probe, store);
+    if (victim && victim->dirty) {
+        ++writebacks_;
+        if (l2_) {
+            l2_->insert(victim->lineAddr, true);
+        } else {
+            memory_->access(AccessType::Write, victim->lineAddr,
+                            l1.params().lineBytes, below.completion);
+        }
+    }
+
+    return below;
+}
 
 } // namespace mercury::mem
 

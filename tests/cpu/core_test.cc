@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
 
 #include "cpu/core.hh"
 #include "mem/dram.hh"
+#include "sim/random.hh"
 #include "sim/stats.hh"
 
 namespace
@@ -215,6 +217,145 @@ TEST(CoreModel, ZeroByteCodePassIsPureCompute)
     EXPECT_EQ(r.memOps, 0u);
     EXPECT_EQ(r.instructions, 500u);
     EXPECT_EQ(rig.stat("caches.l1iMisses"), 0.0);
+}
+
+/**
+ * The in-order walk written out op by op, as the general memory-op
+ * path of CoreModel::run does it with a window of one and nothing in
+ * flight: each memory op issues at the cursor and blocks until it
+ * completes, and only an L1 hit counts as compute.
+ */
+RunResult
+referenceInOrderRun(const CoreParams &core, CacheHierarchy &caches,
+                    const OpTrace &trace, Tick start)
+{
+    RunResult r;
+    r.start = start;
+    Tick cursor = start;
+    auto compute = [&](std::uint64_t instructions) {
+        const double cycles =
+            static_cast<double>(instructions) / core.issueIpc;
+        const auto t = static_cast<Tick>(
+            cycles * static_cast<double>(tickNs) / core.freqGHz);
+        cursor += t;
+        r.computeTicks += t;
+        r.instructions += instructions;
+    };
+    auto memory_op = [&](CpuAccessKind kind, Addr addr) {
+        ++r.memOps;
+        cursor += core.cyclePeriod();
+        r.computeTicks += core.cyclePeriod();
+        const AccessResult access = caches.access(kind, addr, cursor);
+        if (access.source == ServicedBy::L1)
+            r.computeTicks += access.completion - cursor;
+        cursor = access.completion;
+    };
+    for (const Op &op : trace) {
+        switch (op.kind) {
+          case Op::Kind::Compute:
+            compute(op.instructions);
+            break;
+          case Op::Kind::CodePass:
+            for (std::uint64_t i = 0; i < op.lines; ++i) {
+                memory_op(CpuAccessKind::IFetch,
+                          op.addr + i * op.lineBytes);
+                compute(op.instructions / op.lines +
+                        (i < op.instructions % op.lines ? 1 : 0));
+            }
+            break;
+          case Op::Kind::Load:
+            memory_op(CpuAccessKind::Load, op.addr);
+            break;
+          case Op::Kind::Store:
+            memory_op(CpuAccessKind::Store, op.addr);
+            break;
+        }
+    }
+    r.end = cursor;
+    r.stallTicks = r.elapsed() - r.computeTicks;
+    return r;
+}
+
+/**
+ * A seeded trace that mixes code passes of every shape with compute
+ * and with dependent, random and sequential loads and stores.
+ */
+OpTrace
+mixedTrace(std::uint64_t seed)
+{
+    OpTrace trace;
+    TraceBuilder b(trace);
+    // instructions % lines != 0, then instructions < lines.
+    b.codePass(0x100000, 64 * 64, 6403).codePass(0x180000, 50 * 64, 17);
+    Rng rng(seed);
+    auto line_in = [&](std::uint64_t bytes) -> Addr {
+        return rng.nextInt(bytes) & ~Addr(63);
+    };
+    for (int i = 0; i < 300; ++i) {
+        switch (rng.nextInt(8)) {
+          case 0:
+          case 1: {
+            // Code spread over 64 KiB, twice the L1I, so warm passes
+            // miss as well as hit.
+            const std::uint64_t lines = 1 + rng.nextInt(96);
+            b.codePass(0x100000 + line_in(64 * kiB), lines * 64,
+                       rng.nextInt(3 * lines));
+            break;
+          }
+          case 2:
+            b.compute(rng.nextInt(400));
+            break;
+          case 3:
+            b.chaseLoad(line_in(64 * miB));
+            break;
+          case 4:
+            trace.push_back(Op::load(line_in(64 * miB), Stream::Random));
+            break;
+          case 5:
+            b.randomStore(line_in(64 * miB));
+            break;
+          case 6:
+            b.streamRead(line_in(64 * miB), (1 + rng.nextInt(8)) * 64);
+            break;
+          default:
+            b.streamWrite(line_in(64 * miB), (1 + rng.nextInt(8)) * 64);
+            break;
+        }
+    }
+    return trace;
+}
+
+TEST(CoreModel, InOrderFetchLoopMatchesOpByOpWalk)
+{
+    const CoreParams a7 = cortexA7Params();
+    for (const bool with_l2 : {false, true}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "L2 " << with_l2 << ", seed " << seed);
+            const OpTrace trace = mixedTrace(seed);
+            Rig rig(a7, with_l2, 40 * tickNs, true);
+            Rig twin(a7, with_l2, 40 * tickNs, true);
+            // Cold, then warm twice: both L1s miss and hit.
+            Tick start = 1000;
+            for (int pass = 0; pass < 3; ++pass) {
+                const RunResult got = rig.core->run(trace, start);
+                const RunResult want =
+                    referenceInOrderRun(a7, *twin.caches, trace, start);
+                EXPECT_EQ(got.start, want.start);
+                EXPECT_EQ(got.end, want.end);
+                EXPECT_EQ(got.instructions, want.instructions);
+                EXPECT_EQ(got.memOps, want.memOps);
+                EXPECT_EQ(got.computeTicks, want.computeTicks);
+                EXPECT_EQ(got.stallTicks, want.stallTicks);
+                start = got.end + 777;
+            }
+            for (const char *path :
+                 {"caches.l1iHits", "caches.l1iMisses", "caches.l1dHits",
+                  "caches.l1dMisses", "stackedDram.reads",
+                  "stackedDram.writes"})
+                EXPECT_EQ(rig.stat(path), twin.stat(path)) << path;
+        }
+    }
 }
 
 TEST(CoreModel, L2TurnsRepeatSweepsIntoL2Hits)

@@ -28,6 +28,17 @@ cacheParams(unsigned entries)
     return p;
 }
 
+/** @p prefix followed by @p i. Built with append because
+ * `"k" + std::to_string(i)` trips a gcc 12 -Wrestrict false positive
+ * in optimised builds. */
+std::string
+numbered(const char *prefix, int i)
+{
+    std::string out = prefix;
+    out.append(std::to_string(i));
+    return out;
+}
+
 // ---------------------------------------------------------------
 // NicGetCache
 // ---------------------------------------------------------------
@@ -131,15 +142,15 @@ TEST(NicGetCache, EvictionOrderIsDeterministic)
     auto run = [] {
         NicGetCache cache(cacheParams(8));
         for (int i = 0; i < 64; ++i) {
-            const std::string key = "k" + std::to_string(i % 13);
+            const std::string key = numbered("k", i % 13);
             if (i % 3 == 0)
-                cache.fill(key, "v" + std::to_string(i));
+                cache.fill(key, numbered("v", i));
             else
                 cache.lookup(key);
         }
         std::set<std::string> alive;
         for (int i = 0; i < 13; ++i) {
-            const std::string key = "k" + std::to_string(i);
+            const std::string key = numbered("k", i);
             if (cache.lookup(key).has_value())
                 alive.insert(key);
         }

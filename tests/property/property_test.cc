@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -322,6 +323,227 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(256u, 16u),
                       // The Xeon-class L2.
                       std::make_tuple(8192u, 16u)));
+
+// ---------------------------------------------------------------
+// CacheHierarchy against a hierarchy of textbook caches, in lockstep
+// ---------------------------------------------------------------
+
+/** One call a hierarchy made on its memory device. */
+struct DeviceCall
+{
+    AccessType type;
+    Addr addr;
+    unsigned size;
+    Tick now;
+
+    bool operator==(const DeviceCall &) const = default;
+};
+
+/**
+ * A memory device that logs every call. Its latency depends on the
+ * line, so a wrong address or issue tick also shows up in the
+ * completion times.
+ */
+class RecordingDevice : public MemDevice
+{
+  public:
+    RecordingDevice() : MemDevice("recorder") {}
+
+    Tick
+    access(AccessType type, Addr addr, unsigned size, Tick now) override
+    {
+        calls.push_back({type, addr, size, now});
+        return now + (30 + (addr >> 6) % 16) * tickNs;
+    }
+
+    std::uint64_t capacityBytes() const override { return 4 * giB; }
+
+    Tick idleReadLatency() const override { return 30 * tickNs; }
+
+    std::vector<DeviceCall> calls;
+};
+
+/**
+ * The hierarchy walk over textbook caches with one scan per step:
+ * lookup, then markDirty on a store hit or insert after a miss.
+ * CacheHierarchy, which probes each level once, must agree with it.
+ */
+class ReferenceHierarchy
+{
+  public:
+    ReferenceHierarchy(const HierarchyParams &params, MemDevice *memory)
+        : params_(params), memory_(memory), l1i_(textbook(params.l1i)),
+          l1d_(textbook(params.l1d))
+    {
+        if (params.hasL2)
+            l2_.emplace(textbook(params.l2));
+    }
+
+    AccessResult
+    access(CpuAccessKind kind, Addr addr, Tick now)
+    {
+        const bool ifetch = kind == CpuAccessKind::IFetch;
+        ReferenceCache &l1 = ifetch ? l1i_ : l1d_;
+        const CacheParams &l1_params = ifetch ? params_.l1i : params_.l1d;
+        const bool store = kind == CpuAccessKind::Store;
+        const bool write_through = store && params_.writeThroughStores;
+        const Tick after_l1 = now + l1_params.hitLatency;
+
+        if (l1.lookup(addr)) {
+            ++counts[ifetch ? "l1iHits" : "l1dHits"];
+            if (!write_through) {
+                if (store)
+                    l1.markDirty(addr);
+                return {after_l1, ServicedBy::L1};
+            }
+        } else {
+            ++counts[ifetch ? "l1iMisses" : "l1dMisses"];
+        }
+        if (write_through) {
+            // Hit or miss, the store goes to the device; a miss
+            // allocates nothing.
+            ++counts["memAccesses"];
+            return {memory_->access(AccessType::Write, addr,
+                                    l1_params.lineBytes, after_l1),
+                    ServicedBy::Memory};
+        }
+
+        const AccessResult below = fillFromBelow(addr, store, after_l1);
+        const auto victim = l1.insert(addr, store);
+        if (victim && victim->dirty) {
+            ++counts["writebacks"];
+            if (l2_)
+                l2_->insert(victim->lineAddr, true);
+            else
+                memory_->access(AccessType::Write, victim->lineAddr,
+                                l1_params.lineBytes, below.completion);
+        }
+        return below;
+    }
+
+    /** Count per counter name, as CacheHierarchy registers them. */
+    std::map<std::string, std::uint64_t> counts;
+
+  private:
+    static ReferenceCache
+    textbook(const CacheParams &params)
+    {
+        return ReferenceCache(params.sizeBytes, params.assoc,
+                              params.lineBytes);
+    }
+
+    AccessResult
+    fillFromBelow(Addr addr, bool store, Tick now)
+    {
+        const unsigned line_bytes = params_.l1d.lineBytes;
+        if (!l2_) {
+            ++counts["memAccesses"];
+            return {memory_->access(AccessType::Read, addr, line_bytes,
+                                    now),
+                    ServicedBy::Memory};
+        }
+        const Tick after_l2 = now + params_.l2.hitLatency;
+        if (l2_->lookup(addr)) {
+            ++counts["l2Hits"];
+            if (store)
+                l2_->markDirty(addr);
+            return {after_l2, ServicedBy::L2};
+        }
+        ++counts["l2Misses"];
+        ++counts["memAccesses"];
+        const Tick mem_done = memory_->access(AccessType::Read, addr,
+                                              line_bytes, after_l2);
+        const auto victim = l2_->insert(addr, store);
+        if (victim && victim->dirty) {
+            ++counts["writebacks"];
+            memory_->access(AccessType::Write, victim->lineAddr,
+                            line_bytes, mem_done);
+        }
+        return {mem_done, ServicedBy::Memory};
+    }
+
+    HierarchyParams params_;
+    MemDevice *memory_;
+    ReferenceCache l1i_;
+    ReferenceCache l1d_;
+    std::optional<ReferenceCache> l2_;
+};
+
+class HierarchyReferenceTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>>
+{};
+
+TEST_P(HierarchyReferenceTest, MatchesTextbookHierarchyStepForStep)
+{
+    auto [with_l2, write_through] = GetParam();
+    HierarchyParams params;
+    params.hasL2 = with_l2;
+    params.writeThroughStores = write_through;
+
+    stats::StatGroup root("root");
+    RecordingDevice device;
+    RecordingDevice reference_device;
+    CacheHierarchy caches(params, &device, &root);
+    ReferenceHierarchy reference(params, &reference_device);
+
+    // Half the addresses crowd four L2 sets, and the L1 sets they
+    // alias, with more tags than the L2 has ways, so every level keeps
+    // evicting; the rest are cold and unaligned.
+    const std::uint64_t l2_sets =
+        params.l2.sizeBytes / (params.l2.lineBytes * params.l2.assoc);
+    Rng rng(31 + 2 * with_l2 + write_through);
+    auto next_addr = [&]() -> Addr {
+        if (rng.nextInt(2) == 0)
+            return rng.nextInt(256 * miB);
+        const std::uint64_t set = rng.nextInt(4);
+        const std::uint64_t tag = rng.nextInt(2 * params.l2.assoc + 2);
+        return (tag * l2_sets + set) * 64 + rng.nextInt(64);
+    };
+    constexpr CpuAccessKind kinds[] = {
+        CpuAccessKind::IFetch, CpuAccessKind::Load, CpuAccessKind::Store};
+
+    Tick now = 0;
+    std::size_t checked_calls = 0;
+    for (int step = 0; step < 30000; ++step) {
+        const CpuAccessKind kind = kinds[rng.nextInt(3)];
+        const Addr addr = next_addr();
+        const AccessResult got = caches.access(kind, addr, now);
+        const AccessResult want = reference.access(kind, addr, now);
+        ASSERT_EQ(got.completion, want.completion) << "step " << step;
+        ASSERT_EQ(got.source, want.source) << "step " << step;
+        ASSERT_EQ(device.calls.size(), reference_device.calls.size())
+            << "step " << step;
+        for (; checked_calls < device.calls.size(); ++checked_calls) {
+            ASSERT_TRUE(device.calls[checked_calls] ==
+                        reference_device.calls[checked_calls])
+                << "step " << step << ", device call " << checked_calls;
+        }
+        now += rng.nextInt(50) * tickNs;
+    }
+
+    for (const char *name : {"l1iHits", "l1iMisses", "l1dHits",
+                             "l1dMisses", "l2Hits", "l2Misses",
+                             "writebacks", "memAccesses"}) {
+        const auto *stat = dynamic_cast<const stats::Scalar *>(
+            root.find(std::string("caches.") + name));
+        ASSERT_NE(stat, nullptr) << name;
+        EXPECT_EQ(stat->value(),
+                  static_cast<double>(reference.counts[name]))
+            << name;
+    }
+    // The stream must reach what it is meant to check.
+    EXPECT_GT(reference.counts["l1dMisses"], 1000u);
+    if (with_l2) {
+        EXPECT_GT(reference.counts["l2Hits"], 1000u);
+    }
+    if (!write_through) {
+        EXPECT_GT(reference.counts["writebacks"], 1000u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    L2AndStorePolicy, HierarchyReferenceTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()));
 
 TEST(CacheGeometry, RejectsANonPowerOfTwoSetCount)
 {
