@@ -28,25 +28,26 @@ namespace
 using namespace mercury;
 using namespace mercury::server;
 
-enum class Path { Tcp, Udp, Bypass };
+using net::DatapathKind;
 
 const char *
-pathName(Path path)
+pathName(DatapathKind path)
 {
     switch (path) {
-    case Path::Tcp:
+    case DatapathKind::KernelTcp:
         return "tcp";
-    case Path::Udp:
+    case DatapathKind::KernelUdp:
         return "udp";
-    case Path::Bypass:
+    case DatapathKind::Bypass:
         return "bypass";
     }
     return "?";
 }
 
 double
-tpsFor(const cpu::CoreParams &core, Path path, std::uint32_t size,
-       bench::PointContext &ctx, const std::string &name)
+tpsFor(const cpu::CoreParams &core, DatapathKind path,
+       std::uint32_t size, bench::PointContext &ctx,
+       const std::string &name)
 {
     ServerModelParams p;
     p.core = core;
@@ -54,17 +55,10 @@ tpsFor(const cpu::CoreParams &core, Path path, std::uint32_t size,
     p.storeMemLimit = 48 * miB;
     p.name = name;
     p.statsParent = ctx.statsParent();
-    switch (path) {
-    case Path::Tcp:
-        break;
-    case Path::Udp:
-        p.udpGets = true;
-        break;
-    case Path::Bypass:
-        p.datapath.kind = net::DatapathKind::Bypass;
+    p.datapath.kind = path;
+    if (path == DatapathKind::Bypass) {
         p.datapath.rxBatch = 32;
         p.datapath.txBatch = 32;
-        break;
     }
     ServerModel model(p);
     const double tps = model.measureGets(size).avgTps;
@@ -117,8 +111,9 @@ main(int argc, char **argv)
                     std::string(choice.slug) + "_s" +
                     std::to_string(size) + "_";
                 double tps[3] = {0, 0, 0};
-                for (Path path :
-                     {Path::Tcp, Path::Udp, Path::Bypass}) {
+                for (DatapathKind path :
+                     {DatapathKind::KernelTcp, DatapathKind::KernelUdp,
+                      DatapathKind::Bypass}) {
                     tps[static_cast<int>(path)] =
                         tpsFor(choice.core, path, size, ctx,
                                stem + pathName(path));

@@ -167,7 +167,6 @@ main(int argc, char **argv)
         ClusterSimResult &out = slot();
         sweep.point([&, variant](bench::PointContext &ctx) {
             ClusterSimParams params = baseParams(ctx.smoke());
-            params.shards = ctx.shards();
             params.faults.maxRetries = 0;
             params.faults.nodeDowntime = 15 * tickMs;
             params.resilience.replicationFactor =
@@ -186,7 +185,6 @@ main(int argc, char **argv)
         ClusterSimResult &out = slot();
         sweep.point([&, admission](bench::PointContext &ctx) {
             ClusterSimParams params = baseParams(ctx.smoke());
-            params.shards = ctx.shards();
             params.nodes = 4;
             params.faults.maxRetries = 1;
             params.resilience.admissionControl = admission;
@@ -206,7 +204,6 @@ main(int argc, char **argv)
         ClusterSimResult &out = slot();
         sweep.point([&](bench::PointContext &ctx) {
             ClusterSimParams params = baseParams(ctx.smoke());
-            params.shards = ctx.shards();
             params.nodes = 8;
             params.racks = 4;
             params.node.memory = server::MemoryKind::Flash;

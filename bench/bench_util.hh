@@ -142,9 +142,6 @@ class Session
             {"--jobs", "N",
              "sweep worker threads (0 = all hardware threads); "
              "output byte-identical to --jobs=1"},
-            {"--shards", "N",
-             "PDES shards per cluster simulation (0 = all hardware "
-             "threads); output byte-identical to --shards=1"},
             {"--help", nullptr, "show the uniform bench flags and exit"},
         };
         count = sizeof(specs) / sizeof(specs[0]);
@@ -214,9 +211,6 @@ class Session
                 smoke_ = true;
             } else if (match(arg, "--jobs", i, argc, argv, value)) {
                 jobs_ = parseJobs(value);
-            } else if (match(arg, "--shards", i, argc, argv,
-                             value)) {
-                shards_ = parseJobs(value);
             } else if (arg == "--help") {
                 std::fputs(helpText(registry_.name()).c_str(),
                            stdout);
@@ -272,18 +266,6 @@ class Session
     jobs() const
     {
         return tracer_ ? 1u : jobs_;
-    }
-
-    /**
-     * PDES shards for ClusterSim (ClusterSimParams::shards).
-     * Tracing forces 1 for the same single-writer reason as jobs();
-     * the sharded engine also falls back to the serial walk on its
-     * own whenever a zero-lookahead client coupling is configured.
-     */
-    unsigned
-    shards() const
-    {
-        return tracer_ ? 1u : shards_;
     }
 
     /** Size sweep honouring --smoke. */
@@ -542,8 +524,8 @@ class Session
     std::string timeseriesPath_;
     /** Serializes the capture/append/finish emission state. Today
      * ParallelSweep publishes in submission order from one thread;
-     * the capability makes that discipline machine-checked so the
-     * PDES merge workers cannot silently start appending unlocked. */
+     * the capability makes that discipline machine-checked so a
+     * future concurrent emitter cannot silently append unlocked. */
     mutable sim::Mutex emitMutex_;
     std::string captured_ GUARDED_BY(emitMutex_);
     std::string timeseries_ GUARDED_BY(emitMutex_);
@@ -553,7 +535,6 @@ class Session
     bool smoke_ = false;
     bool finished_ = false;
     unsigned jobs_ = 1;
-    unsigned shards_ = 1;
 };
 
 /**

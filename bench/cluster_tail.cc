@@ -43,7 +43,6 @@ cell(bench::PointContext &ctx, unsigned nodes, double theta,
     params.nodes = nodes;
     params.zipfTheta = theta;
     params.requests = 2500;
-    params.shards = ctx.shards();
     params.tracer = ctx.tracer();
 
     // Windowed per-cell time series under --timeseries-out, labelled

@@ -45,7 +45,6 @@ using namespace mercury::server;
 struct PathChoice
 {
     const char *label;
-    bool udp;
     net::DatapathParams datapath;
 };
 
@@ -75,7 +74,6 @@ runRow(const PathChoice &choice, unsigned requests,
     p.memory = MemoryKind::StackedDram;
     p.dramArrayLatency = 10 * tickNs;
     p.storeMemLimit = 224 * miB;
-    p.udpGets = choice.udp;
     p.datapath = choice.datapath;
     p.name = name;
     p.statsParent = ctx.statsParent();
@@ -150,13 +148,12 @@ main(int argc, char **argv)
 
     // ---- Section A: path shootout --------------------------------
     const PathChoice choices[] = {
-        {"kernel TCP", false, {}},
-        {"kernel UDP", true, {}},
-        {"bypass batch=1", false,
-         {net::DatapathKind::Bypass, 1, 1, false, 0}},
-        {"bypass batch=32", false,
+        {"kernel TCP", {}},
+        {"kernel UDP", {net::DatapathKind::KernelUdp}},
+        {"bypass batch=1", {net::DatapathKind::Bypass, 1, 1, false, 0}},
+        {"bypass batch=32",
          {net::DatapathKind::Bypass, 32, 32, false, 0}},
-        {"bypass b=32 +niccache", false,
+        {"bypass b=32 +niccache",
          {net::DatapathKind::Bypass, 32, 32, false, 4096}},
     };
 
@@ -196,7 +193,7 @@ main(int argc, char **argv)
                            "RTT us", "Kernel share");
                 ctx.printf("%s\n", bench::ruleString(50).c_str());
             }
-            PathChoice choice{"batch", false,
+            PathChoice choice{"batch",
                               {net::DatapathKind::Bypass, batches[i],
                                batches[i], false, 0}};
             brows[i] =

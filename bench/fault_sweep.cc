@@ -229,7 +229,6 @@ main(int argc, char **argv)
     // One capacity probe for the whole sweep so every point runs at
     // the same offered load.
     ClusterSimParams base = baseParams(smoke);
-    base.shards = session.shards();
     double offered = 0.0;
     {
         ClusterSim probe(base);

@@ -86,10 +86,6 @@ class PointContext
 
     bool smoke() const { return smoke_; }
 
-    /** The session's --shards (ClusterSimParams::shards): PDES
-     * shards for any cluster simulation this point runs. */
-    unsigned shards() const { return shards_; }
-
     /** True when the session wants --timeseries-out; points attach
      * per-point samplers only then. */
     bool wantTimeseries() const { return wantTimeseries_; }
@@ -154,12 +150,11 @@ class PointContext
 
     PointContext(std::string registry_name, bool want_stats,
                  bool smoke, trace::Tracer *tracer,
-                 bool want_timeseries, Tick sample_interval,
-                 unsigned shards)
+                 bool want_timeseries, Tick sample_interval)
         : registryName_(std::move(registry_name)),
           wantStats_(want_stats), smoke_(smoke), tracer_(tracer),
           wantTimeseries_(want_timeseries),
-          sampleInterval_(sample_interval), shards_(shards)
+          sampleInterval_(sample_interval)
     {}
 
     void
@@ -195,7 +190,6 @@ class PointContext
     trace::Tracer *tracer_;
     bool wantTimeseries_ = false;
     Tick sampleInterval_ = 0;
-    unsigned shards_ = 1;
     /** Worker-confined until pool.wait(), then emitter-confined; the
      * handoff happens-before via the pool's idle barrier, which the
      * analysis cannot express -- hence deliberately unguarded. */
@@ -249,7 +243,7 @@ class ParallelSweep
                 session_.smoke(),
                 jobs == 1 ? session_.tracer() : nullptr,
                 session_.wantTimeseries(),
-                session_.sampleInterval(), session_.shards()));
+                session_.sampleInterval()));
         }
 
         if (jobs == 1) {

@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "cluster/cluster_sim.hh"
 #include "net/datapath.hh"
 #include "server/server_model.hh"
 #include "sim/event_queue.hh"
@@ -321,55 +320,6 @@ sweepParallelSeconds(unsigned points, unsigned samples,
     return secondsSince(start);
 }
 
-/**
- * PDES section: one cluster simulation (the paper-scale 96-stack
- * topology in full mode) run serial and then sharded across the
- * host's threads, wall-clocked, with the byte-identity contract
- * re-checked on the way (the two results must match exactly -- the
- * speedup is only honest if the sharded run did the same work).
- * On a single-core host the speedup hovers at or below 1.0x: the
- * engine adds barrier overhead and there is nothing to overlap.
- * The JSON says so rather than hiding it.
- */
-cluster::ClusterSimParams
-pdesParams(bool smoke)
-{
-    cluster::ClusterSimParams params;
-    params.node.core = cpu::cortexA7Params();
-    params.node.withL2 = false;
-    params.node.storeMemLimit = smoke ? 16 * miB : 32 * miB;
-    params.nodes = smoke ? 16 : 96;
-    params.numKeys = smoke ? 600 : 4000;
-    params.zipfTheta = 0.9;
-    params.requests = smoke ? 400 : 4000;
-    params.warmup = smoke ? 50 : 200;
-    return params;
-}
-
-double
-pdesClusterSeconds(const cluster::ClusterSimParams &params,
-                   cluster::ClusterSimResult &out)
-{
-    cluster::ClusterSim sim(params);
-    const double offered = 0.5 * sim.aggregateCapacity();
-    const auto start = Clock::now();
-    out = sim.run(offered);
-    return secondsSince(start);
-}
-
-bool
-pdesResultsIdentical(const cluster::ClusterSimResult &a,
-                     const cluster::ClusterSimResult &b)
-{
-    return a.ok == b.ok && a.requests == b.requests &&
-           a.timeouts == b.timeouts &&
-           a.avgLatencyUs == b.avgLatencyUs &&
-           a.p99LatencyUs == b.p99LatencyUs &&
-           a.hitRate == b.hitRate &&
-           a.hottestNodeShare == b.hottestNodeShare &&
-           a.faultTimelineDigest == b.faultTimelineDigest;
-}
-
 } // anonymous namespace
 
 int
@@ -481,37 +431,6 @@ main(int argc, char **argv)
     std::printf("%-34s %14.2fx  (%u hardware threads)\n",
                 "sweep speedup", sweepSpeedup, nproc);
 
-    const cluster::ClusterSimParams pdes_params = pdesParams(smoke);
-    // At least two shards even on a single-core host: the probe
-    // must exercise the PDES engine (and its identity contract),
-    // while the measured speedup stays honest about the hardware.
-    const unsigned pdesShards =
-        std::min<unsigned>(std::max(2u, jobs), pdes_params.nodes);
-    cluster::ClusterSimParams sharded_params = pdes_params;
-    sharded_params.shards = pdesShards;
-    cluster::ClusterSimResult pdesSerial, pdesSharded;
-    const double pdesSerialS =
-        pdesClusterSeconds(pdes_params, pdesSerial);
-    const double pdesShardedS =
-        pdesClusterSeconds(sharded_params, pdesSharded);
-    const double pdesSpeedup = pdesSerialS / pdesShardedS;
-    const bool pdesIdentical =
-        pdesResultsIdentical(pdesSerial, pdesSharded);
-    std::printf("%-34s %14.1f ms\n", "cluster serial",
-                pdesSerialS * 1e3);
-    std::snprintf(label, sizeof(label), "cluster --shards %u",
-                  pdesShards);
-    std::printf("%-34s %14.1f ms\n", label, pdesShardedS * 1e3);
-    std::printf("%-34s %14.2fx  (%u nodes, results %s)\n",
-                "pdes speedup", pdesSpeedup, pdes_params.nodes,
-                pdesIdentical ? "identical" : "DIVERGED");
-    if (!pdesIdentical) {
-        std::fprintf(stderr,
-                     "selfbench: sharded cluster run diverged from "
-                     "serial -- PDES byte-identity broken\n");
-        return 1;
-    }
-
     std::FILE *fp = std::fopen(out.c_str(), "w");
     if (!fp) {
         std::fprintf(stderr, "cannot open %s for writing\n",
@@ -581,21 +500,6 @@ main(int argc, char **argv)
         field(os, wf, "serial_ms", "%.2f", serialS * 1e3);
         field(os, wf, "parallel_ms", "%.2f", parallelS * 1e3);
         field(os, wf, "speedup", "%.3f", sweepSpeedup);
-        os << '}';
-    }
-    json::writeKey(os, first, "pdes");
-    {
-        bool pf = true;
-        os << '{';
-        json::writeField(os, pf, "nodes",
-                         std::uint64_t{pdes_params.nodes});
-        json::writeField(os, pf, "shards",
-                         std::uint64_t{pdesShards});
-        field(os, pf, "serial_ms", "%.2f", pdesSerialS * 1e3);
-        field(os, pf, "sharded_ms", "%.2f", pdesShardedS * 1e3);
-        field(os, pf, "speedup", "%.3f", pdesSpeedup);
-        json::writeField(os, pf, "identical",
-                         std::uint64_t{pdesIdentical ? 1u : 0u});
         os << '}';
     }
     os << "}\n";

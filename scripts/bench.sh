@@ -10,10 +10,7 @@
 #   - kv-store GET/SET ops/sec through the server timing model;
 #   - datapath request walk reqs/sec: kernel path vs the batched
 #     bypass fast path (host-side cost of the batching bookkeeping);
-#   - fig5-style sweep wall-clock, serial vs --jobs N;
-#   - a 96-node cluster run, serial vs the sharded PDES engine
-#     (--shards), with a byte-identity check on the results --
-#     the probe fails if sharded output diverges from serial.
+#   - fig5-style sweep wall-clock, serial vs --jobs N.
 #
 # Numbers are host-dependent; nothing here is golden, but the
 # per-second rates are compared against the committed

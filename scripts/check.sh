@@ -5,41 +5,34 @@
 #   1. the asan-ubsan preset: configure, build (-Werror), full ctest
 #      under AddressSanitizer + UBSan with expensive invariant checks
 #      (MERCURY_EXTRA_CHECKS) compiled in;
-#   2. the conservative-PDES label (`ctest -L pdes`) under release:
-#      the ShardedSim lockstep twin fuzzer, cluster byte-identity
-#      across shard counts, and the --shards x --jobs binary-output
-#      matrix;
-#   3. the tsan preset: golden + parallel-sweep determinism + pdes
-#      suites and the thread-pool unit tests under ThreadSanitizer
-#      (the `--jobs` and `--shards` machinery must be race-free, not
-#      just byte-stable);
-#   4. the timeseries label (windowed-JSONL golden, --timeseries-out
+#   2. the tsan preset: golden + parallel-sweep determinism suites
+#      and the thread-pool unit tests under ThreadSanitizer (the
+#      `--jobs` machinery must be race-free, not just byte-stable);
+#   3. the timeseries label (windowed-JSONL golden, --timeseries-out
 #      jobs-invariance, Chrome-trace exporter) under both the release
 #      and asan-ubsan builds;
-#   5. smoke reproducibility of the fault_sweep and bad_day benches
+#   4. smoke reproducibility of the fault_sweep and bad_day benches
 #      (two runs byte-identical) and the fault/resilience label
 #      (`ctest -L fault`): replication, hedging, shedding and the
 #      bad-day recovery-curve golden under asan-ubsan;
-#   6. a perf smoke: the release selfbench --smoke must run and emit
+#   5. a perf smoke: the release selfbench --smoke must run and emit
 #      well-formed JSON, and its per-second rates must stay within
 #      tolerance of the committed BENCH_selfbench.json
 #      (tools/perfguard.py; a hard failure when the host fingerprint
 #      -- nproc, compiler, build type -- matches the baseline's,
 #      advisory otherwise; wall-clock fields are never compared). A
 #      missing baseline fails the stage;
-#   7. the static-analysis label (`ctest -L lint`): the mercury_lint
-#      fixture goldens for both engines, the repo-clean check, the
-#      suppression budget, and the clang thread-safety negative
-#      compile (clang-only checks report as skipped without clang);
-#   8. a clang -Wthread-safety -Werror build of the whole tree via
+#   6. the static-analysis label (`ctest -L lint`): the mercury_lint
+#      fixture goldens, the repo-clean check, the suppression budget,
+#      and the clang thread-safety negative compile (reported as
+#      skipped without clang);
+#   7. a clang -Wthread-safety -Werror build of the whole tree via
 #      the clang-tsa preset (skipped when clang++ is not installed);
-#   9. clang-tidy over src/ against the asan-ubsan compile database
+#   8. clang-tidy over src/ against the asan-ubsan compile database
 #      (a hard failure when installed; skipped with a warning when
 #      not -- the CI image may not ship it);
-#  10. the project-specific lint rules in tools/lint/mercury_lint.py
-#      over src/ and bench/ (AST engine against the asan-ubsan
-#      compile database when libclang is importable, the regex
-#      fallback otherwise), plus the waiver-budget ratchet.
+#   9. the project-specific lint rules in tools/lint/mercury_lint.py
+#      over src/ and bench/, plus the waiver-budget ratchet.
 #
 # The golden observability suite (`ctest -L golden`) runs inside both
 # the asan-ubsan ctest pass and an explicit release-preset stage, so a
@@ -91,22 +84,12 @@ if [ "$skip_build" -eq 0 ]; then
     if ! cmake --build --preset release -j "$(nproc)" --target \
             fig4_request_breakdown fig5_mercury_latency \
             fig6_iridium_latency datapath_sweep fault_sweep \
-            cluster_tail bad_day test_pdes; then
+            cluster_tail bad_day; then
         echo "check.sh: release bench build failed" >&2
         exit 1
     fi
     if ! ctest --test-dir build/release -L golden --output-on-failure; then
         echo "check.sh: golden suite failed under release" >&2
-        exit 1
-    fi
-
-    # Conservative-PDES determinism gate: the ShardedSim lockstep
-    # twin fuzzer, cluster byte-identity across shard counts, and
-    # the --shards x --jobs binary-output matrix.
-    note "pdes suite (ctest -L pdes, release)"
-    if ! ctest --test-dir build/release -L pdes --output-on-failure
-    then
-        echo "check.sh: pdes suite failed under release" >&2
         exit 1
     fi
 
@@ -164,7 +147,7 @@ if [ "$skip_build" -eq 0 ]; then
         exit 1
     fi
 
-    note "tsan: determinism + golden + pdes suites + thread-pool tests"
+    note "tsan: determinism + golden suites + thread-pool tests"
     if ! cmake --preset tsan; then
         echo "check.sh: tsan configure failed" >&2
         exit 1
@@ -173,9 +156,9 @@ if [ "$skip_build" -eq 0 ]; then
         echo "check.sh: tsan build failed (warnings are errors)" >&2
         exit 1
     fi
-    if ! ctest --test-dir build/tsan -L "golden|determinism|pdes" \
+    if ! ctest --test-dir build/tsan -L "golden|determinism" \
             --output-on-failure; then
-        echo "check.sh: golden/determinism/pdes failed under tsan" >&2
+        echo "check.sh: golden/determinism failed under tsan" >&2
         exit 1
     fi
     if ! ./build/tsan/tests/test_sim \
@@ -213,8 +196,6 @@ for section, keys in {
     "datapath": ["kernel_reqs_per_sec", "bypass_reqs_per_sec",
                  "batched_reqs_per_sec", "batching_speedup"],
     "sweep": ["serial_ms", "parallel_ms", "speedup", "jobs"],
-    "pdes": ["nodes", "shards", "serial_ms", "sharded_ms",
-             "speedup", "identical"],
 }.items():
     for key in keys:
         value = report[section][key]
@@ -222,9 +203,7 @@ for section, keys in {
 print("selfbench JSON well-formed:",
       f"queue speedup {report['queue']['speedup']:.2f}x,",
       f"sweep speedup {report['sweep']['speedup']:.2f}x",
-      f"at --jobs {report['sweep']['jobs']},",
-      f"pdes speedup {report['pdes']['speedup']:.2f}x",
-      f"at --shards {report['pdes']['shards']} (identical)")
+      f"at --jobs {report['sweep']['jobs']}")
 PYEOF
     then
         echo "check.sh: selfbench JSON malformed" >&2
@@ -260,7 +239,7 @@ if [ -d build/release ]; then
     fi
 else
     echo "build/release missing; running the fixture harness directly"
-    if ! python3 tests/lint/run_lint_fixtures.py regex; then
+    if ! python3 tests/lint/run_lint_fixtures.py; then
         echo "check.sh: lint fixture goldens failed" >&2
         exit 1
     fi
@@ -310,11 +289,7 @@ else
 fi
 
 note "mercury lint"
-# The AST engine picks up per-file flags from the asan-ubsan compile
-# database; without libclang the driver falls back to the regex
-# engine and ignores -p.
-if ! python3 tools/lint/mercury_lint.py -p build/asan-ubsan \
-        src bench; then
+if ! python3 tools/lint/mercury_lint.py src bench; then
     failures=$((failures + 1))
 fi
 if ! python3 tools/lint/mercury_lint.py --budget; then

@@ -4,10 +4,8 @@
 #include <deque>
 
 #include "cluster/backoff.hh"
-#include "net/shard_channel.hh"
 #include "sim/contract.hh"
 #include "sim/logging.hh"
-#include "sim/sharded_sim.hh"
 
 namespace mercury::cluster
 {
@@ -39,9 +37,7 @@ ClusterSim::ClusterSim(const ClusterSimParams &params)
             // Each node draws loss/flash faults from its own fork:
             // its stream is a function of (master seed, node name)
             // and its own op sequence only, never of how ops on
-            // *other* nodes interleave -- which is what allows the
-            // PDES path to run nodes on different shards and still
-            // match the serial walk draw for draw.
+            // *other* nodes interleave.
             nodeInjectors_.push_back(
                 std::make_unique<fault::FaultInjector>(
                     injector_.forkSeed(name)));
@@ -49,18 +45,6 @@ ClusterSim::ClusterSim(const ClusterSimParams &params)
                 nodeInjectors_.back().get());
         }
     }
-}
-
-bool
-ClusterSim::requiresSerialWalk() const
-{
-    if (params_.tracer)
-        return true;
-    if (!params_.faults.enabled)
-        return false;
-    const ClusterResilienceParams &res = params_.resilience;
-    return res.admissionControl ||
-           (res.hedgedReads && effectiveReplication() >= 2);
 }
 
 std::uint64_t
@@ -160,15 +144,6 @@ ClusterSimResult
 ClusterSim::run(double offered_tps)
 {
     mercury_assert(offered_tps > 0.0, "offered load must be positive");
-    if (params_.shards > 1 && !requiresSerialWalk())
-        return runSharded(offered_tps);
-    return runSerial(offered_tps);
-}
-
-ClusterSimResult
-ClusterSim::runSerial(double offered_tps)
-{
-    populate();
 
     workload::WorkloadParams wl;
     wl.numKeys = params_.numKeys;
@@ -182,10 +157,8 @@ ClusterSim::runSerial(double offered_tps)
     workload::PoissonArrivals arrivals(offered_tps,
                                        params_.seed + 99);
 
-    // Start every node at a common time origin.
-    Tick origin = 0;
-    for (const auto &node : nodes_)
-        origin = std::max(origin, node->now());
+    // Start every node at a common time origin (populates first).
+    const Tick origin = timeOrigin();
     for (const auto &node : nodes_)
         node->advanceTo(origin);
 
@@ -579,6 +552,24 @@ ClusterSim::runSerial(double offered_tps)
             note_inflight(index, begin, node.now());
             return AttemptOutcome{node.now(), hit};
         };
+        // One traced PUT attempt against an up node; returns when the
+        // node acked.
+        auto do_put = [&](std::size_t index, Tick begin,
+                          unsigned attempt_no) {
+            server::ServerModel &node = *nodes_[index];
+            node.advanceTo(begin);
+            {
+                trace::ScopedTraceContext span_ctx(
+                    tracer, static_cast<std::uint16_t>(index),
+                    client_req);
+                node.put(key, params_.valueBytes);
+                MERCURY_TRACE_SPAN(tracer, client_req,
+                                   trace::Stage::Attempt, begin,
+                                   node.now(), attempt_no);
+            }
+            note_inflight(index, begin, node.now());
+            return node.now();
+        };
         // Hit accounting for the GET attempt that actually answered
         // the client. A cancelled hedge loser is never accounted:
         // its result is discarded.
@@ -734,21 +725,8 @@ ClusterSim::runSerial(double offered_tps)
                         ++result.hintsQueued;
                         continue;
                     }
-                    server::ServerModel &node = *nodes_[index];
-                    node.advanceTo(arrival);
-                    {
-                        trace::ScopedTraceContext span_ctx(
-                            tracer,
-                            static_cast<std::uint16_t>(index),
-                            client_req);
-                        node.put(key, params_.valueBytes);
-                        MERCURY_TRACE_SPAN(tracer, client_req,
-                                           trace::Stage::Attempt,
-                                           arrival, node.now(),
-                                           attempt_no++);
-                    }
-                    note_inflight(index, arrival, node.now());
-                    end = std::max(end, node.now());
+                    end = std::max(
+                        end, do_put(index, arrival, attempt_no++));
                 }
                 // The round completes when the slowest replica
                 // acked (write-all).
@@ -838,22 +816,8 @@ ClusterSim::runSerial(double offered_tps)
                     account_get(index, got.hit);
                     finish_served(index, got.end);
                 } else {
-                    server::ServerModel &node = *nodes_[index];
-                    node.advanceTo(attempt_begin);
-                    {
-                        trace::ScopedTraceContext span_ctx(
-                            tracer,
-                            static_cast<std::uint16_t>(index),
-                            client_req);
-                        node.put(key, params_.valueBytes);
-                        MERCURY_TRACE_SPAN(tracer, client_req,
-                                           trace::Stage::Attempt,
-                                           attempt_begin,
-                                           node.now(), attempt);
-                    }
-                    note_inflight(index, attempt_begin,
-                                  node.now());
-                    finish_served(index, node.now());
+                    finish_served(index,
+                                  do_put(index, attempt_begin, attempt));
                 }
                 break;
             }
@@ -935,647 +899,6 @@ ClusterSim::runSerial(double offered_tps)
     // The accounting contract: every measured request lands in
     // exactly one outcome class. Always on -- a violation here means
     // a new result class was added without wiring its accounting.
-    MERCURY_ASSERT(result.accountedRequests() == result.requests,
-                   "request outcomes must partition requests");
-    if (gets > 0)
-        result.hitRate = static_cast<double>(hits) /
-                         static_cast<double>(gets);
-    if (recovery_gets > 0)
-        result.postRestartHitRate =
-            static_cast<double>(recovery_hits) /
-            static_cast<double>(recovery_gets);
-    for (const auto &node : nodes_) {
-        result.netDrops += node->netDrops();
-        result.netRetransmits += node->netRetransmits();
-    }
-    result.faultTimelineDigest = faultDigest();
-    if (sampler)
-        sampler->finish(arrival);
-    return result;
-}
-
-ClusterSimResult
-ClusterSim::runSharded(double offered_tps)
-{
-    populate();
-
-    // --- Setup: identical to runSerial up to the request loop -------
-
-    workload::WorkloadParams wl;
-    wl.numKeys = params_.numKeys;
-    wl.popularity = params_.popularity;
-    wl.zipfTheta = params_.zipfTheta;
-    wl.valueSize =
-        workload::ValueSizeDist::fixed(params_.valueBytes);
-    wl.getFraction = params_.getFraction;
-    wl.seed = params_.seed;
-    workload::WorkloadGenerator gen(wl);
-    workload::PoissonArrivals arrivals(offered_tps,
-                                       params_.seed + 99);
-
-    Tick origin = 0;
-    for (const auto &node : nodes_)
-        origin = std::max(origin, node->now());
-    for (const auto &node : nodes_)
-        node->advanceTo(origin);
-
-    stats::Sampler *const sampler = params_.sampler;
-    std::size_t ch_requests = 0, ch_ok = 0, ch_failed = 0;
-    std::size_t ch_timeouts = 0, ch_shed = 0;
-    std::size_t ch_attempt_timeouts = 0, ch_retries = 0;
-    std::size_t ch_hedges = 0;
-    std::size_t ch_crashes = 0, ch_restarts = 0;
-    std::size_t ch_gets = 0, ch_hits = 0, ch_lat = 0;
-    if (sampler) {
-        ch_requests = sampler->addCounter("requests");
-        ch_ok = sampler->addCounter("ok");
-        ch_failed = sampler->addCounter("failed");
-        ch_timeouts = sampler->addCounter("timeouts");
-        ch_shed = sampler->addCounter("shed");
-        ch_attempt_timeouts = sampler->addCounter("attempt_timeouts");
-        ch_retries = sampler->addCounter("retries");
-        ch_hedges = sampler->addCounter("hedges");
-        ch_crashes = sampler->addCounter("crashes");
-        ch_restarts = sampler->addCounter("restarts");
-        ch_gets = sampler->addCounter("gets");
-        ch_hits = sampler->addCounter("hits");
-        sampler->addRatio("availability", ch_ok, ch_requests, 1.0);
-        sampler->addRatio("hit_rate", ch_hits, ch_gets, 1.0);
-        ch_lat = sampler->addLatency("lat_us");
-        sampler->begin(origin);
-    }
-    // The shed/hedge channels are registered for schema parity but
-    // can never fire here: admission control and hedging force the
-    // serial walk.
-    (void)ch_shed;
-    (void)ch_hedges;
-
-    ClusterSimResult result;
-    result.offeredTps = offered_tps;
-
-    // --- PDES engine over the node partition -------------------------
-
-    const unsigned shard_count = std::min(
-        params_.shards, static_cast<unsigned>(nodes_.size()));
-    sim::ShardedSim ssim(shard_count);
-    for (std::size_t n = 0; n < nodes_.size(); ++n)
-        ssim.addNode(static_cast<unsigned>(n) % shard_count);
-    // The cluster fabric is uniform 10GbE: the lookahead is the
-    // one-way latency floor of the configured path parameters.
-    net::registerUniformFabric(
-        ssim, net::minOneWayLatency(params_.node.net));
-
-    // --- Driver pass --------------------------------------------------
-    //
-    // Replays the client walk in arrival order drawing only from the
-    // master streams (workload, arrivals, master injector). Every
-    // node-model op is posted to the owning node's shard at the
-    // step's arrival tick -- arrivals are nondecreasing and posts to
-    // one node keep their order at equal ticks, so each node
-    // services its ops in exactly the serial walk's per-node order.
-    // Which node serves, and every non-Ok outcome, depends only on
-    // driver state (up/down, retry budget); node-dependent numbers
-    // (attempt end times, hits) land in slots for the replay pass.
-
-    /** Filled in by node tasks during ssim.run(). */
-    struct TaskSlot
-    {
-        Tick end = 0;
-        bool hit = false;
-    };
-    std::deque<TaskSlot> slots;
-
-    enum class StepKind : std::uint8_t
-    {
-        Serve,
-        WriteRound,
-        Failed,
-        TimedOut
-    };
-    struct WriteLeg
-    {
-        std::uint32_t node;
-        std::uint32_t slot;
-    };
-    struct ShardStep
-    {
-        Tick arrival = 0;
-        Tick serveBegin = 0;
-        bool measured = false;
-        bool isGet = false;
-        StepKind kind = StepKind::Serve;
-        std::uint32_t serveNode = 0;
-        std::uint32_t serveSlot = 0;
-        std::uint32_t crashCount = 0;
-        std::uint32_t deadAttempts = 0;
-        std::uint32_t retryCount = 0;
-        std::vector<std::uint32_t> restartNodes;
-        std::vector<WriteLeg> writeLegs;
-    };
-    std::vector<ShardStep> steps;
-    steps.reserve(params_.warmup + params_.requests);
-
-    const ClusterFaultParams &fp = params_.faults;
-    const ClusterResilienceParams &res = params_.resilience;
-    const unsigned replication = effectiveReplication();
-    std::vector<bool> up(nodes_.size(), true);
-    std::vector<Tick> restart_at(nodes_.size(), 0);
-    const Tick crash_mean =
-        fp.nodeCrashesPerSecond > 0.0
-            ? secondsToTicks(1.0 / fp.nodeCrashesPerSecond)
-            : 0;
-    Tick next_crash = maxTick;
-    if (fp.enabled && crash_mean > 0)
-        next_crash = origin + injector_.nextInterval(crash_mean);
-
-    std::vector<std::vector<std::uint64_t>> hints(nodes_.size());
-
-    const bool budgeted = fp.enabled && res.retryBudgetFraction > 0.0;
-    std::uint64_t issued = 0;
-    std::uint64_t retries_spent = 0;
-    auto retry_allowed = [&]() {
-        if (!budgeted)
-            return true;
-        return static_cast<double>(retries_spent) <
-               res.retryBudgetFraction * static_cast<double>(issued);
-    };
-
-    const std::uint32_t value_bytes = params_.valueBytes;
-
-    auto post_get = [&](std::size_t index, Tick post_at, Tick begin,
-                        const std::string &key, bool refill) {
-        slots.emplace_back();
-        TaskSlot *slot = &slots.back();
-        server::ServerModel *node = nodes_[index].get();
-        ssim.post(static_cast<sim::NodeId>(index), post_at,
-                  [node, slot, key, begin, refill, value_bytes] {
-                      node->advanceTo(begin);
-                      const bool hit = node->get(key).hit;
-                      slot->end = node->now();
-                      slot->hit = hit;
-                      // Read-through refill: node-local, immediately
-                      // after the miss, exactly where the serial
-                      // walk's account_get() put it in this node's
-                      // op order.
-                      if (refill && !hit)
-                          node->put(key, value_bytes);
-                  });
-        return static_cast<std::uint32_t>(slots.size() - 1);
-    };
-    auto post_put = [&](std::size_t index, Tick post_at, Tick begin,
-                        const std::string &key) {
-        slots.emplace_back();
-        TaskSlot *slot = &slots.back();
-        server::ServerModel *node = nodes_[index].get();
-        ssim.post(static_cast<sim::NodeId>(index), post_at,
-                  [node, slot, key, begin, value_bytes] {
-                      node->advanceTo(begin);
-                      node->put(key, value_bytes);
-                      slot->end = node->now();
-                  });
-        return static_cast<std::uint32_t>(slots.size() - 1);
-    };
-
-    auto driver_crash = [&](std::size_t victim, Tick at,
-                            ShardStep &step) {
-        up[victim] = false;
-        restart_at[victim] = at + fp.nodeDowntime;
-        injector_.record(at, fault::FaultKind::NodeCrash,
-                         nodeNames_[victim]);
-        ++result.crashes;
-        ++step.crashCount;
-    };
-    auto driver_restart = [&](std::size_t index, Tick at,
-                              Tick post_at, ShardStep &step) {
-        up[index] = true;
-        std::vector<std::uint64_t> replay = std::move(hints[index]);
-        hints[index].clear();
-        result.hintsReplayed += replay.size();
-        server::ServerModel *node = nodes_[index].get();
-        ssim.post(static_cast<sim::NodeId>(index), post_at,
-                  [this, node, replay = std::move(replay),
-                   value_bytes] {
-                      // Cold restart, then hinted-handoff replay in
-                      // write order (node-local ops).
-                      node->store().flushAll();
-                      for (const std::uint64_t key_id : replay)
-                          node->put(keyFor(key_id), value_bytes);
-                  });
-        injector_.record(at, fault::FaultKind::NodeRestart,
-                         nodeNames_[index]);
-        ++result.restarts;
-        step.restartNodes.push_back(static_cast<std::uint32_t>(index));
-    };
-
-    Tick arrival = origin;
-    for (unsigned i = 0; i < params_.warmup + params_.requests;
-         ++i) {
-        arrival = arrivals.next(arrival);
-        const workload::Request request = gen.next();
-        const std::string key = keyFor(request.keyId);
-
-        steps.emplace_back();
-        ShardStep &step = steps.back();
-        step.arrival = arrival;
-        step.measured = i >= params_.warmup;
-        step.isGet = request.op == workload::Request::Op::Get;
-
-        if (!fp.enabled) {
-            const std::size_t index = nodeIndexFor(key);
-            step.kind = StepKind::Serve;
-            step.serveNode = static_cast<std::uint32_t>(index);
-            step.serveBegin = arrival;
-            step.serveSlot =
-                step.isGet
-                    ? post_get(index, arrival, arrival, key, false)
-                    : post_put(index, arrival, arrival, key);
-            continue;
-        }
-
-        // --- Fault mode: crash/restart/plan bookkeeping ------------
-
-        for (std::size_t n = 0; n < nodes_.size(); ++n) {
-            if (!up[n] && restart_at[n] <= arrival)
-                driver_restart(n, restart_at[n], arrival, step);
-        }
-        while (auto due = injector_.popDue(arrival)) {
-            const Tick at = std::max(due->at, arrival);
-            switch (due->kind) {
-            case fault::FaultKind::NodeCrash: {
-                const std::size_t target = indexOfName(due->target);
-                if (up[target])
-                    driver_crash(target, at, step);
-                break;
-            }
-            case fault::FaultKind::NodeRestart: {
-                const std::size_t target = indexOfName(due->target);
-                if (!up[target])
-                    driver_restart(target, at, arrival, step);
-                break;
-            }
-            case fault::FaultKind::NetDegrade:
-            case fault::FaultKind::NetRestore: {
-                const double loss =
-                    due->kind == fault::FaultKind::NetDegrade
-                        ? fault::ppbToProbability(due->detail)
-                        : fp.packetLossProbability;
-                injector_.record(at, due->kind, due->target,
-                                 due->detail);
-                if (due->target == fault::allNodes) {
-                    for (std::size_t n = 0; n < nodes_.size(); ++n) {
-                        server::ServerModel *node = nodes_[n].get();
-                        ssim.post(static_cast<sim::NodeId>(n),
-                                  arrival, [node, loss] {
-                                      node->setPacketLoss(loss);
-                                  });
-                    }
-                } else {
-                    const std::size_t n = indexOfName(due->target);
-                    server::ServerModel *node = nodes_[n].get();
-                    ssim.post(static_cast<sim::NodeId>(n), arrival,
-                              [node, loss] {
-                                  node->setPacketLoss(loss);
-                              });
-                }
-                break;
-            }
-            case fault::FaultKind::FlashWear: {
-                const double wear =
-                    fault::ppbToProbability(due->detail);
-                injector_.record(at, due->kind, due->target,
-                                 due->detail);
-                if (due->target == fault::allNodes) {
-                    for (std::size_t n = 0; n < nodes_.size(); ++n) {
-                        server::ServerModel *node = nodes_[n].get();
-                        ssim.post(static_cast<sim::NodeId>(n),
-                                  arrival, [node, wear] {
-                                      node->setFlashWear(wear);
-                                  });
-                    }
-                } else {
-                    const std::size_t n = indexOfName(due->target);
-                    server::ServerModel *node = nodes_[n].get();
-                    ssim.post(static_cast<sim::NodeId>(n), arrival,
-                              [node, wear] {
-                                  node->setFlashWear(wear);
-                              });
-                }
-                break;
-            }
-            default:
-                mercury_panic("unschedulable fault kind in plan: ",
-                              fault::kindName(due->kind));
-            }
-        }
-        while (next_crash <= arrival) {
-            std::vector<std::size_t> alive;
-            for (std::size_t n = 0; n < nodes_.size(); ++n) {
-                if (up[n])
-                    alive.push_back(n);
-            }
-            if (alive.size() > 1)
-                driver_crash(alive[injector_.pick(alive.size())],
-                             next_crash, step);
-            next_crash += injector_.nextInterval(crash_mean);
-        }
-
-        // --- Fault mode: the client walk ---------------------------
-
-        const std::size_t fan = std::max<std::size_t>(
-            replication,
-            static_cast<std::size_t>(fp.maxRetries) + 1);
-        const std::vector<std::string> order_names =
-            replicaOrder(key, fan);
-        std::vector<std::size_t> order;
-        order.reserve(order_names.size());
-        for (const std::string &name : order_names)
-            order.push_back(indexOfName(name));
-        ++issued;
-
-        bool resolved = false;
-
-        // Replicated write round: write-all over the up replicas.
-        if (!step.isGet && replication >= 2) {
-            std::size_t first_up = replication;
-            for (std::size_t r = 0; r < replication; ++r) {
-                if (up[order[r]]) {
-                    first_up = r;
-                    break;
-                }
-            }
-            if (first_up < replication) {
-                for (std::size_t r = 0; r < replication; ++r) {
-                    const std::size_t index = order[r];
-                    if (!up[index]) {
-                        hints[index].push_back(request.keyId);
-                        ++result.hintsQueued;
-                        continue;
-                    }
-                    step.writeLegs.push_back(WriteLeg{
-                        static_cast<std::uint32_t>(index),
-                        post_put(index, arrival, arrival, key)});
-                }
-                step.kind = StepKind::WriteRound;
-                step.serveNode =
-                    static_cast<std::uint32_t>(order[first_up]);
-                step.serveBegin = arrival;
-                resolved = true;
-            }
-        }
-
-        // Generic failover walk.
-        if (!resolved) {
-            const std::size_t walk_span =
-                (!step.isGet && replication >= 2)
-                    ? replication
-                    : order.size();
-            Tick penalty = 0;
-            for (unsigned attempt = 0; attempt <= fp.maxRetries;
-                 ++attempt) {
-                const std::size_t index =
-                    order[attempt % walk_span];
-                const Tick attempt_begin = arrival + penalty;
-                if (!up[index]) {
-                    penalty += fp.requestTimeout;
-                    if (step.measured)
-                        ++result.attemptTimeouts;
-                    ++step.deadAttempts;
-                    if (attempt < fp.maxRetries) {
-                        if (!retry_allowed()) {
-                            step.kind = StepKind::Failed;
-                            if (step.measured)
-                                ++result.failedRequests;
-                            resolved = true;
-                            break;
-                        }
-                        ++retries_spent;
-                        penalty += jitteredBackoff(
-                            fp.backoffBase, attempt,
-                            fp.backoffJitter, injector_);
-                        if (step.measured)
-                            ++result.retries;
-                        ++step.retryCount;
-                    }
-                    continue;
-                }
-
-                step.kind = StepKind::Serve;
-                step.serveNode = static_cast<std::uint32_t>(index);
-                step.serveBegin = attempt_begin;
-                step.serveSlot =
-                    step.isGet ? post_get(index, arrival,
-                                          attempt_begin, key, true)
-                               : post_put(index, arrival,
-                                          attempt_begin, key);
-                resolved = true;
-                break;
-            }
-            if (!resolved) {
-                step.kind = StepKind::TimedOut;
-                if (step.measured)
-                    ++result.timeouts;
-            }
-        }
-    }
-
-    // --- Dispatch: run the node work on the shards -------------------
-
-    ssim.run();
-
-    // --- Replay pass: serial accounting over the recorded steps ------
-    //
-    // The sampler emits per-window aggregates and every op of a step
-    // shares the step's arrival window, so feeding a step's counts
-    // together (after advanceTo(arrival)) reproduces the serial
-    // walk's emission byte for byte.
-
-    std::vector<Tick> latencies;
-    latencies.reserve(params_.requests);
-    std::vector<std::vector<Tick>> per_node(nodes_.size());
-    std::vector<std::size_t> counts(nodes_.size(), 0);
-
-    std::vector<unsigned> recovering(nodes_.size(), 0);
-    constexpr unsigned recovery_window = 200;
-    std::uint64_t gets = 0, hits = 0;
-    std::uint64_t recovery_gets = 0, recovery_hits = 0;
-
-    std::vector<std::deque<Tick>> inflight(nodes_.size());
-    auto note_inflight = [&](std::size_t n, Tick begin, Tick end) {
-        std::deque<Tick> &q = inflight[n];
-        while (!q.empty() && q.front() <= begin)
-            q.pop_front();
-        q.push_back(end);
-        result.maxOutstanding = std::max<std::uint64_t>(
-            result.maxOutstanding, q.size());
-    };
-
-    const Tick avail_window = params_.availabilityWindow;
-    Tick win_end = avail_window > 0 ? origin + avail_window : maxTick;
-    std::uint64_t win_requests = 0, win_ok = 0;
-    auto close_window = [&]() {
-        if (win_requests > 0) {
-            result.minWindowAvailability = std::min(
-                result.minWindowAvailability,
-                static_cast<double>(win_ok) /
-                    static_cast<double>(win_requests));
-        }
-        win_requests = 0;
-        win_ok = 0;
-    };
-
-    auto finish_served = [&](const ShardStep &step, std::size_t node,
-                             Tick end) {
-        const Tick latency = end - step.arrival;
-        ++win_ok;
-        if (sampler) {
-            sampler->count(ch_ok);
-            sampler->recordLatency(
-                ch_lat,
-                static_cast<std::uint64_t>(latency / tickUs));
-        }
-        if (step.measured) {
-            ++result.ok;
-            latencies.push_back(latency);
-            per_node[node].push_back(latency);
-            ++counts[node];
-        }
-    };
-    auto account_get = [&](const ShardStep &step, std::size_t node,
-                           bool hit) {
-        if (step.measured) {
-            ++gets;
-            hits += hit ? 1 : 0;
-        }
-        if (sampler) {
-            sampler->count(ch_gets);
-            if (hit)
-                sampler->count(ch_hits);
-        }
-        if (fp.enabled) {
-            if (recovering[node] > 0) {
-                --recovering[node];
-                ++recovery_gets;
-                recovery_hits += hit ? 1 : 0;
-            }
-            if (!hit && replication >= 2)
-                ++result.readRepairs;
-        }
-    };
-
-    for (const ShardStep &step : steps) {
-        if (sampler) {
-            sampler->advanceTo(step.arrival);
-            sampler->count(ch_requests);
-        }
-        while (avail_window > 0 && step.arrival >= win_end) {
-            close_window();
-            win_end += avail_window;
-        }
-        ++win_requests;
-
-        if (sampler) {
-            for (std::uint32_t c = 0; c < step.crashCount; ++c)
-                sampler->count(ch_crashes);
-        }
-        for (const std::uint32_t node : step.restartNodes) {
-            recovering[node] = recovery_window;
-            if (sampler)
-                sampler->count(ch_restarts);
-        }
-        if (sampler) {
-            for (std::uint32_t c = 0; c < step.deadAttempts; ++c)
-                sampler->count(ch_attempt_timeouts);
-            for (std::uint32_t c = 0; c < step.retryCount; ++c)
-                sampler->count(ch_retries);
-        }
-
-        switch (step.kind) {
-        case StepKind::Serve: {
-            const TaskSlot &slot = slots[step.serveSlot];
-            if (step.isGet)
-                account_get(step, step.serveNode, slot.hit);
-            if (fp.enabled)
-                note_inflight(step.serveNode, step.serveBegin,
-                              slot.end);
-            finish_served(step, step.serveNode, slot.end);
-            break;
-        }
-        case StepKind::WriteRound: {
-            Tick end = step.arrival;
-            for (const WriteLeg &leg : step.writeLegs) {
-                const Tick leg_end = slots[leg.slot].end;
-                note_inflight(leg.node, step.arrival, leg_end);
-                end = std::max(end, leg_end);
-            }
-            finish_served(step, step.serveNode, end);
-            break;
-        }
-        case StepKind::Failed:
-            if (sampler)
-                sampler->count(ch_failed);
-            break;
-        case StepKind::TimedOut:
-            if (sampler)
-                sampler->count(ch_timeouts);
-            break;
-        }
-    }
-
-    // --- Tail: identical aggregation to runSerial --------------------
-
-    if (!latencies.empty()) {
-        std::sort(latencies.begin(), latencies.end());
-        double sum = 0.0;
-        std::size_t sub_ms = 0;
-        for (const Tick latency : latencies) {
-            sum += ticksToUs(latency);
-            if (latency < tickMs)
-                ++sub_ms;
-        }
-        result.avgLatencyUs =
-            sum / static_cast<double>(latencies.size());
-        result.p99LatencyUs = ticksToUs(latencies[static_cast<
-            std::size_t>(0.99 * (latencies.size() - 1))]);
-        result.p999LatencyUs = ticksToUs(latencies[static_cast<
-            std::size_t>(0.999 * (latencies.size() - 1))]);
-        result.subMsFraction = static_cast<double>(sub_ms) /
-                               static_cast<double>(latencies.size());
-    }
-
-    std::size_t hottest = 0;
-    for (std::size_t i = 1; i < counts.size(); ++i) {
-        if (counts[i] > counts[hottest])
-            hottest = i;
-    }
-    result.hottestNodeShare =
-        static_cast<double>(counts[hottest]) /
-        static_cast<double>(params_.requests);
-
-    auto p99_of = [](std::vector<Tick> &v) {
-        if (v.empty())
-            return 0.0;
-        std::sort(v.begin(), v.end());
-        return ticksToUs(
-            v[static_cast<std::size_t>(0.99 * (v.size() - 1))]);
-    };
-    const double hot_p99 = p99_of(per_node[hottest]);
-    std::vector<double> node_p99s;
-    for (auto &v : per_node) {
-        if (!v.empty())
-            node_p99s.push_back(p99_of(v));
-    }
-    if (!node_p99s.empty()) {
-        std::sort(node_p99s.begin(), node_p99s.end());
-        const double median_p99 = node_p99s[node_p99s.size() / 2];
-        result.hotNodeTailAmplification =
-            median_p99 > 0.0 ? hot_p99 / median_p99 : 0.0;
-    }
-
-    if (avail_window > 0)
-        close_window();
-    result.requests = params_.requests;
-    result.availability = static_cast<double>(result.ok) /
-                          static_cast<double>(result.requests);
     MERCURY_ASSERT(result.accountedRequests() == result.requests,
                    "request outcomes must partition requests");
     if (gets > 0)

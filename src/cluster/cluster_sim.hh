@@ -164,20 +164,6 @@ struct ClusterSimParams
      * spreads replica sets across racks. */
     unsigned racks = 0;
 
-    /**
-     * PDES shards the node models are partitioned across (node i
-     * runs on shard i % shards). With > 1, per-node work executes
-     * on a sim::ShardedSim whose lookahead is the fabric's one-way
-     * latency floor, byte-identical to the serial walk -- the
-     * determinism matrix (ctest -L pdes) diffs every shard count
-     * against the serial goldens. Clamped to the node count.
-     * Client couplings tighter than the network lookahead
-     * (admission control, hedged reads, an attached tracer) force
-     * the serial walk regardless: they read remote state
-     * mid-request, which no conservative partition can satisfy.
-     */
-    unsigned shards = 1;
-
     ClusterFaultParams faults{};
 
     ClusterResilienceParams resilience{};
@@ -325,20 +311,6 @@ class ClusterSim
     std::size_t nodeIndexFor(std::string_view key) const;
     std::size_t indexOfName(const std::string &name) const;
 
-    /** True when a client coupling (admission control, hedging, a
-     * tracer) reads cross-node state faster than the network
-     * lookahead, forcing the serial walk. */
-    bool requiresSerialWalk() const;
-
-    /** Serial reference walk (also the shards <= 1 path). */
-    ClusterSimResult runSerial(double offered_tps);
-
-    /** Conservative-PDES execution: a driver pass records every
-     * client decision and posts per-node work onto a ShardedSim;
-     * a serial replay pass re-derives the exact serial accounting
-     * from the recorded steps. Byte-identical to runSerial(). */
-    ClusterSimResult runSharded(double offered_tps);
-
     /** Master timeline digest chained through every per-node
      * injector fork, in node-index order. */
     std::uint64_t faultDigest() const;
@@ -358,9 +330,9 @@ class ClusterSim
     fault::FaultInjector injector_;
     /** Per-node injector forks (fault mode only): each node's
      * loss/flash draws come from its own seeded stream, so a
-     * node's fault history depends only on its own op sequence --
-     * the property that lets nodes run on different PDES shards
-     * without perturbing each other's draws. */
+     * node's fault history depends only on its own operations,
+     * never on how other nodes' operations interleave with them.
+     * The fault goldens pin these streams. */
     std::vector<std::unique_ptr<fault::FaultInjector>> nodeInjectors_;
     bool populated_ = false;
     double capacity_ = 0.0;

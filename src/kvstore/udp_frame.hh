@@ -7,7 +7,7 @@
  * (16b) and a reserved field (16b). Large responses are split across
  * datagrams; the client reassembles by (request id, sequence). This
  * is the transport Facebook used for GETs, and the one the
- * ServerModel's udpGets mode represents.
+ * ServerModel's UDP datapaths (net::DatapathKind) represent.
  */
 
 #ifndef MERCURY_KVSTORE_UDP_FRAME_HH

@@ -52,14 +52,18 @@ namespace mercury::net
 /** Which request path the server's CPU model walks. */
 enum class DatapathKind : std::uint8_t
 {
-    Kernel, ///< Linux TCP (or udpGets) path, as calibrated for Fig. 4
-    Bypass, ///< user-level poll-mode driver, batched descriptors
+    KernelTcp, ///< Linux TCP path, as calibrated for Fig. 4
+    /** GETs over Linux UDP (Facebook-style): connectionless receive
+     * and transmit paths with far less kernel work per packet. PUTs
+     * stay on TCP for reliability, as in production deployments. */
+    KernelUdp,
+    Bypass,    ///< user-level poll-mode driver, batched descriptors
 };
 
 /** Static configuration of a node's datapath. All defaults off. */
 struct DatapathParams
 {
-    DatapathKind kind = DatapathKind::Kernel;
+    DatapathKind kind = DatapathKind::KernelTcp;
 
     /** RX descriptors fetched per doorbell/ring refill (bypass).
      * Per-batch costs in the calibration are divided by this. */

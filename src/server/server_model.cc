@@ -179,14 +179,6 @@ ServerModel::ServerModel(const ServerModelParams &params,
             params_.datapath, &stats_);
 }
 
-ServerModel::PathKind
-ServerModel::getPath() const
-{
-    if (params_.datapath.bypass())
-        return PathKind::Bypass;
-    return params_.udpGets ? PathKind::Udp : PathKind::Tcp;
-}
-
 unsigned
 ServerModel::ourChannel() const
 {
@@ -353,13 +345,13 @@ ServerModel::mutableMetaAddr(Addr line)
 void
 ServerModel::buildRxPhase(cpu::OpTrace &trace,
                           std::uint64_t payload_bytes,
-                          unsigned packets, PathKind path)
+                          unsigned packets, net::DatapathKind path)
 {
     const Calibration &cal = params_.cal;
     cpu::TraceBuilder b(trace);
-    const bool udp = path == PathKind::Udp;
+    const bool udp = path == net::DatapathKind::KernelUdp;
 
-    if (path == PathKind::Bypass) {
+    if (path == net::DatapathKind::Bypass) {
         // Poll-mode user-level path: no syscalls, no socket state;
         // the request parses straight out of the DMA ring. Doorbell
         // and ring-refill costs are charged per batch and amortized
@@ -425,13 +417,13 @@ ServerModel::buildRxPhase(cpu::OpTrace &trace,
 
 void
 ServerModel::buildTxCodePhase(cpu::OpTrace &trace, unsigned packets,
-                              PathKind path)
+                              net::DatapathKind path)
 {
     const Calibration &cal = params_.cal;
     cpu::TraceBuilder b(trace);
-    const bool udp = path == PathKind::Udp;
+    const bool udp = path == net::DatapathKind::KernelUdp;
 
-    if (path == PathKind::Bypass) {
+    if (path == net::DatapathKind::Bypass) {
         const unsigned batch =
             std::max(1u, params_.datapath.txBatch);
         b.codePass(map_.netstackCode() + 64 * kiB,
@@ -566,7 +558,7 @@ RequestTiming
 ServerModel::get(const std::string &key)
 {
     const Calibration &cal = params_.cal;
-    const PathKind path = getPath();
+    const net::DatapathKind path = params_.datapath.kind;
     const Tick t0 = cursor_;
 
     std::uint32_t traceReq = 0;
@@ -576,7 +568,7 @@ ServerModel::get(const std::string &key)
     const std::uint64_t req_payload =
         key.size() + cal.getRequestOverheadBytes;
     const auto arrival =
-        path == PathKind::Bypass
+        path == net::DatapathKind::Bypass
             ? c2s_->deliverDatagrams(
                   req_payload, t0,
                   static_cast<unsigned>(
@@ -671,7 +663,7 @@ ServerModel::get(const std::string &key)
         Tick begin = cursor_;
         cpu::OpTrace trace;
         const unsigned packets =
-            path == PathKind::Bypass
+            path == net::DatapathKind::Bypass
                 ? static_cast<unsigned>(
                       kvstore::udpDatagramCount(resp_payload))
                 : s2c_->segmenter().numSegments(resp_payload);
@@ -688,7 +680,7 @@ ServerModel::get(const std::string &key)
     }
 
     const auto response =
-        path == PathKind::Bypass
+        path == net::DatapathKind::Bypass
             ? s2c_->deliverDatagrams(
                   resp_payload, cursor_,
                   static_cast<unsigned>(
@@ -723,12 +715,12 @@ RequestTiming
 ServerModel::put(const std::string &key, std::uint32_t value_bytes)
 {
     const Calibration &cal = params_.cal;
-    // PUTs keep TCP framing on the wire (reliable transport); in
-    // bypass mode the CPU walks the user-level stack (mTCP-style)
-    // instead of the kernel path.
-    const PathKind path = params_.datapath.bypass()
-                              ? PathKind::Bypass
-                              : PathKind::Tcp;
+    // PUTs keep TCP framing on the wire (reliable transport), and
+    // the kernel path stays TCP even when GETs ride UDP; in bypass
+    // mode the CPU walks the user-level stack (mTCP-style) instead.
+    const net::DatapathKind path = params_.datapath.bypass()
+                                       ? net::DatapathKind::Bypass
+                                       : net::DatapathKind::KernelTcp;
     const Tick t0 = cursor_;
 
     std::uint32_t traceReq = 0;

@@ -73,17 +73,12 @@ struct ServerModelParams
     /** Flash capacity override; 0 keeps the 19.8 GB stack. */
     std::uint64_t flashCapacity = 0;
 
-    /** Serve GETs over UDP (Facebook-style): connectionless receive
-     * and transmit paths with far less kernel work per packet. PUTs
-     * stay on TCP for reliability, as in production deployments. */
-    bool udpGets = false;
-
     net::NetParams net{};
 
-    /** Kernel-bypass datapath configuration: poll-mode batched UDP
-     * fast path, RSS steering (consumed by StackSimulation) and the
-     * on-NIC GET cache. All defaults off; the default reproduces
-     * the kernel path bit-for-bit. */
+    /** Datapath configuration: the GET path (kernel TCP, kernel UDP
+     * or the poll-mode batched bypass), RSS steering (consumed by
+     * StackSimulation) and the on-NIC GET cache. All defaults off;
+     * the default reproduces the kernel TCP path bit-for-bit. */
     net::DatapathParams datapath{};
 
     /** Eviction/locking of the store instance on this core. */
@@ -319,9 +314,6 @@ class ServerModel
     const net::NicGetCache *nicCache() const { return nicCache_.get(); }
 
   private:
-    /** Which transport path the CPU phases model. */
-    enum class PathKind { Tcp, Udp, Bypass };
-
     /** Cycle accounting per request, split rx / proto / tx plus the
      * NIC-cache time (which bypasses the CPU entirely). */
     struct PhaseTimes
@@ -341,13 +333,11 @@ class ServerModel
     /** Record one finished request into the window histograms. */
     void recordRequest(const RequestTiming &timing, Tick rx, Tick tx);
 
-    /** GET rx/tx transport selection under the datapath knobs. */
-    PathKind getPath() const;
-
+    /** CPU-side transport phases of the given path. */
     void buildRxPhase(cpu::OpTrace &trace, std::uint64_t payload_bytes,
-                      unsigned packets, PathKind path = PathKind::Tcp);
+                      unsigned packets, net::DatapathKind path);
     void buildTxCodePhase(cpu::OpTrace &trace, unsigned packets,
-                          PathKind path = PathKind::Tcp);
+                          net::DatapathKind path);
     /** Random line in the kernel socket-state region. */
     Addr randomSockLine();
 

@@ -18,9 +18,6 @@ EventProfiler::writeJson(std::ostream &os) const
     bool first = true;
     os << "{";
     json::writeField(os, first, "serviced", serviced_);
-    json::writeField(os, first, "queues", queues_);
-    json::writeField(os, first, "serviced_per_queue",
-                     meanServicedPerQueue());
     json::writeField(os, first, "host_ns", hostNs_);
     json::writeField(os, first, "shape_samples", shapeSamples_);
     json::writeField(os, first, "mean_depth", meanDepth());
@@ -46,26 +43,6 @@ EventProfiler::writeJson(std::ostream &os) const
 }
 
 void
-EventProfiler::mergeFrom(const EventProfiler &other)
-{
-    for (const auto &[type, cost] : other.costs_) {
-        TypeCost &mine = costs_[type];
-        mine.serviced += cost.serviced;
-        mine.hostNs += cost.hostNs;
-    }
-    serviced_ += other.serviced_;
-    hostNs_ += other.hostNs_;
-    shapeSamples_ += other.shapeSamples_;
-    depthSum_ += other.depthSum_;
-    binSum_ += other.binSum_;
-    queues_ += other.queues_;
-    if (other.depthMax_ > depthMax_)
-        depthMax_ = other.depthMax_;
-    if (other.binMax_ > binMax_)
-        binMax_ = other.binMax_;
-}
-
-void
 EventProfiler::clear()
 {
     costs_.clear();
@@ -76,7 +53,6 @@ EventProfiler::clear()
     depthMax_ = 0;
     binSum_ = 0;
     binMax_ = 0;
-    queues_ = 1;
 }
 
 Event::~Event()

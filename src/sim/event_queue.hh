@@ -52,9 +52,8 @@ class EventQueue;
 /**
  * Host-side cost map of an event queue's activity: where host cycles
  * go per event type, plus queue depth / first-level bin occupancy at
- * every service. This is the measurement the conservative-PDES
- * sharding work is designed against ("which subsystems dominate host
- * time, and how contended is the queue").
+ * every service: which subsystems dominate host time, and how
+ * contended is the queue.
  *
  * The class itself is always compiled (it is directly unit-tested);
  * the EventQueue hooks that feed it with steady_clock measurements
@@ -71,9 +70,7 @@ class EventQueue;
  *
  * Threading: a profiler is confined to its owning EventQueue's
  * thread and carries no lock (the hot noteService path must stay
- * cheap even in profiling builds). Aggregation across queues --
- * e.g. parallel-sweep workers, or future PDES shards -- happens on
- * the emitter thread after the pool's idle barrier, via mergeFrom().
+ * cheap even in profiling builds).
  */
 class EventProfiler
 {
@@ -115,12 +112,6 @@ class EventProfiler
     std::uint64_t maxDepth() const { return depthMax_; }
     std::uint64_t maxBins() const { return binMax_; }
 
-    /** Number of event queues folded into this profiler. A fresh
-     * profiler describes one queue; mergeFrom() sums the counts, so
-     * after aggregating K PDES shards queues() == K and the shape
-     * stats read as per-queue samples, not one global structure. */
-    std::uint64_t queues() const { return queues_; }
-
     double
     meanDepth() const
     {
@@ -137,16 +128,6 @@ class EventProfiler
                              : 0.0;
     }
 
-    /** Mean serviced-event count per constituent queue; with one
-     * queue this equals serviced(). */
-    double
-    meanServicedPerQueue() const
-    {
-        return queues_ ? static_cast<double>(serviced_) /
-                             static_cast<double>(queues_)
-                       : 0.0;
-    }
-
     /** Per-type costs, keyed and iterated in sorted type order. */
     const std::map<std::string, TypeCost> &costs() const
     {
@@ -159,19 +140,6 @@ class EventProfiler
      */
     void writeJson(std::ostream &os) const;
 
-    /**
-     * Fold another profiler's counters into this one: per-type
-     * costs add, totals add, queue counts add, shape maxima take
-     * the max. The merge is the single-threaded aggregation step
-     * for per-worker (or per-PDES-shard) profilers; call it after
-     * the owning workers have quiesced. The operation is
-     * associative and commutative (every field is a sum or a max),
-     * so any merge tree over the same shard profilers produces the
-     * same aggregate -- tests/sim/event_profile_test.cc pins that
-     * algebra.
-     */
-    void mergeFrom(const EventProfiler &other);
-
     void clear();
 
   private:
@@ -183,8 +151,6 @@ class EventProfiler
     std::uint64_t depthMax_ = 0;
     std::uint64_t binSum_ = 0;
     std::uint64_t binMax_ = 0;
-    /** Constituent queue count; shape stats are per-queue samples. */
-    std::uint64_t queues_ = 1;
 };
 
 /**
@@ -304,11 +270,6 @@ class EventQueue
 
     /** Total events serviced since construction. */
     Counter numServiced() const { return _numServiced; }
-
-    /** Tick of the earliest pending event, or maxTick when empty.
-     * The PDES barrier scheduler peeks this to place the next
-     * time window. */
-    Tick nextWhen() const { return head_ ? head_->_when : maxTick; }
 
     /**
      * Schedule an event at an absolute tick.

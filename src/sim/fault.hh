@@ -103,9 +103,9 @@ class FaultInjector
      * and a label (FNV-1a), consuming no RNG state here. Giving
      * each simulated node its own forked injector decouples the
      * node-local fault streams (packet loss, flash faults) from the
-     * master's scenario draws -- the prerequisite for running nodes
-     * on PDES shards: a node's draws then depend only on its own
-     * history, not on the global interleaving of all nodes' rolls.
+     * master's scenario draws: a node's draws then depend only on
+     * its own operations, not on the global interleaving of all
+     * nodes' rolls.
      */
     std::uint64_t forkSeed(std::string_view label) const;
 
@@ -165,7 +165,7 @@ class FaultInjector
      * Timeline fold continued from @p basis instead of the FNV
      * offset: chains several injectors' timelines (master first,
      * then each node fork in node-index order) into one combined
-     * digest that is independent of how the work was sharded.
+     * digest.
      */
     std::uint64_t timelineDigest(std::uint64_t basis) const;
 

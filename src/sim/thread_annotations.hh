@@ -9,9 +9,7 @@
  * GCC builds are unaffected. They are the static half of the
  * determinism contract: the golden/determinism suites prove runs are
  * byte-identical after the fact, the annotations prove no guarded
- * state can even be compiled without its lock -- which is what the
- * conservative-PDES sharding work relies on before it may split the
- * event core across threads.
+ * state can even be compiled without its lock.
  *
  * Usage follows the standard Clang mutex.h pattern: annotate the
  * lock with CAPABILITY via sim/sync.hh's Mutex, mark the data it

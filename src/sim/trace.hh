@@ -74,7 +74,7 @@ struct Span
     /** Request id this span's request was issued on behalf of
      * (client -> ring -> failover hops), or noParent. */
     std::uint32_t parent = noParent;
-    /** Node/shard the span executed on (clientNode for the
+    /** Node the span executed on (clientNode for the
      * cluster client side; 0 for single-node runs). */
     std::uint16_t node = 0;
     Stage stage{};

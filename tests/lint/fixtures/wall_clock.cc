@@ -29,7 +29,7 @@ hostWallSeconds()
 }
 
 // A comment mentioning std::chrono::steady_clock must not trip the
-// rule: the engines match masked code, not comments.
+// rule: the engine matches masked code, not comments.
 
 #if MERCURY_EVENT_PROFILE
 long long

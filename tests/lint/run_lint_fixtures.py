@@ -3,14 +3,9 @@
 
 Each fixture under fixtures/ carries a checked-in `.expected` golden
 listing `<line> <rule>` pairs. The harness runs mercury_lint over
-every fixture with the requested engine and fails on any missing or
-extra diagnostic, so both engines are pinned to the same verdicts.
+every fixture and fails on any missing or extra diagnostic.
 
-Usage: run_lint_fixtures.py {regex|ast}
-
-The AST run exits 77 (the ctest skip code) when libclang is not
-importable, so `ctest -L lint` stays green on regex-only hosts while
-still exercising the AST engine wherever clang is installed.
+Usage: run_lint_fixtures.py
 """
 
 import argparse
@@ -23,18 +18,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
 LINT = os.path.join(REPO, "tools", "lint", "mercury_lint.py")
 FIXTURES = os.path.join(HERE, "fixtures")
-SKIP = 77
 
 FINDING_RE = re.compile(r"^(.*):(\d+): \[([\w-]+)\]")
-
-
-def ast_available():
-    sys.path.insert(0, os.path.join(REPO, "tools", "lint"))
-    try:
-        import engine_ast
-        return engine_ast.available()
-    except Exception:
-        return False
 
 
 def read_expected(path):
@@ -49,9 +34,9 @@ def read_expected(path):
     return expected
 
 
-def lint(engine, fixture):
+def lint(fixture):
     proc = subprocess.run(
-        [sys.executable, LINT, "--engine", engine, fixture],
+        [sys.executable, LINT, fixture],
         capture_output=True, text=True, check=False)
     if proc.returncode not in (0, 1):
         print(proc.stdout, proc.stderr, sep="\n")
@@ -66,13 +51,7 @@ def lint(engine, fixture):
 
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("engine", choices=["regex", "ast"])
-    args = parser.parse_args()
-
-    if args.engine == "ast" and not ast_available():
-        print("libclang unavailable; skipping the AST fixture run")
-        return SKIP
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
 
     fixtures = sorted(
         name for name in os.listdir(FIXTURES)
@@ -85,19 +64,18 @@ def main():
     for name in fixtures:
         fixture = os.path.join(FIXTURES, name)
         expected = read_expected(fixture + ".expected")
-        got = lint(args.engine, fixture)
+        got = lint(fixture)
         missing = expected - got
         extra = got - expected
         if missing or extra:
             failures += 1
-            print(f"FAIL {name} [{args.engine}]")
+            print(f"FAIL {name}")
             for lineno, rule in sorted(missing):
                 print(f"  missing  line {lineno}: [{rule}]")
             for lineno, rule in sorted(extra):
                 print(f"  extra    line {lineno}: [{rule}]")
         else:
-            print(f"ok   {name} [{args.engine}]"
-                  f" ({len(expected)} diagnostics)")
+            print(f"ok   {name} ({len(expected)} diagnostics)")
 
     if failures:
         print(f"{failures}/{len(fixtures)} fixtures failed")

@@ -285,6 +285,30 @@ TEST(ServerModel, BypassCutsTheKernelShare)
               0.5 * mk.avgBreakdown.netstackFraction());
 }
 
+TEST(ServerModel, KernelUdpCutsGetKernelWorkOnly)
+{
+    // UDP GETs skip connection state and ACK bookkeeping, so a GET
+    // pays less kernel time; PUTs stay on TCP and must cost exactly
+    // what they cost on the TCP path.
+    ServerModelParams tcp = mercuryParams(cpu::cortexA7Params(), true);
+    ServerModelParams udp = tcp;
+    udp.datapath.kind = net::DatapathKind::KernelUdp;
+
+    ServerModel a(tcp), b(udp);
+    a.populate(16, 64);
+    b.populate(16, 64);
+    const RequestTiming put_tcp = a.put("v64:3", 64);
+    const RequestTiming put_udp = b.put("v64:3", 64);
+    EXPECT_EQ(put_udp.rtt, put_tcp.rtt);
+    EXPECT_EQ(put_udp.breakdown.netstack, put_tcp.breakdown.netstack);
+
+    const RequestTiming get_tcp = a.get("v64:3");
+    const RequestTiming get_udp = b.get("v64:3");
+    EXPECT_TRUE(get_udp.hit);
+    EXPECT_LT(get_udp.breakdown.netstack, get_tcp.breakdown.netstack);
+    EXPECT_LT(get_udp.rtt, get_tcp.rtt);
+}
+
 TEST(ServerModel, BypassBatchingAmortizesDoorbells)
 {
     ServerModelParams base =

@@ -93,107 +93,6 @@ TEST(EventProfiler, ClearForgetsEverything)
     EXPECT_EQ(profiler.meanDepth(), 0.0);
 }
 
-TEST(EventProfiler, MergeFromAddsCountsAndTakesShapeMaxima)
-{
-    EventProfiler a;
-    a.noteService("nic completion", 100);
-    a.noteService("dram completion", 50);
-    a.noteQueueShape(4, 2);
-
-    EventProfiler b;
-    b.noteService("nic completion", 40);
-    b.noteService("flash completion", 10);
-    b.noteQueueShape(10, 1);
-
-    a.mergeFrom(b);
-
-    EXPECT_EQ(a.serviced(), 4u);
-    EXPECT_EQ(a.hostNs(), 200u);
-    ASSERT_EQ(a.costs().size(), 3u);
-    EXPECT_EQ(a.costs().at("nic completion").serviced, 2u);
-    EXPECT_EQ(a.costs().at("nic completion").hostNs, 140u);
-    EXPECT_EQ(a.costs().at("flash completion").serviced, 1u);
-    EXPECT_EQ(a.shapeSamples(), 2u);
-    EXPECT_EQ(a.maxDepth(), 10u);
-    EXPECT_EQ(a.maxBins(), 2u);
-    EXPECT_DOUBLE_EQ(a.meanDepth(), 7.0);
-    // The aggregate now describes two constituent queues, and the
-    // per-queue serviced mean reads accordingly.
-    EXPECT_EQ(a.queues(), 2u);
-    EXPECT_DOUBLE_EQ(a.meanServicedPerQueue(), 2.0);
-
-    // Merging an empty profiler folds in one more (idle) queue but
-    // leaves every event count alone.
-    a.mergeFrom(EventProfiler{});
-    EXPECT_EQ(a.serviced(), 4u);
-    EXPECT_EQ(a.maxDepth(), 10u);
-    EXPECT_EQ(a.queues(), 3u);
-}
-
-/** Render every observable field, so "equal algebra results" can be
- * asserted as one string comparison (writeJson covers the totals,
- * shape summary, queue count, and the per-type map). */
-std::string
-profileJson(const EventProfiler &profiler)
-{
-    std::ostringstream os;
-    profiler.writeJson(os);
-    return os.str();
-}
-
-EventProfiler
-sampleProfile(unsigned salt)
-{
-    EventProfiler p;
-    p.noteService("nic completion", 100 + salt);
-    p.noteService("dram completion", 7 * salt + 3);
-    if (salt % 2)
-        p.noteService("flash completion", salt);
-    p.noteQueueShape(2 + salt, 1 + salt % 3);
-    p.noteQueueShape(5 * salt + 1, 2);
-    return p;
-}
-
-TEST(EventProfiler, MergeIsAssociative)
-{
-    // (a + b) + c == a + (b + c): the shard aggregation in
-    // ShardedSim::aggregateProfile() may fold profilers in any
-    // grouping without changing the reported JSON.
-    EventProfiler left = sampleProfile(1);
-    left.mergeFrom(sampleProfile(2));
-    left.mergeFrom(sampleProfile(3));
-
-    EventProfiler bc = sampleProfile(2);
-    bc.mergeFrom(sampleProfile(3));
-    EventProfiler right = sampleProfile(1);
-    right.mergeFrom(bc);
-
-    EXPECT_EQ(profileJson(left), profileJson(right));
-    EXPECT_EQ(left.queues(), 3u);
-    EXPECT_EQ(right.queues(), 3u);
-}
-
-TEST(EventProfiler, MergeIsCommutative)
-{
-    EventProfiler ab = sampleProfile(4);
-    ab.mergeFrom(sampleProfile(9));
-
-    EventProfiler ba = sampleProfile(9);
-    ba.mergeFrom(sampleProfile(4));
-
-    EXPECT_EQ(profileJson(ab), profileJson(ba));
-}
-
-TEST(EventProfiler, ClearResetsQueueCount)
-{
-    EventProfiler a = sampleProfile(1);
-    a.mergeFrom(sampleProfile(2));
-    ASSERT_EQ(a.queues(), 2u);
-    a.clear();
-    EXPECT_EQ(a.queues(), 1u);
-    EXPECT_EQ(a.serviced(), 0u);
-}
-
 TEST(EventQueue, BinCountTracksDistinctTickPriorityBins)
 {
     EventQueue queue;

@@ -1,4 +1,4 @@
-"""Regex fallback engine for mercury_lint.
+"""Rule engine for mercury_lint.
 
 Runs everywhere Python runs: no libclang required. The v2 rewrite
 keeps this engine lexically honest -- every structural pattern is
@@ -7,10 +7,7 @@ contents blanked), which kills the v1 false-positive classes where a
 comment or log string mentioning `rand()` or `uint64_t tick` tripped
 a rule. It is still scope-insensitive by design: a false positive is
 an invitation to rename, and `// lint: allow(<rule>)` exists.
-
-The AST engine (engine_ast.py) implements the same rules on real
-clang ASTs; tests/lint pins both engines to the same verdicts on the
-fixture corpus.
+tests/lint pins the verdicts on the fixture corpus.
 """
 
 import re
@@ -42,17 +39,6 @@ OWNERSHIP_RE = re.compile(r"own|delete[sd]?|freed|leak|unique_ptr|shared_ptr",
 ARENA_BIND_RE = re.compile(r"\b(\w+)\s*=\s*[\w.\->]*\b(?:makeEvent|make)\s*<")
 DELETE_RE = re.compile(r"\bdelete\s+(\w+)\s*;")
 
-# --- cross-shard-schedule -------------------------------------------
-
-# A queue reference bound from ShardedSim::queueFor(); scheduling
-# through it later in the file is flagged (scope-insensitive, like
-# the arena-delete variable tracking).
-QUEUE_FOR_BIND_RE = re.compile(
-    r"\b(\w+)\s*=\s*[\w.\->]*\bqueueFor\s*\(")
-# The chained form: queueFor(...).schedule(...).
-QUEUE_FOR_CHAIN_RE = re.compile(
-    r"\bqueueFor\s*\([^()]*\)\s*\.\s*(?:re)?schedule\s*\(")
-
 # --- telemetry-json -------------------------------------------------
 
 JSON_KEY_LITERAL_RE = re.compile(r'\\"[A-Za-z_][A-Za-z0-9_]*\\":')
@@ -61,8 +47,8 @@ TELEMETRY_CALL_RE = re.compile(
 
 # --- wall-clock -----------------------------------------------------
 
-# Bare `clock()` is deliberately absent: only the AST engine can
-# tell host ::clock() from a member function named clock (e.g. the
+# Bare `clock()` is deliberately absent: a text pattern cannot tell
+# host ::clock() from a member function named clock (e.g. the
 # store's simulated-seconds accessor).
 WALL_CLOCK_RE = re.compile(
     r"\bstd::chrono::(?:steady_clock|system_clock|"
@@ -188,17 +174,6 @@ def lint_file(rel, src, findings, selected):
             for m in ARENA_BIND_RE.finditer(line):
                 arena_vars.add(m.group(1))
 
-    shard_queue_vars = set()
-    cross_shard_exempt = rules.exempt(rel, rules.CROSS_SHARD_EXEMPT)
-    if "cross-shard-schedule" in selected and not cross_shard_exempt:
-        for line in code_lines:
-            for m in QUEUE_FOR_BIND_RE.finditer(line):
-                shard_queue_vars.add(m.group(1))
-    shard_sched_res = [
-        re.compile(r"\b" + re.escape(v) +
-                   r"\s*(?:\.|->)\s*(?:re)?schedule\s*\(")
-        for v in sorted(shard_queue_vars)]
-
     wall_exempt_file = rules.exempt(rel, rules.WALL_CLOCK_EXEMPT)
     rng_exempt_file = rules.exempt(rel, rules.HOST_RNG_EXEMPT)
     tick_cast_exempt = rules.exempt(rel, rules.TICK_CAST_EXEMPT)
@@ -223,15 +198,6 @@ def lint_file(rel, src, findings, selected):
                     emit(lineno, "tick-cast",
                          "double-to-Tick cast bypasses secondsToTicks; "
                          "use the sim/types.hh conversion helpers")
-
-        if "cross-shard-schedule" in selected and not cross_shard_exempt:
-            if QUEUE_FOR_CHAIN_RE.search(line) or \
-                    any(r.search(line) for r in shard_sched_res):
-                emit(lineno, "cross-shard-schedule",
-                     "direct schedule through ShardedSim::queueFor() "
-                     "bypasses the inbox protocol and breaks "
-                     "byte-identity; use send()/ShardChannel (or "
-                     "localQueue() for self-events)")
 
         if "arena-delete" in selected:
             for m in DELETE_RE.finditer(line):

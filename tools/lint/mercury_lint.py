@@ -2,15 +2,9 @@
 """mercury_lint v2 -- project-specific static analysis for the
 Mercury simulator.
 
-Two engines evaluate the same rule set:
-
-  ast    clang.cindex over the preset-generated compile_commands.json
-         (real cursors and canonical types; see engine_ast.py)
-  regex  masked-text patterns, no dependencies (engine_regex.py)
-
-`--engine auto` (the default) uses the AST engine when libclang is
-loadable and falls back to the regex engine otherwise, so the gate
-runs everywhere and merely sharpens where clang is installed.
+The rules run as masked-text patterns with no dependencies beyond
+Python (engine_regex.py); the fixture corpus under tests/lint pins
+their verdicts.
 
 Rules (suppress one finding with `// lint: allow(<rule>)` on the same
 line or the line above; every waiver is counted against
@@ -24,8 +18,7 @@ tools/lint/budget.json, checked by --budget):
 The determinism family is the static half of the reproducibility
 contract: goldens and timeline digests catch nondeterminism after the
 fact, these rules ban its sources (host clocks, host RNG, pointer-
-keyed ordering, unordered iteration) before the parallel-PDES work
-shards the simulator across threads.
+keyed ordering, unordered iteration) before they can reach output.
 
 Usage:
   mercury_lint.py [options] <dir-or-file> [...]
@@ -34,12 +27,7 @@ Usage:
   mercury_lint.py --list-rules
 
 Options:
-  --engine {auto,ast,regex}   engine selection (default: auto)
-  -p, --compile-commands DIR  build dir with compile_commands.json
-                              (used by the AST engine)
   --rules r1,r2               restrict to a rule subset
-  --extra-arg FLAG            extra compiler arg for the AST engine
-                              (repeatable; fixtures use it)
 
 Exits 1 on any unsuppressed finding (or budget violation), 2 on
 usage errors.
@@ -52,7 +40,6 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import budget as budget_mod   # noqa: E402
-import engine_ast             # noqa: E402
 import engine_regex           # noqa: E402
 import rules                  # noqa: E402
 
@@ -98,43 +85,12 @@ def load_sources(pairs):
     return loaded
 
 
-def run_lint(opts, sources, selected):
-    """Lint all sources; returns (findings, engine_used)."""
-    engine_used = opts.engine
-    compile_db = None
-    if opts.engine in ("auto", "ast"):
-        if engine_ast.available():
-            engine_used = "ast"
-            if opts.compile_commands:
-                compile_db = engine_ast.open_compile_db(
-                    opts.compile_commands)
-                if compile_db is None:
-                    print(f"warning: no compile_commands.json under "
-                          f"{opts.compile_commands}; parsing with "
-                          f"default flags", file=sys.stderr)
-        elif opts.engine == "ast":
-            print("mercury_lint: AST engine requested but libclang "
-                  "is not loadable (pip module 'clang' + libclang.so"
-                  ", or set MERCURY_LIBCLANG)", file=sys.stderr)
-            return None, None
-        else:
-            engine_used = "regex"
-            print("mercury_lint: libclang unavailable; using the "
-                  "regex fallback engine", file=sys.stderr)
-
+def run_lint(sources, selected):
+    """Lint all sources; returns the findings."""
     findings = []
-    for rel, path, src in sources:
-        if engine_used == "ast":
-            try:
-                engine_ast.lint_file(rel, path, src, findings,
-                                     selected, compile_db,
-                                     opts.extra_arg)
-                continue
-            except engine_ast.FileParseError as err:
-                print(f"warning: AST parse failed, regex-linting "
-                      f"this file ({err})", file=sys.stderr)
+    for rel, _, src in sources:
         engine_regex.lint_file(rel, src, findings, selected)
-    return findings, engine_used
+    return findings
 
 
 def apply_suppressions(findings, sources):
@@ -156,16 +112,8 @@ def main(argv):
                     "simulator (see module docstring).")
     parser.add_argument("paths", nargs="*",
                         help="files or directories to lint")
-    parser.add_argument("--engine", choices=("auto", "ast", "regex"),
-                        default="auto")
-    parser.add_argument("-p", "--compile-commands", metavar="DIR",
-                        help="build directory containing "
-                             "compile_commands.json")
     parser.add_argument("--rules", metavar="r1,r2",
                         help="comma-separated rule subset")
-    parser.add_argument("--extra-arg", action="append", default=[],
-                        metavar="FLAG",
-                        help="extra compiler arg for the AST engine")
     parser.add_argument("--budget", action="store_true",
                         help="check allow() waivers against "
                              "tools/lint/budget.json")
@@ -226,9 +174,7 @@ def main(argv):
             return 2
 
     sources = load_sources(collect_files(opts.paths, repo_root))
-    findings, engine_used = run_lint(opts, sources, selected)
-    if findings is None:
-        return 2
+    findings = run_lint(sources, selected)
     findings = apply_suppressions(findings, sources)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
 
@@ -236,11 +182,10 @@ def main(argv):
         print(f"{f.path}:{f.line}: [{f.rule}] {f.message}")
 
     if findings:
-        print(f"\nmercury_lint[{engine_used}]: "
-              f"{len(findings)} finding(s)", file=sys.stderr)
+        print(f"\nmercury_lint: {len(findings)} finding(s)",
+              file=sys.stderr)
         return 1
-    print(f"mercury_lint[{engine_used}]: clean "
-          f"({len(sources)} files)")
+    print(f"mercury_lint: clean ({len(sources)} files)")
     return 0
 
 

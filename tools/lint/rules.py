@@ -1,12 +1,11 @@
 """Rule catalog and shared source-text machinery for mercury_lint.
 
-Both engines (engine_ast on libclang, engine_regex on masked text)
-emit the same Finding tuples against the same rule names, and the
-driver applies `// lint: allow(<rule>)` suppression uniformly, so a
-fixture's expected diagnostics are engine-independent.
+The engine (engine_regex on masked text) emits Finding tuples against
+these rule names, and the driver applies `// lint: allow(<rule>)`
+suppression uniformly.
 
 The SourceText class is the part that kills the v1 regex engine's
-known false-positive classes even without libclang: it builds masked
+known false-positive classes: it builds masked
 views of a translation unit in which comments and string literals are
 blanked (so `// returns the current tick as uint64_t` or a log string
 mentioning rand() can never trigger a rule), tracks preprocessor
@@ -67,14 +66,6 @@ RULES = {
         "implementation- and seed-dependent; sort the keys (or "
         "switch to std::map) before the results can reach emitted "
         "output or simulated state."),
-    "cross-shard-schedule": (
-        "A direct EventQueue::schedule()/reschedule() through "
-        "ShardedSim::queueFor(). Scheduling into another shard's "
-        "queue bypasses the inbox protocol, so the event order "
-        "depends on the partition and host interleaving -- the "
-        "byte-identity contract breaks. Use ShardedSim::send() (or "
-        "a net::ShardChannel) for cross-node messages and "
-        "localQueue() for a node's own events."),
     "result-class": (
         "A result field marked `///< [outcome]` is not summed in the "
         "same file's accountedRequests(). Outcome classes must "
@@ -85,7 +76,7 @@ RULES = {
 }
 
 # ---------------------------------------------------------------------------
-# Per-rule configuration shared by both engines
+# Per-rule configuration
 # ---------------------------------------------------------------------------
 
 # Files allowed to touch host clocks: the self-benchmark measures
@@ -108,13 +99,6 @@ HOST_RNG_EXEMPT = (
 
 # Files that define the Tick conversion helpers.
 TICK_CAST_EXEMPT = ("src/sim/types.hh",)
-
-# The PDES coordinator itself: the only code allowed to schedule
-# through queueFor() (its inbox drain is the inbox protocol).
-CROSS_SHARD_EXEMPT = (
-    "src/sim/sharded_sim.hh",
-    "src/sim/sharded_sim.cc",
-)
 
 # The canonical JSONL writers, the only places allowed to spell JSON
 # keys into raw output calls.
@@ -184,13 +168,11 @@ def count_waivers(raw_lines):
 
 
 # ---------------------------------------------------------------------------
-# result-class: shared by both engines
+# result-class
 # ---------------------------------------------------------------------------
 #
-# The rule is comment-keyed (the `///< [outcome]` annotation lives in
-# a doc comment the AST does not carry), so a single text-level
-# implementation serves both engines and keeps their verdicts
-# identical by construction.
+# The rule is comment-keyed: the `///< [outcome]` annotation lives in
+# a doc comment, so it is matched on the raw text.
 
 def _accounted_bodies(code):
     """Concatenated brace bodies of every accountedRequests()
