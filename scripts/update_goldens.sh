@@ -19,7 +19,7 @@ fi
 
 cmake --build "$build" -j "$(nproc)" --target \
     fig4_request_breakdown fig5_mercury_latency fig6_iridium_latency \
-    datapath_sweep fault_sweep bad_day
+    datapath_sweep fault_sweep bad_day cluster_tail
 
 declare -A benches=(
     [fig4_smoke]=fig4_request_breakdown
@@ -42,31 +42,27 @@ for golden in "${!benches[@]}"; do
     fi
 done
 
-# Windowed-telemetry golden: the fault_sweep recovery curve's JSONL
-# (tests/golden/run_timeseries_golden.sh pins these bytes).
-ts_out=tests/golden/fault_recovery_smoke.jsonl
-if [ -f "$ts_out" ]; then
-    cp "$ts_out" "$ts_out.orig"
-fi
-"$build/bench/fault_sweep" --smoke --sample-interval=5000 \
-    --timeseries-out="$ts_out" > /dev/null
-echo "$(python3 tools/statdiff.py --digest "$ts_out")  $ts_out"
-if [ -f "$ts_out.orig" ]; then
-    python3 tools/tsplot.py diff -q "$ts_out.orig" "$ts_out" || true
-    rm -f "$ts_out.orig"
-fi
+# Windowed-telemetry goldens (tests/golden/run_timeseries_golden.sh
+# pins these bytes): a bench's --smoke JSONL at a 5 ms sample window.
+pin_timeseries() {
+    local ts_out=tests/golden/$1.jsonl
+    if [ -f "$ts_out" ]; then
+        cp "$ts_out" "$ts_out.orig"
+    fi
+    "$build/bench/$2" --smoke --sample-interval=5000 \
+        --timeseries-out="$ts_out" > /dev/null
+    echo "$(python3 tools/statdiff.py --digest "$ts_out")  $ts_out"
+    if [ -f "$ts_out.orig" ]; then
+        python3 tools/tsplot.py diff -q "$ts_out.orig" "$ts_out" || true
+        rm -f "$ts_out.orig"
+    fi
+}
 
+# The fault_sweep recovery curve.
+pin_timeseries fault_recovery_smoke fault_sweep
 # The bad-day availability/latency recovery curves (per scenario).
-bd_out=tests/golden/bad_day_smoke.jsonl
-if [ -f "$bd_out" ]; then
-    cp "$bd_out" "$bd_out.orig"
-fi
-"$build/bench/bad_day" --smoke --sample-interval=5000 \
-    --timeseries-out="$bd_out" > /dev/null
-echo "$(python3 tools/statdiff.py --digest "$bd_out")  $bd_out"
-if [ -f "$bd_out.orig" ]; then
-    python3 tools/tsplot.py diff -q "$bd_out.orig" "$bd_out" || true
-    rm -f "$bd_out.orig"
-fi
+pin_timeseries bad_day_smoke bad_day
+# The fault-off cluster walk's latency and hit-rate curves.
+pin_timeseries cluster_tail_smoke cluster_tail
 
 echo "goldens updated; review and commit tests/golden/*.json(l)"

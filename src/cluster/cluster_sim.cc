@@ -72,12 +72,6 @@ ClusterSim::indexOfName(const std::string &name) const
     mercury_panic("ring returned unknown node ", name);
 }
 
-std::size_t
-ClusterSim::nodeIndexFor(std::string_view key) const
-{
-    return indexOfName(ring_.nodeFor(key));
-}
-
 unsigned
 ClusterSim::effectiveReplication() const
 {
@@ -103,15 +97,8 @@ ClusterSim::populate()
     const unsigned replication = effectiveReplication();
     for (std::uint64_t id = 0; id < params_.numKeys; ++id) {
         const std::string key = keyFor(id);
-        if (replication == 1) {
-            nodes_[nodeIndexFor(key)]->put(key, params_.valueBytes);
-        } else {
-            for (const std::string &name :
-                 replicaOrder(key, replication)) {
-                nodes_[indexOfName(name)]->put(key,
-                                               params_.valueBytes);
-            }
-        }
+        for (const std::string &name : replicaOrder(key, replication))
+            nodes_[indexOfName(name)]->put(key, params_.valueBytes);
     }
     populated_ = true;
 }
@@ -200,14 +187,14 @@ ClusterSim::run(double offered_tps)
     ClusterSimResult result;
     result.offeredTps = offered_tps;
 
-    // Fault-mode state. Nothing here is touched (and the injector
-    // never draws) when faults are disabled, keeping such runs
-    // bit-identical to a pre-fault build.
+    // Client and fault state. Only the random fault sources (the
+    // Poisson crash schedule here, per-node loss and injector forks
+    // in the constructor) wait for faults.enabled; the client walk
+    // and its resilience knobs are the same either way.
     const ClusterFaultParams &fp = params_.faults;
     const ClusterResilienceParams &res = params_.resilience;
     const unsigned replication = effectiveReplication();
-    const bool hedging =
-        fp.enabled && res.hedgedReads && replication >= 2;
+    const bool hedging = res.hedgedReads && replication >= 2;
     std::vector<bool> up(nodes_.size(), true);
     std::vector<Tick> restart_at(nodes_.size(), 0);
     /** GETs left in each node's post-restart recovery window. */
@@ -259,7 +246,7 @@ ClusterSim::run(double offered_tps)
     // Retry budget: retries so far may not exceed the configured
     // fraction of requests issued so far (warmup included -- the
     // budget is a client-lifetime property, not a measurement one).
-    const bool budgeted = fp.enabled && res.retryBudgetFraction > 0.0;
+    const bool budgeted = res.retryBudgetFraction > 0.0;
     std::uint64_t issued = 0;
     std::uint64_t retries_spent = 0;
     auto retry_allowed = [&]() {
@@ -342,63 +329,6 @@ ClusterSim::run(double offered_tps)
         const std::uint32_t client_req =
             tracer ? tracer->beginRequest() : 0;
 
-        if (!fp.enabled) {
-            const std::size_t index = nodeIndexFor(key);
-            server::ServerModel &node = *nodes_[index];
-
-            node.advanceTo(arrival);
-            {
-                // Node-side spans carry the serving node's identity
-                // and the client envelope as causal parent.
-                trace::ScopedTraceContext span_ctx(
-                    tracer, static_cast<std::uint16_t>(index),
-                    client_req);
-                if (request.op == workload::Request::Op::Get) {
-                    const server::RequestTiming timing =
-                        node.get(key);
-                    if (measured) {
-                        ++gets;
-                        hits += timing.hit ? 1 : 0;
-                    }
-                    if (sampler) {
-                        sampler->count(ch_gets);
-                        if (timing.hit)
-                            sampler->count(ch_hits);
-                    }
-                } else {
-                    node.put(key, params_.valueBytes);
-                }
-                MERCURY_TRACE_SPAN(tracer, client_req,
-                                   trace::Stage::Attempt, arrival,
-                                   node.now(), 0);
-            }
-            if (tracer) {
-                trace::ScopedTraceContext span_ctx(
-                    tracer, trace::clientNode);
-                MERCURY_TRACE_SPAN(tracer, client_req,
-                                   trace::Stage::Client, arrival,
-                                   node.now(), 1);
-            }
-
-            const Tick latency = node.now() - arrival;
-            ++win_ok;
-            if (sampler) {
-                sampler->count(ch_ok);
-                sampler->recordLatency(
-                    ch_lat, static_cast<std::uint64_t>(
-                                latency / tickUs));
-            }
-            if (!measured)
-                continue;
-            ++result.ok;
-            latencies.push_back(latency);
-            per_node[index].push_back(latency);
-            ++counts[index];
-            continue;
-        }
-
-        // --- Fault mode -----------------------------------------
-
         // Nodes whose downtime elapsed come back (cold) first.
         for (std::size_t n = 0; n < nodes_.size(); ++n) {
             if (!up[n] && restart_at[n] <= arrival)
@@ -424,37 +354,29 @@ ClusterSim::run(double offered_tps)
                 break;
             }
             case fault::FaultKind::NetDegrade:
-            case fault::FaultKind::NetRestore: {
-                // A degradation burst retunes wire loss; the restore
-                // event snaps it back to the configured baseline.
-                const double loss =
-                    due->kind == fault::FaultKind::NetDegrade
-                        ? fault::ppbToProbability(due->detail)
-                        : fp.packetLossProbability;
-                injector_.record(at, due->kind, due->target,
-                                 due->detail);
-                if (due->target == fault::allNodes) {
-                    for (const auto &node : nodes_)
-                        node->setPacketLoss(loss);
-                } else {
-                    nodes_[indexOfName(due->target)]->setPacketLoss(
-                        loss);
-                }
-                break;
-            }
+            case fault::FaultKind::NetRestore:
             case fault::FaultKind::FlashWear: {
-                // Elevated program-fail probability while a wear
-                // burst is active; detail 0 marks its end.
-                const double wear =
-                    fault::ppbToProbability(due->detail);
+                // A degradation burst retunes wire loss; the restore
+                // event snaps it back to the configured baseline. A
+                // wear burst elevates the program-fail probability;
+                // detail 0 marks its end.
+                const double level =
+                    due->kind == fault::FaultKind::NetRestore
+                        ? fp.packetLossProbability
+                        : fault::ppbToProbability(due->detail);
                 injector_.record(at, due->kind, due->target,
                                  due->detail);
+                auto apply = [&](server::ServerModel &node) {
+                    if (due->kind == fault::FaultKind::FlashWear)
+                        node.setFlashWear(level);
+                    else
+                        node.setPacketLoss(level);
+                };
                 if (due->target == fault::allNodes) {
                     for (const auto &node : nodes_)
-                        node->setFlashWear(wear);
+                        apply(*node);
                 } else {
-                    nodes_[indexOfName(due->target)]->setFlashWear(
-                        wear);
+                    apply(*nodes_[indexOfName(due->target)]);
                 }
                 break;
             }
@@ -501,6 +423,25 @@ ClusterSim::run(double offered_tps)
         Tick penalty = 0;
         Tick answered_at = arrival;
 
+        // Counts one event of this request in its result field (when
+        // measured) and in its sampler channel (always).
+        auto tally = [&](std::uint64_t &field, std::size_t channel) {
+            if (measured)
+                ++field;
+            if (sampler)
+                sampler->count(channel);
+        };
+        // An unserved attempt's span, on the track of the node the
+        // client was waiting on.
+        auto attempt_span = [&](std::size_t index, Tick begin, Tick end,
+                                unsigned attempt_no) {
+            trace::ScopedTraceContext span_ctx(
+                tracer, static_cast<std::uint16_t>(index), client_req);
+            MERCURY_TRACE_SPAN(tracer, client_req,
+                               trace::Stage::Attempt, begin, end,
+                               attempt_no);
+        };
+
         // Admission check: a node that cannot start serving within
         // the queue-delay SLO refuses fast instead of queueing.
         auto shed_check = [&](std::size_t index, Tick begin,
@@ -514,18 +455,8 @@ ClusterSim::run(double offered_tps)
                 return false;
             answered_at = begin + res.shedResponseTime;
             outcome = Outcome::Shed;
-            if (measured)
-                ++result.shed;
-            if (sampler)
-                sampler->count(ch_shed);
-            {
-                trace::ScopedTraceContext span_ctx(
-                    tracer, static_cast<std::uint16_t>(index),
-                    client_req);
-                MERCURY_TRACE_SPAN(tracer, client_req,
-                                   trace::Stage::Attempt, begin,
-                                   answered_at, attempt_no);
-            }
+            tally(result.shed, ch_shed);
+            attempt_span(index, begin, answered_at, attempt_no);
             return true;
         };
 
@@ -534,9 +465,12 @@ ClusterSim::run(double offered_tps)
             Tick end = 0;
             bool hit = false;
         };
-        // One traced GET attempt against an up node.
-        auto do_get = [&](std::size_t index, Tick begin,
-                          unsigned attempt_no) {
+        // One traced attempt (the request's GET or PUT) against an up
+        // node; it ends when the node answered. Node-side spans carry
+        // the serving node's identity and the client envelope as
+        // causal parent.
+        auto serve = [&](std::size_t index, Tick begin,
+                         unsigned attempt_no) {
             server::ServerModel &node = *nodes_[index];
             node.advanceTo(begin);
             bool hit = false;
@@ -544,59 +478,16 @@ ClusterSim::run(double offered_tps)
                 trace::ScopedTraceContext span_ctx(
                     tracer, static_cast<std::uint16_t>(index),
                     client_req);
-                hit = node.get(key).hit;
+                if (is_get)
+                    hit = node.get(key).hit;
+                else
+                    node.put(key, params_.valueBytes);
                 MERCURY_TRACE_SPAN(tracer, client_req,
                                    trace::Stage::Attempt, begin,
                                    node.now(), attempt_no);
             }
             note_inflight(index, begin, node.now());
             return AttemptOutcome{node.now(), hit};
-        };
-        // One traced PUT attempt against an up node; returns when the
-        // node acked.
-        auto do_put = [&](std::size_t index, Tick begin,
-                          unsigned attempt_no) {
-            server::ServerModel &node = *nodes_[index];
-            node.advanceTo(begin);
-            {
-                trace::ScopedTraceContext span_ctx(
-                    tracer, static_cast<std::uint16_t>(index),
-                    client_req);
-                node.put(key, params_.valueBytes);
-                MERCURY_TRACE_SPAN(tracer, client_req,
-                                   trace::Stage::Attempt, begin,
-                                   node.now(), attempt_no);
-            }
-            note_inflight(index, begin, node.now());
-            return node.now();
-        };
-        // Hit accounting for the GET attempt that actually answered
-        // the client. A cancelled hedge loser is never accounted:
-        // its result is discarded.
-        auto account_get = [&](std::size_t index, bool hit) {
-            if (measured) {
-                ++gets;
-                hits += hit ? 1 : 0;
-            }
-            if (sampler) {
-                sampler->count(ch_gets);
-                if (hit)
-                    sampler->count(ch_hits);
-            }
-            if (recovering[index] > 0) {
-                --recovering[index];
-                ++recovery_gets;
-                recovery_hits += hit ? 1 : 0;
-            }
-            // Read-through: a missed key is re-filled after the
-            // client got its answer, off the critical path. With
-            // replicas this doubles as read repair of a diverged
-            // copy.
-            if (!hit) {
-                nodes_[index]->put(key, params_.valueBytes);
-                if (replication >= 2)
-                    ++result.readRepairs;
-            }
         };
         auto finish_served = [&](std::size_t index, Tick end) {
             outcome = Outcome::Ok;
@@ -616,10 +507,44 @@ ClusterSim::run(double offered_tps)
                 ++counts[index];
             }
         };
+        // The GET attempt that actually answered the client feeds the
+        // hedge delay and the hit accounting. A cancelled hedge loser
+        // never gets here: its result is discarded.
+        auto answer_get = [&](std::size_t index, Tick begin,
+                              const AttemptOutcome &got) {
+            attempt_service.record((got.end - begin) / tickUs);
+            if (measured) {
+                ++gets;
+                hits += got.hit ? 1 : 0;
+            }
+            if (sampler) {
+                sampler->count(ch_gets);
+                if (got.hit)
+                    sampler->count(ch_hits);
+            }
+            if (recovering[index] > 0) {
+                --recovering[index];
+                ++recovery_gets;
+                recovery_hits += got.hit ? 1 : 0;
+            }
+            // Read-through: a missed key is re-filled after the
+            // client got its answer, off the critical path. With
+            // replicas this doubles as read repair of a diverged
+            // copy.
+            if (!got.hit) {
+                nodes_[index]->put(key, params_.valueBytes);
+                if (replication >= 2)
+                    ++result.readRepairs;
+            }
+            finish_served(index, got.end);
+        };
 
         // Hedged GET: race the primary against one backup replica;
-        // the first answer wins and the loser is cancelled.
-        if (outcome == Outcome::Pending && hedging && is_get) {
+        // the first answer wins and the loser is cancelled. A dead
+        // primary never answers, so the hedge rescues the GET at the
+        // hedge delay instead of waiting out the full request
+        // timeout.
+        if (hedging && is_get) {
             const std::size_t primary = order[0];
             std::size_t secondary = 0;
             bool have_secondary = false;
@@ -630,76 +555,51 @@ ClusterSim::run(double offered_tps)
                     break;
                 }
             }
-            if (up[primary]) {
-                if (!shed_check(primary, arrival, 0)) {
-                    const AttemptOutcome first =
-                        do_get(primary, arrival, 0);
-                    const Tick delay = hedge_delay();
-                    if (have_secondary &&
-                        first.end > arrival + delay) {
-                        // Primary is past the hedge quantile: fire
-                        // the backup.
-                        const AttemptOutcome second =
-                            do_get(secondary, arrival + delay, 1);
-                        if (measured)
-                            ++result.hedges;
-                        if (sampler)
-                            sampler->count(ch_hedges);
-                        const bool backup_won =
-                            second.end < first.end;
-                        if (measured && backup_won)
-                            ++result.hedgeWins;
-                        const std::size_t winner =
-                            backup_won ? secondary : primary;
-                        const AttemptOutcome &won =
-                            backup_won ? second : first;
-                        const Tick won_begin =
-                            backup_won ? arrival + delay : arrival;
-                        attempt_service.record(
-                            (won.end - won_begin) / tickUs);
-                        account_get(winner, won.hit);
-                        finish_served(winner, won.end);
-                    } else {
-                        attempt_service.record(
-                            (first.end - arrival) / tickUs);
-                        account_get(primary, first.hit);
-                        finish_served(primary, first.end);
+            const bool primary_up = up[primary];
+            // No race when the primary shed the GET (it is answered)
+            // or the whole replica set is down (the failover walk
+            // below times out over the replicas).
+            const bool race = primary_up
+                                  ? !shed_check(primary, arrival, 0)
+                                  : have_secondary;
+            if (race) {
+                const AttemptOutcome first =
+                    primary_up ? serve(primary, arrival, 0)
+                               : AttemptOutcome{maxTick, false};
+                const Tick backup_begin = arrival + hedge_delay();
+                if (have_secondary && first.end > backup_begin) {
+                    // The primary is dead or past the hedge quantile:
+                    // fire the backup. A dead primary's attempt times
+                    // out when the hedge fires.
+                    if (!primary_up) {
+                        tally(result.attemptTimeouts,
+                              ch_attempt_timeouts);
+                        attempt_span(primary, arrival, backup_begin, 0);
                     }
-                }
-            } else if (have_secondary) {
-                // Dead primary: the hedge rescues the GET at the
-                // hedge delay instead of waiting out the full
-                // request timeout.
-                const Tick delay = hedge_delay();
-                if (measured) {
-                    ++result.attemptTimeouts;
-                    ++result.hedges;
-                    ++result.hedgeWins;
-                }
-                if (sampler) {
-                    sampler->count(ch_attempt_timeouts);
-                    sampler->count(ch_hedges);
-                }
-                {
-                    trace::ScopedTraceContext span_ctx(
-                        tracer,
-                        static_cast<std::uint16_t>(primary),
-                        client_req);
-                    MERCURY_TRACE_SPAN(tracer, client_req,
-                                       trace::Stage::Attempt,
-                                       arrival, arrival + delay, 0);
-                }
-                if (!shed_check(secondary, arrival + delay, 1)) {
+                    tally(result.hedges, ch_hedges);
+                    // Only a backup standing in for a dead primary
+                    // faces admission control; its fast refusal still
+                    // answers first.
+                    const bool backup_shed =
+                        !primary_up &&
+                        shed_check(secondary, backup_begin, 1);
                     const AttemptOutcome second =
-                        do_get(secondary, arrival + delay, 1);
-                    attempt_service.record(
-                        (second.end - (arrival + delay)) / tickUs);
-                    account_get(secondary, second.hit);
-                    finish_served(secondary, second.end);
+                        backup_shed
+                            ? AttemptOutcome{answered_at, false}
+                            : serve(secondary, backup_begin, 1);
+                    const bool backup_won = second.end < first.end;
+                    if (measured && backup_won)
+                        ++result.hedgeWins;
+                    // A shed backup always wins, and its refusal is
+                    // the answer.
+                    if (!backup_won)
+                        answer_get(primary, arrival, first);
+                    else if (!backup_shed)
+                        answer_get(secondary, backup_begin, second);
+                } else {
+                    answer_get(primary, arrival, first);
                 }
             }
-            // Whole replica set down: fall through to the generic
-            // walk (which will time out over the replicas).
         }
 
         // Replicated write round: write every up replica at arrival,
@@ -726,7 +626,7 @@ ClusterSim::run(double offered_tps)
                         continue;
                     }
                     end = std::max(
-                        end, do_put(index, arrival, attempt_no++));
+                        end, serve(index, arrival, attempt_no++).end);
                 }
                 // The round completes when the slowest replica
                 // acked (write-all).
@@ -751,33 +651,16 @@ ClusterSim::run(double offered_tps)
                 const Tick attempt_begin = arrival + penalty;
                 if (!up[index]) {
                     penalty += fp.requestTimeout;
-                    if (measured)
-                        ++result.attemptTimeouts;
-                    if (sampler)
-                        sampler->count(ch_attempt_timeouts);
-                    {
-                        // A timed-out attempt still names the node
-                        // the client was waiting on.
-                        trace::ScopedTraceContext span_ctx(
-                            tracer,
-                            static_cast<std::uint16_t>(index),
-                            client_req);
-                        MERCURY_TRACE_SPAN(tracer, client_req,
-                                           trace::Stage::Attempt,
-                                           attempt_begin,
-                                           arrival + penalty,
-                                           attempt);
-                    }
+                    tally(result.attemptTimeouts, ch_attempt_timeouts);
+                    attempt_span(index, attempt_begin, arrival + penalty,
+                                 attempt);
                     if (attempt < fp.maxRetries) {
                         if (!retry_allowed()) {
                             // Budget spent: give up now instead of
                             // feeding a retry storm.
                             outcome = Outcome::Failed;
                             answered_at = arrival + penalty;
-                            if (measured)
-                                ++result.failedRequests;
-                            if (sampler)
-                                sampler->count(ch_failed);
+                            tally(result.failedRequests, ch_failed);
                             break;
                         }
                         ++retries_spent;
@@ -785,10 +668,7 @@ ClusterSim::run(double offered_tps)
                         penalty += jitteredBackoff(
                             fp.backoffBase, attempt,
                             fp.backoffJitter, injector_);
-                        if (measured)
-                            ++result.retries;
-                        if (sampler)
-                            sampler->count(ch_retries);
+                        tally(result.retries, ch_retries);
                         {
                             trace::ScopedTraceContext span_ctx(
                                 tracer, trace::clientNode,
@@ -806,19 +686,12 @@ ClusterSim::run(double offered_tps)
                 if (shed_check(index, attempt_begin, attempt))
                     break;
 
-                if (is_get) {
-                    const AttemptOutcome got =
-                        do_get(index, attempt_begin, attempt);
-                    if (hedging) {
-                        attempt_service.record(
-                            (got.end - attempt_begin) / tickUs);
-                    }
-                    account_get(index, got.hit);
+                const AttemptOutcome got =
+                    serve(index, attempt_begin, attempt);
+                if (is_get)
+                    answer_get(index, attempt_begin, got);
+                else
                     finish_served(index, got.end);
-                } else {
-                    finish_served(index,
-                                  do_put(index, attempt_begin, attempt));
-                }
                 break;
             }
         }
@@ -827,10 +700,7 @@ ClusterSim::run(double offered_tps)
             // Exhausted every attempt against dead nodes.
             outcome = Outcome::TimedOut;
             answered_at = arrival + penalty;
-            if (measured)
-                ++result.timeouts;
-            if (sampler)
-                sampler->count(ch_timeouts);
+            tally(result.timeouts, ch_timeouts);
         }
         if (tracer) {
             trace::ScopedTraceContext span_ctx(tracer,

@@ -27,9 +27,12 @@ namespace mercury::cluster
 {
 
 /**
- * Fault-mode configuration. Disabled by default; a disabled run
- * never touches the injector and is bit-identical to a pre-fault
- * build.
+ * Fault configuration. `enabled` (off by default) switches on the
+ * random fault sources only: per-node packet loss, per-node injector
+ * forks and the Poisson crash schedule. A disabled run draws nothing
+ * from the injector. The client's timeout, retry and backoff policy
+ * below applies either way, as do plans scheduled explicitly on
+ * ClusterSim::injector().
  */
 struct ClusterFaultParams
 {
@@ -65,9 +68,11 @@ struct ClusterFaultParams
 };
 
 /**
- * Fault-tolerance and graceful-degradation knobs. All defaults are
- * "off": a default-constructed instance reproduces the unreplicated,
- * unhedged, shed-nothing client bit for bit.
+ * Fault-tolerance and graceful-degradation knobs of the one client
+ * walk. Each applies whether or not fault injection is enabled, and
+ * they are orthogonal: any combination is valid. All defaults are
+ * "off", giving the unreplicated, unhedged, unbudgeted, shed-nothing
+ * client.
  */
 struct ClusterResilienceParams
 {
@@ -282,7 +287,8 @@ class ClusterSim
   public:
     explicit ClusterSim(const ClusterSimParams &params);
 
-    /** Pre-load every key onto its owning node. */
+    /** Pre-load every key onto its replica set (its ring owner
+     * when unreplicated). */
     void populate();
 
     /** Run at an offered cluster-wide request rate. */
@@ -308,7 +314,6 @@ class ClusterSim
 
   private:
     std::string keyFor(std::uint64_t key_id) const;
-    std::size_t nodeIndexFor(std::string_view key) const;
     std::size_t indexOfName(const std::string &name) const;
 
     /** Master timeline digest chained through every per-node

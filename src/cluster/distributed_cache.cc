@@ -9,14 +9,10 @@ namespace mercury::cluster
 
 DistributedCache::DistributedCache(
     unsigned nodes, const kvstore::StoreParams &store_params,
-    unsigned virtual_nodes, unsigned replication_factor)
-    : storeParams_(store_params), ring_(virtual_nodes),
-      replicationFactor_(replication_factor)
+    unsigned virtual_nodes)
+    : storeParams_(store_params), ring_(virtual_nodes)
 {
     mercury_assert(nodes >= 1, "cluster needs at least one node");
-    mercury_assert(replication_factor >= 1 &&
-                       replication_factor <= nodes,
-                   "replication factor must be in [1, nodes]");
     for (unsigned i = 0; i < nodes; ++i)
         addNode();
 }
@@ -28,8 +24,7 @@ DistributedCache::addNode()
     kvstore::StoreParams params = storeParams_;
     params.name = name;
     nodes_.push_back(
-        Node{name, std::make_unique<kvstore::Store>(params), true,
-             {}});
+        Node{name, std::make_unique<kvstore::Store>(params), true});
     ring_.addNode(name);
     return name;
 }
@@ -54,7 +49,6 @@ DistributedCache::removeNode(const std::string &name)
     }
     topology_.lostItems += it->store->itemCount();
     ++topology_.removedNodes;
-    replication_.hintsDropped += it->hints.size();
 
     ring_.removeNode(name);
     nodes_.erase(it);
@@ -83,19 +77,6 @@ DistributedCache::restartNode(const std::string &name)
     params.name = name;
     node->store = std::make_unique<kvstore::Store>(params);
     node->up = true;
-
-    // Replay the writes it missed, in arrival order, so the replica
-    // converges with its peers instead of coming back cold.
-    for (const Hint &hint : node->hints) {
-        if (hint.isRemove) {
-            node->store->remove(hint.key);
-        } else {
-            node->store->set(hint.key, hint.value, hint.flags,
-                             hint.ttl);
-        }
-        ++replication_.hintsReplayed;
-    }
-    node->hints.clear();
     return true;
 }
 
@@ -129,27 +110,18 @@ DistributedCache::find(const std::string &name) const
     return nullptr;
 }
 
-std::vector<DistributedCache::Node *>
-DistributedCache::replicasOf(std::string_view key)
+DistributedCache::Node *
+DistributedCache::ownerOf(std::string_view key)
 {
-    const std::vector<std::string> names =
-        ring_.nodesFor(key, replicationFactor_);
-    std::vector<Node *> replicas;
-    replicas.reserve(names.size());
-    for (const std::string &name : names) {
-        Node *node = find(name);
-        if (!node)
-            mercury_panic("ring returned unknown node ", name);
-        replicas.push_back(node);
+    const std::string &name = ring_.nodeFor(key);
+    Node *node = find(name);
+    if (!node)
+        mercury_panic("ring returned unknown node ", name);
+    if (!node->up) {
+        ++topology_.downOps;
+        return nullptr;
     }
-    return replicas;
-}
-
-std::size_t
-DistributedCache::pendingHints(const std::string &name) const
-{
-    const Node *node = find(name);
-    return node ? node->hints.size() : 0;
+    return node;
 }
 
 kvstore::Store &
@@ -164,88 +136,25 @@ DistributedCache::storeOf(const std::string &name)
 kvstore::GetResult
 DistributedCache::get(std::string_view key)
 {
-    std::vector<Node *> replicas = replicasOf(key);
-    Node *server = nullptr;
-    kvstore::GetResult result;
-    std::vector<Node *> missed;
-    bool any_up = false;
-    for (Node *node : replicas) {
-        if (!node->up)
-            continue;
-        any_up = true;
-        kvstore::GetResult r = node->store->get(key);
-        if (r.hit && !server) {
-            server = node;
-            result = std::move(r);
-        } else if (!r.hit) {
-            missed.push_back(node);
-        }
-    }
-    if (!any_up) {
-        ++topology_.downOps;
-        return kvstore::GetResult{};  // whole replica set down
-    }
-    if (server && !missed.empty()) {
-        // Divergence (typically a replica that restarted before
-        // hinted handoff existed for its keys): repair the stragglers
-        // with the value we are about to serve. The repair write has
-        // no TTL to honor -- the survivor's TTL is not recoverable.
-        ++replication_.divergentReads;
-        for (Node *node : missed) {
-            node->store->set(key, result.value, result.flags, 0);
-            ++replication_.readRepairs;
-        }
-    }
-    return result;
+    Node *owner = ownerOf(key);
+    return owner ? owner->store->get(key) : kvstore::GetResult{};
 }
 
 kvstore::StoreStatus
 DistributedCache::set(std::string_view key, std::string_view value,
                       std::uint32_t flags, std::uint32_t ttl)
 {
-    return writeAll(
-        Hint{false, std::string(key), std::string(value), flags, ttl},
-        kvstore::StoreStatus::NotStored);
+    Node *owner = ownerOf(key);
+    return owner ? owner->store->set(key, value, flags, ttl)
+                 : kvstore::StoreStatus::NotStored;
 }
 
 kvstore::StoreStatus
 DistributedCache::remove(std::string_view key)
 {
-    return writeAll(Hint{true, std::string(key), std::string(), 0, 0},
-                    kvstore::StoreStatus::NotFound);
-}
-
-kvstore::StoreStatus
-DistributedCache::writeAll(const Hint &op,
-                           kvstore::StoreStatus none_up_status)
-{
-    std::vector<Node *> replicas = replicasOf(op.key);
-    kvstore::StoreStatus status = none_up_status;
-    bool any_up = false;
-    for (Node *node : replicas) {
-        if (!node->up)
-            continue;
-        const kvstore::StoreStatus s =
-            op.isRemove
-                ? node->store->remove(op.key)
-                : node->store->set(op.key, op.value, op.flags,
-                                   op.ttl);
-        ++replication_.replicaWrites;
-        if (!any_up)
-            status = s;  // the ring-first up replica's verdict
-        any_up = true;
-    }
-    if (!any_up) {
-        ++topology_.downOps;
-        return none_up_status;
-    }
-    for (Node *node : replicas) {
-        if (!node->up) {
-            node->hints.push_back(op);
-            ++replication_.hintsQueued;
-        }
-    }
-    return status;
+    Node *owner = ownerOf(key);
+    return owner ? owner->store->remove(key)
+                 : kvstore::StoreStatus::NotFound;
 }
 
 std::vector<std::pair<std::string, std::size_t>>

@@ -1,19 +1,16 @@
 /**
  * @file
  * A functional distributed cache: N independent Store instances
- * behind a consistent-hash ring, memcached-cluster style. Nodes
- * share nothing; adding or removing a node remaps only the affected
- * arcs (and, as in real memcached, remapped keys are simply lost
- * until re-filled).
+ * behind a consistent-hash ring, memcached-cluster style. Every key
+ * lives on its ring owner alone. Nodes share nothing; adding or
+ * removing a node remaps only the affected arcs (and, as in real
+ * memcached, remapped keys are simply lost until re-filled). A
+ * crashed node's arcs stay on the ring and answer nothing until it
+ * restarts cold.
  *
- * With replicationFactor R > 1, each key lives on the first R
- * distinct nodes in ring order (the failover order nodesFor already
- * yields). Writes go to every up replica (write-all); reads are
- * served by the first up replica that hits (read-one) and repair any
- * up replica found divergent. Writes aimed at a down replica are
- * queued as hints and replayed, in order, when the node restarts --
- * so a restarted replica comes back warm for everything written
- * while it was gone, instead of cold until clients re-fill it.
+ * Replication (replica sets, hinted handoff, read repair) is
+ * modelled once, in the timing simulation (ClusterSim), over
+ * ConsistentHashRing::replicasFor.
  */
 
 #ifndef MERCURY_CLUSTER_DISTRIBUTED_CACHE_HH
@@ -44,24 +41,6 @@ struct TopologyStats
     std::size_t downOps = 0;
 };
 
-/** Bookkeeping of the replication machinery. */
-struct ReplicationStats
-{
-    /** Replica stores written by set/remove (R per op when every
-     * replica is up). */
-    std::size_t replicaWrites = 0;
-    /** Writes queued for a down replica (hinted handoff). */
-    std::size_t hintsQueued = 0;
-    /** Hints applied on node restart. */
-    std::size_t hintsReplayed = 0;
-    /** Hints discarded because their target left the ring. */
-    std::size_t hintsDropped = 0;
-    /** Up replicas re-written because a read found them divergent. */
-    std::size_t readRepairs = 0;
-    /** Reads where one up replica hit and another missed. */
-    std::size_t divergentReads = 0;
-};
-
 class DistributedCache
 {
   public:
@@ -69,21 +48,21 @@ class DistributedCache
      * @param nodes initial node count (named "node0".."nodeN-1")
      * @param store_params per-node store configuration
      * @param virtual_nodes ring points per node
-     * @param replication_factor replicas per key (1 = the classic
-     *        unreplicated cluster, byte-identical to before)
      */
     DistributedCache(unsigned nodes,
                      const kvstore::StoreParams &store_params,
-                     unsigned virtual_nodes = 40,
-                     unsigned replication_factor = 1);
+                     unsigned virtual_nodes = 40);
 
+    /** A miss when the key's owner is crashed. */
     kvstore::GetResult get(std::string_view key);
 
+    /** NotStored when the key's owner is crashed. */
     kvstore::StoreStatus set(std::string_view key,
                              std::string_view value,
                              std::uint32_t flags = 0,
                              std::uint32_t ttl = 0);
 
+    /** NotFound when the key's owner is crashed. */
     kvstore::StoreStatus remove(std::string_view key);
 
     /** Grow the cluster by one node. @return its name. */
@@ -117,16 +96,6 @@ class DistributedCache
 
     const TopologyStats &topologyStats() const { return topology_; }
 
-    const ReplicationStats &replicationStats() const
-    {
-        return replication_;
-    }
-
-    unsigned replicationFactor() const { return replicationFactor_; }
-
-    /** Hints queued for a (down) node, awaiting its restart. */
-    std::size_t pendingHints(const std::string &name) const;
-
     std::size_t numNodes() const { return ring_.numNodes(); }
 
     const ConsistentHashRing &ring() const { return ring_; }
@@ -142,45 +111,25 @@ class DistributedCache
     kvstore::Store &storeOf(const std::string &name);
 
   private:
-    /** One write held for a down replica, replayed on restart. */
-    struct Hint
-    {
-        bool isRemove = false;
-        std::string key;
-        std::string value;
-        std::uint32_t flags = 0;
-        std::uint32_t ttl = 0;
-    };
-
     struct Node
     {
         std::string name;
         std::unique_ptr<kvstore::Store> store;
         bool up = true;
-        /** Hinted-handoff queue, in write order. */
-        std::vector<Hint> hints;
     };
 
     Node *find(const std::string &name);
     const Node *find(const std::string &name) const;
 
-    /** The key's replica set, in ring order (down nodes included). */
-    std::vector<Node *> replicasOf(std::string_view key);
-
-    /** Apply a write to every up replica and hint the down ones.
-     * @return the first up replica's status, or @p none_up_status
-     * when the whole set is down (then nothing is hinted either:
-     * there is no live coordinator left to hold the hint). */
-    kvstore::StoreStatus
-    writeAll(const Hint &op, kvstore::StoreStatus none_up_status);
+    /** The key's ring owner, or null (counted in downOps) when it
+     * is crashed. */
+    Node *ownerOf(std::string_view key);
 
     kvstore::StoreParams storeParams_;
     ConsistentHashRing ring_;
-    unsigned replicationFactor_;
     std::vector<Node> nodes_;
     unsigned nextNodeId_ = 0;
     TopologyStats topology_;
-    ReplicationStats replication_;
 };
 
 } // namespace mercury::cluster

@@ -99,6 +99,14 @@ TEST(Degradation, SheddingBoundsTheTailUnderOverload)
     EXPECT_LT(rs.availability, 1.0);
     // Shed is a distinct class, not a timeout in disguise.
     EXPECT_EQ(rs.timeouts, 0u);
+
+    // Admission control is a client knob, not a fault-mode one: with
+    // fault injection off the overloaded cluster still sheds.
+    params.faults.enabled = false;
+    ClusterSim faults_off(params);
+    const ClusterSimResult rf = faults_off.run(offered);
+    EXPECT_GT(rf.shed, 0u);
+    EXPECT_EQ(rf.accountedRequests(), rf.requests);
 }
 
 TEST(Degradation, RetryBudgetConvertsStormsIntoPromptFailures)
@@ -160,31 +168,6 @@ TEST(Degradation, OutcomeClassesPartitionEveryRun)
     EXPECT_EQ(r.availability,
               static_cast<double>(r.ok) /
                   static_cast<double>(r.requests));
-}
-
-TEST(Degradation, ResilienceOffReproducesTheLegacyClient)
-{
-    // All resilience defaults off: the result must be bit-identical
-    // to a run that never heard of ClusterResilienceParams.
-    ClusterSimParams params = smallCluster();
-    params.faults.maxRetries = 2;
-    params.faults.nodeCrashesPerSecond = 300.0;
-    ClusterSim a(params);
-
-    ClusterSimParams with_struct = params;
-    with_struct.resilience = ClusterResilienceParams{};
-    ClusterSim b(with_struct);
-
-    const double offered = 0.4 * a.aggregateCapacity();
-    const ClusterSimResult ra = a.run(offered);
-    const ClusterSimResult rb = b.run(offered);
-    EXPECT_EQ(ra.faultTimelineDigest, rb.faultTimelineDigest);
-    EXPECT_EQ(ra.ok, rb.ok);
-    EXPECT_EQ(ra.timeouts, rb.timeouts);
-    EXPECT_EQ(ra.p99LatencyUs, rb.p99LatencyUs);
-    EXPECT_EQ(ra.hedges, 0u);
-    EXPECT_EQ(ra.shed, 0u);
-    EXPECT_EQ(ra.hintsQueued, 0u);
 }
 
 } // anonymous namespace

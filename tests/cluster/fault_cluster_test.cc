@@ -212,6 +212,21 @@ TEST(ClusterSimFaults, ZeroRatesBehaveLikeACleanRun)
     EXPECT_EQ(r.crashes, 0u);
     EXPECT_EQ(r.netDrops, 0u);
     EXPECT_EQ(sim.injector().faultCount(), 0u);
+
+    // Fault injection off entirely: the same client walk serves every
+    // request, so the run matches the zero-rate one field for field.
+    ClusterSimParams off_params = faultyCluster(0.0, 0.0);
+    off_params.faults.enabled = false;
+    ClusterSim off(off_params);
+    const ClusterSimResult ro = off.run(0.3 * off.aggregateCapacity());
+    EXPECT_EQ(ro.ok, r.ok);
+    EXPECT_EQ(ro.avgLatencyUs, r.avgLatencyUs);
+    EXPECT_EQ(ro.p99LatencyUs, r.p99LatencyUs);
+    EXPECT_EQ(ro.p999LatencyUs, r.p999LatencyUs);
+    EXPECT_EQ(ro.hitRate, r.hitRate);
+    EXPECT_EQ(ro.hottestNodeShare, r.hottestNodeShare);
+    EXPECT_EQ(ro.maxOutstanding, r.maxOutstanding);
+    EXPECT_EQ(ro.readRepairs, r.readRepairs);
 }
 
 TEST(ClusterSimFaults, PacketLossRaisesTailAndRetransmits)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for R-way replication in DistributedCache and the rack-aware
- * replica placement in ConsistentHashRing: write-all fan-out,
- * read-one failover, hinted handoff replayed on restart, and
- * read-through repair of replicas that came back divergent.
+ * Tests for rack-aware replica placement in ConsistentHashRing, the
+ * one placement policy behind ClusterSim's replica sets. The
+ * replication protocol itself (write-all, hinted handoff, read
+ * repair, hedging) is exercised end to end in degradation_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/distributed_cache.hh"
 #include "cluster/ring.hh"
 
 namespace
@@ -20,14 +19,6 @@ namespace
 
 using namespace mercury;
 using namespace mercury::cluster;
-
-kvstore::StoreParams
-nodeParams()
-{
-    kvstore::StoreParams p;
-    p.memLimit = 4 * miB;
-    return p;
-}
 
 // --- Rack-aware replica placement -----------------------------------
 
@@ -78,147 +69,6 @@ TEST(RackAwareReplicas, WithoutRackSpreadingMatchesFailoverOrder)
         EXPECT_EQ(ring.replicasFor(key, 3, false),
                   ring.nodesFor(key, 3));
     }
-}
-
-// --- Write-all / read-one -------------------------------------------
-
-TEST(Replication, WriteAllLandsOnEveryReplica)
-{
-    DistributedCache cache(4, nodeParams(), 40, 2);
-    const int keys = 200;
-    for (int i = 0; i < keys; ++i)
-        cache.set("k" + std::to_string(i), "v");
-
-    // Every write fanned out to both (up) replicas...
-    EXPECT_EQ(cache.replicationStats().replicaWrites,
-              static_cast<std::size_t>(2 * keys));
-    // ...so each key is readable from each node of its replica set.
-    for (int i = 0; i < keys; ++i) {
-        const std::string key = "k" + std::to_string(i);
-        for (const std::string &name : cache.nodesFor(key, 2))
-            EXPECT_TRUE(cache.storeOf(name).get(key).hit) << key;
-    }
-}
-
-TEST(Replication, ReadsSurviveAnySingleCrash)
-{
-    DistributedCache cache(4, nodeParams(), 40, 2);
-    for (int i = 0; i < 200; ++i)
-        cache.set("k" + std::to_string(i), "v");
-
-    ASSERT_TRUE(cache.crashNode("node2"));
-    for (int i = 0; i < 200; ++i)
-        EXPECT_TRUE(cache.get("k" + std::to_string(i)).hit) << i;
-    // No whole-replica-set-down events: a backup always answered.
-    EXPECT_EQ(cache.topologyStats().downOps, 0u);
-}
-
-TEST(Replication, FactorOneIsTheClassicCluster)
-{
-    DistributedCache cache(4, nodeParams(), 40, 1);
-    for (int i = 0; i < 100; ++i)
-        cache.set("k" + std::to_string(i), "v");
-    EXPECT_EQ(cache.replicationStats().replicaWrites, 100u);
-    EXPECT_EQ(cache.replicationStats().hintsQueued, 0u);
-
-    // With one replica a crash makes the owner's arc unavailable --
-    // exactly the pre-replication behaviour.
-    ASSERT_TRUE(cache.crashNode("node1"));
-    int hits = 0;
-    for (int i = 0; i < 100; ++i)
-        hits += cache.get("k" + std::to_string(i)).hit ? 1 : 0;
-    EXPECT_LT(hits, 100);
-}
-
-// --- Hinted handoff -------------------------------------------------
-
-TEST(Replication, HintsQueueWhileDownAndReplayOnRestart)
-{
-    DistributedCache cache(4, nodeParams(), 40, 2);
-    ASSERT_TRUE(cache.crashNode("node1"));
-
-    // Writes whose replica set includes the dead node are queued.
-    std::vector<std::string> hinted_keys;
-    for (int i = 0; i < 400; ++i) {
-        const std::string key = "k" + std::to_string(i);
-        cache.set(key, "v");
-        for (const std::string &name : cache.nodesFor(key, 2)) {
-            if (name == "node1")
-                hinted_keys.push_back(key);
-        }
-    }
-    ASSERT_FALSE(hinted_keys.empty());
-    EXPECT_EQ(cache.pendingHints("node1"), hinted_keys.size());
-    EXPECT_EQ(cache.replicationStats().hintsQueued,
-              hinted_keys.size());
-
-    // Restart replays them: the replica comes back warm, not cold.
-    ASSERT_TRUE(cache.restartNode("node1"));
-    EXPECT_EQ(cache.pendingHints("node1"), 0u);
-    EXPECT_EQ(cache.replicationStats().hintsReplayed,
-              hinted_keys.size());
-    for (const std::string &key : hinted_keys)
-        EXPECT_TRUE(cache.storeOf("node1").get(key).hit) << key;
-}
-
-TEST(Replication, HintedRemovesReplayToo)
-{
-    DistributedCache cache(4, nodeParams(), 40, 2);
-    for (int i = 0; i < 200; ++i)
-        cache.set("k" + std::to_string(i), "v");
-
-    ASSERT_TRUE(cache.crashNode("node0"));
-    for (int i = 0; i < 200; ++i)
-        cache.remove("k" + std::to_string(i));
-    ASSERT_TRUE(cache.restartNode("node0"));
-
-    // The restarted store replayed the deletes over a cold store; no
-    // key may survive anywhere.
-    for (int i = 0; i < 200; ++i)
-        EXPECT_FALSE(cache.get("k" + std::to_string(i)).hit) << i;
-}
-
-TEST(Replication, NoCoordinatorMeansNoHints)
-{
-    // Whole replica set down: the write fails outright rather than
-    // queueing hints no live coordinator could own.
-    DistributedCache cache(2, nodeParams(), 40, 2);
-    ASSERT_TRUE(cache.crashNode("node0"));
-    ASSERT_TRUE(cache.crashNode("node1"));
-    EXPECT_EQ(cache.set("key", "v"), kvstore::StoreStatus::NotStored);
-    EXPECT_FALSE(cache.get("key").hit);
-    EXPECT_EQ(cache.replicationStats().hintsQueued, 0u);
-    EXPECT_GT(cache.topologyStats().downOps, 0u);
-}
-
-// --- Read repair -----------------------------------------------------
-
-TEST(Replication, ReadRepairsHealAColdRestartedReplica)
-{
-    DistributedCache cache(4, nodeParams(), 40, 2);
-    for (int i = 0; i < 300; ++i)
-        cache.set("k" + std::to_string(i), "v");
-
-    // Crash and immediately restart: nothing was written meanwhile,
-    // so no hints exist -- the replica is cold and divergent for
-    // everything it held before the crash.
-    ASSERT_TRUE(cache.crashNode("node3"));
-    ASSERT_TRUE(cache.restartNode("node3"));
-    ASSERT_EQ(cache.storeOf("node3").itemCount(), 0u);
-
-    for (int i = 0; i < 300; ++i)
-        EXPECT_TRUE(cache.get("k" + std::to_string(i)).hit) << i;
-    const ReplicationStats &stats = cache.replicationStats();
-    EXPECT_GT(stats.divergentReads, 0u);
-    EXPECT_GE(stats.readRepairs, stats.divergentReads);
-
-    // The read pass converged the replica: a second pass finds no
-    // new divergence.
-    const std::size_t repaired = stats.readRepairs;
-    for (int i = 0; i < 300; ++i)
-        EXPECT_TRUE(cache.get("k" + std::to_string(i)).hit) << i;
-    EXPECT_EQ(cache.replicationStats().readRepairs, repaired);
-    EXPECT_GT(cache.storeOf("node3").itemCount(), 0u);
 }
 
 } // anonymous namespace
