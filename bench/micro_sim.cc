@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulation substrate:
- * event queue throughput, cache probes, DRAM/flash timing walks and
+ * cache probes, DRAM/flash timing walks, core trace execution and
  * the end-to-end single-request path.
  */
 
@@ -10,99 +10,17 @@
 #include "bench_util.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "cpu/core.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/flash.hh"
 #include "server/server_model.hh"
-#include "sim/event_queue.hh"
 
 namespace
 {
 
 using namespace mercury;
-
-void
-BM_EventQueueScheduleService(benchmark::State &state)
-{
-    EventQueue queue;
-    EventFunctionWrapper event([] {}, "bench");
-    for (auto _ : state) {
-        queue.schedule(&event, queue.curTick() + 10);
-        queue.serviceOne();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EventQueueScheduleService);
-
-/** Burst: schedule a window of events at mixed device latencies,
- * then drain it -- the pattern a busy stack model produces. */
-void
-BM_EventQueueBurst(benchmark::State &state)
-{
-    EventQueue queue;
-    constexpr unsigned window = 64;
-    std::vector<std::unique_ptr<EventFunctionWrapper>> events;
-    for (unsigned i = 0; i < window; ++i)
-        events.push_back(std::make_unique<EventFunctionWrapper>(
-            [] {}, "burst"));
-    constexpr Tick latencies[4] = {10, 20, 50, 100};
-    for (auto _ : state) {
-        for (unsigned i = 0; i < window; ++i)
-            queue.schedule(events[i].get(),
-                           queue.curTick() + latencies[i % 4]);
-        queue.run();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * window);
-}
-BENCHMARK(BM_EventQueueBurst);
-
-/** Arena-managed one-shot events: makeEvent + schedule + drain,
- * with the queue recycling slots after service. */
-void
-BM_EventQueueArenaOneShot(benchmark::State &state)
-{
-    EventQueue queue;
-    constexpr unsigned window = 64;
-    constexpr Tick latencies[4] = {10, 20, 50, 100};
-    struct NoopEvent : Event
-    {
-        void process() override {}
-    };
-    for (auto _ : state) {
-        for (unsigned i = 0; i < window; ++i)
-            queue.schedule(queue.makeEvent<NoopEvent>(),
-                           queue.curTick() + latencies[i % 4]);
-        queue.run();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * window);
-}
-BENCHMARK(BM_EventQueueArenaOneShot);
-
-/** Timeout-style reschedule: a queued deadline pushed further out
- * repeatedly, then finally serviced. */
-void
-BM_EventQueueReschedule(benchmark::State &state)
-{
-    EventQueue queue;
-    EventFunctionWrapper deadline([] {}, "deadline");
-    EventFunctionWrapper tick([] {}, "tick");
-    for (auto _ : state) {
-        queue.schedule(&tick, queue.curTick() + 10);
-        queue.reschedule(&deadline, queue.curTick() + 1000);
-        queue.reschedule(&deadline, queue.curTick() + 2000);
-        queue.serviceOne();  // tick
-        queue.deschedule(&deadline);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EventQueueReschedule);
 
 void
 BM_CacheHit(benchmark::State &state)

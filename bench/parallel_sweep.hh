@@ -8,9 +8,9 @@
  * emits every point's outputs -- stdout text, stats-JSON fragment,
  * ordered merge callback -- strictly in submission order on the
  * calling thread. Because each point owns all of its simulation
- * state (its own models, EventQueue, FaultInjector stream, and stats
- * Registry) and the merge order is the submission order rather than
- * the completion order, `--jobs 8` output is byte-identical to
+ * state (its own models, FaultInjector stream, and stats Registry)
+ * and the merge order is the submission order rather than the
+ * completion order, `--jobs 8` output is byte-identical to
  * `--jobs 1`; the tests/determinism suite locks that down per bench.
  *
  * Usage:

@@ -7,10 +7,6 @@
  * reported both as a human-readable table and as a JSON file
  * (default BENCH_selfbench.json, override with --out=PATH):
  *
- *  - event queue: schedule/service throughput of the intrusive
- *    two-level EventQueue against the std::set ModelEventQueue
- *    reference (the pre-optimization implementation), plus the
- *    arena-managed one-shot churn rate;
  *  - kv store: end-to-end GET/SET ops/sec through the single-node
  *    server timing model;
  *  - datapath: host-side simulation rate of the request walk under
@@ -29,11 +25,6 @@
  * (tools/perfguard.py), and scripts/bench.sh runs the full version.
  *
  * Usage: selfbench [--smoke] [--jobs=N] [--out=PATH]
- *                  [--profile-out=PATH]
- *
- * --profile-out dumps the host-side event-queue profiler's per-type
- * cost map (requires configuring with -DMERCURY_PROFILE_EVENTS=ON;
- * default builds write a stub recording that profiling is off).
  */
 
 #include <algorithm>
@@ -44,14 +35,11 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "bench_util.hh"
 #include "net/datapath.hh"
 #include "server/server_model.hh"
-#include "sim/event_queue.hh"
 #include "sim/json.hh"
-#include "sim/model_event_queue.hh"
 #include "sim/thread_pool.hh"
 
 namespace
@@ -80,162 +68,6 @@ secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start)
         .count();
-}
-
-std::uint64_t
-lcgNext(std::uint64_t &lcg)
-{
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    return lcg >> 33;
-}
-
-/**
- * "Clocked" deltas: one of four fixed device latencies, the way
- * cache/DRAM/flash/NIC models schedule completions. Few distinct
- * (tick, priority) keys are live at once, so bins stay short.
- */
-std::uint64_t
-clockedDelta(std::uint64_t &lcg)
-{
-    static constexpr std::uint64_t latencies[4] = {10, 20, 50, 100};
-    return latencies[lcgNext(lcg) & 3];
-}
-
-/** "Scattered" deltas (1..256 ticks): every event lands in its own
- * bin -- the intrusive queue's worst case. */
-std::uint64_t
-scatteredDelta(std::uint64_t &lcg)
-{
-    return (lcgNext(lcg) & 0xff) + 1;
-}
-
-struct NoopEvent : Event
-{
-    void process() override {}
-    std::string description() const override { return "noop"; }
-};
-
-/**
- * Ladder workload: @p inflight no-op events stay queued; every
- * service immediately reschedules the serviced event a
- * pseudo-random (but deterministic) distance ahead. Exercises the
- * mixed near-head/at-tail insertion pattern real device models
- * produce. Works on both queue types by duck typing.
- */
-template <typename Queue>
-double
-queueEventsPerSec(std::uint64_t total, unsigned inflight,
-                  std::uint64_t (*next_delta)(std::uint64_t &))
-{
-    Queue queue;
-    std::vector<NoopEvent> events(inflight);
-    std::uint64_t lcg = 0x5eed;
-    for (unsigned i = 0; i < inflight; ++i)
-        queue.schedule(&events[i], queue.curTick() + next_delta(lcg));
-
-    const auto start = Clock::now();
-    for (std::uint64_t serviced = 0; serviced < total; ++serviced) {
-        Event *event = queue.serviceOne();
-        queue.schedule(event, queue.curTick() + next_delta(lcg));
-    }
-    const double elapsed = secondsSince(start);
-
-    // Drain so the static events are unqueued at destruction.
-    while (queue.serviceOne() != nullptr) {
-    }
-    return static_cast<double>(total) / elapsed;
-}
-
-/** Arena-managed one-shot churn: makeEvent + schedule + drain. */
-double
-arenaEventsPerSec(std::uint64_t total, unsigned batch)
-{
-    EventQueue queue;
-    std::uint64_t lcg = 0x5eed;
-    std::uint64_t created = 0;
-    const auto start = Clock::now();
-    while (created < total) {
-        for (unsigned i = 0; i < batch; ++i)
-            queue.schedule(queue.makeEvent<NoopEvent>(),
-                           queue.curTick() + clockedDelta(lcg));
-        created += batch;
-        queue.run();
-    }
-    return static_cast<double>(total) / secondsSince(start);
-}
-
-/**
- * --profile-out: drive a mixed-type event workload through one queue
- * and dump the host-side profiler's per-type cost map. In default
- * builds (MERCURY_PROFILE_EVENTS=OFF) the file records that
- * profiling was compiled out, so consumers can always parse it.
- */
-void
-writeProfile(const std::string &path, [[maybe_unused]] bool smoke)
-{
-    std::FILE *fp = std::fopen(path.c_str(), "w");
-    if (!fp) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     path.c_str());
-        return;
-    }
-#if MERCURY_EVENT_PROFILE
-    EventQueue queue;
-    // Three event types with distinct host costs, scheduled the way
-    // device models do (few distinct latencies live at once).
-    std::uint64_t sink = 0;
-    EventFunctionWrapper nic([&] { sink += 1; }, "nic completion");
-    EventFunctionWrapper dram(
-        [&] {
-            for (int i = 0; i < 32; ++i)
-                sink += static_cast<std::uint64_t>(i) * sink + 1;
-        },
-        "dram completion");
-    EventFunctionWrapper flash(
-        [&] {
-            for (int i = 0; i < 256; ++i)
-                sink += static_cast<std::uint64_t>(i) * sink + 1;
-        },
-        "flash completion");
-    EventFunctionWrapper *events[3] = {&nic, &dram, &flash};
-    constexpr Tick latencies[3] = {10, 50, 400};
-    const std::uint64_t total = smoke ? 30'000 : 300'000;
-    std::uint64_t lcg = 0x5eed;
-    for (std::uint64_t serviced = 0; serviced < total;) {
-        for (unsigned i = 0; i < 3; ++i) {
-            if (!events[i]->scheduled())
-                queue.schedule(events[i],
-                               queue.curTick() +
-                                   latencies[lcgNext(lcg) % 3]);
-        }
-        queue.serviceOne();
-        ++serviced;
-    }
-    while (queue.serviceOne() != nullptr) {
-    }
-    std::ostringstream os;
-    queue.profiler().writeJson(os);
-    std::fputs(os.str().c_str(), fp);
-    if (sink == 0)
-        std::fprintf(stderr, "profile workload elided\n");
-#else
-    std::ostringstream os;
-    bool first = true;
-    os << '{';
-    json::writeKey(os, first, "enabled");
-    os << "false";
-    json::writeField(os, first, "reason",
-                     std::string_view(
-                         "configure with -DMERCURY_PROFILE_EVENTS"
-                         "=ON"));
-    os << "}\n";
-    std::fputs(os.str().c_str(), fp);
-    std::fprintf(stderr,
-                 "selfbench: built without MERCURY_PROFILE_EVENTS; "
-                 "%s records profiling as disabled\n",
-                 path.c_str());
-#endif
-    std::fclose(fp);
 }
 
 double
@@ -328,22 +160,15 @@ main(int argc, char **argv)
     bench::Session session(
         argc, argv, "selfbench",
         {{"--out", "PATH",
-          "results JSON path (default BENCH_selfbench.json)"},
-         {"--profile-out", "PATH",
-          "event-queue profiler JSON path"}});
+          "results JSON path (default BENCH_selfbench.json)"}});
     const bool smoke = session.smoke();
 
     std::string out = "BENCH_selfbench.json";
-    std::string profile_out;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--out=", 0) == 0)
             out = arg.substr(6);
-        else if (arg.rfind("--profile-out=", 0) == 0)
-            profile_out = arg.substr(14);
     }
-    if (!profile_out.empty())
-        writeProfile(profile_out, smoke);
 
     // --jobs defaults to 1 in Session; for the sweep section the
     // interesting default is "all hardware threads".
@@ -352,8 +177,6 @@ main(int argc, char **argv)
             ? session.jobs()
             : std::max(1u, std::thread::hardware_concurrency());
 
-    const std::uint64_t queueTotal = smoke ? 200'000 : 4'000'000;
-    const std::uint64_t arenaTotal = smoke ? 100'000 : 2'000'000;
     const std::uint64_t storeTotal = smoke ? 20'000 : 200'000;
     const unsigned sweepPoints = smoke ? 4 : 16;
     const unsigned sweepSamples = smoke ? 2 : 8;
@@ -362,35 +185,6 @@ main(int argc, char **argv)
     const unsigned nproc = std::thread::hardware_concurrency();
     std::printf("host: nproc=%u compiler=\"%s\" build_type=%s\n\n",
                 nproc, MERCURY_COMPILER, MERCURY_BUILD_TYPE);
-
-    const double intrusive =
-        queueEventsPerSec<EventQueue>(queueTotal, 64, clockedDelta);
-    const double reference = queueEventsPerSec<ModelEventQueue>(
-        queueTotal, 64, clockedDelta);
-    const double queueSpeedup = intrusive / reference;
-    const double intrusiveScattered = queueEventsPerSec<EventQueue>(
-        queueTotal, 64, scatteredDelta);
-    const double referenceScattered =
-        queueEventsPerSec<ModelEventQueue>(queueTotal, 64,
-                                           scatteredDelta);
-    const double scatteredSpeedup =
-        intrusiveScattered / referenceScattered;
-    const double arena = arenaEventsPerSec(arenaTotal, 64);
-    std::printf("%-34s %14.0f events/s\n",
-                "queue clocked (intrusive)", intrusive);
-    std::printf("%-34s %14.0f events/s\n",
-                "queue clocked (std::set ref)", reference);
-    std::printf("%-34s %14.2fx\n", "queue clocked speedup",
-                queueSpeedup);
-    std::printf("%-34s %14.0f events/s\n",
-                "queue scattered (intrusive)", intrusiveScattered);
-    std::printf("%-34s %14.0f events/s\n",
-                "queue scattered (std::set ref)",
-                referenceScattered);
-    std::printf("%-34s %14.2fx\n", "queue scattered speedup",
-                scatteredSpeedup);
-    std::printf("%-34s %14.0f events/s\n",
-                "arena one-shot events", arena);
 
     const double storeOps = storeOpsPerSec(storeTotal);
     std::printf("%-34s %14.0f ops/s\n", "kv store GET/SET",
@@ -451,24 +245,6 @@ main(int argc, char **argv)
                          std::string_view(MERCURY_COMPILER));
         json::writeField(os, hf, "build_type",
                          std::string_view(MERCURY_BUILD_TYPE));
-        os << '}';
-    }
-    json::writeKey(os, first, "queue");
-    {
-        bool qf = true;
-        os << '{';
-        field(os, qf, "intrusive_events_per_sec", "%.0f",
-              intrusive);
-        field(os, qf, "reference_events_per_sec", "%.0f",
-              reference);
-        field(os, qf, "speedup", "%.3f", queueSpeedup);
-        field(os, qf, "scattered_intrusive_events_per_sec", "%.0f",
-              intrusiveScattered);
-        field(os, qf, "scattered_reference_events_per_sec", "%.0f",
-              referenceScattered);
-        field(os, qf, "scattered_speedup", "%.3f",
-              scatteredSpeedup);
-        field(os, qf, "arena_events_per_sec", "%.0f", arena);
         os << '}';
     }
     json::writeKey(os, first, "store");

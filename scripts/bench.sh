@@ -4,13 +4,13 @@
 # Builds the release preset and runs the simulator self-benchmark,
 # leaving BENCH_selfbench.json in the repo root:
 #
-#   - event-queue events/sec, intrusive vs std::set reference
-#     (clocked and scattered scheduling patterns) and the arena
-#     one-shot churn rate;
 #   - kv-store GET/SET ops/sec through the server timing model;
 #   - datapath request walk reqs/sec: kernel path vs the batched
 #     bypass fast path (host-side cost of the batching bookkeeping);
 #   - fig5-style sweep wall-clock, serial vs --jobs N.
+#
+# It then runs the google-benchmark micro suite (cache hit, DRAM
+# access, flash read, core trace walk on A7 and A15, end-to-end GET).
 #
 # Numbers are host-dependent; nothing here is golden, but the
 # per-second rates are compared against the committed
@@ -52,4 +52,4 @@ fi
 
 # The google-benchmark micro suite prints per-operation costs for
 # the same substrate; useful next to the selfbench aggregate rates.
-./build/release/bench/micro_sim --benchmark_filter='EventQueue'
+./build/release/bench/micro_sim

@@ -53,9 +53,9 @@ struct ContractViolation : public SimFatalError
 
 /**
  * Record the simulated time most recently observed by a clock owner
- * (EventQueue, the server timing walk). Contract diagnostics embed
- * this value so a violation deep in a container still says *when* the
- * simulation broke.
+ * (the server timing walk). Contract diagnostics embed this value so
+ * a violation deep in a container still says *when* the simulation
+ * broke.
  */
 void noteTick(Tick tick);
 

@@ -3,7 +3,7 @@
  * Fixed-size host thread pool for embarrassingly-parallel sweeps.
  *
  * The simulator itself stays single-threaded: one sweep point owns
- * one EventQueue, one FaultInjector stream, and one stats Registry,
+ * its own models, one FaultInjector stream, and one stats Registry,
  * and never shares them. The pool only provides the host-side
  * workers that execute independent points concurrently; determinism
  * is the *caller's* job and is achieved by merging results in

@@ -2,7 +2,7 @@
  * @file
  * mercury_lint fixture: the wall-clock rule.
  *
- * Host clock reads outside the profiler whitelist break the
+ * Host clock reads outside the whitelisted bench files break the
  * determinism contract (results must be a pure function of seed and
  * config). Expected diagnostics are pinned in wall_clock.expected;
  * keep line numbers stable when editing.
@@ -35,7 +35,7 @@ hostWallSeconds()
 long long
 profiledNow()
 {
-    // Clean: inside the profiler guard, host timing is whitelisted.
+    // Finding: a preprocessor guard does not whitelist host timing.
     return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 #endif

@@ -1,7 +1,6 @@
 /**
  * @file
- * Unit tests for the contract/invariant layer and the event-queue
- * time-safety contracts it enforces.
+ * Unit tests for the contract/invariant layer.
  */
 
 #include <gtest/gtest.h>
@@ -9,17 +8,13 @@
 #include <string>
 
 #include "sim/contract.hh"
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
 namespace
 {
 
-using mercury::EventFunctionWrapper;
-using mercury::EventQueue;
 using mercury::ScopedLogCapture;
 using mercury::SimFatalError;
-using mercury::Tick;
 using mercury::contract::ContractViolation;
 using mercury::contract::ScopedContractThrow;
 
@@ -123,56 +118,6 @@ TEST(ContractDeath, ViolationAbortsOutsideTestModes)
     // Without a ScopedContractThrow or ScopedLogCapture a violation
     // must abort so a debugger sees the broken state.
     EXPECT_DEATH(MERCURY_ASSERT(false, "fatal in release"), "");
-}
-
-// --- EventQueue time-safety contracts -----------------------------
-
-TEST(EventQueueContract, ScheduleInPastViolatesPrecondition)
-{
-    EventQueue queue;
-    EventFunctionWrapper a([] {}, "a");
-    EventFunctionWrapper b([] {}, "b");
-    queue.schedule(&a, 500);
-    queue.run();
-    ASSERT_EQ(queue.curTick(), 500u);
-
-    ScopedContractThrow guard;
-    EXPECT_THROW(queue.schedule(&b, 499), ContractViolation);
-}
-
-TEST(EventQueueContract, NullEventIsRejected)
-{
-    EventQueue queue;
-    ScopedContractThrow guard;
-    EXPECT_THROW(queue.schedule(nullptr, 10), ContractViolation);
-    EXPECT_THROW(queue.reschedule(nullptr, 10), ContractViolation);
-}
-
-TEST(EventQueueContract, DoubleScheduleIsRejected)
-{
-    EventQueue queue;
-    EventFunctionWrapper e([] {}, "e");
-    queue.schedule(&e, 10);
-
-    ScopedContractThrow guard;
-    EXPECT_THROW(queue.schedule(&e, 20), ContractViolation);
-    queue.deschedule(&e);
-}
-
-TEST(EventQueueContract, SetCurTickCannotRewindOrSkipEvents)
-{
-    EventQueue queue;
-    EventFunctionWrapper e([] {}, "e");
-    queue.schedule(&e, 100);
-    queue.setCurTick(50);
-    EXPECT_EQ(queue.curTick(), 50u);
-
-    ScopedContractThrow guard;
-    // Rewinding time is a violation...
-    EXPECT_THROW(queue.setCurTick(25), ContractViolation);
-    // ...and so is warping past a pending event.
-    EXPECT_THROW(queue.setCurTick(101), ContractViolation);
-    queue.deschedule(&e);
 }
 
 } // anonymous namespace

@@ -31,14 +31,6 @@ DOUBLEISH_RE = re.compile(
     r"(\bdouble\b|\bfloat\b|\d\.\d|\bticksTo|Seconds\b|Fraction\b|"
     r"\bratio\b|\bscale\b|\bfreq|Hz\b|\*\s*1e\d|\b\w*[Ff]actor\w*\b)")
 
-# --- event-ownership / arena-delete ---------------------------------
-
-NEW_EVENT_RE = re.compile(r"\bnew\s+[\w:]*Event\b")
-OWNERSHIP_RE = re.compile(r"own|delete[sd]?|freed|leak|unique_ptr|shared_ptr",
-                          re.IGNORECASE)
-ARENA_BIND_RE = re.compile(r"\b(\w+)\s*=\s*[\w.\->]*\b(?:makeEvent|make)\s*<")
-DELETE_RE = re.compile(r"\bdelete\s+(\w+)\s*;")
-
 # --- telemetry-json -------------------------------------------------
 
 JSON_KEY_LITERAL_RE = re.compile(r'\\"[A-Za-z_][A-Za-z0-9_]*\\":')
@@ -168,12 +160,6 @@ def lint_file(rel, src, findings, selected):
 
     # ---- per-line scans -------------------------------------------
 
-    arena_vars = set()
-    if "arena-delete" in selected:
-        for line in code_lines:
-            for m in ARENA_BIND_RE.finditer(line):
-                arena_vars.add(m.group(1))
-
     wall_exempt_file = rules.exempt(rel, rules.WALL_CLOCK_EXEMPT)
     rng_exempt_file = rules.exempt(rel, rules.HOST_RNG_EXEMPT)
     tick_cast_exempt = rules.exempt(rel, rules.TICK_CAST_EXEMPT)
@@ -199,14 +185,6 @@ def lint_file(rel, src, findings, selected):
                          "double-to-Tick cast bypasses secondsToTicks; "
                          "use the sim/types.hh conversion helpers")
 
-        if "arena-delete" in selected:
-            for m in DELETE_RE.finditer(line):
-                if m.group(1) in arena_vars:
-                    emit(lineno, "arena-delete",
-                         f"'{m.group(1)}' came from the event arena "
-                         f"(makeEvent/make); the queue releases it -- "
-                         f"manual delete is a double free")
-
         if "telemetry-json" in selected and not telemetry_exempt:
             if idx < len(nc_lines) and \
                     JSON_KEY_LITERAL_RE.search(nc_lines[idx]):
@@ -218,23 +196,12 @@ def lint_file(rel, src, findings, selected):
                          "writers so escaping and number formats "
                          "stay canonical")
 
-        if "event-ownership" in selected:
-            for m in NEW_EVENT_RE.finditer(line):
-                context = " ".join(
-                    src.raw_lines[max(0, idx - 2):
-                                  min(len(src.raw_lines), idx + 2)])
-                if not OWNERSHIP_RE.search(context):
-                    emit(lineno, "event-ownership",
-                         "heap-allocated Event without an ownership "
-                         "comment; EventQueue does not own events")
-
-        if "wall-clock" in selected and not wall_exempt_file and \
-                not src.in_profile_guard(lineno):
+        if "wall-clock" in selected and not wall_exempt_file:
             m = WALL_CLOCK_RE.search(line)
             if m:
                 emit(lineno, "wall-clock",
-                     "host wall-clock access outside the profiler "
-                     "whitelist; simulated results must be a pure "
+                     "host wall-clock access outside the whitelisted "
+                     "bench files; simulated results must be a pure "
                      "function of the seed and config")
 
         if "host-rng" in selected and not rng_exempt_file:

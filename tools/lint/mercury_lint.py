@@ -10,8 +10,8 @@ Rules (suppress one finding with `// lint: allow(<rule>)` on the same
 line or the line above; every waiver is counted against
 tools/lint/budget.json, checked by --budget):
 
-  API discipline      tick-api, tick-cast, event-ownership,
-                      arena-delete, telemetry-json
+  API discipline      tick-api, tick-cast, telemetry-json
+  accounting          result-class
   determinism family  wall-clock, host-rng, pointer-order,
                       unordered-iter
 

@@ -8,10 +8,9 @@ The SourceText class is the part that kills the v1 regex engine's
 known false-positive classes: it builds masked
 views of a translation unit in which comments and string literals are
 blanked (so `// returns the current tick as uint64_t` or a log string
-mentioning rand() can never trigger a rule), tracks preprocessor
-regions guarded by the event-profiler macros (the one place host
-clocks are legitimate inside src/), and resolves byte offsets back to
-line numbers so rules may match across physical lines.
+mentioning rand() can never trigger a rule), and resolves byte
+offsets back to line numbers so rules may match across physical
+lines.
 """
 
 import bisect
@@ -32,24 +31,14 @@ RULES = {
     "tick-cast": (
         "A double-typed expression is cast straight to Tick, "
         "bypassing the secondsToTicks helpers in sim/types.hh."),
-    "event-ownership": (
-        "`new <T>Event` without an ownership note. EventQueue does "
-        "not own scheduled events, so every allocation must say who "
-        "deletes it."),
-    "arena-delete": (
-        "Manual `delete` of an arena-owned event (a variable "
-        "initialized from EventQueue::makeEvent<> or "
-        "EventArena::make<>); the queue releases those itself, so a "
-        "manual delete is a double free."),
     "telemetry-json": (
         "A printf-family call emits a JSON-key-shaped format string "
         "outside the designated JSONL writers; hand-rolled JSON "
         "bypasses the canonical escaping the golden digests pin."),
     "wall-clock": (
         "Host wall-clock access (std::chrono clocks, time(), "
-        "clock_gettime(), gettimeofday()) outside the "
-        "MERCURY_EVENT_PROFILE blocks and the whitelisted bench "
-        "host-timing files. Host time leaking into simulated state "
+        "clock_gettime(), gettimeofday()) outside the whitelisted "
+        "bench host-timing files. Host time leaking into simulated state "
         "breaks byte-reproducibility and --jobs invariance."),
     "host-rng": (
         "Host randomness (rand(), std::random_device, unseeded "
@@ -80,16 +69,11 @@ RULES = {
 # ---------------------------------------------------------------------------
 
 # Files allowed to touch host clocks: the self-benchmark measures
-# host throughput by definition. (The event-queue profiler hooks in
-# src/sim/event_queue.cc are whitelisted structurally instead: they
-# sit inside `#if MERCURY_EVENT_PROFILE` regions, which SourceText
-# tracks.)
+# host throughput by definition. No preprocessor guard whitelists a
+# region; every other host clock read is a finding.
 WALL_CLOCK_EXEMPT = (
     "bench/selfbench.cc",
 )
-
-# Preprocessor symbols whose guarded regions may use host clocks.
-PROFILE_GUARDS = ("MERCURY_EVENT_PROFILE", "MERCURY_PROFILE_EVENTS")
 
 # The deterministic RNG implementation itself.
 HOST_RNG_EXEMPT = (
@@ -231,7 +215,7 @@ def outcome_class_findings(rel, src):
 # ---------------------------------------------------------------------------
 
 class SourceText:
-    """A translation unit's text plus masked views and region maps.
+    """A translation unit's text plus masked views.
 
     raw          : the file exactly as read
     raw_lines    : raw split into lines
@@ -250,17 +234,10 @@ class SourceText:
         for i, ch in enumerate(raw):
             if ch == "\n":
                 self._line_starts.append(i + 1)
-        self._profiled = _guarded_regions(self.raw_lines,
-                                          PROFILE_GUARDS)
 
     def line_of(self, offset):
         """1-based line containing byte offset."""
         return bisect.bisect_right(self._line_starts, offset)
-
-    def in_profile_guard(self, lineno):
-        """True when the 1-based line sits inside a preprocessor
-        region guarded by one of the event-profiler symbols."""
-        return any(lo <= lineno <= hi for lo, hi in self._profiled)
 
 
 def _mask(raw):
@@ -364,43 +341,3 @@ def _mask(raw):
             continue
     return "".join(no_comments), "".join(code)
 
-
-_IF_RE = re.compile(r"^\s*#\s*(if|ifdef|ifndef)\b(.*)")
-_ELSE_RE = re.compile(r"^\s*#\s*(else|elif)\b")
-_ENDIF_RE = re.compile(r"^\s*#\s*endif\b")
-
-
-def _guarded_regions(lines, guards):
-    """Line ranges (1-based, inclusive) whose enclosing #if mentions
-    one of the guard symbols positively (#if GUARD / #ifdef GUARD;
-    an #else of such a block is NOT guarded, and `#ifndef GUARD` /
-    `#if !GUARD` guard the #else branch instead)."""
-    regions = []
-    # Stack of [guard_active_in_current_branch, guard_symbol_present]
-    stack = []
-    for idx, line in enumerate(lines):
-        lineno = idx + 1
-        m = _IF_RE.match(line)
-        if m:
-            kind, cond = m.group(1), m.group(2)
-            mentions = any(g in cond for g in guards)
-            negated = kind == "ifndef" or "!" in cond.split("//")[0]
-            active = mentions and not negated
-            stack.append([active, mentions, negated])
-            continue
-        if _ELSE_RE.match(line) and stack:
-            top = stack[-1]
-            if top[1]:
-                # Branch flip: #ifndef GUARD's #else is guarded.
-                top[0] = top[2]
-                top[2] = not top[2]
-            continue
-        if _ENDIF_RE.match(line) and stack:
-            stack.pop()
-            continue
-        if any(frame[0] for frame in stack):
-            if regions and regions[-1][1] == lineno - 1:
-                regions[-1][1] = lineno
-            else:
-                regions.append([lineno, lineno])
-    return [(lo, hi) for lo, hi in regions]

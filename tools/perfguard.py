@@ -17,7 +17,7 @@ otherwise it is reported as advisory and the exit code stays 0.
 
 The default tolerance is 25% -- generous on purpose, because these
 are host-dependent numbers and CI machines are noisy; the guard is
-for "the event queue got 3x slower" regressions, not 5% jitter.
+for "the kv store got 3x slower" regressions, not 5% jitter.
 When the two files disagree on their `smoke` flag the tolerance is
 doubled: smoke runs do less warmup, so their rates sit further from
 the full run's steady state.
