@@ -174,7 +174,7 @@ main(int argc, char **argv)
             params.resilience.hedgedReads = variant.hedged;
             fault::BadDayPlan plan;
             plan.at = 5 * tickMs;
-            plan.crashNodes = {"node0"};
+            plan.crashedNodes = {"node0"};
             runScenario(ctx, variant.name, params, 0.5, &plan, out);
         });
     }
@@ -218,7 +218,7 @@ main(int argc, char **argv)
             params.resilience.retryBudgetFraction = 0.5;
             fault::BadDayPlan plan;
             plan.at = 5 * tickMs;
-            plan.crashNodes = {"node0", "node4"};
+            plan.crashedNodes = {"node0", "node4"};
             plan.crashStagger = 2 * tickMs;
             plan.downtime = 15 * tickMs;
             plan.lossProbability = 0.02;

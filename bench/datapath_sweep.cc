@@ -150,11 +150,14 @@ main(int argc, char **argv)
     const PathChoice choices[] = {
         {"kernel TCP", {}},
         {"kernel UDP", {net::DatapathKind::KernelUdp}},
-        {"bypass batch=1", {net::DatapathKind::Bypass, 1, 1, false, 0}},
+        {"bypass batch=1",
+         {.kind = net::DatapathKind::Bypass, .rxBatch = 1, .txBatch = 1}},
         {"bypass batch=32",
-         {net::DatapathKind::Bypass, 32, 32, false, 0}},
+         {.kind = net::DatapathKind::Bypass, .rxBatch = 32,
+          .txBatch = 32}},
         {"bypass b=32 +niccache",
-         {net::DatapathKind::Bypass, 32, 32, false, 4096}},
+         {.kind = net::DatapathKind::Bypass, .rxBatch = 32, .txBatch = 32,
+          .nicCacheEntries = 4096}},
     };
 
     bench::banner("Datapath shootout: 64 B GETs, A15 @1GHz Mercury "
@@ -194,8 +197,9 @@ main(int argc, char **argv)
                 ctx.printf("%s\n", bench::ruleString(50).c_str());
             }
             PathChoice choice{"batch",
-                              {net::DatapathKind::Bypass, batches[i],
-                               batches[i], false, 0}};
+                              {.kind = net::DatapathKind::Bypass,
+                               .rxBatch = batches[i],
+                               .txBatch = batches[i]}};
             brows[i] =
                 runRow(choice, requests, ctx,
                        "dp_batch" + std::to_string(batches[i]));
@@ -217,8 +221,9 @@ main(int argc, char **argv)
         net::DatapathParams datapath;
         double nicCacheMB;
     };
-    const net::DatapathParams bypass{net::DatapathKind::Bypass, 32,
-                                     32, false, 0};
+    const net::DatapathParams bypass{.kind = net::DatapathKind::Bypass,
+                                     .rxBatch = 32,
+                                     .txBatch = 32};
     const Frontier frontiers[] = {
         {"Mercury", StackMemory::Dram3D, "kernel", {}, 0.0},
         {"Mercury", StackMemory::Dram3D, "bypass+cache", bypass, 0.5},

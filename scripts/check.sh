@@ -5,9 +5,10 @@
 #   1. the asan-ubsan preset: configure, build (-Werror), full ctest
 #      under AddressSanitizer + UBSan with expensive invariant checks
 #      (MERCURY_EXTRA_CHECKS) compiled in;
-#   2. the tsan preset: golden + parallel-sweep determinism suites
-#      and the thread-pool unit tests under ThreadSanitizer (the
-#      `--jobs` machinery must be race-free, not just byte-stable);
+#   2. the tsan preset: golden + parallel-sweep determinism suites,
+#      the thread-pool unit tests and the StoreConcurrency cases under
+#      ThreadSanitizer (the `--jobs` machinery and the striped store
+#      must be race-free, not just byte-stable);
 #   3. the timeseries label (windowed-JSONL golden, --timeseries-out
 #      jobs-invariance, Chrome-trace exporter) under both the release
 #      and asan-ubsan builds;
@@ -144,7 +145,7 @@ if [ "$skip_build" -eq 0 ]; then
         exit 1
     fi
 
-    note "tsan: determinism + golden suites + thread-pool tests"
+    note "tsan: determinism + golden suites + thread tests"
     if ! cmake --preset tsan; then
         echo "check.sh: tsan configure failed" >&2
         exit 1
@@ -158,9 +159,10 @@ if [ "$skip_build" -eq 0 ]; then
         echo "check.sh: golden/determinism failed under tsan" >&2
         exit 1
     fi
-    if ! ./build/tsan/tests/test_sim \
-            --gtest_filter='ThreadPool.*'; then
-        echo "check.sh: thread-pool tests failed under tsan" >&2
+    if ! ctest --test-dir build/tsan \
+            -R '^(ThreadPool|StoreConcurrency)\.' --output-on-failure; then
+        echo "check.sh: thread-pool/store concurrency tests failed" \
+             "under tsan" >&2
         exit 1
     fi
 

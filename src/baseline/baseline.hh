@@ -6,9 +6,8 @@
  *
  * Per-core ceilings for the three software versions come from the
  * published numbers (0.41 MTPS on 6 cores, 0.52 MTPS on 4, 3.15
- * MTPS on 16), exactly as the paper cites them; our Xeon-class
- * simulation provides an independent sanity cross-check. Thread
- * scaling uses a Universal-Scalability-Law contention model whose
+ * MTPS on 16), exactly as the paper cites them. Thread scaling
+ * uses a Universal-Scalability-Law contention model whose
  * sigma reflects each version's locking design (global cache lock vs
  * striped locks + Bags), matching the qualitative analysis in
  * Sec. 3.6. Server wall power follows a base + per-core + per-GB fit

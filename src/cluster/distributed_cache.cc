@@ -24,7 +24,7 @@ DistributedCache::addNode()
     kvstore::StoreParams params = storeParams_;
     params.name = name;
     nodes_.push_back(
-        Node{name, std::make_unique<kvstore::Store>(params), true});
+        Node{name, std::make_unique<kvstore::Store>(params)});
     ring_.addNode(name);
     return name;
 }
@@ -55,41 +55,6 @@ DistributedCache::removeNode(const std::string &name)
     return true;
 }
 
-bool
-DistributedCache::crashNode(const std::string &name)
-{
-    Node *node = find(name);
-    if (!node || !node->up)
-        return false;
-    node->up = false;
-    return true;
-}
-
-bool
-DistributedCache::restartNode(const std::string &name)
-{
-    Node *node = find(name);
-    if (!node || node->up)
-        return false;
-    // The process restarts with an empty in-memory store: rebuild it
-    // so counters and slabs are cold too.
-    kvstore::StoreParams params = storeParams_;
-    params.name = name;
-    node->store = std::make_unique<kvstore::Store>(params);
-    node->up = true;
-    return true;
-}
-
-bool
-DistributedCache::isUp(const std::string &name) const
-{
-    for (const Node &node : nodes_) {
-        if (node.name == name)
-            return node.up;
-    }
-    return false;
-}
-
 DistributedCache::Node *
 DistributedCache::find(const std::string &name)
 {
@@ -100,28 +65,14 @@ DistributedCache::find(const std::string &name)
     return nullptr;
 }
 
-const DistributedCache::Node *
-DistributedCache::find(const std::string &name) const
-{
-    for (const Node &node : nodes_) {
-        if (node.name == name)
-            return &node;
-    }
-    return nullptr;
-}
-
-DistributedCache::Node *
+DistributedCache::Node &
 DistributedCache::ownerOf(std::string_view key)
 {
     const std::string &name = ring_.nodeFor(key);
     Node *node = find(name);
     if (!node)
         mercury_panic("ring returned unknown node ", name);
-    if (!node->up) {
-        ++topology_.downOps;
-        return nullptr;
-    }
-    return node;
+    return *node;
 }
 
 kvstore::Store &
@@ -136,25 +87,20 @@ DistributedCache::storeOf(const std::string &name)
 kvstore::GetResult
 DistributedCache::get(std::string_view key)
 {
-    Node *owner = ownerOf(key);
-    return owner ? owner->store->get(key) : kvstore::GetResult{};
+    return ownerOf(key).store->get(key);
 }
 
 kvstore::StoreStatus
 DistributedCache::set(std::string_view key, std::string_view value,
                       std::uint32_t flags, std::uint32_t ttl)
 {
-    Node *owner = ownerOf(key);
-    return owner ? owner->store->set(key, value, flags, ttl)
-                 : kvstore::StoreStatus::NotStored;
+    return ownerOf(key).store->set(key, value, flags, ttl);
 }
 
 kvstore::StoreStatus
 DistributedCache::remove(std::string_view key)
 {
-    Node *owner = ownerOf(key);
-    return owner ? owner->store->remove(key)
-                 : kvstore::StoreStatus::NotFound;
+    return ownerOf(key).store->remove(key);
 }
 
 std::vector<std::pair<std::string, std::size_t>>

@@ -4,13 +4,11 @@
  * behind a consistent-hash ring, memcached-cluster style. Every key
  * lives on its ring owner alone. Nodes share nothing; adding or
  * removing a node remaps only the affected arcs (and, as in real
- * memcached, remapped keys are simply lost until re-filled). A
- * crashed node's arcs stay on the ring and answer nothing until it
- * restarts cold.
+ * memcached, remapped keys are simply lost until re-filled).
  *
- * Replication (replica sets, hinted handoff, read repair) is
- * modelled once, in the timing simulation (ClusterSim), over
- * ConsistentHashRing::replicasFor.
+ * Node crashes and replication (replica sets, hinted handoff, read
+ * repair) are modelled once, in the timing simulation (ClusterSim),
+ * over ConsistentHashRing::replicasFor.
  */
 
 #ifndef MERCURY_CLUSTER_DISTRIBUTED_CACHE_HH
@@ -26,7 +24,7 @@
 namespace mercury::cluster
 {
 
-/** Bookkeeping of topology changes (removals and crashes). */
+/** Bookkeeping of node removals. */
 struct TopologyStats
 {
     /** Nodes removed from the ring so far. */
@@ -37,8 +35,6 @@ struct TopologyStats
     /** Sampled fraction of keys remapped by the last removal --
      * consistent hashing promises ~1/numNodes. */
     double lastRemapFraction = 0.0;
-    /** Operations that found the key's owner crashed. */
-    std::size_t downOps = 0;
 };
 
 class DistributedCache
@@ -53,16 +49,13 @@ class DistributedCache
                      const kvstore::StoreParams &store_params,
                      unsigned virtual_nodes = 40);
 
-    /** A miss when the key's owner is crashed. */
     kvstore::GetResult get(std::string_view key);
 
-    /** NotStored when the key's owner is crashed. */
     kvstore::StoreStatus set(std::string_view key,
                              std::string_view value,
                              std::uint32_t flags = 0,
                              std::uint32_t ttl = 0);
 
-    /** NotFound when the key's owner is crashed. */
     kvstore::StoreStatus remove(std::string_view key);
 
     /** Grow the cluster by one node. @return its name. */
@@ -72,20 +65,6 @@ class DistributedCache
      * topologyStats() with the item loss and the sampled remap
      * fraction measured before the ring shrank. */
     bool removeNode(const std::string &name);
-
-    /**
-     * Mark a node down (process crash). Its arcs stay on the ring --
-     * clients time out against it -- and its data is unreachable.
-     * @return false if unknown or already down.
-     */
-    bool crashNode(const std::string &name);
-
-    /** Bring a crashed node back with a cold cache, as a real
-     * memcached restart does. @return false if unknown or up. */
-    bool restartNode(const std::string &name);
-
-    /** @return false for crashed nodes and unknown names. */
-    bool isUp(const std::string &name) const;
 
     /** Failover order for a key (ring successors). */
     std::vector<std::string>
@@ -115,15 +94,12 @@ class DistributedCache
     {
         std::string name;
         std::unique_ptr<kvstore::Store> store;
-        bool up = true;
     };
 
     Node *find(const std::string &name);
-    const Node *find(const std::string &name) const;
 
-    /** The key's ring owner, or null (counted in downOps) when it
-     * is crashed. */
-    Node *ownerOf(std::string_view key);
+    /** The key's ring owner. */
+    Node &ownerOf(std::string_view key);
 
     kvstore::StoreParams storeParams_;
     ConsistentHashRing ring_;

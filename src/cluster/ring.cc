@@ -10,6 +10,20 @@
 namespace mercury::cluster
 {
 
+namespace
+{
+
+/** "k<id>": the key of one load-sampling draw. */
+std::string
+sampleKey(std::uint64_t id)
+{
+    std::string key = "k";
+    key.append(std::to_string(id));
+    return key;
+}
+
+} // anonymous namespace
+
 ConsistentHashRing::ConsistentHashRing(unsigned virtual_nodes)
     : virtualNodes_(virtual_nodes)
 {
@@ -192,7 +206,7 @@ ConsistentHashRing::sampleLoad(std::size_t samples,
         counts[node] = 0;
 
     for (std::size_t i = 0; i < samples; ++i) {
-        const std::string key = "k" + std::to_string(rng.next());
+        const std::string key = sampleKey(rng.next());
         ++counts[nodeFor(key)];
     }
 
@@ -230,7 +244,7 @@ ConsistentHashRing::remapFractionOnRemoval(const std::string &node,
     Rng rng(seed);
     std::size_t moved = 0;
     for (std::size_t i = 0; i < samples; ++i) {
-        const std::string key = "k" + std::to_string(rng.next());
+        const std::string key = sampleKey(rng.next());
         if (nodeFor(key) != without.nodeFor(key))
             ++moved;
     }

@@ -275,23 +275,6 @@ cortexA15Params(double freq_ghz)
     return p;
 }
 
-CoreParams
-xeonParams()
-{
-    CoreParams p;
-    p.name = "xeon";
-    p.type = CoreType::XeonClass;
-    p.freqGHz = 2.9;
-    p.issueIpc = 3.0;
-    p.outOfOrder = true;
-    p.mlpRandom = 6;
-    p.mlpSequential = 10;
-    // Per-core share of a 95 W 6-core Xeon package.
-    p.activePowerW = 15.8;
-    p.areaMm2 = 20.0;
-    return p;
-}
-
 mem::HierarchyParams
 defaultHierarchy(CoreType type, bool with_l2)
 {
@@ -307,12 +290,6 @@ defaultHierarchy(CoreType type, bool with_l2)
         hp.l1i = {"l1i", 32 * kiB, 2, 64, 1 * tickNs};
         hp.l1d = {"l1d", 32 * kiB, 2, 64, 1 * tickNs};
         hp.l2 = {"l2", 2 * miB, 16, 64, 25 * tickNs};
-        break;
-      case CoreType::XeonClass:
-        hp.l1i = {"l1i", 32 * kiB, 8, 64, 1 * tickNs};
-        hp.l1d = {"l1d", 32 * kiB, 8, 64, 1 * tickNs};
-        // Model the L2+L3 of a server part as one large L2.
-        hp.l2 = {"l2", 8 * miB, 16, 64, 12 * tickNs};
         break;
     }
     return hp;

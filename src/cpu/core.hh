@@ -6,7 +6,7 @@
  *
  *  - In-order cores (Cortex-A7): stall on every miss; modest issue
  *    rate. Cheap and dense -- the Mercury/Iridium building block.
- *  - Out-of-order cores (Cortex-A15, Xeon-class): higher sustained
+ *  - Out-of-order cores (Cortex-A15): higher sustained
  *    IPC and memory-level parallelism that overlaps independent
  *    misses, hiding memory latency until dependent chains dominate.
  *
@@ -28,7 +28,7 @@ namespace mercury::cpu
 {
 
 /** The core microarchitectures evaluated in the paper. */
-enum class CoreType { CortexA7, CortexA15, XeonClass };
+enum class CoreType { CortexA7, CortexA15 };
 
 /** Static configuration of a core timing model. */
 struct CoreParams
@@ -41,7 +41,7 @@ struct CoreParams
     /** Sustained instructions per cycle on cache-resident code. */
     double issueIpc = 1.0;
 
-    /** True for A15/Xeon-class machines. */
+    /** True for the A15. */
     bool outOfOrder = false;
 
     /** Maximum overlapped misses for independent random accesses. */
@@ -129,9 +129,6 @@ CoreParams cortexA7Params();
 
 /** ARM Cortex-A15: out-of-order; 600 mW @ 1 GHz or 1 W @ 1.5 GHz. */
 CoreParams cortexA15Params(double freq_ghz = 1.0);
-
-/** Xeon-class big core for the baseline 1.5U server. */
-CoreParams xeonParams();
 
 /** Default cache hierarchies per core type. @p with_l2 attaches the
  * paper's 2 MB L2. */

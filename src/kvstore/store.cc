@@ -1,9 +1,9 @@
 #include "kvstore/store.hh"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <new>
-#include <optional>
 
 #include "kvstore/hash.hh"
 #include "sim/logging.hh"
@@ -28,20 +28,21 @@ Store::Store(const StoreParams &params)
       table_(params.hashPower)
 {
     mercury_assert(params_.lockStripes >= 1, "need at least one stripe");
+    // Buckets and stripes both index by the low hash bits; a bucket's
+    // chain sits under one stripe only if the stripe count is a power
+    // of two no larger than the bucket count.
+    mercury_assert(params_.locking != LockingMode::Striped ||
+                       (std::has_single_bit(params_.lockStripes) &&
+                        params_.lockStripes <= table_.buckets()),
+                   "striped locking needs a power-of-two stripe count "
+                   "no larger than the bucket count");
     policies_.reserve(slabs_.numClasses());
     for (unsigned cls = 0; cls < slabs_.numClasses(); ++cls) {
-        switch (params_.eviction) {
-          case EvictionPolicyKind::Bags:
+        if (params_.eviction == EvictionPolicyKind::Bags)
             policies_.push_back(
                 std::make_unique<BagLru>(params_.bagAgeSeconds));
-            break;
-          case EvictionPolicyKind::Segmented:
-            policies_.push_back(std::make_unique<SegmentedLru>());
-            break;
-          default:
+        else
             policies_.push_back(std::make_unique<StrictLru>());
-            break;
-        }
     }
     stripes_.reserve(params_.lockStripes);
     for (unsigned i = 0; i < params_.lockStripes; ++i)
@@ -89,15 +90,41 @@ struct Store::StripeLock
             store.params_.locking == LockingMode::Global ||
             store.params_.eviction != EvictionPolicyKind::Bags;
         if (mutation || whole_store)
-            alloc.emplace(store.allocMutex_);
-        if (store.params_.locking == LockingMode::Striped) {
-            stripe.emplace(*store.stripes_[store.stripeOf(hash)]);
-        }
+            alloc = std::unique_lock<std::recursive_mutex>(
+                store.allocMutex_);
+        if (store.params_.locking != LockingMode::Striped)
+            return;
+        if (mutation && store.table_.mutationMayRestructure())
+            allStripes = store.lockAllStripes();
+        else
+            stripe = std::unique_lock<std::recursive_mutex>(
+                *store.stripes_[store.stripeOf(hash)]);
     }
 
-    std::optional<std::unique_lock<std::recursive_mutex>> alloc;
-    std::optional<std::unique_lock<std::recursive_mutex>> stripe;
+    std::unique_lock<std::recursive_mutex> alloc;
+    std::unique_lock<std::recursive_mutex> stripe;
+    std::vector<std::unique_lock<std::recursive_mutex>> allStripes;
 };
+
+/**
+ * Doubling the hash table or migrating its buckets moves chains of
+ * every stripe, and a Bags + Striped GET holds only its own stripe. So
+ * a mutation that may do either (HashTable::mutationMayRestructure)
+ * takes every stripe, in index order and before any other, as
+ * memcached switches to global item locks while it expands. The
+ * caller holds allocMutex_, which serializes all mutations: the table
+ * cannot start restructuring after the check, since within one
+ * mutation only its last insert can start an expansion.
+ */
+std::vector<std::unique_lock<std::recursive_mutex>>
+Store::lockAllStripes()
+{
+    std::vector<std::unique_lock<std::recursive_mutex>> held;
+    held.reserve(stripes_.size());
+    for (auto &stripe : stripes_)
+        held.emplace_back(*stripe);
+    return held;
+}
 
 void
 Store::destroyItem(Item *item)
@@ -504,6 +531,12 @@ Store::housekeeping(unsigned reap_limit)
 {
     std::lock_guard<std::recursive_mutex> guard(allocMutex_);
     const std::uint32_t now = clock_.load();
+    // Reaping removes items, and a remove migrates buckets while the
+    // table expands.
+    std::vector<std::unique_lock<std::recursive_mutex>> all_stripes;
+    if (params_.locking == LockingMode::Striped &&
+        table_.mutationMayRestructure())
+        all_stripes = lockAllStripes();
 
     unsigned reaped = 0;
     for (auto &policy : policies_) {

@@ -201,6 +201,9 @@ class Store
   private:
     struct StripeLock;
 
+    /** Every hash stripe, in index order. @pre alloc lock held. */
+    std::vector<std::unique_lock<std::recursive_mutex>> lockAllStripes();
+
     bool itemDead(const Item *item) const;
 
     /** Allocate a chunk for a class, evicting as needed.

@@ -184,14 +184,6 @@ struct HierarchyParams
     /** Present only when hasL2 is true. */
     bool hasL2 = false;
     CacheParams l2{"l2", 2 * miB, 8, 64, 20 * tickNs};
-
-    /**
-     * Write-through stores: every store is also forwarded to the
-     * backing device synchronously and lines are never dirty. Used
-     * for the Iridium stack, where there is no DRAM to hold dirty
-     * state and every persistent write must program flash.
-     */
-    bool writeThroughStores = false;
 };
 
 /**
@@ -300,33 +292,16 @@ CacheHierarchy::access(CpuAccessKind kind, Addr addr, Tick now)
         kind == CpuAccessKind::IFetch ? l1iMisses_ : l1dMisses_;
 
     const bool store = kind == CpuAccessKind::Store;
-    const bool write_through = store && params_.writeThroughStores;
     const Tick after_l1 = now + l1.params().hitLatency;
 
     const SetAssocCache::Probe probe = l1.probe(addr);
     if (probe.hit) {
         ++hits;
-        l1.touch(probe, store && !write_through);
-        if (write_through) {
-            ++memAccesses_;
-            const Tick done = memory_->access(
-                AccessType::Write, addr, l1.params().lineBytes,
-                after_l1);
-            return {done, ServicedBy::Memory};
-        }
+        l1.touch(probe, store);
         return {after_l1, ServicedBy::L1};
     }
 
     ++misses;
-    if (write_through) {
-        // No write-allocate in write-through mode: the store goes
-        // straight to the device.
-        ++memAccesses_;
-        const Tick done = memory_->access(AccessType::Write, addr,
-                                          l1.params().lineBytes,
-                                          after_l1);
-        return {done, ServicedBy::Memory};
-    }
     const AccessResult below = fillFromBelow(addr, store, after_l1);
 
     // Nothing below L1 changes l1, so its probe still holds.

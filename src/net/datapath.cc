@@ -5,28 +5,6 @@
 namespace mercury::net
 {
 
-std::uint64_t
-flowHash(std::string_view key)
-{
-    // FNV-1a, the same construction the fault/timeline digests use.
-    std::uint64_t h = 14695981039346656037ull;
-    for (const char c : key) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-unsigned
-rssQueueFor(std::uint64_t flow_hash, unsigned queues)
-{
-    MERCURY_EXPECTS(queues > 0, "RSS needs at least one queue");
-    // Fold the high bits in so consecutive hashes spread even when
-    // the queue count is a power of two.
-    return static_cast<unsigned>((flow_hash ^ (flow_hash >> 32)) %
-                                 queues);
-}
-
 NicGetCache::NicGetCache(const DatapathParams &params,
                          stats::StatGroup *parent,
                          const std::string &name)

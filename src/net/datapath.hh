@@ -1,11 +1,10 @@
 /**
  * @file
  * Kernel-bypass datapath model: poll-mode UDP fast path with RX/TX
- * descriptor batching, RSS flow steering, and a LaKe-style on-NIC
- * GET cache.
+ * descriptor batching, and a LaKe-style on-NIC GET cache.
  *
  * The paper's Fig. 4 charges 87-97 % of a small GET to the Linux
- * network stack. This module models the three standard ways that
+ * network stack. This module models two standard ways that
  * time is bought back:
  *
  *  - DatapathKind::Bypass swaps the per-packet kernel path for a
@@ -14,13 +13,6 @@
  *    amortized over rxBatch/txBatch packets. The CPU-side costs
  *    live in server::Calibration (bypass* fields); this header only
  *    carries the knobs.
- *
- *  - rss steers flows to per-core NIC RX queues (Toeplitz-style
- *    hash over the flow identity), so the multi-core stack walk
- *    models n independent queues instead of one shared softirq
- *    path. rssQueueFor() is the steering function; it must be a
- *    pure function of (flow hash, queue count) so runs stay
- *    deterministic.
  *
  *  - NicGetCache is a small NIC-resident LRU that answers hot GETs
  *    at wire latency without waking a core (LaKe, PAPERS.md). SETs
@@ -72,10 +64,6 @@ struct DatapathParams
     /** TX descriptors published per doorbell (bypass). */
     unsigned txBatch = 1;
 
-    /** Steer flows to per-core NIC RX queues in StackSimulation
-     * instead of sharing one softirq path. */
-    bool rss = false;
-
     /** On-NIC GET cache capacity in entries; 0 disables the cache
      * entirely (no lookup, no stats, no timing change). */
     unsigned nicCacheEntries = 0;
@@ -104,13 +92,6 @@ struct DatapathParams
         return nicCacheEntries > 0;
     }
 };
-
-/** FNV-1a flow/key hash used for RSS steering. */
-std::uint64_t flowHash(std::string_view key);
-
-/** RSS indirection: which RX queue a flow lands on. Pure function
- * of the hash and queue count (deterministic across runs). */
-unsigned rssQueueFor(std::uint64_t flow_hash, unsigned queues);
 
 /**
  * Deterministic NIC-resident GET cache: LRU over (key -> value)

@@ -54,7 +54,7 @@ NetworkPath::NetworkPath(const NetParams &params,
       bufferDrops_(&statGroup_, "bufferDrops",
                    "packets overflowing the MAC buffer"),
       drops_(&statGroup_, "packetDrops",
-             "packets dropped (loss + buffer overflow)"),
+             "packets lost on the wire"),
       retransmits_(&statGroup_, "retransmits",
                    "TCP segments retransmitted"),
       rtoTicks_(&statGroup_, "rtoTicks",
@@ -99,16 +99,14 @@ NetworkPath::deliver(std::uint64_t payload_bytes, Tick now)
     if (clamped > peakBuffer_.value())
         peakBuffer_ = static_cast<double>(clamped);
 
-    unsigned overflow_packets = 0;
     if (occupancy > params_.macBufferBytes) {
         const std::uint64_t overflow =
             occupancy - params_.macBufferBytes;
         const std::uint64_t per_packet =
             params_.mss + params_.perPacketOverhead;
-        overflow_packets = static_cast<unsigned>(
+        bufferDrops_ += static_cast<double>(
             std::min<std::uint64_t>(
                 n, (overflow + per_packet - 1) / per_packet));
-        bufferDrops_ += static_cast<double>(overflow_packets);
     }
 
     const Tick start = std::max(now, linkBusyUntil_);
@@ -123,40 +121,23 @@ NetworkPath::deliver(std::uint64_t payload_bytes, Tick now)
     // injector is attached, keeping fault-free runs bit-identical.
     Tick penalty = 0;
     std::uint64_t retrans_wire = 0;
-    if (faults_ != nullptr) {
-        if (params_.lossProbability > 0.0) {
-            const std::vector<unsigned> sizes =
-                segmenter_.segmentSizes(payload_bytes);
-            for (unsigned i = 0; i < n; ++i) {
-                Tick rto = params_.rtoMin;
-                unsigned attempt = 0;
-                while (attempt < params_.maxRetransmits &&
-                       faults_->roll(params_.lossProbability)) {
-                    ++result.drops;
-                    ++result.retransmits;
-                    faults_->record(now, fault::FaultKind::PacketLoss,
-                                    name(), i);
-                    penalty += rto;
-                    rto *= 2;
-                    retrans_wire += sizes[i] +
-                                    params_.perPacketOverhead;
-                    ++attempt;
-                }
+    if (faults_ != nullptr && params_.lossProbability > 0.0) {
+        const std::vector<unsigned> sizes =
+            segmenter_.segmentSizes(payload_bytes);
+        for (unsigned i = 0; i < n; ++i) {
+            Tick rto = params_.rtoMin;
+            unsigned attempt = 0;
+            while (attempt < params_.maxRetransmits &&
+                   faults_->roll(params_.lossProbability)) {
+                ++result.drops;
+                ++result.retransmits;
+                faults_->record(now, fault::FaultKind::PacketLoss,
+                                name(), i);
+                penalty += rto;
+                rto *= 2;
+                retrans_wire += sizes[i] + params_.perPacketOverhead;
+                ++attempt;
             }
-        }
-        if (params_.dropOnOverflow && overflow_packets > 0) {
-            // Overflowed packets are dropped and resent after one
-            // RTO; by then the buffer has drained, so one
-            // retransmission suffices.
-            result.bufferDrops = overflow_packets;
-            result.drops += overflow_packets;
-            result.retransmits += overflow_packets;
-            faults_->record(now, fault::FaultKind::MacBufferDrop,
-                            name(), overflow_packets);
-            penalty += params_.rtoMin;
-            retrans_wire +=
-                static_cast<std::uint64_t>(overflow_packets) *
-                (params_.mss + params_.perPacketOverhead);
         }
     }
 

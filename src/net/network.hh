@@ -73,12 +73,6 @@ struct NetParams
     /** Retransmission attempts per segment before giving up; each
      * consecutive loss doubles the RTO (exponential backoff). */
     unsigned maxRetransmits = 6;
-
-    /** Enforce macBufferBytes by dropping overflowing packets (they
-     * then pay the retransmission path). Off by default: fault-free
-     * runs only *account* occupancy and overflow, preserving
-     * bit-identical timing with pre-fault builds. */
-    bool dropOnOverflow = false;
 };
 
 /**
@@ -111,12 +105,10 @@ struct DeliveryResult
     Tick completion = 0;
     unsigned packets = 0;
     std::uint64_t wireBytes = 0;
-    /** Segments lost on the wire or to MAC buffer overflow. */
+    /** Segments lost on the wire. */
     unsigned drops = 0;
     /** Segments sent again (every drop that was retried). */
     unsigned retransmits = 0;
-    /** Of the drops, those caused by MAC buffer overflow. */
-    unsigned bufferDrops = 0;
 };
 
 /**
@@ -168,8 +160,8 @@ class NetworkPath : public SimObject
         return static_cast<std::uint64_t>(peakBuffer_.value());
     }
 
-    /** Packets the MAC buffer could not hold (counted in fault-free
-     * runs too; only *dropped* with dropOnOverflow). */
+    /** Packets the MAC buffer could not hold. Only counted: the
+     * timing never drops them. */
     std::uint64_t bufferDropPackets() const
     {
         return static_cast<std::uint64_t>(bufferDrops_.value());
@@ -187,8 +179,8 @@ class NetworkPath : public SimObject
 
     /**
      * Attach a fault injector; nullptr detaches. Packet-loss rolls
-     * and overflow drops only happen while one is attached, so paths
-     * without an injector stay bit-identical to pre-fault builds.
+     * only happen while one is attached, so paths without an injector
+     * stay bit-identical to pre-fault builds.
      */
     void setFaultInjector(fault::FaultInjector *injector)
     {

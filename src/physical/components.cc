@@ -13,8 +13,6 @@ ComponentCatalog::corePowerW(const cpu::CoreParams &core) const
         return a7PowerW;
       case cpu::CoreType::CortexA15:
         return core.freqGHz > 1.25 ? a15PowerW15GHz : a15PowerW1GHz;
-      case cpu::CoreType::XeonClass:
-        return core.activePowerW;
     }
     mercury_panic("unknown core type");
 }
@@ -27,8 +25,6 @@ ComponentCatalog::coreAreaMm2(const cpu::CoreParams &core) const
         return a7AreaMm2;
       case cpu::CoreType::CortexA15:
         return a15AreaMm2;
-      case cpu::CoreType::XeonClass:
-        return core.areaMm2;
     }
     mercury_panic("unknown core type");
 }

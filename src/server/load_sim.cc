@@ -77,8 +77,7 @@ LoadSimulation::run(double offered_tps)
         // request has arrived.
         node_.advanceTo(arrival);
         const std::string key =
-            "v" + std::to_string(params_.valueBytes) + ":" +
-            std::to_string(rng.nextInt(keys_));
+            ServerModel::keyFor(params_.valueBytes, rng.nextInt(keys_));
         if (sampler) {
             sampler->advanceTo(arrival);
             sampler->count(ch_requests);

@@ -236,10 +236,17 @@ ServerModel::dataDevice()
 }
 
 std::string
-ServerModel::keyFor(std::uint32_t value_bytes, unsigned index) const
+ServerModel::keyFor(std::uint32_t value_bytes, std::uint64_t index)
 {
-    return "v" + std::to_string(value_bytes) + ":" +
-           std::to_string(index);
+    const std::string size = std::to_string(value_bytes);
+    const std::string id = std::to_string(index);
+    std::string key;
+    key.reserve(size.size() + id.size() + 2);
+    key.push_back('v');
+    key.append(size);
+    key.push_back(':');
+    key.append(id);
+    return key;
 }
 
 unsigned
@@ -886,9 +893,7 @@ ServerModel::measure(bool puts, std::uint32_t value_bytes,
     Tick span_begin = 0;
 
     for (unsigned i = 0; i < warmup + samples; ++i) {
-        const std::string key =
-            keyFor(value_bytes, static_cast<unsigned>(
-                                    rng_.nextInt(keys)));
+        const std::string key = keyFor(value_bytes, rng_.nextInt(keys));
         if (i == warmup) {
             span_begin = cursor_;
             // From here the window histograms hold exactly the

@@ -1,7 +1,7 @@
 /**
  * @file
- * End-to-end timing model of a single-core Mercury/Iridium (or
- * baseline Xeon) server node running the functional key-value store.
+ * End-to-end timing model of a single-core Mercury/Iridium server
+ * node running the functional key-value store.
  *
  * A request is simulated as: client -> wire -> NIC -> per-packet
  * network-stack processing -> hash -> store metadata walk (driven by
@@ -76,9 +76,9 @@ struct ServerModelParams
     net::NetParams net{};
 
     /** Datapath configuration: the GET path (kernel TCP, kernel UDP
-     * or the poll-mode batched bypass), RSS steering (consumed by
-     * StackSimulation) and the on-NIC GET cache. All defaults off;
-     * the default reproduces the kernel TCP path bit-for-bit. */
+     * or the poll-mode batched bypass) and the on-NIC GET cache. All
+     * defaults off; the default reproduces the kernel TCP path
+     * bit-for-bit. */
     net::DatapathParams datapath{};
 
     /** Eviction/locking of the store instance on this core. */
@@ -237,6 +237,12 @@ class ServerModel
      */
     unsigned populate(unsigned num_keys, std::uint32_t value_bytes);
 
+    /** Key of the @p index-th value in populate()'s per-size
+     * namespace: "v<value_bytes>:<index>". Load generators draw
+     * their keys from the same namespace. */
+    static std::string keyFor(std::uint32_t value_bytes,
+                              std::uint64_t index);
+
     /** One timed GET for a previously populated key. */
     RequestTiming get(const std::string &key);
 
@@ -358,8 +364,6 @@ class ServerModel
 
     Measurement measure(bool puts, std::uint32_t value_bytes,
                         unsigned samples, unsigned warmup);
-
-    std::string keyFor(std::uint32_t value_bytes, unsigned index) const;
 
     /** Namespace bookkeeping for populated working sets. */
     unsigned populatedKeys(std::uint32_t value_bytes) const;

@@ -33,33 +33,15 @@ StackSimulation::StackSimulation(const StackSimParams &params)
         shared.flash = flash_.get();
     }
 
-    // Without RSS all cores funnel through one shared path pair
-    // (the kernel's single softirq/NAPI context). With RSS the NIC
-    // hashes flows to per-core RX queues, so each core gets its own
-    // pair below; the port itself interleaves packets at wire rate,
-    // which is faithful while aggregate load stays under the port
-    // rate (true at the small-GET operating points RSS targets).
-    if (!node.datapath.rss) {
-        net::NetParams np = node.net;
-        np.name = "stack.c2s";
-        c2s_ = std::make_unique<net::NetworkPath>(np);
-        np.name = "stack.s2c";
-        s2c_ = std::make_unique<net::NetworkPath>(np);
-        shared.clientToServer = c2s_.get();
-        shared.serverToClient = s2c_.get();
-    } else {
-        rxQueuesC2s_.reserve(params_.cores);
-        rxQueuesS2c_.reserve(params_.cores);
-        for (unsigned i = 0; i < params_.cores; ++i) {
-            net::NetParams qp = node.net;
-            qp.name = "stack.rxq" + std::to_string(i) + ".c2s";
-            rxQueuesC2s_.push_back(
-                std::make_unique<net::NetworkPath>(qp));
-            qp.name = "stack.rxq" + std::to_string(i) + ".s2c";
-            rxQueuesS2c_.push_back(
-                std::make_unique<net::NetworkPath>(qp));
-        }
-    }
+    // All cores funnel through one shared path pair (the kernel's
+    // single softirq/NAPI context).
+    net::NetParams np = node.net;
+    np.name = "stack.c2s";
+    c2s_ = std::make_unique<net::NetworkPath>(np);
+    np.name = "stack.s2c";
+    s2c_ = std::make_unique<net::NetworkPath>(np);
+    shared.clientToServer = c2s_.get();
+    shared.serverToClient = s2c_.get();
 
     // Size each core's store to its slice.
     const std::uint64_t fixed_overhead = 32 * miB;
@@ -82,14 +64,8 @@ StackSimulation::StackSimulation(const StackSimParams &params)
         core_params.name = "stack.core" + std::to_string(i);
         core_params.seed = node.seed + i;
         core_params.sliceBase = sliceBaseFor(i);
-        SharedStackDevices core_shared = shared;
-        if (node.datapath.rss) {
-            core_shared.clientToServer = rxQueuesC2s_[i].get();
-            core_shared.serverToClient = rxQueuesS2c_[i].get();
-        }
         cores_.push_back(
-            std::make_unique<ServerModel>(core_params,
-                                          &core_shared));
+            std::make_unique<ServerModel>(core_params, &shared));
     }
 
     // Reference single-core node with private devices.
@@ -125,53 +101,21 @@ StackSimulation::run()
         core->populate(keys, size);
     reference_->populate(keys, size);
 
-    // With RSS each core serves only the flows the NIC hash steers
-    // to its queue: partition the key space by rssQueueFor. (A core
-    // with an empty partition keeps key 0 so the closed loop always
-    // has work; it cannot happen with the key counts above.)
-    const bool rss = params_.node.datapath.rss;
-    std::vector<std::vector<unsigned>> steered;
-    if (rss) {
-        steered.resize(params_.cores);
-        for (unsigned k = 0; k < keys; ++k) {
-            const std::string key =
-                "v" + std::to_string(size) + ":" + std::to_string(k);
-            steered[net::rssQueueFor(net::flowHash(key),
-                                     params_.cores)]
-                .push_back(k);
-        }
-        for (auto &part : steered) {
-            if (part.empty())
-                part.push_back(0);
-        }
-    }
-
     struct CoreState
     {
         ServerModel *model;
         Rng rng;
-        unsigned index = 0;
         unsigned done = 0;
         Tick measureStart = 0;
     };
     std::vector<CoreState> states;
     states.reserve(cores_.size());
     for (std::size_t i = 0; i < cores_.size(); ++i)
-        states.push_back({cores_[i].get(), Rng(1000 + i),
-                          static_cast<unsigned>(i), 0, 0});
+        states.push_back({cores_[i].get(), Rng(1000 + i), 0, 0});
 
     auto issue = [&](CoreState &state) {
-        unsigned key_index;
-        if (rss) {
-            const auto &part = steered[state.index];
-            key_index = part[static_cast<std::size_t>(
-                state.rng.nextInt(part.size()))];
-        } else {
-            key_index =
-                static_cast<unsigned>(state.rng.nextInt(keys));
-        }
-        const std::string key = "v" + std::to_string(size) + ":" +
-                                std::to_string(key_index);
+        const std::string key =
+            ServerModel::keyFor(size, state.rng.nextInt(keys));
         if (state.rng.nextBool(params_.getFraction))
             state.model->get(key);
         else
@@ -230,14 +174,12 @@ StackSimulation::run()
     // Reference single-core throughput for the linear prediction.
     Rng ref_rng(555);
     for (unsigned i = 0; i < warmup; ++i) {
-        reference_->get("v" + std::to_string(size) + ":" +
-                        std::to_string(ref_rng.nextInt(keys)));
+        reference_->get(ServerModel::keyFor(size, ref_rng.nextInt(keys)));
     }
     const Tick ref_begin = reference_->now();
     for (unsigned i = 0; i < params_.requestsPerCore; ++i) {
         const std::string key =
-            "v" + std::to_string(size) + ":" +
-            std::to_string(ref_rng.nextInt(keys));
+            ServerModel::keyFor(size, ref_rng.nextInt(keys));
         if (ref_rng.nextBool(params_.getFraction))
             reference_->get(key);
         else
@@ -254,17 +196,7 @@ StackSimulation::run()
     result.linearPredictionTps = ref_tps * params_.cores;
     result.scalingEfficiency =
         result.aggregateTps / result.linearPredictionTps;
-    if (rss) {
-        // Per-queue paths share the one physical port: the port's
-        // utilization is the sum of its queues' offered loads.
-        double util = 0.0;
-        for (const auto &queue : rxQueuesS2c_)
-            util += queue->utilization(span);
-        result.nicUtilization = std::min(1.0, util);
-        result.rxQueues = params_.cores;
-    } else {
-        result.nicUtilization = s2c_->utilization(span);
-    }
+    result.nicUtilization = s2c_->utilization(span);
     return result;
 }
 

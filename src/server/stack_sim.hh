@@ -45,11 +45,8 @@ struct StackSimResult
     double linearPredictionTps = 0.0;
     /** aggregate / prediction; 1.0 = perfectly linear. */
     double scalingEfficiency = 0.0;
-    /** Utilization of the stack's 10GbE port during the run
-     * (summed over RX queues when RSS is on, clamped to 1). */
+    /** Utilization of the stack's 10GbE port during the run. */
     double nicUtilization = 0.0;
-    /** NIC RX queues the run modeled (cores when RSS is on). */
-    unsigned rxQueues = 1;
 };
 
 class StackSimulation
@@ -68,15 +65,12 @@ class StackSimulation
 
     StackSimParams params_;
 
-    // Shared stack devices. Without RSS every core shares one
-    // c2s_/s2c_ pair (the kernel softirq path); with RSS each core
-    // owns a per-queue pair in rxQueues*_ instead.
+    // Shared stack devices. Every core shares one c2s_/s2c_ pair
+    // (the kernel softirq path).
     std::unique_ptr<mem::DramModel> dram_;
     std::unique_ptr<mem::FlashController> flash_;
     std::unique_ptr<net::NetworkPath> c2s_;
     std::unique_ptr<net::NetworkPath> s2c_;
-    std::vector<std::unique_ptr<net::NetworkPath>> rxQueuesC2s_;
-    std::vector<std::unique_ptr<net::NetworkPath>> rxQueuesS2c_;
 
     std::vector<std::unique_ptr<ServerModel>> cores_;
     std::unique_ptr<ServerModel> reference_;

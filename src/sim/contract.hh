@@ -29,9 +29,7 @@
 #ifndef MERCURY_SIM_CONTRACT_HH
 #define MERCURY_SIM_CONTRACT_HH
 
-#include <sstream>
 #include <string>
-#include <utility>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -80,25 +78,6 @@ class ScopedContractThrow
 [[noreturn]] void fail(Kind kind, const char *cond, const char *file,
                        int line, const std::string &message);
 
-namespace detail
-{
-
-/** Fold any streamable arguments into one string ("" for none). */
-template <typename... Args>
-std::string
-concat(Args &&...args)
-{
-    if constexpr (sizeof...(Args) == 0) {
-        return {};
-    } else {
-        std::ostringstream os;
-        (os << ... << std::forward<Args>(args));
-        return os.str();
-    }
-}
-
-} // namespace detail
-
 } // namespace mercury::contract
 
 #define MERCURY_CONTRACT_CHECK_(kind, cond, ...)                            \
@@ -106,7 +85,7 @@ concat(Args &&...args)
         if (!(cond)) {                                                      \
             ::mercury::contract::fail(                                      \
                 kind, #cond, __FILE__, __LINE__,                            \
-                ::mercury::contract::detail::concat(__VA_ARGS__));          \
+                ::mercury::detail::concat(__VA_ARGS__));                    \
         }                                                                   \
     } while (0)
 

@@ -175,7 +175,7 @@ void
 scheduleBadDay(FaultInjector &injector, const BadDayPlan &plan)
 {
     Tick when = plan.at;
-    for (const std::string &victim : plan.crashNodes) {
+    for (const std::string &victim : plan.crashedNodes) {
         injector.schedule(when, FaultKind::NodeCrash, victim);
         if (plan.downtime > 0) {
             injector.schedule(when + plan.downtime,

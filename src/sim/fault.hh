@@ -43,7 +43,10 @@ namespace mercury::fault
 enum class FaultKind : std::uint8_t
 {
     PacketLoss,       ///< wire/NIC dropped a TCP segment
-    MacBufferDrop,    ///< NIC MAC buffer overflowed
+    /** NIC MAC buffer overflowed. No model records it; it stays
+     * because timelineDigest() folds the numeric kind, and removing
+     * it would renumber every later kind. */
+    MacBufferDrop,
     FlashProgramFail, ///< page program failed (page burned)
     FlashBadBlock,    ///< block retired (grown bad block)
     NodeCrash,        ///< cluster node process died
@@ -196,7 +199,7 @@ struct BadDayPlan
     Tick at = 0;
 
     /** Nodes that crash, in order; empty for a crash-free plan. */
-    std::vector<std::string> crashNodes;
+    std::vector<std::string> crashedNodes;
 
     /** Deterministic gap between consecutive crashes. */
     Tick crashStagger = 0;

@@ -38,14 +38,19 @@ void log(LogLevel level, const std::string &message);
 /** True while a ScopedLogCapture has switched fatal paths to throw. */
 bool logThrowModeActive();
 
-/** Fold any streamable arguments into a single string. */
+/** Fold any streamable arguments into a single string ("" for
+ * none). */
 template <typename... Args>
 std::string
 concat(Args &&...args)
 {
-    std::ostringstream os;
-    (os << ... << std::forward<Args>(args));
-    return os.str();
+    if constexpr (sizeof...(Args) == 0) {
+        return {};
+    } else {
+        std::ostringstream os;
+        (os << ... << std::forward<Args>(args));
+        return os.str();
+    }
 }
 
 } // namespace detail

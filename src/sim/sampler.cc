@@ -36,16 +36,6 @@ Sampler::addCounter(std::string name)
 }
 
 std::size_t
-Sampler::watch(const Counter &stat, std::string name)
-{
-    const std::size_t index =
-        addChannel(Kind::Watch, std::move(name));
-    channels_[index].watched = &stat;
-    channels_[index].a = stat.value();
-    return index;
-}
-
-std::size_t
 Sampler::addRatio(std::string name, std::size_t numerator,
                   std::size_t denominator, double when_empty)
 {
@@ -56,8 +46,7 @@ Sampler::addRatio(std::string name, std::size_t numerator,
                        channels_[denominator].kind != Kind::Ratio &&
                        channels_[numerator].kind != Kind::Latency &&
                        channels_[denominator].kind != Kind::Latency,
-                   "ratio channels must reference counter or watch "
-                   "channels");
+                   "ratio channels must reference counter channels");
     const std::size_t index =
         addChannel(Kind::Ratio, std::move(name));
     channels_[index].a = numerator;
@@ -118,12 +107,6 @@ Sampler::closeWindow()
             channel.window = channel.a;
             channel.a = 0;
             break;
-          case Kind::Watch: {
-            const std::uint64_t now = channel.watched->value();
-            channel.window = now - channel.a;
-            channel.a = now;
-            break;
-          }
           case Kind::Ratio:
           case Kind::Latency:
             break;
@@ -152,7 +135,6 @@ Sampler::closeWindow()
     for (Channel &channel : channels_) {
         switch (channel.kind) {
           case Kind::Count:
-          case Kind::Watch:
             json::appendKey(line_, first, channel.name);
             json::appendUint(line_, channel.window);
             break;

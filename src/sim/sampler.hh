@@ -62,16 +62,9 @@ class Sampler
      * window; the close emits the window's total and resets it. */
     std::size_t addCounter(std::string name);
 
-    /** Snapshot channel: at every window close the watched registry
-     * counter is read and the delta against the previous close is
-     * emitted. Reading is pure observation; the counter's owner is
-     * never touched. The counter must outlive the sampler's last
-     * window close. */
-    std::size_t watch(const Counter &stat, std::string name);
-
     /**
      * Derived per-window ratio of two previously registered
-     * counter/watch channels' window values, emitted with a fixed
+     * counter channels' window values, emitted with a fixed
      * "%.6f" format. Windows where the denominator is zero emit
      * @p when_empty (e.g. 1.0 for availability: an idle window is
      * a fully available one).
@@ -125,21 +118,19 @@ class Sampler
     void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
   private:
-    enum class Kind : std::uint8_t { Count, Watch, Ratio, Latency };
+    enum class Kind : std::uint8_t { Count, Ratio, Latency };
 
     struct Channel
     {
         Kind kind;
         std::string name;
-        /** Count/Watch: accumulated / last-snapshot value.
-         * Ratio: numerator channel. Latency: histogram index. */
+        /** Count: accumulated value. Ratio: numerator channel.
+         * Latency: histogram index. */
         std::uint64_t a = 0;
         /** Ratio: denominator channel. */
         std::uint64_t b = 0;
         /** Ratio: emitted when the denominator's window is zero. */
         double whenEmpty = 0.0;
-        /** Watch: the registry counter being snapshot. */
-        const Counter *watched = nullptr;
         /** Scratch: this window's value, filled at close. */
         std::uint64_t window = 0;
     };

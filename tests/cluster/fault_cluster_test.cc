@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the cluster-layer fault model: crash/restart semantics,
+ * Tests for the cluster-layer fault model: ring failover order,
  * removal bookkeeping, client retry/failover, and whole-simulation
  * determinism under a fixed fault seed.
  */
@@ -71,60 +71,7 @@ TEST(ConsistentHashRing, RemapFractionNearOneOverN)
     }
 }
 
-// --- DistributedCache crash/restart ---------------------------------
-
-TEST(DistributedCache, CrashMakesOwnedKeysUnavailable)
-{
-    DistributedCache cache(4, nodeParams());
-    for (int i = 0; i < 400; ++i)
-        cache.set("k" + std::to_string(i), "v");
-
-    ASSERT_TRUE(cache.crashNode("node1"));
-    EXPECT_FALSE(cache.isUp("node1"));
-    EXPECT_TRUE(cache.isUp("node0"));
-    // Crashing again or crashing garbage fails.
-    EXPECT_FALSE(cache.crashNode("node1"));
-    EXPECT_FALSE(cache.crashNode("nonesuch"));
-
-    int hits = 0;
-    for (int i = 0; i < 400; ++i)
-        hits += cache.get("k" + std::to_string(i)).hit ? 1 : 0;
-    // Its arc answers nothing; the other nodes are untouched.
-    EXPECT_LT(hits, 400);
-    EXPECT_GT(hits, 200);
-    EXPECT_GT(cache.topologyStats().downOps, 0u);
-
-    // Writes against the dead owner fail too.
-    EXPECT_EQ(cache.numNodes(), 4u);
-}
-
-TEST(DistributedCache, RestartComesBackCold)
-{
-    DistributedCache cache(4, nodeParams());
-    for (int i = 0; i < 400; ++i)
-        cache.set("k" + std::to_string(i), "v");
-    const std::size_t before = cache.storeOf("node2").itemCount();
-    ASSERT_GT(before, 0u);
-
-    ASSERT_TRUE(cache.crashNode("node2"));
-    EXPECT_FALSE(cache.restartNode("node0"));  // not down
-    ASSERT_TRUE(cache.restartNode("node2"));
-    EXPECT_TRUE(cache.isUp("node2"));
-
-    // The restarted process lost its store; clients can re-fill.
-    EXPECT_EQ(cache.storeOf("node2").itemCount(), 0u);
-    int refilled = 0;
-    for (int i = 0; i < 400; ++i) {
-        const std::string key = "k" + std::to_string(i);
-        if (!cache.get(key).hit &&
-            cache.set(key, "v") == kvstore::StoreStatus::Stored) {
-            ++refilled;
-        }
-    }
-    EXPECT_GT(refilled, 0);
-    EXPECT_EQ(cache.storeOf("node2").itemCount(),
-              static_cast<std::size_t>(refilled));
-}
+// --- DistributedCache removal ---------------------------------------
 
 TEST(DistributedCache, RemoveNodeRecordsLossAndRemapFraction)
 {

@@ -390,7 +390,6 @@ TEST(CoreModel, PresetsMatchPaperTable1)
     EXPECT_DOUBLE_EQ(cortexA15Params(1.5).areaMm2, 2.82);
     EXPECT_FALSE(cortexA7Params().outOfOrder);
     EXPECT_TRUE(cortexA15Params(1.0).outOfOrder);
-    EXPECT_TRUE(xeonParams().outOfOrder);
 }
 
 TEST(CoreModel, RunResultAccountingIsConsistent)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -409,6 +410,52 @@ TEST(StoreConcurrency, ParallelGetsAndSetsStayConsistent)
     EXPECT_EQ(store.itemCount(), 256u);
 }
 
+TEST(StoreConcurrency, GetsRaceTableExpansionAndMigration)
+{
+    // 16 buckets, one per stripe, pass the 1.5 load factor at 24
+    // items: the writer below doubles the table eight times, and each
+    // migration moves chains of every stripe while the readers walk
+    // theirs holding only their own stripe.
+    StoreParams p = smallStore(EvictionPolicyKind::Bags,
+                               LockingMode::Striped);
+    p.hashPower = 4;
+    p.memLimit = 32 * miB;
+    Store store(p);
+
+    constexpr int seeded = 16;
+    constexpr int total = 4096;
+    auto value_of = [](std::uint64_t i) { return "v" + std::to_string(i); };
+    for (int i = 0; i < seeded; ++i)
+        store.set("k" + std::to_string(i), value_of(i));
+
+    std::atomic<int> inserted{seeded};
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 3; ++t) {
+        readers.emplace_back([&, t] {
+            Rng rng(static_cast<std::uint64_t>(t) + 7);
+            while (inserted.load() < total) {
+                const std::uint64_t i = rng.nextInt(
+                    static_cast<std::uint64_t>(inserted.load()));
+                const GetResult r = store.get("k" + std::to_string(i));
+                if (!r.hit || r.value != value_of(i))
+                    failed = true;
+            }
+        });
+    }
+    for (int i = seeded; i < total; ++i) {
+        store.set("k" + std::to_string(i), value_of(i));
+        inserted.store(i + 1);
+    }
+    for (auto &reader : readers)
+        reader.join();
+
+    EXPECT_FALSE(failed.load()) << "a GET missed an inserted key";
+    EXPECT_EQ(store.table().buckets(), 4096u);
+    EXPECT_EQ(store.itemCount(), static_cast<std::size_t>(total));
+    EXPECT_TRUE(store.checkConsistency());
+}
+
 TEST(StoreConcurrency, GlobalLockModeIsAlsoSafe)
 {
     StoreParams p = smallStore(EvictionPolicyKind::StrictLru,
@@ -436,7 +483,6 @@ TEST(StoreConcurrency, GlobalLockModeIsAlsoSafe)
         thread.join();
     EXPECT_TRUE(store.checkConsistency());
 }
-
 
 TEST(Store, AppendAndPrepend)
 {

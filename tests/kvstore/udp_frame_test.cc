@@ -1,196 +1,26 @@
 /**
  * @file
- * Unit tests for the UDP frame codec and reassembler.
+ * Unit tests for the UDP datagram count.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "kvstore/udp_frame.hh"
-#include "sim/random.hh"
 
 namespace
 {
 
-using namespace mercury;
 using namespace mercury::kvstore;
 
-TEST(UdpFrame, SmallPayloadIsOneDatagram)
+TEST(UdpFrame, DatagramCountAtBoundaries)
 {
-    const auto datagrams = udpFrame(7, "VALUE k 0 1\r\nx\r\nEND\r\n");
-    ASSERT_EQ(datagrams.size(), 1u);
-    const auto parsed = udpUnframe(datagrams[0]);
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->first.requestId, 7u);
-    EXPECT_EQ(parsed->first.sequence, 0u);
-    EXPECT_EQ(parsed->first.total, 1u);
-    EXPECT_EQ(parsed->second, "VALUE k 0 1\r\nx\r\nEND\r\n");
+    EXPECT_EQ(udpDatagramCount(0), 1u);
+    EXPECT_EQ(udpDatagramCount(1), 1u);
+    EXPECT_EQ(udpDatagramCount(1399), 1u);
+    EXPECT_EQ(udpDatagramCount(1400), 1u);
+    EXPECT_EQ(udpDatagramCount(1401), 2u);
+    EXPECT_EQ(udpDatagramCount(3000), 3u);
+    EXPECT_EQ(udpDatagramCount(100000), 72u);
 }
 
-TEST(UdpFrame, EmptyPayloadStillFrames)
-{
-    const auto datagrams = udpFrame(1, "");
-    ASSERT_EQ(datagrams.size(), 1u);
-    EXPECT_EQ(datagrams[0].size(), UdpFrameHeader::bytes);
-}
-
-TEST(UdpFrame, LargePayloadFragmentsAt1400)
-{
-    const std::string payload(3000, 'p');
-    const auto datagrams = udpFrame(42, payload);
-    ASSERT_EQ(datagrams.size(), 3u);
-    for (std::size_t i = 0; i < datagrams.size(); ++i) {
-        const auto parsed = udpUnframe(datagrams[i]);
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(parsed->first.sequence, i);
-        EXPECT_EQ(parsed->first.total, 3u);
-        EXPECT_LE(parsed->second.size(), udpMaxPayload);
-    }
-}
-
-TEST(UdpFrame, DatagramCountMatchesFraming)
-{
-    for (std::size_t payload :
-         {std::size_t{0}, std::size_t{1}, udpMaxPayload - 1,
-          udpMaxPayload, udpMaxPayload + 1, std::size_t{3000},
-          std::size_t{100000}}) {
-        EXPECT_EQ(udpDatagramCount(payload),
-                  udpFrame(1, std::string(payload, 'x')).size())
-            << payload << " bytes";
-    }
-}
-
-TEST(UdpFrame, BatchFramesConsecutiveRequestIds)
-{
-    const std::vector<std::string> payloads = {
-        "a", std::string(3000, 'b'), "", "ddd"};
-    const auto datagrams = udpFrameBatch(40, payloads);
-
-    // Every payload reassembles under its own consecutive id.
-    UdpReassembler reassembler;
-    std::vector<std::string> out;
-    for (const auto &d : datagrams) {
-        const auto parsed = udpUnframe(d);
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_GE(parsed->first.requestId, 40u);
-        EXPECT_LT(parsed->first.requestId, 44u);
-        if (auto full = reassembler.feed(d))
-            out.push_back(*full);
-    }
-    ASSERT_EQ(out.size(), payloads.size());
-    EXPECT_EQ(out, payloads);
-
-    std::size_t expected = 0;
-    for (const auto &p : payloads)
-        expected += udpDatagramCount(p.size());
-    EXPECT_EQ(datagrams.size(), expected);
-}
-
-TEST(UdpFrame, UnframeRejectsRunts)
-{
-    EXPECT_FALSE(udpUnframe("short").has_value());
-    EXPECT_FALSE(udpUnframe("").has_value());
-}
-
-TEST(UdpFrame, UnframeRejectsBadCounts)
-{
-    // sequence >= total is invalid.
-    std::string bad;
-    bad.push_back(0);
-    bad.push_back(1);
-    bad.push_back(0);
-    bad.push_back(5);  // sequence 5
-    bad.push_back(0);
-    bad.push_back(2);  // total 2
-    bad.push_back(0);
-    bad.push_back(0);
-    EXPECT_FALSE(udpUnframe(bad).has_value());
-}
-
-TEST(UdpReassembler, SingleFragmentCompletesImmediately)
-{
-    UdpReassembler reassembler;
-    const auto datagrams = udpFrame(9, "hello");
-    const auto full = reassembler.feed(datagrams[0]);
-    ASSERT_TRUE(full.has_value());
-    EXPECT_EQ(*full, "hello");
-    EXPECT_EQ(reassembler.pending(), 0u);
-}
-
-TEST(UdpReassembler, InOrderFragmentsReassemble)
-{
-    const std::string payload(4000, 'q');
-    const auto datagrams = udpFrame(3, payload);
-    UdpReassembler reassembler;
-    for (std::size_t i = 0; i + 1 < datagrams.size(); ++i)
-        EXPECT_FALSE(reassembler.feed(datagrams[i]).has_value());
-    const auto full = reassembler.feed(datagrams.back());
-    ASSERT_TRUE(full.has_value());
-    EXPECT_EQ(*full, payload);
-}
-
-TEST(UdpReassembler, OutOfOrderFragmentsReassemble)
-{
-    std::string payload;
-    for (int i = 0; i < 5000; ++i)
-        payload.push_back(static_cast<char>('a' + i % 26));
-    auto datagrams = udpFrame(11, payload);
-
-    Rng rng(4);
-    for (std::size_t i = datagrams.size(); i > 1; --i)
-        std::swap(datagrams[i - 1], datagrams[rng.nextInt(i)]);
-
-    UdpReassembler reassembler;
-    std::optional<std::string> full;
-    for (const auto &d : datagrams) {
-        auto r = reassembler.feed(d);
-        if (r)
-            full = r;
-    }
-    ASSERT_TRUE(full.has_value());
-    EXPECT_EQ(*full, payload);
-}
-
-TEST(UdpReassembler, DuplicateFragmentsAreIdempotent)
-{
-    const std::string payload(2000, 'd');
-    const auto datagrams = udpFrame(5, payload);
-    UdpReassembler reassembler;
-    EXPECT_FALSE(reassembler.feed(datagrams[0]).has_value());
-    EXPECT_FALSE(reassembler.feed(datagrams[0]).has_value());
-    const auto full = reassembler.feed(datagrams[1]);
-    ASSERT_TRUE(full.has_value());
-    EXPECT_EQ(*full, payload);
-}
-
-TEST(UdpReassembler, InterleavedRequestsStaySeparate)
-{
-    const std::string a(2000, 'a'), b(2000, 'b');
-    const auto da = udpFrame(1, a);
-    const auto db = udpFrame(2, b);
-
-    UdpReassembler reassembler;
-    EXPECT_FALSE(reassembler.feed(da[0]).has_value());
-    EXPECT_FALSE(reassembler.feed(db[0]).has_value());
-    EXPECT_EQ(reassembler.pending(), 2u);
-    const auto full_b = reassembler.feed(db[1]);
-    ASSERT_TRUE(full_b.has_value());
-    EXPECT_EQ(*full_b, b);
-    const auto full_a = reassembler.feed(da[1]);
-    ASSERT_TRUE(full_a.has_value());
-    EXPECT_EQ(*full_a, a);
-    EXPECT_EQ(reassembler.pending(), 0u);
-}
-
-TEST(UdpReassembler, ForgetDropsPartialState)
-{
-    const auto datagrams = udpFrame(6, std::string(3000, 'x'));
-    UdpReassembler reassembler;
-    reassembler.feed(datagrams[0]);
-    EXPECT_EQ(reassembler.pending(), 1u);
-    reassembler.forget(6);
-    EXPECT_EQ(reassembler.pending(), 0u);
-}
-
-} // anonymous namespace
+} // namespace

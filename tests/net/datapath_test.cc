@@ -1,15 +1,14 @@
 /**
  * @file
  * Unit tests for the kernel-bypass datapath pieces: the on-NIC GET
- * cache (deterministic LRU with invalidation and expiry), the RSS
- * steering function, and the batched UDP datagram delivery path.
+ * cache (deterministic LRU with invalidation and expiry) and the
+ * batched UDP datagram delivery path.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
-#include <vector>
 
 #include "net/datapath.hh"
 #include "net/network.hh"
@@ -157,45 +156,6 @@ TEST(NicGetCache, EvictionOrderIsDeterministic)
         return alive;
     };
     EXPECT_EQ(run(), run());
-}
-
-// ---------------------------------------------------------------
-// RSS steering
-// ---------------------------------------------------------------
-
-TEST(RssSteering, IsDeterministicAndInRange)
-{
-    for (unsigned queues : {1u, 2u, 8u, 32u}) {
-        for (int i = 0; i < 100; ++i) {
-            const std::string key = "v64:" + std::to_string(i);
-            const unsigned q =
-                rssQueueFor(flowHash(key), queues);
-            EXPECT_LT(q, queues);
-            EXPECT_EQ(q, rssQueueFor(flowHash(key), queues))
-                << "steering must be a pure function of the flow";
-        }
-    }
-}
-
-TEST(RssSteering, SpreadsFlowsAcrossQueues)
-{
-    const unsigned queues = 8;
-    std::vector<unsigned> counts(queues, 0);
-    for (int i = 0; i < 4096; ++i)
-        ++counts[rssQueueFor(
-            flowHash("v64:" + std::to_string(i)), queues)];
-    for (unsigned q = 0; q < queues; ++q) {
-        EXPECT_GT(counts[q], 4096u / queues / 2)
-            << "queue " << q << " is starved";
-        EXPECT_LT(counts[q], 4096u / queues * 2)
-            << "queue " << q << " is overloaded";
-    }
-}
-
-TEST(RssSteering, SingleQueueTakesEverything)
-{
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(rssQueueFor(flowHash(std::to_string(i)), 1), 0u);
 }
 
 // ---------------------------------------------------------------

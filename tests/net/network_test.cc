@@ -184,8 +184,7 @@ TEST(NetworkPath, LossTimelineIsDeterministicPerSeed)
 TEST(NetworkPath, BufferOverflowIsCountedEvenFaultFree)
 {
     // A burst far beyond the 128 KiB MAC buffer: the overflow is
-    // accounted (satellite: surface the stat) but nothing is dropped
-    // or slowed without the fault mode.
+    // accounted, but nothing is dropped or slowed.
     NetworkPath path(tenGbEParams());
     path.deliver(1 * miB, 0);
     const auto r = path.deliver(1 * miB, 0);
@@ -193,31 +192,7 @@ TEST(NetworkPath, BufferOverflowIsCountedEvenFaultFree)
     EXPECT_EQ(path.peakBufferBytes(),
               path.params().macBufferBytes);
     EXPECT_EQ(r.drops, 0u);
-    EXPECT_EQ(r.bufferDrops, 0u);
     EXPECT_EQ(path.droppedPackets(), 0u);
-}
-
-TEST(NetworkPath, DropOnOverflowEnforcesTheBuffer)
-{
-    NetParams params = tenGbEParams();
-    params.dropOnOverflow = true;
-    NetworkPath enforced(params);
-    NetworkPath counted(tenGbEParams());
-    mercury::fault::FaultInjector injector(3);
-    enforced.setFaultInjector(&injector);
-
-    enforced.deliver(1 * miB, 0);
-    counted.deliver(1 * miB, 0);
-    const auto dropped = enforced.deliver(1 * miB, 0);
-    const auto free_run = counted.deliver(1 * miB, 0);
-
-    EXPECT_GT(dropped.bufferDrops, 0u);
-    EXPECT_EQ(dropped.drops, dropped.bufferDrops);
-    EXPECT_EQ(dropped.retransmits, dropped.bufferDrops);
-    // The resent packets pay an RTO and extra wire time.
-    EXPECT_GT(dropped.completion, free_run.completion);
-    EXPECT_GT(dropped.wireBytes, free_run.wireBytes);
-    EXPECT_GT(injector.faultCount(), 0u);
 }
 
 TEST(NetworkPath, TenGigLineRateForBigTransfers)

@@ -321,7 +321,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(32u, 4u),
                       std::make_tuple(32u, 8u),
                       std::make_tuple(256u, 16u),
-                      // The Xeon-class L2.
+                      // An 8 MiB, 16-way L2.
                       std::make_tuple(8192u, 16u)));
 
 // ---------------------------------------------------------------
@@ -386,27 +386,15 @@ class ReferenceHierarchy
         ReferenceCache &l1 = ifetch ? l1i_ : l1d_;
         const CacheParams &l1_params = ifetch ? params_.l1i : params_.l1d;
         const bool store = kind == CpuAccessKind::Store;
-        const bool write_through = store && params_.writeThroughStores;
         const Tick after_l1 = now + l1_params.hitLatency;
 
         if (l1.lookup(addr)) {
             ++counts[ifetch ? "l1iHits" : "l1dHits"];
-            if (!write_through) {
-                if (store)
-                    l1.markDirty(addr);
-                return {after_l1, ServicedBy::L1};
-            }
-        } else {
-            ++counts[ifetch ? "l1iMisses" : "l1dMisses"];
+            if (store)
+                l1.markDirty(addr);
+            return {after_l1, ServicedBy::L1};
         }
-        if (write_through) {
-            // Hit or miss, the store goes to the device; a miss
-            // allocates nothing.
-            ++counts["memAccesses"];
-            return {memory_->access(AccessType::Write, addr,
-                                    l1_params.lineBytes, after_l1),
-                    ServicedBy::Memory};
-        }
+        ++counts[ifetch ? "l1iMisses" : "l1dMisses"];
 
         const AccessResult below = fillFromBelow(addr, store, after_l1);
         const auto victim = l1.insert(addr, store);
@@ -469,16 +457,14 @@ class ReferenceHierarchy
     std::optional<ReferenceCache> l2_;
 };
 
-class HierarchyReferenceTest
-    : public ::testing::TestWithParam<std::tuple<bool, bool>>
+class HierarchyReferenceTest : public ::testing::TestWithParam<bool>
 {};
 
 TEST_P(HierarchyReferenceTest, MatchesTextbookHierarchyStepForStep)
 {
-    auto [with_l2, write_through] = GetParam();
+    const bool with_l2 = GetParam();
     HierarchyParams params;
     params.hasL2 = with_l2;
-    params.writeThroughStores = write_through;
 
     stats::StatGroup root("root");
     RecordingDevice device;
@@ -491,7 +477,7 @@ TEST_P(HierarchyReferenceTest, MatchesTextbookHierarchyStepForStep)
     // evicting; the rest are cold and unaligned.
     const std::uint64_t l2_sets =
         params.l2.sizeBytes / (params.l2.lineBytes * params.l2.assoc);
-    Rng rng(31 + 2 * with_l2 + write_through);
+    Rng rng(31 + 2 * with_l2);
     auto next_addr = [&]() -> Addr {
         if (rng.nextInt(2) == 0)
             return rng.nextInt(256 * miB);
@@ -536,14 +522,11 @@ TEST_P(HierarchyReferenceTest, MatchesTextbookHierarchyStepForStep)
     if (with_l2) {
         EXPECT_GT(reference.counts["l2Hits"], 1000u);
     }
-    if (!write_through) {
-        EXPECT_GT(reference.counts["writebacks"], 1000u);
-    }
+    EXPECT_GT(reference.counts["writebacks"], 1000u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    L2AndStorePolicy, HierarchyReferenceTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(WithAndWithoutL2, HierarchyReferenceTest,
+                         ::testing::Bool());
 
 TEST(CacheGeometry, RejectsANonPowerOfTwoSetCount)
 {

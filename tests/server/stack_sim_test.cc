@@ -78,46 +78,6 @@ TEST(StackSimulation, IridiumStackScalesAcrossChannels)
         << "independent flash channels must keep cores independent";
 }
 
-TEST(StackSimulation, RssSteersToPerCoreQueues)
-{
-    StackSimParams p = mercuryStack(8);
-    p.node.datapath.rss = true;
-    StackSimulation sim(p);
-    const StackSimResult r = sim.run();
-    EXPECT_EQ(r.rxQueues, 8u);
-    EXPECT_GT(r.scalingEfficiency, 0.9)
-        << "per-core RX queues must not hurt small-GET scaling";
-    EXPECT_LE(r.nicUtilization, 1.0);
-    EXPECT_GT(r.nicUtilization, 0.0);
-}
-
-TEST(StackSimulation, RssRunsAreDeterministic)
-{
-    StackSimParams p = mercuryStack(4);
-    p.node.datapath.rss = true;
-    const StackSimResult a = StackSimulation(p).run();
-    const StackSimResult b = StackSimulation(p).run();
-    EXPECT_EQ(a.aggregateTps, b.aggregateTps);
-    EXPECT_EQ(a.nicUtilization, b.nicUtilization);
-}
-
-TEST(StackSimulation, RssWithBypassScalesSmallGets)
-{
-    // The full fast path: per-core queues plus the batched bypass
-    // datapath. Throughput should scale and clearly beat the shared
-    // softirq kernel path per core.
-    StackSimParams kernel = mercuryStack(8);
-    StackSimParams fast = kernel;
-    fast.node.datapath.rss = true;
-    fast.node.datapath.kind = net::DatapathKind::Bypass;
-    fast.node.datapath.rxBatch = 32;
-    fast.node.datapath.txBatch = 32;
-    const StackSimResult slow = StackSimulation(kernel).run();
-    const StackSimResult quick = StackSimulation(fast).run();
-    EXPECT_GT(quick.scalingEfficiency, 0.9);
-    EXPECT_GT(quick.perCoreTps, 2.0 * slow.perCoreTps);
-}
-
 TEST(StackSimulation, MixedPutsStillScale)
 {
     StackSimParams p = mercuryStack(8);

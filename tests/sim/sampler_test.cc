@@ -1,10 +1,10 @@
 /**
  * @file
  * Unit tests for the windowed time-series sampler: window math and
- * boundary conventions, per-window channel reset, watch deltas,
- * ratio semantics, windowed latency percentiles, the interval
- * histogram's reset/merge algebra, determinism, and the
- * zero-allocation steady-state contract.
+ * boundary conventions, per-window channel reset, ratio semantics,
+ * windowed latency percentiles, the interval histogram's reset/merge
+ * algebra, determinism, and the zero-allocation steady-state
+ * contract.
  */
 
 #include <string>
@@ -86,25 +86,6 @@ TEST(Sampler, FinishOnExactBoundaryEmitsNoEmptyTail)
     // finish() is idempotent for the same end.
     sampler.finish(100);
     EXPECT_EQ(sampler.windowsClosed(), 1u);
-}
-
-TEST(Sampler, WatchChannelEmitsPerWindowDeltas)
-{
-    stats::StatGroup root("root");
-    stats::Counter total(&root, "total", "registry counter");
-
-    Sampler sampler(100);
-    sampler.watch(total, "delta");
-    sampler.begin(0);
-
-    total += 5;
-    sampler.advanceTo(100);
-    total += 2;
-    sampler.finish(150);
-
-    EXPECT_EQ(sampler.jsonl(),
-              "{\"window\":0,\"t0\":0,\"t1\":100,\"delta\":5}\n"
-              "{\"window\":1,\"t0\":100,\"t1\":200,\"delta\":2}\n");
 }
 
 TEST(Sampler, RatioUsesWindowValuesAndWhenEmptyFallback)
