@@ -63,7 +63,11 @@ SlabAllocator::growClass(unsigned cls)
     if (!canGrow())
         return false;
 
-    auto page = std::make_unique<char[]>(params_.pageSize);
+    // Left unzeroed: Store::buildItem writes an allocated chunk's
+    // header, key and value before anything reads them, and nothing
+    // reads the slack past the value. Zero-filling would only make
+    // the host touch pages the model has not used yet.
+    auto page = std::make_unique_for_overwrite<char[]>(params_.pageSize);
     char *base = page.get();
     const auto page_index = static_cast<std::uint32_t>(pages_.size());
     pages_.push_back(std::move(page));

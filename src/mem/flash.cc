@@ -15,6 +15,11 @@ Ftl::Ftl(std::uint64_t phys_pages, unsigned pages_per_block,
 {
     MERCURY_EXPECTS(pagesPerBlock_ > 0,
                     "pagesPerBlock must be positive");
+    // Per-block valid counts and pickGcVictim's running minimum are
+    // 16-bit: a larger block would wrap them and starve GC.
+    MERCURY_EXPECTS(pagesPerBlock_ <= UINT16_MAX,
+                    "pagesPerBlock exceeds the 16-bit valid count: ",
+                    pagesPerBlock_);
     MERCURY_EXPECTS(physPages_ >= pagesPerBlock_ * (gcLowWater_ + 2),
                     "flash channel too small for GC headroom");
     MERCURY_EXPECTS(overprovision > 0.0 && overprovision < 1.0,
@@ -30,8 +35,8 @@ Ftl::Ftl(std::uint64_t phys_pages, unsigned pages_per_block,
         physPages_ - pagesPerBlock_ * (gcLowWater_ + 2);
     logicalPages_ = std::min(logicalPages_, max_logical);
 
-    map_.assign(logicalPages_, unmapped);
-    reverse_.assign(physPages_, unmapped);
+    map_ = DemandTable(logicalPages_);
+    reverse_ = DemandTable(physPages_);
     validCount_.assign(numBlocks_, 0);
     eraseCount_.assign(numBlocks_, 0);
     blockFree_.assign(numBlocks_, true);
@@ -81,14 +86,14 @@ bool
 Ftl::isMapped(std::uint64_t lpn) const
 {
     MERCURY_EXPECTS(lpn < logicalPages_, "lpn out of range: ", lpn);
-    return map_[lpn] != unmapped;
+    return map_.get(lpn) != unmapped;
 }
 
 std::uint64_t
 Ftl::translate(std::uint64_t lpn) const
 {
     MERCURY_EXPECTS(isMapped(lpn), "translate of unmapped lpn ", lpn);
-    return static_cast<std::uint64_t>(map_[lpn]);
+    return static_cast<std::uint64_t>(map_.get(lpn));
 }
 
 std::int64_t
@@ -152,7 +157,7 @@ Ftl::reclaimBlock(std::uint64_t block, FtlWriteOutcome &outcome,
     // Relocate every valid page into the active write stream.
     for (unsigned i = 0; i < pagesPerBlock_; ++i) {
         const std::uint64_t ppn = block * pagesPerBlock_ + i;
-        const std::int64_t lpn = reverse_[ppn];
+        const std::int64_t lpn = reverse_.get(ppn);
         if (lpn == unmapped)
             continue;
 
@@ -174,13 +179,13 @@ Ftl::reclaimBlock(std::uint64_t block, FtlWriteOutcome &outcome,
 
         MERCURY_ASSERT(validCount_[block] > 0,
                        "GC accounting underflow on block ", block);
-        MERCURY_ASSERT(reverse_[new_ppn] == unmapped,
+        MERCURY_ASSERT(reverse_.get(new_ppn) == unmapped,
                        "GC relocation target page already mapped");
-        reverse_[ppn] = unmapped;
+        reverse_.set(ppn, unmapped);
         --validCount_[block];
-        map_[static_cast<std::uint64_t>(lpn)] =
-            static_cast<std::int64_t>(new_ppn);
-        reverse_[new_ppn] = lpn;
+        map_.set(static_cast<std::uint64_t>(lpn),
+                 static_cast<std::int64_t>(new_ppn));
+        reverse_.set(new_ppn, lpn);
         ++validCount_[blockOf(new_ppn)];
 
         ++totalMoves_;
@@ -245,7 +250,7 @@ Ftl::maybeWearLevel(FtlWriteOutcome &outcome, Tick now)
     const auto cold_block = static_cast<std::uint64_t>(cold);
     for (unsigned i = 0; i < pagesPerBlock_; ++i) {
         const std::uint64_t ppn = cold_block * pagesPerBlock_ + i;
-        const std::int64_t lpn = reverse_[ppn];
+        const std::int64_t lpn = reverse_.get(ppn);
         if (lpn == unmapped)
             continue;
         const std::uint64_t new_ppn =
@@ -254,13 +259,13 @@ Ftl::maybeWearLevel(FtlWriteOutcome &outcome, Tick now)
         MERCURY_ASSERT(validCount_[cold_block] > 0,
                        "wear-level accounting underflow on block ",
                        cold_block);
-        MERCURY_ASSERT(reverse_[new_ppn] == unmapped,
+        MERCURY_ASSERT(reverse_.get(new_ppn) == unmapped,
                        "wear-level target page already mapped");
-        reverse_[ppn] = unmapped;
+        reverse_.set(ppn, unmapped);
         --validCount_[cold_block];
-        map_[static_cast<std::uint64_t>(lpn)] =
-            static_cast<std::int64_t>(new_ppn);
-        reverse_[new_ppn] = lpn;
+        map_.set(static_cast<std::uint64_t>(lpn),
+                 static_cast<std::int64_t>(new_ppn));
+        reverse_.set(new_ppn, lpn);
         ++validCount_[static_cast<std::uint64_t>(hot)];
         ++totalMoves_;
         ++flashWrites_;
@@ -333,18 +338,18 @@ Ftl::write(std::uint64_t lpn, Tick now)
                     "write to lpn out of range: ", lpn);
 
     FtlWriteOutcome outcome{};
-    if (map_[lpn] != unmapped) {
-        const auto old = static_cast<std::uint64_t>(map_[lpn]);
+    if (const std::int64_t mapped = map_.get(lpn); mapped != unmapped) {
+        const auto old = static_cast<std::uint64_t>(mapped);
         MERCURY_ASSERT(validCount_[blockOf(old)] > 0,
                        "overwrite accounting underflow on block ",
                        blockOf(old));
-        reverse_[old] = unmapped;
+        reverse_.set(old, unmapped);
         --validCount_[blockOf(old)];
     }
 
     const std::uint64_t ppn = allocPage(outcome, now);
-    map_[lpn] = static_cast<std::int64_t>(ppn);
-    reverse_[ppn] = static_cast<std::int64_t>(lpn);
+    map_.set(lpn, static_cast<std::int64_t>(ppn));
+    reverse_.set(ppn, static_cast<std::int64_t>(lpn));
     ++validCount_[blockOf(ppn)];
 
     ++hostWrites_;
@@ -361,14 +366,15 @@ Ftl::trim(std::uint64_t lpn)
 {
     MERCURY_EXPECTS(lpn < logicalPages_,
                     "trim of lpn out of range: ", lpn);
-    if (map_[lpn] == unmapped)
+    const std::int64_t mapped = map_.get(lpn);
+    if (mapped == unmapped)
         return;
-    const auto ppn = static_cast<std::uint64_t>(map_[lpn]);
+    const auto ppn = static_cast<std::uint64_t>(mapped);
     MERCURY_ASSERT(validCount_[blockOf(ppn)] > 0,
                    "trim accounting underflow on block ", blockOf(ppn));
-    reverse_[ppn] = unmapped;
+    reverse_.set(ppn, unmapped);
     --validCount_[blockOf(ppn)];
-    map_[lpn] = unmapped;
+    map_.set(lpn, unmapped);
     MERCURY_ASSERT_SLOW(auditIfDue(),
                         "FTL accounting inconsistent after trim of "
                         "lpn ", lpn);
@@ -410,17 +416,18 @@ Ftl::auditIfDue() const
 bool
 Ftl::checkConsistency() const
 {
+    // Only written chunks of the map can hold a mapping.
     std::vector<std::uint16_t> counts(numBlocks_, 0);
-    for (std::uint64_t lpn = 0; lpn < logicalPages_; ++lpn) {
-        const std::int64_t ppn = map_[lpn];
-        if (ppn == unmapped)
-            continue;
-        if (reverse_[static_cast<std::uint64_t>(ppn)] !=
-            static_cast<std::int64_t>(lpn)) {
-            return false;
-        }
-        ++counts[blockOf(static_cast<std::uint64_t>(ppn))];
-    }
+    const bool reversible =
+        map_.allAllocated([&](std::uint64_t lpn, std::int64_t ppn) {
+            if (ppn == unmapped)
+                return true;
+            const auto page = static_cast<std::uint64_t>(ppn);
+            ++counts[blockOf(page)];
+            return reverse_.get(page) == static_cast<std::int64_t>(lpn);
+        });
+    if (!reversible)
+        return false;
     for (std::uint64_t b = 0; b < numBlocks_; ++b) {
         if (counts[b] != validCount_[b])
             return false;

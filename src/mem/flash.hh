@@ -23,6 +23,7 @@
 #ifndef MERCURY_MEM_FLASH_HH
 #define MERCURY_MEM_FLASH_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -192,8 +193,87 @@ class Ftl
      * retired blocks must be empty and out of the free pool. */
     bool checkConsistency() const;
 
+    /** log2 of the entries in one demand-allocated table chunk. */
+    static constexpr unsigned tableChunkShift = 12;
+
+    /** Host bytes of one full table chunk. */
+    static constexpr std::size_t tableChunkBytes =
+        (std::size_t{1} << tableChunkShift) * sizeof(std::int64_t);
+
+    /** Host bytes the lpn->ppn and ppn->lpn tables hold resident. */
+    std::size_t tableBytes() const
+    {
+        return map_.residentBytes() + reverse_.residentBytes();
+    }
+
   private:
     static constexpr std::int64_t unmapped = -1;
+
+    /**
+     * Page table allocated a chunk at a time, on the first write of
+     * an entry in the chunk (demand-allocated mapping, as in DFTL).
+     * A channel slices GBs of flash of which a run maps a few MB, so
+     * a flat table would be mostly untouched `unmapped` entries.
+     * Reads of a missing chunk return `unmapped` and allocate
+     * nothing; only set() allocates.
+     */
+    class DemandTable
+    {
+      public:
+        static constexpr std::uint64_t chunkEntries = 1ull
+                                                      << tableChunkShift;
+
+        explicit DemandTable(std::uint64_t entries)
+            : chunks_((entries + chunkEntries - 1) >> tableChunkShift)
+        {}
+
+        std::int64_t get(std::uint64_t i) const
+        {
+            const std::vector<std::int64_t> &chunk =
+                chunks_[i >> tableChunkShift];
+            return chunk.empty() ? unmapped
+                                 : chunk[i & (chunkEntries - 1)];
+        }
+
+        void set(std::uint64_t i, std::int64_t value)
+        {
+            std::vector<std::int64_t> &chunk =
+                chunks_[i >> tableChunkShift];
+            if (chunk.empty()) {
+                if (value == unmapped)
+                    return;
+                chunk.assign(chunkEntries, unmapped);
+            }
+            chunk[i & (chunkEntries - 1)] = value;
+        }
+
+        /** True when pred(index, value) holds for every entry of
+         * every allocated chunk; stops at the first that fails. */
+        template <typename Pred>
+        bool allAllocated(Pred &&pred) const
+        {
+            for (std::uint64_t c = 0; c < chunks_.size(); ++c) {
+                const std::uint64_t base = c << tableChunkShift;
+                for (std::uint64_t j = 0; j < chunks_[c].size(); ++j) {
+                    if (!pred(base + j, chunks_[c][j]))
+                        return false;
+                }
+            }
+            return true;
+        }
+
+        std::size_t residentBytes() const
+        {
+            std::size_t bytes =
+                chunks_.capacity() * sizeof(std::vector<std::int64_t>);
+            for (const auto &chunk : chunks_)
+                bytes += chunk.capacity() * sizeof(std::int64_t);
+            return bytes;
+        }
+
+      private:
+        std::vector<std::vector<std::int64_t>> chunks_;
+    };
 
     std::uint64_t blockOf(std::uint64_t ppn) const
     {
@@ -220,9 +300,10 @@ class Ftl
     bool canRetire() const;
 
     /** Slow-check helper: full consistency audit on every mutation
-     * for small FTLs, sampled on big ones (the audit is O(pages), so
-     * auditing a multi-GB channel per write would swamp the debug
-     * presets). Always true when due-sampling skips the audit. */
+     * for small FTLs, sampled on big ones (the audit is linear in the
+     * allocated map chunks and the blocks, so auditing a multi-GB
+     * channel per write would swamp the debug presets). Always true
+     * when due-sampling skips the audit. */
     bool auditIfDue() const;
 
     /** Mutations since the last sampled audit (slow checks only). */
@@ -235,8 +316,8 @@ class Ftl
     unsigned gcLowWater_;
     unsigned wearThreshold_;
 
-    std::vector<std::int64_t> map_;      // lpn -> ppn
-    std::vector<std::int64_t> reverse_;  // ppn -> lpn
+    DemandTable map_{0};      // lpn -> ppn
+    DemandTable reverse_{0};  // ppn -> lpn
     std::vector<std::uint16_t> validCount_;
     std::vector<std::uint32_t> eraseCount_;
     std::vector<bool> blockFree_;

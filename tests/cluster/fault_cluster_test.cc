@@ -12,12 +12,14 @@
 
 #include "cluster/cluster_sim.hh"
 #include "cluster/distributed_cache.hh"
+#include "sim/logging.hh"
 
 namespace
 {
 
 using namespace mercury;
 using namespace mercury::cluster;
+using mercury::detail::concat;
 
 kvstore::StoreParams
 nodeParams()
@@ -36,7 +38,7 @@ TEST(ConsistentHashRing, NodesForStartsAtOwnerAndIsDistinct)
         ring.addNode("node" + std::to_string(i));
 
     for (int i = 0; i < 200; ++i) {
-        const std::string key = "k" + std::to_string(i);
+        const std::string key = concat("k", i);
         const auto order = ring.nodesFor(key, 3);
         ASSERT_EQ(order.size(), 3u);
         EXPECT_EQ(order[0], ring.nodeFor(key));
@@ -77,7 +79,7 @@ TEST(DistributedCache, RemoveNodeRecordsLossAndRemapFraction)
 {
     DistributedCache cache(8, nodeParams());
     for (int i = 0; i < 2000; ++i)
-        cache.set("k" + std::to_string(i), "v");
+        cache.set(concat("k", i), "v");
     const std::size_t doomed = cache.storeOf("node3").itemCount();
 
     ASSERT_TRUE(cache.removeNode("node3"));

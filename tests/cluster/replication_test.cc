@@ -13,12 +13,14 @@
 #include <vector>
 
 #include "cluster/ring.hh"
+#include "sim/logging.hh"
 
 namespace
 {
 
 using namespace mercury;
 using namespace mercury::cluster;
+using mercury::detail::concat;
 
 // --- Rack-aware replica placement -----------------------------------
 
@@ -29,7 +31,7 @@ TEST(RackAwareReplicas, ReplicaSetSpansDistinctRacks)
         ring.addNode("node" + std::to_string(i), i % 4);
 
     for (int i = 0; i < 200; ++i) {
-        const std::string key = "k" + std::to_string(i);
+        const std::string key = concat("k", i);
         const auto set = ring.replicasFor(key, 2, true);
         ASSERT_EQ(set.size(), 2u);
         // The primary is still the ring owner...
@@ -49,7 +51,7 @@ TEST(RackAwareReplicas, FallsBackToRingOrderOnceRacksExhausted)
 
     for (int i = 0; i < 100; ++i) {
         const auto set =
-            ring.replicasFor("k" + std::to_string(i), 3, true);
+            ring.replicasFor(concat("k", i), 3, true);
         ASSERT_EQ(set.size(), 3u);
         const std::set<std::string> distinct(set.begin(), set.end());
         EXPECT_EQ(distinct.size(), 3u);
@@ -65,7 +67,7 @@ TEST(RackAwareReplicas, WithoutRackSpreadingMatchesFailoverOrder)
         ring.addNode("node" + std::to_string(i), i % 4);
 
     for (int i = 0; i < 100; ++i) {
-        const std::string key = "k" + std::to_string(i);
+        const std::string key = concat("k", i);
         EXPECT_EQ(ring.replicasFor(key, 3, false),
                   ring.nodesFor(key, 3));
     }

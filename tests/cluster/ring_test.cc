@@ -7,12 +7,14 @@
 
 #include "cluster/distributed_cache.hh"
 #include "cluster/ring.hh"
+#include "sim/logging.hh"
 
 namespace
 {
 
 using namespace mercury;
 using namespace mercury::cluster;
+using mercury::detail::concat;
 
 TEST(ConsistentHashRing, SingleNodeOwnsEverything)
 {
@@ -115,7 +117,7 @@ TEST(ConsistentHashRing, RemoveNodeRedistributes)
     ring.removeNode("a");
     EXPECT_EQ(ring.numNodes(), 1u);
     for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(ring.nodeFor("k" + std::to_string(i)), "b");
+        EXPECT_EQ(ring.nodeFor(concat("k", i)), "b");
 }
 
 kvstore::StoreParams
@@ -130,12 +132,12 @@ TEST(DistributedCache, RoutesAndRoundTrips)
 {
     DistributedCache cache(8, nodeParams());
     for (int i = 0; i < 500; ++i) {
-        const std::string key = "k" + std::to_string(i);
+        const std::string key = concat("k", i);
         EXPECT_EQ(cache.set(key, "value" + std::to_string(i)),
                   kvstore::StoreStatus::Stored);
     }
     for (int i = 0; i < 500; ++i) {
-        const std::string key = "k" + std::to_string(i);
+        const std::string key = concat("k", i);
         const auto r = cache.get(key);
         ASSERT_TRUE(r.hit) << key;
         EXPECT_EQ(r.value, "value" + std::to_string(i));
@@ -146,7 +148,7 @@ TEST(DistributedCache, KeysSpreadOverNodes)
 {
     DistributedCache cache(8, nodeParams());
     for (int i = 0; i < 2000; ++i)
-        cache.set("k" + std::to_string(i), "v");
+        cache.set(concat("k", i), "v");
 
     std::size_t total = 0;
     for (const auto &[name, count] : cache.itemCounts()) {
@@ -168,12 +170,12 @@ TEST(DistributedCache, GrowingClusterKeepsMostKeys)
 {
     DistributedCache cache(8, nodeParams());
     for (int i = 0; i < 2000; ++i)
-        cache.set("k" + std::to_string(i), "v");
+        cache.set(concat("k", i), "v");
 
     cache.addNode();
     int hits = 0;
     for (int i = 0; i < 2000; ++i) {
-        if (cache.get("k" + std::to_string(i)).hit)
+        if (cache.get(concat("k", i)).hit)
             ++hits;
     }
     // Only ~1/9 of the keyspace remaps (and misses until refilled).
@@ -185,13 +187,13 @@ TEST(DistributedCache, RemovingNodeLosesOnlyItsArc)
 {
     DistributedCache cache(8, nodeParams());
     for (int i = 0; i < 2000; ++i)
-        cache.set("k" + std::to_string(i), "v");
+        cache.set(concat("k", i), "v");
 
     ASSERT_TRUE(cache.removeNode("node0"));
     EXPECT_EQ(cache.numNodes(), 7u);
     int hits = 0;
     for (int i = 0; i < 2000; ++i) {
-        if (cache.get("k" + std::to_string(i)).hit)
+        if (cache.get(concat("k", i)).hit)
             ++hits;
     }
     EXPECT_GT(hits, 1400);

@@ -16,12 +16,14 @@
 #include "kvstore/protocol.hh"
 #include "net/network.hh"
 #include "server/server_model.hh"
+#include "sim/logging.hh"
 #include "workload/workload.hh"
 
 namespace
 {
 
 using namespace mercury;
+using mercury::detail::concat;
 
 TEST(Integration, WorkloadDrivesDistributedCacheCoherently)
 {
@@ -47,7 +49,7 @@ TEST(Integration, WorkloadDrivesDistributedCacheCoherently)
             workload::WorkloadGenerator::keyFor(req.keyId);
         if (req.op == workload::Request::Op::Set) {
             const std::string value =
-                "v" + std::to_string(i) + std::string(100, 'x');
+                concat("v", i, std::string(100, 'x'));
             ASSERT_EQ(cache.set(key, value),
                       kvstore::StoreStatus::Stored);
             reference[req.keyId] = value;

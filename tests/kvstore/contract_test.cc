@@ -17,6 +17,7 @@
 #include "kvstore/hash_table.hh"
 #include "kvstore/slab.hh"
 #include "sim/contract.hh"
+#include "sim/logging.hh"
 
 namespace
 {
@@ -24,6 +25,7 @@ namespace
 using namespace mercury::kvstore;
 using mercury::contract::ContractViolation;
 using mercury::contract::ScopedContractThrow;
+using mercury::detail::concat;
 
 // --- Slab allocator -----------------------------------------------
 
@@ -158,7 +160,7 @@ TEST_F(HashContract, IntegrityHoldsAcrossExpansion)
 {
     int i = 0;
     while (!table_.expanding() && i < 1000) {
-        const std::string key = "k" + std::to_string(i++);
+        const std::string key = concat("k", i++);
         table_.insert(makeItem(key), hashKey(key));
     }
     ASSERT_TRUE(table_.expanding());
@@ -214,7 +216,7 @@ TEST_F(ListContract, WellFormednessHoldsThroughChurn)
 {
     std::vector<Item *> items;
     for (int i = 0; i < 64; ++i) {
-        items.push_back(makeItem("k" + std::to_string(i)));
+        items.push_back(makeItem(concat("k", i)));
         if (i % 2)
             list_.pushFront(items.back());
         else

@@ -10,11 +10,13 @@
 #include <vector>
 
 #include "kvstore/eviction.hh"
+#include "sim/logging.hh"
 
 namespace
 {
 
 using namespace mercury::kvstore;
+using mercury::detail::concat;
 
 class EvictionFixture : public ::testing::Test
 {
@@ -87,7 +89,7 @@ TEST_F(StrictLruTest, ExactLruOrderUnderMixedOps)
     StrictLru lru;
     Item *items[5];
     for (int i = 0; i < 5; ++i) {
-        items[i] = makeItem("k" + std::to_string(i));
+        items[i] = makeItem(concat("k", i));
         lru.onInsert(items[i], static_cast<std::uint32_t>(i));
     }
     lru.onAccess(items[0], 10);

@@ -13,11 +13,13 @@
 
 #include "kvstore/hash.hh"
 #include "kvstore/hash_table.hh"
+#include "sim/logging.hh"
 
 namespace
 {
 
 using namespace mercury::kvstore;
+using mercury::detail::concat;
 
 TEST(HashKey, DeterministicAndSeedSensitive)
 {
@@ -103,12 +105,12 @@ TEST_F(TableFixture, ManyKeysAllFindable)
 {
     const int n = 2000;
     for (int i = 0; i < n; ++i) {
-        const std::string key = "k" + std::to_string(i);
+        const std::string key = concat("k", i);
         table_.insert(makeItem(key), hashKey(key));
     }
     EXPECT_EQ(table_.size(), static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-        const std::string key = "k" + std::to_string(i);
+        const std::string key = concat("k", i);
         EXPECT_NE(table_.find(key, hashKey(key)).item, nullptr)
             << key;
     }
@@ -121,14 +123,14 @@ TEST_F(TableFixture, ExpansionHappensIncrementally)
     const std::size_t initial_buckets = table_.buckets();
     int i = 0;
     while (!table_.expanding() && i < 1000) {
-        const std::string key = "k" + std::to_string(i++);
+        const std::string key = concat("k", i++);
         table_.insert(makeItem(key), hashKey(key));
     }
     ASSERT_TRUE(table_.expanding());
     EXPECT_GT(table_.buckets(), initial_buckets);
 
     for (int j = 0; j < i; ++j) {
-        const std::string key = "k" + std::to_string(j);
+        const std::string key = concat("k", j);
         EXPECT_NE(table_.find(key, hashKey(key)).item, nullptr);
     }
 
@@ -136,7 +138,7 @@ TEST_F(TableFixture, ExpansionHappensIncrementally)
     while (table_.expanding())
         table_.migrateStep(16);
     for (int j = 0; j < i; ++j) {
-        const std::string key = "k" + std::to_string(j);
+        const std::string key = concat("k", j);
         EXPECT_NE(table_.find(key, hashKey(key)).item, nullptr);
     }
 }
@@ -145,19 +147,19 @@ TEST_F(TableFixture, RemoveWorksDuringExpansion)
 {
     int i = 0;
     while (!table_.expanding())
-        table_.insert(makeItem("k" + std::to_string(i)),
-                      hashKey("k" + std::to_string(i))), ++i;
+        table_.insert(makeItem(concat("k", i)),
+                      hashKey(concat("k", i))), ++i;
 
     // Remove every other key while migration is in flight.
     std::size_t removed = 0;
     for (int j = 0; j < i; j += 2) {
-        const std::string key = "k" + std::to_string(j);
+        const std::string key = concat("k", j);
         if (table_.remove(key, hashKey(key)))
             ++removed;
     }
     EXPECT_EQ(removed, static_cast<std::size_t>((i + 1) / 2));
     for (int j = 1; j < i; j += 2) {
-        const std::string key = "k" + std::to_string(j);
+        const std::string key = concat("k", j);
         EXPECT_NE(table_.find(key, hashKey(key)).item, nullptr);
     }
 }
@@ -167,12 +169,12 @@ TEST_F(TableFixture, ChainLengthCountsCollisions)
     // All items into one logical chain by inserting duplicates of
     // distinct keys and measuring the probe of the deepest one.
     for (int i = 0; i < 100; ++i) {
-        const std::string key = "c" + std::to_string(i);
+        const std::string key = concat("c", i);
         table_.insert(makeItem(key), hashKey(key));
     }
     unsigned max_chain = 0;
     for (int i = 0; i < 100; ++i) {
-        const std::string key = "c" + std::to_string(i);
+        const std::string key = concat("c", i);
         max_chain = std::max(max_chain,
                              table_.find(key, hashKey(key)).chainLength);
     }
@@ -182,7 +184,7 @@ TEST_F(TableFixture, ChainLengthCountsCollisions)
 TEST_F(TableFixture, ForEachVisitsEveryItem)
 {
     for (int i = 0; i < 50; ++i) {
-        const std::string key = "k" + std::to_string(i);
+        const std::string key = concat("k", i);
         table_.insert(makeItem(key), hashKey(key));
     }
     std::size_t visited = 0;

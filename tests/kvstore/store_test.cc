@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "kvstore/store.hh"
+#include "sim/logging.hh"
 #include "sim/random.hh"
 
 namespace
@@ -18,6 +19,7 @@ namespace
 
 using namespace mercury;
 using namespace mercury::kvstore;
+using mercury::detail::concat;
 
 StoreParams
 smallStore(EvictionPolicyKind eviction = EvictionPolicyKind::StrictLru,
@@ -210,7 +212,7 @@ TEST(Store, EvictionKicksInWhenFull)
 
     const std::string value(1000, 'v');
     for (int i = 0; i < 5000; ++i)
-        store.set("k" + std::to_string(i), value);
+        store.set(concat("k", i), value);
 
     EXPECT_GT(store.counters().evictions.load(), 0u);
     EXPECT_LE(store.usedBytes(), store.memLimit());
@@ -229,7 +231,7 @@ TEST(Store, LruPrefersEvictingColdKeys)
     const std::string value(1000, 'v');
     store.set("hot", value);
     for (int i = 0; i < 5000; ++i) {
-        store.set("k" + std::to_string(i), value);
+        store.set(concat("k", i), value);
         store.get("hot");  // keep it warm
     }
     EXPECT_TRUE(store.get("hot").hit);
@@ -266,7 +268,7 @@ TEST(Store, TracedSetReportsNewItemAndEvictions)
     ProbeTrace trace;
     for (int i = 0; i < 30; ++i) {
         trace = ProbeTrace{};
-        store.setTraced("k" + std::to_string(i), value, 0, 0, trace);
+        store.setTraced(concat("k", i), value, 0, 0, trace);
     }
     EXPECT_NE(trace.itemAddr, nullptr);
     EXPECT_GT(store.counters().evictions.load(), 0u);
@@ -277,7 +279,7 @@ TEST(Store, HousekeepingReapsExpired)
     Store store(smallStore());
     store.setClock(0);
     for (int i = 0; i < 100; ++i)
-        store.set("k" + std::to_string(i), "v", 0, 10);
+        store.set(concat("k", i), "v", 0, 10);
     store.setClock(100);
     const std::size_t before = store.itemCount();
     store.housekeeping(1000);
@@ -350,7 +352,7 @@ TEST_P(StorePropertyTest, RandomOpsMatchReferenceModel)
             }
         } else if (roll < 0.85) {
             const std::string value =
-                "v" + std::to_string(rng.nextInt(1000000));
+                concat("v", rng.nextInt(1000000));
             EXPECT_EQ(store.set(key, value), StoreStatus::Stored);
             reference[slot] = value;
             present[slot] = true;
@@ -382,7 +384,7 @@ TEST(StoreConcurrency, ParallelGetsAndSetsStayConsistent)
     Store store(p);
 
     for (int i = 0; i < 256; ++i)
-        store.set("k" + std::to_string(i), "seed");
+        store.set(concat("k", i), "seed");
 
     std::vector<std::thread> threads;
     std::atomic<bool> failed{false};
@@ -391,13 +393,13 @@ TEST(StoreConcurrency, ParallelGetsAndSetsStayConsistent)
             Rng rng(static_cast<std::uint64_t>(t) + 1);
             for (int i = 0; i < 5000; ++i) {
                 const std::string key =
-                    "k" + std::to_string(rng.nextInt(256));
+                    concat("k", rng.nextInt(256));
                 if (rng.nextBool(0.7)) {
                     GetResult r = store.get(key);
                     if (r.hit && r.value.empty())
                         failed = true;
                 } else {
-                    store.set(key, "t" + std::to_string(t));
+                    store.set(key, concat("t", t));
                 }
             }
         });
@@ -424,9 +426,9 @@ TEST(StoreConcurrency, GetsRaceTableExpansionAndMigration)
 
     constexpr int seeded = 16;
     constexpr int total = 4096;
-    auto value_of = [](std::uint64_t i) { return "v" + std::to_string(i); };
+    auto value_of = [](std::uint64_t i) { return concat("v", i); };
     for (int i = 0; i < seeded; ++i)
-        store.set("k" + std::to_string(i), value_of(i));
+        store.set(concat("k", i), value_of(i));
 
     std::atomic<int> inserted{seeded};
     std::atomic<bool> failed{false};
@@ -437,14 +439,14 @@ TEST(StoreConcurrency, GetsRaceTableExpansionAndMigration)
             while (inserted.load() < total) {
                 const std::uint64_t i = rng.nextInt(
                     static_cast<std::uint64_t>(inserted.load()));
-                const GetResult r = store.get("k" + std::to_string(i));
+                const GetResult r = store.get(concat("k", i));
                 if (!r.hit || r.value != value_of(i))
                     failed = true;
             }
         });
     }
     for (int i = seeded; i < total; ++i) {
-        store.set("k" + std::to_string(i), value_of(i));
+        store.set(concat("k", i), value_of(i));
         inserted.store(i + 1);
     }
     for (auto &reader : readers)
@@ -463,7 +465,7 @@ TEST(StoreConcurrency, GlobalLockModeIsAlsoSafe)
     p.memLimit = 32 * miB;
     Store store(p);
     for (int i = 0; i < 64; ++i)
-        store.set("k" + std::to_string(i), "seed");
+        store.set(concat("k", i), "seed");
 
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
@@ -471,7 +473,7 @@ TEST(StoreConcurrency, GlobalLockModeIsAlsoSafe)
             Rng rng(static_cast<std::uint64_t>(t) + 99);
             for (int i = 0; i < 3000; ++i) {
                 const std::string key =
-                    "k" + std::to_string(rng.nextInt(64));
+                    concat("k", rng.nextInt(64));
                 if (rng.nextBool(0.5))
                     store.get(key);
                 else

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "mem/flash.hh"
+#include "sim/contract.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 
@@ -188,6 +189,112 @@ TEST_P(FtlPropertyTest, RandomWorkloadPreservesMappingInvariant)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FtlPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
+
+TEST(Ftl, RejectsBlocksTooLargeForTheValidCount)
+{
+    // validCount_ and pickGcVictim's minimum are 16-bit; 65536 pages
+    // per block would wrap them and GC would never pick a victim.
+    contract::ScopedContractThrow guard;
+    EXPECT_THROW(Ftl(65536ull * 8, 65536, 0.15, 3, 8),
+                 contract::ContractViolation);
+    EXPECT_NO_THROW(Ftl(65535ull * 8, 65535, 0.15, 3, 8));
+}
+
+// --- Demand-allocated mapping tables ---------------------------------
+
+/** One channel of the default (19.8 GB, 16-channel) Iridium flash. */
+Ftl
+iridiumChannelFtl()
+{
+    const FlashParams p;
+    return Ftl(p.capacity / p.numChannels / p.pageBytes, p.pagesPerBlock,
+               p.overprovision, p.gcLowWaterBlocks,
+               p.wearLevelThreshold);
+}
+
+TEST(FtlTables, FreshFullSizeChannelHoldsNoTableChunks)
+{
+    const Ftl ftl = iridiumChannelFtl();
+    const std::size_t flat_bytes =
+        (ftl.logicalPages() + ftl.physicalPages()) * sizeof(std::int64_t);
+    EXPECT_GT(flat_bytes, 4u * miB);
+    // Only the chunk index is resident: far below one chunk.
+    EXPECT_LT(ftl.tableBytes(), Ftl::tableChunkBytes);
+}
+
+TEST(FtlTables, ReadsAndAuditsAllocateNothing)
+{
+    Ftl ftl = iridiumChannelFtl();
+    for (std::uint64_t lpn = 0; lpn < 64; ++lpn)
+        ftl.write(lpn * 1000);
+    const std::size_t written = ftl.tableBytes();
+
+    std::uint64_t mapped = 0;
+    for (std::uint64_t lpn = 0; lpn < ftl.logicalPages(); ++lpn) {
+        if (ftl.isMapped(lpn)) {
+            ++mapped;
+            EXPECT_LT(ftl.translate(lpn), ftl.physicalPages());
+        }
+    }
+    ftl.trim(ftl.logicalPages() - 1);  // unmapped: a no-op
+    EXPECT_TRUE(ftl.checkConsistency());
+    EXPECT_EQ(mapped, 64u);
+    EXPECT_EQ(ftl.tableBytes(), written);
+}
+
+TEST(FtlTables, WritesAllocateOnlyTheChunksTheyTouch)
+{
+    Ftl ftl = iridiumChannelFtl();
+    const std::size_t fresh = ftl.tableBytes();
+    constexpr std::uint64_t chunk_pages = 1ull << Ftl::tableChunkShift;
+
+    // 100 pages inside one map chunk; fresh blocks hand out physical
+    // pages in order, so their reverse entries share one chunk too.
+    for (std::uint64_t lpn = 0; lpn < 100; ++lpn)
+        ftl.write(lpn);
+    EXPECT_LE(ftl.tableBytes() - fresh, 2 * Ftl::tableChunkBytes);
+
+    // Ten pages one chunk apart touch ten more map chunks at most.
+    std::set<std::uint64_t> map_chunks;
+    std::set<std::uint64_t> reverse_chunks;
+    for (std::uint64_t i = 1; i <= 10; ++i)
+        ftl.write(i * chunk_pages + 7);
+    for (std::uint64_t lpn = 0; lpn < ftl.logicalPages(); ++lpn) {
+        if (!ftl.isMapped(lpn))
+            continue;
+        map_chunks.insert(lpn / chunk_pages);
+        reverse_chunks.insert(ftl.translate(lpn) / chunk_pages);
+    }
+    EXPECT_EQ(map_chunks.size(), 11u);
+    EXPECT_LE(ftl.tableBytes() - fresh,
+              (map_chunks.size() + reverse_chunks.size()) *
+                  Ftl::tableChunkBytes);
+    EXPECT_TRUE(ftl.checkConsistency());
+}
+
+TEST(FtlTables, CopiedFtlTranslatesLikeTheOriginal)
+{
+    Ftl original = smallFtl();
+    Rng rng(34);
+    for (int i = 0; i < 5000; ++i)
+        original.write(rng.nextInt(original.logicalPages()));
+
+    Ftl copy = original;
+    ASSERT_TRUE(copy.checkConsistency());
+    EXPECT_EQ(copy.tableBytes(), original.tableBytes());
+    for (std::uint64_t lpn = 0; lpn < original.logicalPages(); ++lpn) {
+        ASSERT_EQ(copy.isMapped(lpn), original.isMapped(lpn));
+        if (original.isMapped(lpn)) {
+            ASSERT_EQ(copy.translate(lpn), original.translate(lpn));
+        }
+    }
+
+    // The copy owns its tables: rewriting it leaves the original be.
+    const std::uint64_t before = original.translate(0);
+    copy.write(0);
+    EXPECT_NE(copy.translate(0), before);
+    EXPECT_EQ(original.translate(0), before);
+}
 
 FlashParams
 smallFlash()

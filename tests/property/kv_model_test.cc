@@ -21,6 +21,7 @@
 
 #include "kvstore/store.hh"
 #include "net/datapath.hh"
+#include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 
@@ -29,6 +30,7 @@ namespace
 
 using namespace mercury;
 using namespace mercury::kvstore;
+using mercury::detail::concat;
 
 /** Reference semantics of one entry. */
 struct RefItem
@@ -73,7 +75,7 @@ TEST(KvModelProperty, RandomSoupMatchesOracle)
         std::uint64_t hits = 0, misses = 0;
         for (unsigned op = 0; op < 4000; ++op) {
             const std::string key =
-                "k" + std::to_string(rng.nextInt(200));
+                concat("k", rng.nextInt(200));
             const unsigned kind = rng.nextInt(100);
 
             if (kind < 40) {  // set, mixed sizes, sometimes with TTL
@@ -310,7 +312,7 @@ TEST(KvModelProperty, NicCacheHitsMatchTheStoreExactly)
         std::uint64_t nic_hits = 0;
         for (unsigned op = 0; op < 6000; ++op) {
             const std::string key =
-                "k" + std::to_string(rng.nextInt(200));
+                concat("k", rng.nextInt(200));
             const unsigned kind = rng.nextInt(100);
 
             if (kind < 35) {  // SET (sometimes TTL'd, mixed sizes)
@@ -367,7 +369,7 @@ TEST(KvModelProperty, RegisteredStatsMirrorCounters)
     Rng rng(99);
     for (unsigned op = 0; op < 500; ++op) {
         const std::string key =
-            "k" + std::to_string(rng.nextInt(50));
+            concat("k", rng.nextInt(50));
         if (rng.nextInt(2) == 0)
             store.set(key, "value");
         else

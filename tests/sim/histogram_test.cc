@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc_probe.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 // ---- Replacement global allocation operators (whole binary) -------
@@ -74,6 +75,7 @@ namespace
 {
 
 using mercury::stats::LatencyHistogram;
+using mercury::detail::concat;
 
 /** Stats require a parent group; give every test a scratch one. */
 class LatencyHistogramTest : public ::testing::Test
@@ -202,7 +204,7 @@ TEST_F(LatencyHistogramTest, MergeIsAssociativeAndCommutative)
     const unsigned precision = 4;
     auto make = [&](std::uint64_t seed, unsigned samples) {
         auto h = std::make_unique<LatencyHistogram>(
-            &group, "h" + std::to_string(seed), "", precision, 48);
+            &group, concat("h", seed), "", precision, 48);
         std::uint64_t state = seed;
         for (unsigned i = 0; i < samples; ++i)
             h->record(mix(state) >> (i % 40));
