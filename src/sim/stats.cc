@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -19,28 +17,6 @@ StatBase::StatBase(StatGroup *parent, std::string name, std::string desc)
     parent->addStat(this);
 }
 
-namespace
-{
-
-void
-formatLine(std::ostream &os, const std::string &prefix,
-           const std::string &name, double value, const std::string &desc)
-{
-    std::ostringstream full;
-    full << prefix << name;
-    os << std::left << std::setw(44) << full.str()
-       << std::right << std::setw(16) << value
-       << "  # " << desc << "\n";
-}
-
-} // anonymous namespace
-
-void
-Scalar::format(std::ostream &os, const std::string &prefix) const
-{
-    formatLine(os, prefix, name(), _value, desc());
-}
-
 void
 Scalar::formatJson(std::string &out, const std::string &prefix,
                    bool &first) const
@@ -50,198 +26,11 @@ Scalar::formatJson(std::string &out, const std::string &prefix,
 }
 
 void
-Counter::format(std::ostream &os, const std::string &prefix) const
-{
-    formatLine(os, prefix, name(), static_cast<double>(_value), desc());
-}
-
-void
 Counter::formatJson(std::string &out, const std::string &prefix,
                     bool &first) const
 {
     json::appendKey(out, first, prefix, name());
     json::appendUint(out, _value);
-}
-
-void
-Average::format(std::ostream &os, const std::string &prefix) const
-{
-    formatLine(os, prefix, name() + "::mean", mean(), desc());
-    formatLine(os, prefix, name() + "::count",
-               static_cast<double>(_count), desc());
-}
-
-void
-Average::formatJson(std::string &out, const std::string &prefix,
-                    bool &first) const
-{
-    json::appendKey(out, first, prefix, name(), "::mean");
-    json::appendDouble(out, mean());
-    json::appendKey(out, first, prefix, name(), "::count");
-    json::appendUint(out, _count);
-}
-
-void
-TickAverage::format(std::ostream &os, const std::string &prefix) const
-{
-    formatLine(os, prefix, name() + "::mean", mean(), desc());
-    formatLine(os, prefix, name() + "::ticks",
-               static_cast<double>(_ticks), desc());
-}
-
-void
-TickAverage::formatJson(std::string &out, const std::string &prefix,
-                        bool &first) const
-{
-    json::appendKey(out, first, prefix, name(), "::mean");
-    json::appendDouble(out, mean());
-    json::appendKey(out, first, prefix, name(), "::ticks");
-    json::appendUint(out, static_cast<std::uint64_t>(_ticks));
-}
-
-Histogram::Histogram(StatGroup *parent, std::string name, std::string desc,
-                     Scale scale, std::size_t buckets, double lo, double hi)
-    : StatBase(parent, std::move(name), std::move(desc)),
-      scale_(scale), lo_(lo), hi_(hi), buckets_(buckets, 0)
-{
-    mercury_assert(buckets > 0, "histogram needs at least one bucket");
-    if (scale_ == Scale::Linear)
-        mercury_assert(hi_ > lo_, "linear histogram needs hi > lo");
-}
-
-std::size_t
-Histogram::bucketFor(double value) const
-{
-    if (scale_ == Scale::Log2) {
-        if (value < 1.0)
-            return 0;
-        auto b = static_cast<std::size_t>(std::floor(std::log2(value)));
-        return std::min(b + 1, buckets_.size() - 1);
-    }
-    if (value < lo_)
-        return 0;
-    if (value >= hi_)
-        return buckets_.size() - 1;
-    double frac = (value - lo_) / (hi_ - lo_);
-    auto b = static_cast<std::size_t>(frac * buckets_.size());
-    return std::min(b, buckets_.size() - 1);
-}
-
-double
-Histogram::bucketLow(std::size_t index) const
-{
-    if (scale_ == Scale::Log2)
-        return index == 0 ? 0.0 : std::exp2(static_cast<double>(index - 1));
-    return lo_ + (hi_ - lo_) * static_cast<double>(index) /
-           static_cast<double>(buckets_.size());
-}
-
-double
-Histogram::bucketHigh(std::size_t index) const
-{
-    if (scale_ == Scale::Log2)
-        return std::exp2(static_cast<double>(index));
-    return lo_ + (hi_ - lo_) * static_cast<double>(index + 1) /
-           static_cast<double>(buckets_.size());
-}
-
-void
-Histogram::sample(double value, std::uint64_t weight)
-{
-    buckets_[bucketFor(value)] += weight;
-    _count += weight;
-    _sum += value * static_cast<double>(weight);
-    _min = std::min(_min, value);
-    _max = std::max(_max, value);
-}
-
-double
-Histogram::percentile(double p) const
-{
-    mercury_assert(p >= 0.0 && p <= 1.0, "percentile requires p in [0,1]");
-    if (_count == 0)
-        return 0.0;
-
-    const double target = p * static_cast<double>(_count);
-    double cumulative = 0.0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        double next = cumulative + static_cast<double>(buckets_[i]);
-        if (next >= target && buckets_[i] > 0) {
-            double frac = (target - cumulative) /
-                          static_cast<double>(buckets_[i]);
-            double low = std::max(bucketLow(i), _min);
-            double high = std::min(bucketHigh(i), _max);
-            return low + frac * (high - low);
-        }
-        cumulative = next;
-    }
-    return _max;
-}
-
-double
-Histogram::fractionBelow(double threshold) const
-{
-    if (_count == 0)
-        return 0.0;
-
-    std::uint64_t below = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        if (bucketHigh(i) <= threshold) {
-            below += buckets_[i];
-        } else if (bucketLow(i) < threshold) {
-            // Partial bucket: assume uniform within the bucket.
-            double span = bucketHigh(i) - bucketLow(i);
-            double covered = threshold - bucketLow(i);
-            below += static_cast<std::uint64_t>(
-                static_cast<double>(buckets_[i]) * covered / span);
-        }
-    }
-    return static_cast<double>(below) / static_cast<double>(_count);
-}
-
-void
-Histogram::format(std::ostream &os, const std::string &prefix) const
-{
-    formatLine(os, prefix, name() + "::count",
-               static_cast<double>(_count), desc());
-    formatLine(os, prefix, name() + "::mean", mean(), desc());
-    if (_count > 0) {
-        formatLine(os, prefix, name() + "::min", _min, desc());
-        formatLine(os, prefix, name() + "::max", _max, desc());
-        formatLine(os, prefix, name() + "::p50", percentile(0.50), desc());
-        formatLine(os, prefix, name() + "::p95", percentile(0.95), desc());
-        formatLine(os, prefix, name() + "::p99", percentile(0.99), desc());
-    }
-}
-
-void
-Histogram::formatJson(std::string &out, const std::string &prefix,
-                      bool &first) const
-{
-    json::appendKey(out, first, prefix, name(), "::count");
-    json::appendUint(out, _count);
-    json::appendKey(out, first, prefix, name(), "::mean");
-    json::appendDouble(out, mean());
-    if (_count > 0) {
-        json::appendKey(out, first, prefix, name(), "::min");
-        json::appendDouble(out, _min);
-        json::appendKey(out, first, prefix, name(), "::max");
-        json::appendDouble(out, _max);
-        json::appendKey(out, first, prefix, name(), "::p50");
-        json::appendDouble(out, percentile(0.50));
-        json::appendKey(out, first, prefix, name(), "::p99");
-        json::appendDouble(out, percentile(0.99));
-    }
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    _count = 0;
-    _sum = 0.0;
-    _min = std::numeric_limits<double>::infinity();
-    _max = -std::numeric_limits<double>::infinity();
 }
 
 LatencyHistogram::LatencyHistogram(StatGroup *parent, std::string name,
@@ -331,27 +120,6 @@ LatencyHistogram::merge(const LatencyHistogram &other)
 }
 
 void
-LatencyHistogram::format(std::ostream &os, const std::string &prefix) const
-{
-    formatLine(os, prefix, name() + "::count",
-               static_cast<double>(_count), desc());
-    formatLine(os, prefix, name() + "::sum",
-               static_cast<double>(_sum), desc());
-    if (_count > 0) {
-        formatLine(os, prefix, name() + "::min",
-                   static_cast<double>(minValue()), desc());
-        formatLine(os, prefix, name() + "::max",
-                   static_cast<double>(_max), desc());
-        formatLine(os, prefix, name() + "::p50",
-                   static_cast<double>(percentile(0.50)), desc());
-        formatLine(os, prefix, name() + "::p99",
-                   static_cast<double>(percentile(0.99)), desc());
-        formatLine(os, prefix, name() + "::p999",
-                   static_cast<double>(percentile(0.999)), desc());
-    }
-}
-
-void
 LatencyHistogram::formatJson(std::string &out, const std::string &prefix,
                              bool &first) const
 {
@@ -392,12 +160,6 @@ Formula::Formula(StatGroup *parent, std::string name, std::string desc,
 }
 
 void
-Formula::format(std::ostream &os, const std::string &prefix) const
-{
-    formatLine(os, prefix, name(), value(), desc());
-}
-
-void
 Formula::formatJson(std::string &out, const std::string &prefix,
                     bool &first) const
 {
@@ -424,17 +186,6 @@ StatGroup::removeChild(StatGroup *child)
     auto it = std::find(children_.begin(), children_.end(), child);
     if (it != children_.end())
         children_.erase(it);
-}
-
-void
-StatGroup::format(std::ostream &os, const std::string &prefix) const
-{
-    const std::string full =
-        prefix.empty() ? _name + "." : prefix + _name + ".";
-    for (const auto *stat : stats_)
-        stat->format(os, full);
-    for (const auto *child : children_)
-        child->format(os, full);
 }
 
 void

@@ -2,13 +2,12 @@
  * @file
  * Hierarchical statistics registry.
  *
- * Components own typed statistics (Counter, Scalar, Average,
- * TickAverage, Histogram, LatencyHistogram, Formula) that register
- * themselves with a StatGroup. Groups nest into a tree rooted at a
- * Registry; the tree can be formatted gem5 stats.txt style, dumped
- * as one flat deterministic JSON object (the golden-trace suite
- * digests that output byte-for-byte), queried by dotted path, and
- * reset between measurement intervals.
+ * Components own typed statistics (Counter, Scalar,
+ * LatencyHistogram, Formula) that register themselves with a
+ * StatGroup. Groups nest into a tree rooted at a Registry; the tree
+ * can be dumped as one flat deterministic JSON object (the
+ * golden-trace suite digests that output byte-for-byte), queried by
+ * dotted path, and reset between measurement intervals.
  *
  * Recording is pure observation: no statistic consumes RNG state or
  * advances simulated time, so an instrumented run computes the same
@@ -49,10 +48,6 @@ class StatBase
     const std::string &name() const { return _name; }
     const std::string &desc() const { return _desc; }
 
-    /** Write "name value # desc" style lines to the stream. */
-    virtual void format(std::ostream &os,
-                        const std::string &prefix) const = 0;
-
     /**
      * Append this statistic's fields to a flat JSON object as
      * "<prefix><name>[::field]": value pairs, appended to @p out.
@@ -84,7 +79,6 @@ class Scalar : public StatBase
 
     double value() const { return _value; }
 
-    void format(std::ostream &os, const std::string &prefix) const override;
     void formatJson(std::string &out, const std::string &prefix,
                     bool &first) const override;
     void reset() override { _value = 0.0; }
@@ -108,128 +102,12 @@ class Counter : public StatBase
 
     std::uint64_t value() const { return _value; }
 
-    void format(std::ostream &os, const std::string &prefix) const override;
     void formatJson(std::string &out, const std::string &prefix,
                     bool &first) const override;
     void reset() override { _value = 0; }
 
   private:
     std::uint64_t _value = 0;
-};
-
-/** Mean of a stream of samples. */
-class Average : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    void sample(double value) { _sum += value; ++_count; }
-
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    double sum() const { return _sum; }
-    std::uint64_t count() const { return _count; }
-
-    void format(std::ostream &os, const std::string &prefix) const override;
-    void formatJson(std::string &out, const std::string &prefix,
-                    bool &first) const override;
-    void reset() override { _sum = 0.0; _count = 0; }
-
-  private:
-    double _sum = 0.0;
-    std::uint64_t _count = 0;
-};
-
-/**
- * Time-weighted mean of a level signal (queue depth, buffer
- * occupancy, utilization): each sample holds a value for a number of
- * ticks and contributes proportionally to the elapsed time.
- */
-class TickAverage : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    /** The signal held @p value for @p ticks simulated ticks. */
-    void
-    sample(double value, Tick ticks)
-    {
-        _weighted += value * static_cast<double>(ticks);
-        _ticks += ticks;
-    }
-
-    double
-    mean() const
-    {
-        return _ticks ? _weighted / static_cast<double>(_ticks) : 0.0;
-    }
-
-    Tick ticks() const { return _ticks; }
-
-    void format(std::ostream &os, const std::string &prefix) const override;
-    void formatJson(std::string &out, const std::string &prefix,
-                    bool &first) const override;
-    void reset() override { _weighted = 0.0; _ticks = 0; }
-
-  private:
-    double _weighted = 0.0;
-    Tick _ticks = 0;
-};
-
-/**
- * A bucketed sample distribution.
- *
- * Buckets are either linear over [min, max) or logarithmic (powers of
- * two starting at 1). Percentiles are estimated by linear
- * interpolation within the containing bucket, which is plenty for
- * latency-SLA style reporting. For exact quantiles over integer tick
- * values, use LatencyHistogram instead.
- */
-class Histogram : public StatBase
-{
-  public:
-    enum class Scale { Linear, Log2 };
-
-    /**
-     * @param buckets number of buckets (excluding underflow/overflow)
-     * @param lo lowest representable sample (linear scale)
-     * @param hi highest representable sample (linear scale)
-     */
-    Histogram(StatGroup *parent, std::string name, std::string desc,
-              Scale scale = Scale::Log2, std::size_t buckets = 48,
-              double lo = 0.0, double hi = 1.0);
-
-    void sample(double value, std::uint64_t weight = 1);
-
-    std::uint64_t count() const { return _count; }
-    double sum() const { return _sum; }
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    double minValue() const { return _min; }
-    double maxValue() const { return _max; }
-
-    /** Estimated p-quantile (p in [0,1]). */
-    double percentile(double p) const;
-
-    /** Fraction of samples with value <= threshold. */
-    double fractionBelow(double threshold) const;
-
-    void format(std::ostream &os, const std::string &prefix) const override;
-    void formatJson(std::string &out, const std::string &prefix,
-                    bool &first) const override;
-    void reset() override;
-
-  private:
-    std::size_t bucketFor(double value) const;
-    double bucketLow(std::size_t index) const;
-    double bucketHigh(std::size_t index) const;
-
-    Scale scale_;
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t _count = 0;
-    double _sum = 0.0;
-    double _min = std::numeric_limits<double>::infinity();
-    double _max = -std::numeric_limits<double>::infinity();
 };
 
 /**
@@ -286,7 +164,6 @@ class LatencyHistogram : public StatBase
     /** Fold another histogram of identical geometry into this one. */
     void merge(const LatencyHistogram &other);
 
-    void format(std::ostream &os, const std::string &prefix) const override;
     void formatJson(std::string &out, const std::string &prefix,
                     bool &first) const override;
     void reset() override;
@@ -335,7 +212,6 @@ class Formula : public StatBase
 
     double value() const { return fn_ ? fn_() : 0.0; }
 
-    void format(std::ostream &os, const std::string &prefix) const override;
     void formatJson(std::string &out, const std::string &prefix,
                     bool &first) const override;
     /** Formulas have no state of their own. */
@@ -347,7 +223,7 @@ class Formula : public StatBase
 
 /**
  * A named collection of statistics belonging to one component.
- * Groups may nest; format()/formatJson()/resetStats() walk the
+ * Groups may nest; formatJson()/resetStats() walk the
  * subtree in registration order, so output is deterministic.
  */
 class StatGroup
@@ -360,9 +236,6 @@ class StatGroup
     StatGroup &operator=(const StatGroup &) = delete;
 
     const std::string &name() const { return _name; }
-
-    /** Dump every statistic in this group and its children. */
-    void format(std::ostream &os, const std::string &prefix = "") const;
 
     /**
      * Append this subtree's statistics to a flat JSON object keyed

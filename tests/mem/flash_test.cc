@@ -365,9 +365,10 @@ TEST(FlashController, WritesCoalesceWithinAPage)
         << "writes within one page must coalesce in the register";
 
     flash.drainWrites(now);
-    std::ostringstream os;
-    flash.statGroup().format(os);
-    EXPECT_NE(os.str().find("pagePrograms"), std::string::npos);
+    const auto *programs = dynamic_cast<const stats::Scalar *>(
+        flash.statGroup().find("pagePrograms"));
+    ASSERT_NE(programs, nullptr);
+    EXPECT_DOUBLE_EQ(programs->value(), 1.0);
 }
 
 TEST(FlashController, ScatteredWritesPayProgramWhenBufferIsFull)
