@@ -145,9 +145,6 @@ struct Calibration
     std::uint64_t putResponseBytes = 8;  // "STORED\r\n"
 };
 
-/** The default calibration used throughout the benches. */
-const Calibration &defaultCalibration();
-
 } // namespace mercury::server
 
 #endif // MERCURY_SERVER_CALIBRATION_HH

@@ -12,7 +12,7 @@ namespace mercury::server
 namespace
 {
 
-const Calibration defaultCal{};
+constexpr const Calibration &cal = ServerModelParams::cal;
 
 std::uint64_t
 linesOf(std::uint64_t bytes)
@@ -20,12 +20,44 @@ linesOf(std::uint64_t bytes)
     return (bytes + 63) / 64;
 }
 
+/** Send @p payload over @p link at @p at: as datagrams, or as
+ * segments of the link's transport. */
+net::DeliveryResult
+deliver(net::NetworkPath &link, std::uint64_t payload, Tick at,
+        bool datagrams)
+{
+    return datagrams
+               ? link.deliverDatagrams(
+                     payload, at,
+                     static_cast<unsigned>(
+                         kvstore::udpDatagramCount(payload)))
+               : link.deliver(payload, at);
+}
+
 } // anonymous namespace
 
-const Calibration &
-defaultCalibration()
+mem::DramParams
+dramParamsFor(const ServerModelParams &params, std::string name)
 {
-    return defaultCal;
+    mem::DramParams dp = mem::stackedDramParams();
+    dp.name = std::move(name);
+    dp.arrayLatency = params.dramArrayLatency;
+    dp.pagePolicy = params.dramPagePolicy;
+    return dp;
+}
+
+mem::FlashParams
+flashParamsFor(const ServerModelParams &params, std::string name)
+{
+    mem::FlashParams fp;
+    fp.name = std::move(name);
+    fp.readLatency = params.flashReadLatency;
+    fp.programLatency = params.flashWriteLatency;
+    if (params.flashPageBytes)
+        fp.pageBytes = params.flashPageBytes;
+    if (params.flashCapacity)
+        fp.capacity = params.flashCapacity;
+    return fp;
 }
 
 ServerModel::ServerModel(const ServerModelParams &params,
@@ -86,12 +118,9 @@ ServerModel::ServerModel(const ServerModelParams &params,
 
     if (params_.memory == MemoryKind::StackedDram) {
         if (!dram_) {
-            mem::DramParams dp = mem::stackedDramParams();
-            dp.name = params_.name + ".dram";
-            dp.arrayLatency = params_.dramArrayLatency;
-            dp.pagePolicy = params_.dramPagePolicy;
             ownedDram_ = std::make_unique<mem::DramModel>(
-                dp, params_.statsParent);
+                dramParamsFor(params_, params_.name + ".dram"),
+                params_.statsParent);
             dram_ = ownedDram_.get();
         }
         memory_ = dram_;
@@ -99,16 +128,9 @@ ServerModel::ServerModel(const ServerModelParams &params,
                         "store too large for the DRAM slice");
     } else {
         if (!flash_) {
-            mem::FlashParams fp;
-            fp.name = params_.name + ".flash";
-            fp.readLatency = params_.flashReadLatency;
-            fp.programLatency = params_.flashWriteLatency;
-            if (params_.flashPageBytes)
-                fp.pageBytes = params_.flashPageBytes;
-            if (params_.flashCapacity)
-                fp.capacity = params_.flashCapacity;
             ownedFlash_ = std::make_unique<mem::FlashController>(
-                fp, params_.statsParent);
+                flashParamsFor(params_, params_.name + ".flash"),
+                params_.statsParent);
             flash_ = ownedFlash_.get();
         }
 
@@ -274,20 +296,10 @@ ServerModel::populate(unsigned num_keys, std::uint32_t value_bytes)
         if (params_.memory == MemoryKind::Flash) {
             // Warm the device functionally so flash pages holding
             // this item (and its bucket line) are mapped.
-            const Addr item = map_.mapDataPointer(
-                store_->slabs(), probe.itemAddr);
             const std::uint64_t item_bytes = kvstore::Item::totalSize(
                 keyFor(value_bytes, i).size(), value_bytes);
-            Tick t = cursor_;
-            for (std::uint64_t line = 0; line < linesOf(item_bytes);
-                 ++line) {
-                t = memory_->access(mem::AccessType::Write,
-                                    item + line * 64, 64, t);
-            }
-            t = memory_->access(
-                mem::AccessType::Write,
-                map_.mapBucketIndex(probe.bucketIndex), 64, t);
-            cursor_ = std::max(cursor_, t);
+            cursor_ = std::max(cursor_,
+                               persistItem(probe, item_bytes, cursor_));
         }
     }
 
@@ -314,11 +326,12 @@ ServerModel::recordRequest(const RequestTiming &timing, Tick rx,
 }
 
 Tick
-ServerModel::runPhase(const cpu::OpTrace &trace)
+ServerModel::runPhase(cpu::OpTrace &trace)
 {
     if (trace.empty())
         return 0;
     const cpu::RunResult result = core_->run(trace, cursor_);
+    trace.clear();
     MERCURY_ENSURES(result.end >= cursor_,
                     "CPU phase moved the node clock backwards");
     cursor_ = result.end;
@@ -350,70 +363,80 @@ ServerModel::mutableMetaAddr(Addr line)
 }
 
 void
-ServerModel::buildRxPhase(cpu::OpTrace &trace,
-                          std::uint64_t payload_bytes,
-                          unsigned packets, net::DatapathKind path)
+ServerModel::buildTransportPhase(cpu::OpTrace &trace,
+                                 net::DatapathKind path, bool rx,
+                                 unsigned packets,
+                                 std::uint64_t payload_bytes)
 {
-    const Calibration &cal = params_.cal;
     cpu::TraceBuilder b(trace);
-    const bool udp = path == net::DatapathKind::KernelUdp;
 
-    if (path == net::DatapathKind::Bypass) {
+    // Per-path costs. The socket-layer fixed path is charged half on
+    // each side; the UDP path skips connection management and ACK
+    // bookkeeping.
+    std::uint64_t request_bytes = cal.netstackRequestPathBytes;
+    std::uint64_t request_instr = 0;
+    unsigned loads = 0;
+    unsigned stores = 0;
+    std::uint64_t packet_bytes = 0;
+    std::uint64_t packet_instr = 0;
+    switch (path) {
+      case net::DatapathKind::Bypass: {
         // Poll-mode user-level path: no syscalls, no socket state;
         // the request parses straight out of the DMA ring. Doorbell
         // and ring-refill costs are charged per batch and amortized
-        // over rxBatch packets (the closed-loop walk serves one
+        // over the batch depth (the closed-loop walk serves one
         // request at a time, so the amortized share is charged
         // deterministically instead of sampling queue occupancy).
-        const unsigned batch =
-            std::max(1u, params_.datapath.rxBatch);
-        b.codePass(map_.netstackCode() + 64 * kiB,
-                   cal.bypassRequestPathBytes,
-                   cal.bypassInstrPerRequest / 2);
+        const unsigned batch = std::max(
+            1u, rx ? params_.datapath.rxBatch : params_.datapath.txBatch);
+        request_bytes = cal.bypassRequestPathBytes;
+        request_instr = cal.bypassInstrPerRequest / 2;
         // Descriptor-ring tail update (the bypass path's only
         // mutable shared state; the sock region stands in for the
         // ring memory).
-        for (unsigned s = 0; s < cal.bypassRingStoresPerBatch; ++s)
-            b.randomStore(mutableMetaAddr(randomSockLine()));
-        const std::uint64_t per_packet =
-            packets ? payload_bytes / packets : 0;
-        for (unsigned p = 0; p < packets; ++p) {
-            b.codePass(map_.netstackCode(), cal.bypassRxPathBytes,
-                       cal.bypassInstrPerRxPacket +
-                           cal.bypassInstrPerRxBatch / batch);
-            const std::uint64_t lines = linesOf(per_packet + 64);
-            b.streamRead(map_.bufferAddr(p * 2048),
-                         (per_packet + 64));
-            b.compute(lines * cal.copyInstrPerLine);
-        }
-        return;
+        stores = cal.bypassRingStoresPerBatch;
+        packet_bytes = rx ? cal.bypassRxPathBytes : cal.bypassTxPathBytes;
+        packet_instr =
+            rx ? cal.bypassInstrPerRxPacket +
+                     cal.bypassInstrPerRxBatch / batch
+               : cal.bypassInstrPerTxPacket +
+                     cal.bypassInstrPerTxBatch / batch;
+        break;
+      }
+      case net::DatapathKind::KernelUdp:
+        request_instr = cal.udpInstrPerRequest / 2;
+        loads = cal.udpSockStateLoads;
+        stores = cal.udpSockStateStores;
+        packet_bytes = rx ? cal.udpRxPathBytes : cal.udpTxPathBytes;
+        packet_instr =
+            rx ? cal.udpInstrPerRxPacket : cal.udpInstrPerTxPacket;
+        break;
+      case net::DatapathKind::KernelTcp:
+        request_instr = cal.netstackInstrPerRequest / 2;
+        loads = rx ? cal.sockStateLoadsRx : cal.sockStateLoadsTx;
+        stores = rx ? cal.sockStateStoresRx : cal.sockStateStoresTx;
+        packet_bytes =
+            rx ? cal.netstackRxPathBytes : cal.netstackTxPathBytes;
+        packet_instr = rx ? cal.netstackInstrPerRxPacket
+                          : cal.netstackInstrPerTxPacket;
+        break;
     }
 
-    // Socket-layer fixed path (half charged on receive). The UDP
-    // path skips connection management and ACK bookkeeping.
-    b.codePass(map_.netstackCode() + 64 * kiB,
-               cal.netstackRequestPathBytes,
-               (udp ? cal.udpInstrPerRequest
-                    : cal.netstackInstrPerRequest) / 2);
-
-    // Connection/socket state touched on the receive path.
-    const unsigned loads =
-        udp ? cal.udpSockStateLoads : cal.sockStateLoadsRx;
-    const unsigned stores =
-        udp ? cal.udpSockStateStores : cal.sockStateStoresRx;
+    b.codePass(map_.netstackCode() + 64 * kiB, request_bytes,
+               request_instr);
+    // Connection/socket state (or ring) touched on this side.
     for (unsigned i = 0; i < loads; ++i)
         b.chaseLoad(randomSockLine());
     for (unsigned i = 0; i < stores; ++i)
         b.randomStore(mutableMetaAddr(randomSockLine()));
 
+    const Addr packet_code = map_.netstackCode() + (rx ? 0 : 32 * kiB);
     const std::uint64_t per_packet =
         packets ? payload_bytes / packets : 0;
     for (unsigned p = 0; p < packets; ++p) {
-        b.codePass(map_.netstackCode(),
-                   udp ? cal.udpRxPathBytes
-                       : cal.netstackRxPathBytes,
-                   udp ? cal.udpInstrPerRxPacket
-                       : cal.netstackInstrPerRxPacket);
+        b.codePass(packet_code, packet_bytes, packet_instr);
+        if (!rx)
+            continue;
         // The NIC has DMAed the packet into the buffer ring; the
         // stack reads it (header inspection + copy to socket).
         const std::uint64_t lines = linesOf(per_packet + 64);
@@ -422,57 +445,25 @@ ServerModel::buildRxPhase(cpu::OpTrace &trace,
     }
 }
 
-void
-ServerModel::buildTxCodePhase(cpu::OpTrace &trace, unsigned packets,
-                              net::DatapathKind path)
+Tick
+ServerModel::persistItem(const kvstore::ProbeTrace &probe,
+                         std::uint64_t item_bytes, Tick at)
 {
-    const Calibration &cal = params_.cal;
-    cpu::TraceBuilder b(trace);
-    const bool udp = path == net::DatapathKind::KernelUdp;
-
-    if (path == net::DatapathKind::Bypass) {
-        const unsigned batch =
-            std::max(1u, params_.datapath.txBatch);
-        b.codePass(map_.netstackCode() + 64 * kiB,
-                   cal.bypassRequestPathBytes,
-                   cal.bypassInstrPerRequest / 2);
-        for (unsigned s = 0; s < cal.bypassRingStoresPerBatch; ++s)
-            b.randomStore(mutableMetaAddr(randomSockLine()));
-        for (unsigned p = 0; p < packets; ++p) {
-            b.codePass(map_.netstackCode() + 32 * kiB,
-                       cal.bypassTxPathBytes,
-                       cal.bypassInstrPerTxPacket +
-                           cal.bypassInstrPerTxBatch / batch);
-        }
-        return;
+    const Addr item =
+        map_.mapDataPointer(store_->slabs(), probe.itemAddr);
+    for (std::uint64_t line = 0; line < linesOf(item_bytes); ++line) {
+        at = memory_->access(mem::AccessType::Write, item + line * 64,
+                             64, at);
     }
-
-    b.codePass(map_.netstackCode() + 64 * kiB,
-               cal.netstackRequestPathBytes,
-               (udp ? cal.udpInstrPerRequest
-                    : cal.netstackInstrPerRequest) / 2);
-    const unsigned loads =
-        udp ? cal.udpSockStateLoads : cal.sockStateLoadsTx;
-    const unsigned stores =
-        udp ? cal.udpSockStateStores : cal.sockStateStoresTx;
-    for (unsigned i = 0; i < loads; ++i)
-        b.chaseLoad(randomSockLine());
-    for (unsigned i = 0; i < stores; ++i)
-        b.randomStore(mutableMetaAddr(randomSockLine()));
-    for (unsigned p = 0; p < packets; ++p) {
-        b.codePass(map_.netstackCode() + 32 * kiB,
-                   udp ? cal.udpTxPathBytes
-                       : cal.netstackTxPathBytes,
-                   udp ? cal.udpInstrPerTxPacket
-                       : cal.netstackInstrPerTxPacket);
-    }
+    return memory_->access(mem::AccessType::Write,
+                           map_.mapBucketIndex(probe.bucketIndex), 64,
+                           at);
 }
 
 void
 ServerModel::buildHashPhase(cpu::OpTrace &trace,
                             std::size_t key_len) const
 {
-    const Calibration &cal = params_.cal;
     cpu::TraceBuilder b(trace);
     b.codePass(map_.hashCode(), cal.hashCodeBytes,
                cal.hashInstrBase + cal.hashInstrPerKeyByte * key_len);
@@ -483,7 +474,6 @@ ServerModel::buildLookupPhase(cpu::OpTrace &trace,
                               const kvstore::ProbeTrace &probe,
                               bool is_put)
 {
-    const Calibration &cal = params_.cal;
     cpu::TraceBuilder b(trace);
 
     const std::uint64_t chain = probe.chainItems.size();
@@ -534,28 +524,18 @@ ServerModel::buildValueCopy(cpu::OpTrace &trace, Addr value_addr,
 {
     if (bytes == 0)
         return;
-    const Calibration &cal = params_.cal;
     cpu::TraceBuilder b(trace);
 
     // The buffer side wraps around the (small) ring; the value side
     // is a contiguous stream through the item.
     const std::uint64_t lines = linesOf(bytes);
-    if (to_store) {
-        for (std::uint64_t i = 0; i < lines; ++i) {
-            trace.push_back(cpu::Op::load(
-                map_.bufferAddr(bufferCursor_ + i * 64),
-                cpu::Stream::Sequential));
-            trace.push_back(cpu::Op::store(value_addr + i * 64,
-                                           cpu::Stream::Sequential));
-        }
-    } else {
-        for (std::uint64_t i = 0; i < lines; ++i) {
-            trace.push_back(cpu::Op::load(value_addr + i * 64,
-                                          cpu::Stream::Sequential));
-            trace.push_back(cpu::Op::store(
-                map_.bufferAddr(bufferCursor_ + i * 64),
-                cpu::Stream::Sequential));
-        }
+    for (std::uint64_t i = 0; i < lines; ++i) {
+        const Addr buffer = map_.bufferAddr(bufferCursor_ + i * 64);
+        const Addr value = value_addr + i * 64;
+        trace.push_back(cpu::Op::load(to_store ? buffer : value,
+                                      cpu::Stream::Sequential));
+        trace.push_back(cpu::Op::store(to_store ? value : buffer,
+                                       cpu::Stream::Sequential));
     }
     bufferCursor_ += bytes;
     b.compute(lines * cal.copyInstrPerLine);
@@ -564,34 +544,64 @@ ServerModel::buildValueCopy(cpu::OpTrace &trace, Addr value_addr,
 RequestTiming
 ServerModel::get(const std::string &key)
 {
-    const Calibration &cal = params_.cal;
-    const net::DatapathKind path = params_.datapath.kind;
+    return serve(key, false, 0);
+}
+
+RequestTiming
+ServerModel::put(const std::string &key, std::uint32_t value_bytes)
+{
+    return serve(key, true, value_bytes);
+}
+
+RequestTiming
+ServerModel::serve(const std::string &key, bool is_put,
+                   std::uint32_t put_bytes)
+{
+    // Only bypass GETs ride datagrams. PUTs keep TCP framing on the
+    // wire (reliable transport), and the kernel path stays TCP even
+    // when GETs ride UDP; in bypass mode the CPU walks the
+    // user-level stack (mTCP-style) instead.
+    const bool bypass = params_.datapath.bypass();
+    const bool datagrams = bypass && !is_put;
+    const net::DatapathKind path = is_put && !bypass
+                                       ? net::DatapathKind::KernelTcp
+                                       : params_.datapath.kind;
     const Tick t0 = cursor_;
 
-    std::uint32_t traceReq = 0;
+    [[maybe_unused]] std::uint32_t traceReq = 0;
     if (MERCURY_TRACING && tracer_)
         traceReq = tracer_->beginRequest();
 
+    PhaseTimes pt;
+    cpu::OpTrace trace;
+    // Run the phase built in `trace`, charge its time to @p into and
+    // record it as a @p stage span.
+    const auto phase = [&](Tick &into,
+                           [[maybe_unused]] trace::Stage stage,
+                           [[maybe_unused]] std::uint64_t arg) {
+        [[maybe_unused]] const Tick begin = cursor_;
+        into += runPhase(trace);
+        MERCURY_TRACE_SPAN(tracer_, traceReq, stage, begin, cursor_,
+                           arg);
+    };
+
     const std::uint64_t req_payload =
-        key.size() + cal.getRequestOverheadBytes;
-    const auto arrival =
-        path == net::DatapathKind::Bypass
-            ? c2s_->deliverDatagrams(
-                  req_payload, t0,
-                  static_cast<unsigned>(
-                      kvstore::udpDatagramCount(req_payload)))
-            : c2s_->deliver(req_payload, t0);
+        is_put ? key.size() + put_bytes + cal.putRequestOverheadBytes
+               : key.size() + cal.getRequestOverheadBytes;
+    const auto arrival = deliver(*c2s_, req_payload, t0, datagrams);
     cursor_ = arrival.completion;
     MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::NicIn, t0,
                        arrival.completion, req_payload);
 
-    PhaseTimes pt;
-
     // On-NIC GET cache: the lookup engine sits between the MAC and
-    // the DMA engine. A hit answers at wire latency without waking
-    // the core; a miss pays the lookup and forwards to the host.
-    if (nicCache_) {
-        const Tick begin = cursor_;
+    // the DMA engine. A hit answers at wire latency (always in
+    // datagrams) without waking the core; a miss pays the lookup
+    // and forwards to the host.
+    bool hit = false;
+    bool resp_datagrams = datagrams;
+    std::uint64_t resp_payload = 0;
+    if (nicCache_ && !is_put) {
+        [[maybe_unused]] const Tick begin = cursor_;
         const auto cached = nicCache_->lookup(key);
         pt.nicCache = params_.datapath.nicCacheLookupLatency;
         cursor_ += pt.nicCache;
@@ -599,254 +609,117 @@ ServerModel::get(const std::string &key)
         MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::NicCache,
                            begin, cursor_, cached ? 1 : 0);
         if (cached) {
-            const std::uint64_t resp_payload =
-                cached->size() + cal.getResponseOverheadBytes;
-            const auto response = s2c_->deliverDatagrams(
-                resp_payload, cursor_,
-                static_cast<unsigned>(
-                    kvstore::udpDatagramCount(resp_payload)));
-            const Tick wire = (arrival.completion - t0) +
-                              (response.completion - cursor_);
-            MERCURY_TRACE_SPAN(tracer_, traceReq,
-                               trace::Stage::NicOut, cursor_,
-                               response.completion, resp_payload);
-            cursor_ = response.completion;
-            MERCURY_TRACE_SPAN(tracer_, traceReq,
-                               trace::Stage::Request, t0, cursor_, 1);
-
-            RequestTiming timing;
-            timing.rtt = response.completion - t0;
-            timing.breakdown = {wire, 0, 0, 0, pt.nicCache};
-            timing.hit = true;
-
-            ++gets_;
-            ++getHits_;
-            bytesIn_ += req_payload;
-            bytesOut_ += resp_payload;
-            recordRequest(timing, 0, 0);
-            return timing;
+            hit = true;
+            resp_datagrams = true;
+            resp_payload = cached->size() + cal.getResponseOverheadBytes;
         }
     }
 
-    {
-        Tick begin = cursor_;
-        cpu::OpTrace trace;
-        buildRxPhase(trace, req_payload, arrival.packets, path);
-        pt.rx += runPhase(trace);
-        MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Netstack,
-                           begin, cursor_, arrival.packets);
-    }
-    {
-        Tick begin = cursor_;
-        cpu::OpTrace trace;
+    // Everything but a NIC-cache hit is served by the core.
+    if (!hit) {
+        buildTransportPhase(trace, path, true, arrival.packets,
+                            req_payload);
+        phase(pt.rx, trace::Stage::Netstack, arrival.packets);
         buildHashPhase(trace, key.size());
-        pt.hash += runPhase(trace);
-        MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Hash,
-                           begin, cursor_, key.size());
-    }
+        phase(pt.hash, trace::Stage::Hash, key.size());
 
-    kvstore::ProbeTrace probe;
-    const kvstore::GetResult result = store_->getTraced(key, probe);
-    {
-        Tick begin = cursor_;
-        cpu::OpTrace trace;
-        buildLookupPhase(trace, probe, false);
-        pt.memcached += runPhase(trace);
-        MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::StoreWalk,
-                           begin, cursor_, probe.chainItems.size());
-    }
-
-    // The NIC cache observes the response DMA and keeps a copy of
-    // hot values (zero CPU cost; the fill engine runs beside the
-    // DMA engine). SETs invalidate, so a cached value can never
-    // diverge from the store's copy.
-    if (nicCache_ && result.hit)
-        nicCache_->fill(key, result.value);
-
-    const std::uint64_t resp_payload =
-        result.hit ? probe.valueLen + cal.getResponseOverheadBytes
-                   : 5;  // "END\r\n"
-    {
-        Tick begin = cursor_;
-        cpu::OpTrace trace;
-        const unsigned packets =
-            path == net::DatapathKind::Bypass
-                ? static_cast<unsigned>(
-                      kvstore::udpDatagramCount(resp_payload))
-                : s2c_->segmenter().numSegments(resp_payload);
-        buildTxCodePhase(trace, packets, path);
-        if (result.hit && probe.itemAddr) {
-            const Addr value_addr =
-                map_.mapDataPointer(store_->slabs(), probe.itemAddr) +
-                sizeof(kvstore::Item) + key.size();
-            buildValueCopy(trace, value_addr, probe.valueLen, false);
+        kvstore::ProbeTrace probe;
+        if (is_put) {
+            const std::string value(put_bytes, 'p');
+            hit = store_->setTraced(key, value, 0, 0, probe) ==
+                  kvstore::StoreStatus::Stored;
+            // The NIC cache snoops SETs and drops its copy (LaKe's
+            // invalidate-on-write); the invalidation engine costs no
+            // CPU time.
+            if (nicCache_)
+                nicCache_->invalidate(key);
+        } else {
+            const kvstore::GetResult result =
+                store_->getTraced(key, probe);
+            hit = result.hit;
+            // The NIC cache observes the response DMA and keeps a
+            // copy of hot values (zero CPU cost; the fill engine
+            // runs beside the DMA engine). SETs invalidate, so a
+            // cached value can never diverge from the store's copy.
+            if (nicCache_ && hit)
+                nicCache_->fill(key, result.value);
         }
-        pt.tx += runPhase(trace);
-        MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Netstack,
-                           begin, cursor_, resp_payload);
+        buildLookupPhase(trace, probe, is_put);
+        phase(pt.memcached, trace::Stage::StoreWalk,
+              probe.chainItems.size());
+
+        const bool copies = hit && probe.itemAddr;
+        const Addr value_addr =
+            copies ? map_.mapDataPointer(store_->slabs(),
+                                         probe.itemAddr) +
+                         sizeof(kvstore::Item) + key.size()
+                   : 0;
+        if (is_put && copies) {
+            // Copy the inbound value from the socket buffers into
+            // the item (data-transfer time, charged to the network
+            // stack per Fig. 4).
+            buildValueCopy(trace, value_addr, put_bytes, true);
+            pt.rx += runPhase(trace);
+        }
+
+        // On Iridium the stored item must actually be programmed
+        // into flash before the server acknowledges: the paper keeps
+        // write latency at 200 us and PUT throughput is bound by it
+        // (Fig. 6).
+        if (is_put && copies && params_.memory == MemoryKind::Flash) {
+            [[maybe_unused]] const Tick memBegin = cursor_;
+            const std::uint64_t item_bytes =
+                kvstore::Item::totalSize(key.size(), put_bytes);
+            Tick t = persistItem(probe, item_bytes, cursor_);
+            // Unlink of the replaced/evicted items must also persist.
+            for (const void *ptr : probe.evictedItems) {
+                t = memory_->access(
+                    mem::AccessType::Write,
+                    map_.mapDataPointer(store_->slabs(), ptr), 64, t);
+            }
+            t = flash_->drainChannel(ourChannel(), t);
+            pt.memcached += t - cursor_;
+            cursor_ = t;
+            MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Memory,
+                               memBegin, cursor_, item_bytes);
+        }
+
+        resp_payload =
+            is_put ? cal.putResponseBytes
+            : hit  ? probe.valueLen + cal.getResponseOverheadBytes
+                   : 5;  // "END\r\n"
+        const unsigned packets =
+            datagrams ? static_cast<unsigned>(
+                            kvstore::udpDatagramCount(resp_payload))
+                      : s2c_->segmenter().numSegments(resp_payload);
+        buildTransportPhase(trace, path, false, packets, 0);
+        if (!is_put && copies)
+            buildValueCopy(trace, value_addr, probe.valueLen, false);
+        phase(pt.tx, trace::Stage::Netstack, resp_payload);
     }
 
     const auto response =
-        path == net::DatapathKind::Bypass
-            ? s2c_->deliverDatagrams(
-                  resp_payload, cursor_,
-                  static_cast<unsigned>(
-                      kvstore::udpDatagramCount(resp_payload)))
-            : s2c_->deliver(resp_payload, cursor_);
+        deliver(*s2c_, resp_payload, cursor_, resp_datagrams);
     const Tick wire = (arrival.completion - t0) +
                       (response.completion - cursor_);
     MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::NicOut,
                        cursor_, response.completion, resp_payload);
     cursor_ = response.completion;
     MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Request, t0,
-                       cursor_, result.hit ? 1 : 0);
+                       cursor_, hit ? 1 : 0);
 
     RequestTiming timing;
     timing.rtt = response.completion - t0;
     timing.breakdown = {wire, pt.netstack(), pt.hash, pt.memcached,
                         pt.nicCache};
-    timing.hit = result.hit;
+    timing.hit = hit;
 
-    ++gets_;
-    if (result.hit)
-        ++getHits_;
-    else
-        ++getMisses_;
-    bytesIn_ += req_payload;
-    bytesOut_ += resp_payload;
-    recordRequest(timing, pt.rx, pt.tx);
-    return timing;
-}
-
-RequestTiming
-ServerModel::put(const std::string &key, std::uint32_t value_bytes)
-{
-    const Calibration &cal = params_.cal;
-    // PUTs keep TCP framing on the wire (reliable transport), and
-    // the kernel path stays TCP even when GETs ride UDP; in bypass
-    // mode the CPU walks the user-level stack (mTCP-style) instead.
-    const net::DatapathKind path = params_.datapath.bypass()
-                                       ? net::DatapathKind::Bypass
-                                       : net::DatapathKind::KernelTcp;
-    const Tick t0 = cursor_;
-
-    std::uint32_t traceReq = 0;
-    if (MERCURY_TRACING && tracer_)
-        traceReq = tracer_->beginRequest();
-
-    const std::uint64_t req_payload =
-        key.size() + value_bytes + cal.putRequestOverheadBytes;
-    const auto arrival = c2s_->deliver(req_payload, t0);
-    cursor_ = arrival.completion;
-    MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::NicIn, t0,
-                       arrival.completion, req_payload);
-
-    PhaseTimes pt;
-    {
-        Tick begin = cursor_;
-        cpu::OpTrace trace;
-        buildRxPhase(trace, req_payload, arrival.packets, path);
-        pt.rx += runPhase(trace);
-        MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Netstack,
-                           begin, cursor_, arrival.packets);
+    if (is_put) {
+        ++puts_;
+    } else {
+        ++gets_;
+        ++(hit ? getHits_ : getMisses_);
     }
-    {
-        Tick begin = cursor_;
-        cpu::OpTrace trace;
-        buildHashPhase(trace, key.size());
-        pt.hash += runPhase(trace);
-        MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Hash,
-                           begin, cursor_, key.size());
-    }
-
-    kvstore::ProbeTrace probe;
-    const std::string value(value_bytes, 'p');
-    const auto status = store_->setTraced(key, value, 0, 0, probe);
-    // The NIC cache snoops SETs and drops its copy (LaKe's
-    // invalidate-on-write); the invalidation engine costs no CPU
-    // time.
-    if (nicCache_)
-        nicCache_->invalidate(key);
-    {
-        Tick begin = cursor_;
-        cpu::OpTrace trace;
-        buildLookupPhase(trace, probe, true);
-        pt.memcached += runPhase(trace);
-        MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::StoreWalk,
-                           begin, cursor_, probe.chainItems.size());
-    }
-
-    // Copy the inbound value from the socket buffers into the item
-    // (data-transfer time, charged to the network stack per Fig. 4).
-    if (status == kvstore::StoreStatus::Stored && probe.itemAddr) {
-        cpu::OpTrace trace;
-        const Addr value_addr =
-            map_.mapDataPointer(store_->slabs(), probe.itemAddr) +
-            sizeof(kvstore::Item) + key.size();
-        buildValueCopy(trace, value_addr, value_bytes, true);
-        pt.rx += runPhase(trace);
-    }
-
-    // On Iridium the stored item must actually be programmed into
-    // flash before the server acknowledges: the paper keeps write
-    // latency at 200 us and PUT throughput is bound by it (Fig. 6).
-    if (params_.memory == MemoryKind::Flash &&
-        status == kvstore::StoreStatus::Stored && probe.itemAddr) {
-        const Tick memBegin = cursor_;
-        const Addr item =
-            map_.mapDataPointer(store_->slabs(), probe.itemAddr);
-        const std::uint64_t item_bytes =
-            kvstore::Item::totalSize(key.size(), value_bytes);
-        Tick t = cursor_;
-        for (std::uint64_t line = 0; line < linesOf(item_bytes);
-             ++line) {
-            t = memory_->access(mem::AccessType::Write,
-                                item + line * 64, 64, t);
-        }
-        t = memory_->access(mem::AccessType::Write,
-                            map_.mapBucketIndex(probe.bucketIndex),
-                            64, t);
-        // Unlink of the replaced/evicted items must also persist.
-        for (const void *ptr : probe.evictedItems) {
-            t = memory_->access(
-                mem::AccessType::Write,
-                map_.mapDataPointer(store_->slabs(), ptr), 64, t);
-        }
-        t = flash_->drainChannel(ourChannel(), t);
-        pt.memcached += t - cursor_;
-        cursor_ = t;
-        MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Memory,
-                           memBegin, cursor_, item_bytes);
-    }
-
-    const std::uint64_t resp_payload = cal.putResponseBytes;
-    {
-        Tick begin = cursor_;
-        cpu::OpTrace trace;
-        buildTxCodePhase(trace, 1, path);
-        pt.tx += runPhase(trace);
-        MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Netstack,
-                           begin, cursor_, resp_payload);
-    }
-
-    const auto response = s2c_->deliver(resp_payload,
-                                                  cursor_);
-    const Tick wire = (arrival.completion - t0) +
-                      (response.completion - cursor_);
-    MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::NicOut,
-                       cursor_, response.completion, resp_payload);
-    cursor_ = response.completion;
-    MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Request, t0,
-                       cursor_,
-                       status == kvstore::StoreStatus::Stored ? 1 : 0);
-
-    RequestTiming timing;
-    timing.rtt = response.completion - t0;
-    timing.breakdown = {wire, pt.netstack(), pt.hash, pt.memcached,
-                        pt.nicCache};
-    timing.hit = status == kvstore::StoreStatus::Stored;
-
-    ++puts_;
     bytesIn_ += req_payload;
     bytesOut_ += resp_payload;
     recordRequest(timing, pt.rx, pt.tx);
@@ -857,6 +730,7 @@ Measurement
 ServerModel::measure(bool puts, std::uint32_t value_bytes,
                      unsigned samples, unsigned warmup)
 {
+    MERCURY_EXPECTS(samples > 0, "a measurement needs samples");
     // Memcached's item ceiling is one slab page (1 MiB) including
     // the header and key; a nominal "1 MB" request therefore stores
     // the largest value that fits, exactly as real clients must.

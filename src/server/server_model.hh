@@ -90,7 +90,9 @@ struct ServerModelParams
      * default, Sec. 4.1.2). */
     std::uint64_t storeMemLimit = 224 * miB;
 
-    Calibration cal{};
+    /** The fitted trace-generator constants (calibration.hh); one
+     * fixed set for every node. */
+    static constexpr Calibration cal{};
 
     std::uint64_t seed = 1;
 
@@ -112,6 +114,16 @@ struct ServerModelParams
      * stack simulation). */
     Addr sliceBase = 0;
 };
+
+/** Stacked-DRAM device parameters of a node configured by
+ * @p params, named @p name. */
+mem::DramParams dramParamsFor(const ServerModelParams &params,
+                              std::string name);
+
+/** Flash controller parameters of a node configured by @p params,
+ * named @p name. */
+mem::FlashParams flashParamsFor(const ServerModelParams &params,
+                                std::string name);
 
 /**
  * Devices shared by all cores of one stack. When passed to a
@@ -333,17 +345,34 @@ class ServerModel
         Tick netstack() const { return rx + tx; }
     };
 
-    /** Run one trace as a phase, returning elapsed time. */
-    Tick runPhase(const cpu::OpTrace &trace);
+    /**
+     * The request walk behind get() and put(): wire in, on-NIC cache
+     * (GETs), transport, hash, store walk, value copy, flash
+     * persistence (PUTs on flash), transport, wire out.
+     * @p put_bytes is the PUT's value size; ignored for a GET.
+     */
+    RequestTiming serve(const std::string &key, bool is_put,
+                        std::uint32_t put_bytes);
+
+    /** Run @p trace as one phase and clear it, returning elapsed
+     * time. */
+    Tick runPhase(cpu::OpTrace &trace);
 
     /** Record one finished request into the window histograms. */
     void recordRequest(const RequestTiming &timing, Tick rx, Tick tx);
 
-    /** CPU-side transport phases of the given path. */
-    void buildRxPhase(cpu::OpTrace &trace, std::uint64_t payload_bytes,
-                      unsigned packets, net::DatapathKind path);
-    void buildTxCodePhase(cpu::OpTrace &trace, unsigned packets,
-                          net::DatapathKind path);
+    /** CPU-side transport phase of @p path, receive side (reading
+     * @p payload_bytes out of the buffer ring) or transmit side. */
+    void buildTransportPhase(cpu::OpTrace &trace, net::DatapathKind path,
+                             bool rx, unsigned packets,
+                             std::uint64_t payload_bytes);
+
+    /** Write the item @p probe operated on (@p item_bytes) and its
+     * bucket line to flash from @p at; returns when the last write
+     * is accepted. */
+    Tick persistItem(const kvstore::ProbeTrace &probe,
+                     std::uint64_t item_bytes, Tick at);
+
     /** Random line in the kernel socket-state region. */
     Addr randomSockLine();
 

@@ -18,18 +18,12 @@ StackSimulation::StackSimulation(const StackSimParams &params)
     // Build the shared stack devices.
     SharedStackDevices shared;
     if (node.memory == MemoryKind::StackedDram) {
-        mem::DramParams dp = mem::stackedDramParams();
-        dp.name = "stack.dram";
-        dp.arrayLatency = node.dramArrayLatency;
-        dp.pagePolicy = node.dramPagePolicy;
-        dram_ = std::make_unique<mem::DramModel>(dp);
+        dram_ = std::make_unique<mem::DramModel>(
+            dramParamsFor(node, "stack.dram"));
         shared.dram = dram_.get();
     } else {
-        mem::FlashParams fp;
-        fp.name = "stack.flash";
-        fp.readLatency = node.flashReadLatency;
-        fp.programLatency = node.flashWriteLatency;
-        flash_ = std::make_unique<mem::FlashController>(fp);
+        flash_ = std::make_unique<mem::FlashController>(
+            flashParamsFor(node, "stack.flash"));
         shared.flash = flash_.get();
     }
 
