@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulation substrate:
- * cache probes, DRAM/flash timing walks, core trace execution and
- * the end-to-end single-request path.
+ * cache probes, DRAM/flash timing walks, core trace execution, the
+ * end-to-end single-request path and the cluster client's replica
+ * routing.
  */
 
 #include <benchmark/benchmark.h>
@@ -10,12 +11,16 @@
 #include "bench_util.hh"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "cluster/ring.hh"
 #include "cpu/core.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/flash.hh"
 #include "server/server_model.hh"
+#include "sim/logging.hh"
 
 namespace
 {
@@ -135,6 +140,28 @@ BM_EndToEndGet(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EndToEndGet);
+
+/** Replica order of one request as the cluster client resolves it:
+ * rack-aware 2-way replication over 16 nodes in 4 racks. */
+void
+BM_RingReplicaOrder(benchmark::State &state)
+{
+    cluster::ConsistentHashRing ring(64);
+    for (unsigned i = 0; i < 16; ++i)
+        ring.addNode(detail::concat("node", i), i % 4);
+    std::vector<std::string> keys;
+    for (unsigned i = 0; i < 1024; ++i)
+        keys.push_back(detail::concat("key:", i));
+
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const auto order = ring.replicasFor(keys[i++ % keys.size()], 2,
+                                            true);
+        benchmark::DoNotOptimize(order.data());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RingReplicaOrder);
 
 } // anonymous namespace
 

@@ -18,10 +18,13 @@ ClusterSim::ClusterSim(const ClusterSimParams &params)
     nodes_.reserve(params_.nodes);
     for (unsigned i = 0; i < params_.nodes; ++i) {
         const std::string name = "node" + std::to_string(i);
-        nodeNames_.push_back(name);
         // Stripe nodes across racks (failure domains) when asked.
         ring_.addNode(name,
                       params_.racks >= 2 ? i % params_.racks : 0);
+        // Routing reads ring answers as indices into nodes_.
+        MERCURY_ENSURES(ring_.numNodes() == i + 1 &&
+                            ring_.nodeName(i) == name,
+                        "node ", name, " did not get ring index ", i);
 
         server::ServerModelParams node_params = params_.node;
         node_params.name = name;
@@ -65,11 +68,11 @@ ClusterSim::keyFor(std::uint64_t key_id) const
 std::size_t
 ClusterSim::indexOfName(const std::string &name) const
 {
-    for (std::size_t i = 0; i < nodeNames_.size(); ++i) {
-        if (nodeNames_[i] == name)
+    for (std::size_t i = 0; i < ring_.numNodes(); ++i) {
+        if (ring_.nodeName(i) == name)
             return i;
     }
-    mercury_panic("ring returned unknown node ", name);
+    mercury_panic("unknown node ", name);
 }
 
 unsigned
@@ -80,7 +83,7 @@ ClusterSim::effectiveReplication() const
         static_cast<unsigned>(nodes_.size()));
 }
 
-std::vector<std::string>
+std::vector<std::size_t>
 ClusterSim::replicaOrder(std::string_view key,
                          std::size_t count) const
 {
@@ -97,8 +100,8 @@ ClusterSim::populate()
     const unsigned replication = effectiveReplication();
     for (std::uint64_t id = 0; id < params_.numKeys; ++id) {
         const std::string key = keyFor(id);
-        for (const std::string &name : replicaOrder(key, replication))
-            nodes_[indexOfName(name)]->put(key, params_.valueBytes);
+        for (const std::size_t index : replicaOrder(key, replication))
+            nodes_[index]->put(key, params_.valueBytes);
     }
     populated_ = true;
 }
@@ -275,7 +278,7 @@ ClusterSim::run(double offered_tps)
         up[victim] = false;
         restart_at[victim] = at + fp.nodeDowntime;
         injector_.record(at, fault::FaultKind::NodeCrash,
-                         nodeNames_[victim]);
+                         ring_.nodeName(victim));
         ++result.crashes;
         if (sampler)
             sampler->count(ch_crashes);
@@ -295,7 +298,7 @@ ClusterSim::run(double offered_tps)
         hints[index].clear();
         recovering[index] = recovery_window;
         injector_.record(at, fault::FaultKind::NodeRestart,
-                         nodeNames_[index]);
+                         ring_.nodeName(index));
         ++result.restarts;
         if (sampler)
             sampler->count(ch_restarts);
@@ -410,12 +413,7 @@ ClusterSim::run(double offered_tps)
         const std::size_t fan = std::max<std::size_t>(
             replication,
             static_cast<std::size_t>(fp.maxRetries) + 1);
-        const std::vector<std::string> order_names =
-            replicaOrder(key, fan);
-        std::vector<std::size_t> order;
-        order.reserve(order_names.size());
-        for (const std::string &name : order_names)
-            order.push_back(indexOfName(name));
+        const std::vector<std::size_t> order = replicaOrder(key, fan);
         ++issued;
 
         enum class Outcome { Pending, Ok, Shed, Failed, TimedOut };

@@ -314,6 +314,7 @@ class ClusterSim
 
   private:
     std::string keyFor(std::uint64_t key_id) const;
+    /** Node index of a name (fault-plan targets arrive as names). */
     std::size_t indexOfName(const std::string &name) const;
 
     /** Master timeline digest chained through every per-node
@@ -323,15 +324,15 @@ class ClusterSim
     /** Replicas clamped to the cluster size (>= 1). */
     unsigned effectiveReplication() const;
 
-    /** Failover/replica order for a key: plain ring successors, or
-     * the rack-spread variant when configured. */
-    std::vector<std::string> replicaOrder(std::string_view key,
+    /** Failover/replica order for a key, as node indices: plain
+     * ring successors, or the rack-spread variant when configured. */
+    std::vector<std::size_t> replicaOrder(std::string_view key,
                                           std::size_t count) const;
 
     ClusterSimParams params_;
     ConsistentHashRing ring_;
+    /** Node i is ring index i, so ring answers index this. */
     std::vector<std::unique_ptr<server::ServerModel>> nodes_;
-    std::vector<std::string> nodeNames_;
     fault::FaultInjector injector_;
     /** Per-node injector forks (fault mode only): each node's
      * loss/flash draws come from its own seeded stream, so a

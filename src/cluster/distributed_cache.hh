@@ -66,13 +66,6 @@ class DistributedCache
      * fraction measured before the ring shrank. */
     bool removeNode(const std::string &name);
 
-    /** Failover order for a key (ring successors). */
-    std::vector<std::string>
-    nodesFor(std::string_view key, std::size_t count) const
-    {
-        return ring_.nodesFor(key, count);
-    }
-
     const TopologyStats &topologyStats() const { return topology_; }
 
     std::size_t numNodes() const { return ring_.numNodes(); }

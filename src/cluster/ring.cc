@@ -86,91 +86,93 @@ ConsistentHashRing::nodeFor(std::string_view key) const
     return nodes_[it->second];
 }
 
-std::vector<std::string>
-ConsistentHashRing::nodesFor(std::string_view key,
-                             std::size_t count) const
+void
+ConsistentHashRing::appendSuccessors(RingIter from, std::size_t count,
+                                     std::vector<bool> &seen,
+                                     std::vector<std::size_t> &order) const
 {
-    mercury_assert(!ring_.empty(), "ring has no nodes");
-    std::vector<std::string> order;
-    order.reserve(std::min(count, nodes_.size()));
-
-    const std::uint64_t point = kvstore::hashKey(key);
-    auto it = ring_.lower_bound(point);
-    // Walk the circle once, collecting each distinct owner in the
-    // order its next virtual point appears.
+    const std::size_t want = std::min(count, nodes_.size());
+    auto it = from;
+    // Walk the circle at most once, collecting each unseen owner in
+    // the order its next virtual point appears.
     for (std::size_t steps = 0;
-         steps < ring_.size() && order.size() < count; ++steps) {
+         steps < ring_.size() && order.size() < want; ++steps) {
         if (it == ring_.end())
             it = ring_.begin();
-        const std::string &owner = nodes_[it->second];
-        if (std::find(order.begin(), order.end(), owner) ==
-            order.end()) {
+        const std::size_t owner = it->second;
+        if (!seen[owner]) {
+            seen[owner] = true;
             order.push_back(owner);
         }
         ++it;
     }
+}
+
+std::vector<std::size_t>
+ConsistentHashRing::nodesFor(std::string_view key,
+                             std::size_t count) const
+{
+    mercury_assert(!ring_.empty(), "ring has no nodes");
+    std::vector<std::size_t> order;
+    order.reserve(std::min(count, nodes_.size()));
+    std::vector<bool> seen(nodes_.size(), false);
+    appendSuccessors(ring_.lower_bound(kvstore::hashKey(key)), count,
+                     seen, order);
     return order;
 }
 
-std::vector<std::string>
+std::vector<std::size_t>
 ConsistentHashRing::replicasFor(std::string_view key,
                                 std::size_t count,
                                 bool distinct_racks) const
 {
-    if (!distinct_racks)
+    if (!distinct_racks || count >= nodes_.size())
         return nodesFor(key, count);
 
-    // Full distinct-owner ring order, then greedy rack spreading:
-    // keep the primary, prefer successors from unused racks, and fall
-    // back to plain ring order once every rack is represented.
-    std::vector<std::string> order = nodesFor(key, nodes_.size());
-    if (order.size() <= count)
-        return order;
-
-    std::vector<std::string> picked;
-    std::vector<bool> used(order.size(), false);
-    std::vector<unsigned> racks_seen;
-    picked.reserve(count);
-    picked.push_back(order[0]);
-    used[0] = true;
-    racks_seen.push_back(rackOf(order[0]));
-
-    while (picked.size() < count) {
-        std::size_t chosen = order.size();
-        for (std::size_t i = 1; i < order.size(); ++i) {
-            if (used[i])
-                continue;
-            const unsigned rack = rackOf(order[i]);
-            if (std::find(racks_seen.begin(), racks_seen.end(),
-                          rack) == racks_seen.end()) {
-                chosen = i;
-                break;
-            }
+    // Greedy rack spreading: keep the primary, then take each ring
+    // successor whose rack is not represented yet. A node passed over
+    // for its rack stays passed over (the represented racks only
+    // grow), so each pick is the earliest such node in ring order.
+    std::vector<std::size_t> order;
+    order.reserve(count);
+    const RingIter from = ring_.lower_bound(kvstore::hashKey(key));
+    auto it = from;
+    for (std::size_t steps = 0;
+         steps < ring_.size() && order.size() < count; ++steps) {
+        if (it == ring_.end())
+            it = ring_.begin();
+        const unsigned rack = racks_[it->second];
+        if (std::none_of(order.begin(), order.end(),
+                         [&](std::size_t n) {
+                             return racks_[n] == rack;
+                         })) {
+            order.push_back(it->second);
         }
-        if (chosen == order.size()) {
-            for (std::size_t i = 1; i < order.size(); ++i) {
-                if (!used[i]) {
-                    chosen = i;
-                    break;
-                }
-            }
-        }
-        if (chosen == order.size())
-            break;
-        used[chosen] = true;
-        picked.push_back(order[chosen]);
-        racks_seen.push_back(rackOf(order[chosen]));
+        ++it;
     }
-    return picked;
+    // Fewer racks than replicas: every rack is represented, so fill
+    // the rest in plain ring order.
+    if (order.size() < count) {
+        std::vector<bool> seen(nodes_.size(), false);
+        for (const std::size_t n : order)
+            seen[n] = true;
+        appendSuccessors(from, count, seen, order);
+    }
+    return order;
+}
+
+const std::string &
+ConsistentHashRing::nodeName(std::size_t index) const
+{
+    mercury_assert(index < nodes_.size(), "no node at index ", index);
+    return nodes_[index];
 }
 
 unsigned
-ConsistentHashRing::rackOf(const std::string &name) const
+ConsistentHashRing::rackOf(std::size_t index) const
 {
-    auto it = std::find(nodes_.begin(), nodes_.end(), name);
-    if (it == nodes_.end())
-        return 0;
-    return racks_[static_cast<std::size_t>(it - nodes_.begin())];
+    mercury_assert(index < racks_.size(), "no node at index ", index);
+    return racks_[index];
 }
 
 std::map<std::string, double>

@@ -54,10 +54,11 @@ class ConsistentHashRing
     /**
      * Up to @p count distinct nodes in ring order starting at the
      * key's owner -- the failover order a memcached client walks
-     * when the primary does not answer.
+     * when the primary does not answer. Answers in node indices
+     * (see nodeName()).
      * @pre at least one node present.
      */
-    std::vector<std::string> nodesFor(std::string_view key,
+    std::vector<std::size_t> nodesFor(std::string_view key,
                                       std::size_t count) const;
 
     /**
@@ -67,15 +68,27 @@ class ConsistentHashRing
      * prefers the next ring successor whose rack has not been used
      * yet (falling back to plain ring order once every rack is
      * represented), so a rack-correlated crash cannot take out a
-     * whole replica set while other racks hold spares.
+     * whole replica set while other racks hold spares. A @p count
+     * that covers every node is plain ring order. Answers in node
+     * indices (see nodeName()).
      * @pre at least one node present.
      */
-    std::vector<std::string> replicasFor(std::string_view key,
+    std::vector<std::size_t> replicasFor(std::string_view key,
                                          std::size_t count,
                                          bool distinct_racks) const;
 
-    /** Rack label of a node; 0 for unknown names. */
-    unsigned rackOf(const std::string &name) const;
+    /**
+     * Name of the node at @p index. Nodes are indexed 0.. in the
+     * order they were added; indices stay valid until the next
+     * addNode() or removeNode() (removal moves the last node into
+     * the vacated slot).
+     * @pre index < numNodes()
+     */
+    const std::string &nodeName(std::size_t index) const;
+
+    /** Rack label of the node at @p index.
+     * @pre index < numNodes() */
+    unsigned rackOf(std::size_t index) const;
 
     std::size_t numNodes() const { return nodes_.size(); }
 
@@ -96,6 +109,16 @@ class ConsistentHashRing
                                   std::uint64_t seed = 2) const;
 
   private:
+    using RingIter =
+        std::map<std::uint64_t, std::size_t>::const_iterator;
+
+    /** Append to @p order, walking the ring from @p from, each owner
+     * not yet marked in @p seen (marking it), until @p order holds
+     * @p count nodes or every node. */
+    void appendSuccessors(RingIter from, std::size_t count,
+                          std::vector<bool> &seen,
+                          std::vector<std::size_t> &order) const;
+
     unsigned virtualNodes_;
     std::vector<std::string> nodes_;
     /** Rack label per node, parallel to nodes_. */

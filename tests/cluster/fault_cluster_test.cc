@@ -41,7 +41,7 @@ TEST(ConsistentHashRing, NodesForStartsAtOwnerAndIsDistinct)
         const std::string key = concat("k", i);
         const auto order = ring.nodesFor(key, 3);
         ASSERT_EQ(order.size(), 3u);
-        EXPECT_EQ(order[0], ring.nodeFor(key));
+        EXPECT_EQ(ring.nodeName(order[0]), ring.nodeFor(key));
         EXPECT_NE(order[0], order[1]);
         EXPECT_NE(order[1], order[2]);
         EXPECT_NE(order[0], order[2]);
