@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulation substrate:
- * cache probes, DRAM/flash timing walks, core trace execution, the
+ * cache probes, DRAM/flash timing walks, core trace execution (one
+ * L1I-resident pass, and a GET's code passes that miss), the
  * end-to-end single-request path and the cluster client's replica
  * routing.
  */
@@ -19,6 +20,7 @@
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/flash.hh"
+#include "server/address_map.hh"
 #include "server/server_model.hh"
 #include "sim/logging.hh"
 
@@ -121,6 +123,56 @@ BM_CoreTraceExecutionA15(benchmark::State &state)
     walkCodePass(state, cpu::cortexA15Params());
 }
 BENCHMARK(BM_CoreTraceExecutionA15);
+
+/**
+ * The six code passes of one kernel-TCP GET with one packet each way,
+ * at their AddressMap offsets, on an A7 with (arg 1) or without
+ * (arg 0) the L2: request path, rx packet path, hash of an 8-byte
+ * key, memcached GET, request path, tx packet path. Together they
+ * overflow the 32 KiB L1I, so every request's fetches miss to the L2
+ * or to DRAM. Items are fetched lines.
+ */
+void
+BM_CoreGetCodePasses(benchmark::State &state)
+{
+    const bool with_l2 = state.range(0) != 0;
+    const server::ServerModelParams params;
+    const auto &cal = server::ServerModelParams::cal;
+    const server::AddressMap map(params.sliceBase,
+                                 params.storeMemLimit + miB);
+    mem::DramModel dram(mem::stackedDramParams());
+    mem::CacheHierarchy caches(
+        cpu::defaultHierarchy(cpu::CoreType::CortexA7, with_l2), &dram);
+    cpu::CoreModel core(cpu::cortexA7Params(), &caches);
+
+    const Addr request_code = map.netstackCode() + 64 * kiB;
+    cpu::OpTrace trace;
+    cpu::TraceBuilder(trace)
+        .codePass(request_code, cal.netstackRequestPathBytes,
+                  cal.netstackInstrPerRequest / 2)
+        .codePass(map.netstackCode(), cal.netstackRxPathBytes,
+                  cal.netstackInstrPerRxPacket)
+        .codePass(map.hashCode(), cal.hashCodeBytes,
+                  cal.hashInstrBase + cal.hashInstrPerKeyByte * 8)
+        .codePass(map.memcachedCode(), cal.memcachedGetPathBytes,
+                  cal.memcachedInstrGet)
+        .codePass(request_code, cal.netstackRequestPathBytes,
+                  cal.netstackInstrPerRequest / 2)
+        .codePass(map.netstackCode() + 32 * kiB, cal.netstackTxPathBytes,
+                  cal.netstackInstrPerTxPacket);
+
+    Tick now = 0;
+    std::uint64_t lines = 0;
+    for (auto _ : state) {
+        const cpu::RunResult r = core.run(trace, now);
+        now = r.end;
+        lines += r.memOps;
+        benchmark::DoNotOptimize(r.end);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(lines));
+    state.SetLabel(with_l2 ? "L2" : "no L2");
+}
+BENCHMARK(BM_CoreGetCodePasses)->Arg(0)->Arg(1);
 
 void
 BM_EndToEndGet(benchmark::State &state)

@@ -10,8 +10,9 @@
 #   - fig5-style sweep wall-clock, serial vs --jobs N.
 #
 # It then runs the google-benchmark micro suite (cache hit, DRAM
-# access, flash read, core trace walk on A7 and A15, end-to-end GET,
-# and the cluster client's rack-aware replica routing per request).
+# access, flash read, core trace walk on A7 and A15, a GET's code
+# passes on an A7 with and without the L2, end-to-end GET, and the
+# cluster client's rack-aware replica routing per request).
 #
 # Numbers are host-dependent; nothing here is golden, but the
 # per-second rates are compared against the committed

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "sim/contract.hh"
 #include "sim/logging.hh"
 
 namespace mercury::cpu
@@ -110,24 +111,24 @@ CoreModel::run(const OpTrace &trace, Tick start)
     Tick cursor = start;
     Tick compute_ticks = 0;
 
-    // Completion times of misses currently in flight.
-    std::vector<Tick> outstanding;
-    outstanding.reserve(params_.mlpSequential + params_.mlpRandom);
+    // The miss window keeps its capacity across runs, so a run
+    // allocates nothing.
+    outstanding_.clear();
 
     const Tick issue_cost = params_.cyclePeriod();
 
     auto drain_all = [&] {
-        for (const Tick t : outstanding)
+        for (const Tick t : outstanding_)
             cursor = std::max(cursor, t);
-        outstanding.clear();
+        outstanding_.clear();
     };
 
     auto wait_for_one_slot = [&](unsigned window) {
-        while (outstanding.size() >= window) {
-            auto earliest = std::min_element(outstanding.begin(),
-                                             outstanding.end());
+        while (outstanding_.size() >= window) {
+            auto earliest = std::min_element(outstanding_.begin(),
+                                              outstanding_.end());
             cursor = std::max(cursor, *earliest);
-            outstanding.erase(earliest);
+            outstanding_.erase(earliest);
         }
     };
 
@@ -163,7 +164,7 @@ CoreModel::run(const OpTrace &trace, Tick start)
         } else if (stream == Stream::Dependent || !params_.outOfOrder) {
             cursor = access.completion;
         } else {
-            outstanding.push_back(access.completion);
+            outstanding_.push_back(access.completion);
         }
     };
 
@@ -176,41 +177,33 @@ CoreModel::run(const OpTrace &trace, Tick start)
             // Each line is one fetch followed by its share of the
             // pass's instructions; the first `extra` lines run one
             // more (see TraceBuilder::codePass).
+            MERCURY_EXPECTS(op.lines > 0 && op.lineBytes > 0,
+                            "a code pass needs at least one line");
             const std::uint64_t per_line = op.instructions / op.lines;
             const std::uint64_t extra = op.instructions % op.lines;
             const Tick per_line_ticks = computeTicksFor(per_line);
             const Tick extra_ticks = computeTicksFor(per_line + 1);
-            auto line_compute = [&](std::uint64_t i) {
-                if (i < extra)
-                    compute(per_line + 1, extra_ticks);
-                else if (per_line > 0)
-                    compute(per_line, per_line_ticks);
-            };
-            Addr addr = op.addr;
             if (params_.outOfOrder) {
+                Addr addr = op.addr;
                 for (std::uint64_t i = 0; i < op.lines;
                      ++i, addr += op.lineBytes) {
                     memory_op(mem::CpuAccessKind::IFetch, addr,
                               Stream::Sequential);
-                    line_compute(i);
+                    if (i < extra)
+                        compute(per_line + 1, extra_ticks);
+                    else if (per_line > 0)
+                        compute(per_line, per_line_ticks);
                 }
                 break;
             }
             // memory_op without its miss window: an in-order core
-            // never has a miss in flight, so each fetch issues, blocks
-            // until it completes and charges an L1 hit to compute.
+            // never has a miss in flight, so each fetch issues and
+            // blocks until it completes.
             result.memOps += op.lines;
-            for (std::uint64_t i = 0; i < op.lines;
-                 ++i, addr += op.lineBytes) {
-                cursor += issue_cost;
-                compute_ticks += issue_cost;
-                const mem::AccessResult access = caches_->access(
-                    mem::CpuAccessKind::IFetch, addr, cursor);
-                if (access.source == mem::ServicedBy::L1)
-                    compute_ticks += access.completion - cursor;
-                cursor = access.completion;
-                line_compute(i);
-            }
+            cursor = caches_->fetchPass(
+                op.addr, op.lines, op.lineBytes, cursor, issue_cost,
+                per_line, extra, per_line_ticks, extra_ticks,
+                &compute_ticks, &result.instructions);
             break;
           }
           case Op::Kind::Load:

@@ -18,6 +18,7 @@
 #define MERCURY_CPU_CORE_HH
 
 #include <string>
+#include <vector>
 
 #include "cpu/op_trace.hh"
 #include "mem/cache.hh"
@@ -116,6 +117,9 @@ class CoreModel : public SimObject
 
     CoreParams params_;
     mem::CacheHierarchy *caches_;
+
+    /** Completion times of the misses in flight during run(). */
+    std::vector<Tick> outstanding_;
 
     stats::StatGroup statGroup_;
     stats::Scalar instrRetired_;

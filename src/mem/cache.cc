@@ -102,6 +102,55 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
         l2_.emplace(params_.l2);
 }
 
+Tick
+CacheHierarchy::fetchPass(Addr addr, std::uint64_t lines,
+                          std::uint64_t stride, Tick cursor, Tick issue,
+                          std::uint64_t per_line, std::uint64_t extra,
+                          Tick per_line_ticks, Tick extra_ticks,
+                          Tick *compute_ticks, Counter *instructions)
+{
+    // access(IFetch) per line, with every loop-carried value in a
+    // local. Nothing below the L1 reads the L1I and memory-access
+    // counters mid-pass, and they are integers far below 2^53, so
+    // adding them once per pass is exact.
+    const Tick hit_latency = params_.l1i.hitLatency;
+    const unsigned line_bytes = params_.l1d.lineBytes;
+    const bool has_l2 = l2_.has_value();
+    Tick compute = *compute_ticks;
+    Counter instr = *instructions;
+    std::uint64_t fetched = 0;
+    std::uint64_t hits = 0;
+    l1i_.readLines(addr, lines, stride, [&](bool hit, Addr line_addr) {
+        cursor += issue;
+        compute += issue;
+        if (hit) {
+            ++hits;
+            cursor += hit_latency;
+            compute += hit_latency;
+        } else if (has_l2) {
+            cursor = fillFromBelow(line_addr, false, cursor + hit_latency)
+                         .completion;
+        } else {
+            cursor = memory_->access(AccessType::Read, line_addr,
+                                     line_bytes, cursor + hit_latency);
+        }
+        // per_line_ticks is the time of per_line instructions, so a
+        // line whose share is zero adds nothing.
+        const bool more = fetched++ < extra;
+        cursor += more ? extra_ticks : per_line_ticks;
+        compute += more ? extra_ticks : per_line_ticks;
+        instr += per_line + (more ? 1 : 0);
+    });
+
+    l1iHits_ += static_cast<double>(hits);
+    l1iMisses_ += static_cast<double>(lines - hits);
+    if (!has_l2)
+        memAccesses_ += static_cast<double>(lines - hits);
+    *compute_ticks = compute;
+    *instructions = instr;
+    return cursor;
+}
+
 void
 CacheHierarchy::flushAll()
 {

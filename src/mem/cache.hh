@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mem/mem_device.hh"
+#include "sim/contract.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -122,6 +123,32 @@ class SetAssocCache
         return victim;
     }
 
+    /**
+     * Read @p lines lines, @p stride bytes apart from @p addr, each
+     * exactly as probe followed by touch(p, false) on a hit or
+     * fill(p, false) on a miss would, with the LRU stamp counter in
+     * a local for the whole run. After each line's state change it
+     * calls @p on_line(hit, line_addr), which must not touch this
+     * cache. Only for a cache nothing ever dirties (the L1I).
+     */
+    template <typename OnLine>
+    [[gnu::always_inline]] inline void
+    readLines(Addr addr, std::uint64_t lines, std::uint64_t stride,
+              OnLine &&on_line)
+    {
+        std::uint64_t stamp = nextStamp_;
+        for (std::uint64_t i = 0; i < lines; ++i, addr += stride) {
+            const Probe p = probe(addr);
+            MERCURY_ASSERT(dirty_[p.way] == 0,
+                           "read-only cache holds a dirty line");
+            if (!p.hit)
+                keys_[p.way] = (p.line >> setShift_) + 1;
+            stamps_[p.way] = stamp++;
+            on_line(p.hit, addr);
+        }
+        nextStamp_ = stamp;
+    }
+
     /** Probe for a line; updates LRU on hit. */
     bool lookup(Addr addr);
 
@@ -207,6 +234,26 @@ class CacheHierarchy : public SimObject
      */
     [[gnu::always_inline]] inline AccessResult
     access(CpuAccessKind kind, Addr addr, Tick now);
+
+    /**
+     * Fetch a whole code pass on a core that blocks on every fetch:
+     * @p lines instruction fetches, @p stride bytes apart from
+     * @p addr, each as access(IFetch) would. Before each fetch the
+     * cursor advances by @p issue; the fetch completes at the new
+     * cursor (an L1I hit counts as compute); then the line runs
+     * @p per_line instructions for @p per_line_ticks, or one more
+     * for @p extra_ticks on the first @p extra lines.
+     *
+     * @return the cursor after the pass, which starts at @p cursor.
+     * Issue, hit and line compute time is added to @p compute_ticks
+     * and the instructions to @p instructions. The hierarchy's
+     * counters are added once per pass.
+     */
+    Tick fetchPass(Addr addr, std::uint64_t lines, std::uint64_t stride,
+                   Tick cursor, Tick issue, std::uint64_t per_line,
+                   std::uint64_t extra, Tick per_line_ticks,
+                   Tick extra_ticks, Tick *compute_ticks,
+                   Counter *instructions);
 
     /** Drop all cached state (e.g. between measurement phases). */
     void flushAll();

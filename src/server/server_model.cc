@@ -573,7 +573,8 @@ ServerModel::serve(const std::string &key, bool is_put,
         traceReq = tracer_->beginRequest();
 
     PhaseTimes pt;
-    cpu::OpTrace trace;
+    cpu::OpTrace &trace = trace_;
+    trace.clear();
     // Run the phase built in `trace`, charge its time to @p into and
     // record it as a @p stage span.
     const auto phase = [&](Tick &into,

@@ -453,6 +453,9 @@ class ServerModel
     /** Previous hot item (stands in for the LRU list head
      * neighbours that a strict-LRU relink dirties). */
     Addr lastHotItem_ = 0;
+    /** The phase serve() is building; runPhase empties it, and it
+     * keeps its capacity across requests. */
+    cpu::OpTrace trace_;
 
     Rng rng_;
     std::map<std::uint32_t, unsigned> populated_;

@@ -5,12 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
+#include <vector>
 
+#include "alloc_probe.hh"
 #include "cpu/core.hh"
 #include "mem/dram.hh"
+#include "sim/contract.hh"
+#include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 
@@ -20,6 +26,16 @@ namespace
 using namespace mercury;
 using namespace mercury::cpu;
 using namespace mercury::mem;
+
+/** Value of a counter under @p root. */
+double
+statValue(const stats::StatGroup &root, std::string_view path)
+{
+    const auto *scalar =
+        dynamic_cast<const stats::Scalar *>(root.find(path));
+    EXPECT_NE(scalar, nullptr) << path;
+    return scalar ? scalar->value() : -1.0;
+}
 
 struct Rig
 {
@@ -37,14 +53,10 @@ struct Rig
         core = std::make_unique<CoreModel>(core_params, caches.get());
     }
 
-    /** Value of a counter under the rig's stats root. */
     double
     stat(std::string_view path) const
     {
-        const auto *scalar =
-            dynamic_cast<const stats::Scalar *>(stats.find(path));
-        EXPECT_NE(scalar, nullptr) << path;
-        return scalar ? scalar->value() : -1.0;
+        return statValue(stats, path);
     }
 
     stats::StatGroup stats{"rig"};
@@ -206,6 +218,22 @@ TEST(CoreModel, CodePassEqualsOneLinePassesWithSplitCounts)
     expectCodePassMatchesLineByLine(1024, 70001);
 }
 
+TEST(CoreModel, ZeroLineCodePassIsAContractViolation)
+{
+    // TraceBuilder never emits one, but Op::codePass is public, and
+    // the walk divides the instructions by the line count.
+    contract::ScopedContractThrow guard;
+    for (const CoreParams &core :
+         {cortexA7Params(), cortexA15Params(1.5)}) {
+        SCOPED_TRACE(core.name);
+        Rig rig(core);
+        EXPECT_THROW(rig.core->run({Op::codePass(0x100000, 0, 500, 64)}, 0),
+                     contract::ContractViolation);
+        EXPECT_THROW(rig.core->run({Op::codePass(0x100000, 8, 500, 0)}, 0),
+                     contract::ContractViolation);
+    }
+}
+
 TEST(CoreModel, ZeroByteCodePassIsPureCompute)
 {
     OpTrace pass;
@@ -285,8 +313,12 @@ mixedTrace(std::uint64_t seed)
 {
     OpTrace trace;
     TraceBuilder b(trace);
-    // instructions % lines != 0, then instructions < lines.
-    b.codePass(0x100000, 64 * 64, 6403).codePass(0x180000, 50 * 64, 17);
+    // instructions % lines != 0, then instructions < lines, then an
+    // 800-line pass: at least three lines for each set of the 2-way,
+    // 256-set L1I, so every set evicts within the pass.
+    b.codePass(0x100000, 64 * 64, 6403)
+        .codePass(0x180000, 50 * 64, 17)
+        .codePass(0x1c0000, 800 * 64, 50001);
     Rng rng(seed);
     auto line_in = [&](std::uint64_t bytes) -> Addr {
         return rng.nextInt(bytes) & ~Addr(63);
@@ -325,35 +357,132 @@ mixedTrace(std::uint64_t seed)
     return trace;
 }
 
-TEST(CoreModel, InOrderFetchLoopMatchesOpByOpWalk)
+/**
+ * @p count A7 cores, each with its own hierarchy ("caches0", ...) in
+ * front of one DRAM with refresh on, so that one core's fetches can
+ * meet banks another core left busy into the future.
+ */
+struct SharedDramRig
+{
+    SharedDramRig(bool with_l2, unsigned count)
+    {
+        DramParams dp = stackedDramParams();
+        dp.arrayLatency = 40 * tickNs;
+        dp.modelRefresh = true;
+        dram = std::make_unique<DramModel>(dp, &stats);
+        for (unsigned i = 0; i < count; ++i) {
+            HierarchyParams hp =
+                defaultHierarchy(CoreType::CortexA7, with_l2);
+            hp.name = detail::concat("caches", i);
+            caches.push_back(std::make_unique<CacheHierarchy>(
+                hp, dram.get(), &stats));
+            cores.push_back(std::make_unique<CoreModel>(
+                cortexA7Params(), caches.back().get()));
+        }
+    }
+
+    double
+    stat(std::string_view path) const
+    {
+        return statValue(stats, path);
+    }
+
+    stats::StatGroup stats{"rig"};
+    std::unique_ptr<DramModel> dram;
+    std::vector<std::unique_ptr<CacheHierarchy>> caches;
+    std::vector<std::unique_ptr<CoreModel>> cores;
+};
+
+/**
+ * Walk seeded mixed traces on @p count cores sharing one DRAM, the
+ * cores taking turns from the same start tick, once through
+ * CoreModel::run and once through the op-by-op reference on a twin
+ * rig. Every run result, every hierarchy counter and the DRAM's
+ * counters must agree.
+ */
+void
+expectInOrderWalkMatchesReference(bool with_l2, std::uint64_t seed,
+                                  unsigned count)
 {
     const CoreParams a7 = cortexA7Params();
+    SharedDramRig rig(with_l2, count);
+    SharedDramRig twin(with_l2, count);
+    std::vector<OpTrace> traces;
+    for (unsigned c = 0; c < count; ++c)
+        traces.push_back(mixedTrace(seed + 100 * c));
+
+    // Cold, then warm twice: the L1s and the L2 miss and hit.
+    Tick start = 1000;
+    for (int pass = 0; pass < 3; ++pass) {
+        Tick end = start;
+        for (unsigned c = 0; c < count; ++c) {
+            const RunResult got = rig.cores[c]->run(traces[c], start);
+            const RunResult want = referenceInOrderRun(
+                a7, *twin.caches[c], traces[c], start);
+            EXPECT_EQ(got.start, want.start);
+            EXPECT_EQ(got.end, want.end);
+            EXPECT_EQ(got.instructions, want.instructions);
+            EXPECT_EQ(got.memOps, want.memOps);
+            EXPECT_EQ(got.computeTicks, want.computeTicks);
+            EXPECT_EQ(got.stallTicks, want.stallTicks);
+            end = std::max(end, got.end);
+        }
+        start = end + 777;
+    }
+
+    for (unsigned c = 0; c < count; ++c) {
+        for (const char *counter :
+             {"l1iHits", "l1iMisses", "l1dHits", "l1dMisses", "l2Hits",
+              "l2Misses", "memAccesses", "writebacks"}) {
+            const std::string path =
+                detail::concat("caches", c, ".", counter);
+            EXPECT_EQ(rig.stat(path), twin.stat(path)) << path;
+        }
+    }
+    for (const char *counter :
+         {"reads", "writes", "bytesRead", "rowMisses", "portQueueTicks"}) {
+        const std::string path = detail::concat("stackedDram.", counter);
+        EXPECT_EQ(rig.stat(path), twin.stat(path)) << path;
+    }
+    // A later core's misses queue behind the banks an earlier core
+    // booked.
+    if (count > 1) {
+        EXPECT_GT(rig.stat("stackedDram.portQueueTicks"), 0.0);
+    }
+}
+
+TEST(CoreModel, InOrderFetchLoopMatchesOpByOpWalk)
+{
     for (const bool with_l2 : {false, true}) {
         for (const std::uint64_t seed : {1u, 2u, 3u}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "L2 " << with_l2 << ", seed " << seed);
-            const OpTrace trace = mixedTrace(seed);
-            Rig rig(a7, with_l2, 40 * tickNs, true);
-            Rig twin(a7, with_l2, 40 * tickNs, true);
-            // Cold, then warm twice: both L1s miss and hit.
-            Tick start = 1000;
-            for (int pass = 0; pass < 3; ++pass) {
-                const RunResult got = rig.core->run(trace, start);
-                const RunResult want =
-                    referenceInOrderRun(a7, *twin.caches, trace, start);
-                EXPECT_EQ(got.start, want.start);
-                EXPECT_EQ(got.end, want.end);
-                EXPECT_EQ(got.instructions, want.instructions);
-                EXPECT_EQ(got.memOps, want.memOps);
-                EXPECT_EQ(got.computeTicks, want.computeTicks);
-                EXPECT_EQ(got.stallTicks, want.stallTicks);
-                start = got.end + 777;
+            for (const unsigned cores : {1u, 2u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "L2 " << with_l2 << ", seed " << seed
+                             << ", cores " << cores);
+                expectInOrderWalkMatchesReference(with_l2, seed, cores);
             }
-            for (const char *path :
-                 {"caches.l1iHits", "caches.l1iMisses", "caches.l1dHits",
-                  "caches.l1dMisses", "stackedDram.reads",
-                  "stackedDram.writes"})
-                EXPECT_EQ(rig.stat(path), twin.stat(path)) << path;
+        }
+    }
+}
+
+TEST(CoreModel, SteadyStateRunNeverAllocates)
+{
+    // The miss window keeps its capacity across runs; DRAM and cache
+    // state are sized at construction.
+    for (const CoreParams &core :
+         {cortexA7Params(), cortexA15Params(1.5)}) {
+        for (const bool with_l2 : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << core.name << ", L2 " << with_l2);
+            Rig rig(core, with_l2, 40 * tickNs, true);
+            const OpTrace trace = mixedTrace(1);
+            Tick start = rig.core->run(trace, 1000).end;
+
+            const std::uint64_t before = mercuryAllocCalls.load();
+            for (int i = 0; i < 3; ++i)
+                start = rig.core->run(trace, start + 777).end;
+            EXPECT_EQ(mercuryAllocCalls.load(), before)
+                << "CoreModel::run allocated in steady state";
         }
     }
 }

@@ -2,9 +2,9 @@
  * @file
  * Allocation probe for zero-allocation hot-path tests.
  *
- * histogram_test.cc defines replacement global operator new/delete
- * (one definition per binary) that bump this counter; any test in
- * the binary can read it around a hot path to prove the path never
+ * alloc_probe.cc defines replacement global operator new/delete
+ * (link it once per binary) that bump this counter; any test in the
+ * binary can read it around a hot path to prove the path never
  * allocates.
  */
 

@@ -7,9 +7,7 @@
  */
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -17,59 +15,6 @@
 #include "alloc_probe.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
-
-// ---- Replacement global allocation operators (whole binary) -------
-//
-// Delegate to malloc/free and count calls; behaviour is unchanged,
-// so the rest of the test binary is unaffected.
-//
-// GCC's new/free pairing heuristic cannot see that the replacement
-// operator new allocates with malloc, so it misfires wherever these
-// definitions inline into the tests below.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-std::atomic<std::uint64_t> mercuryAllocCalls{0};
-
-void *
-operator new(std::size_t size)
-{
-    ++mercuryAllocCalls;
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
