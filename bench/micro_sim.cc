@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the simulation substrate:
  * cache probes, DRAM/flash timing walks, core trace execution (one
- * L1I-resident pass, and a GET's code passes that miss), the
+ * L1I-resident pass, and a GET's code passes that miss, replayed from
+ * the fetch memo or walked cold), the
  * end-to-end single-request path and the cluster client's replica
  * routing.
  */
@@ -19,6 +20,7 @@
 #include "cpu/core.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "mem/fetch_memo.hh"
 #include "mem/flash.hh"
 #include "server/address_map.hh"
 #include "server/server_model.hh"
@@ -126,25 +128,18 @@ BENCHMARK(BM_CoreTraceExecutionA15);
 
 /**
  * The six code passes of one kernel-TCP GET with one packet each way,
- * at their AddressMap offsets, on an A7 with (arg 1) or without
- * (arg 0) the L2: request path, rx packet path, hash of an 8-byte
- * key, memcached GET, request path, tx packet path. Together they
- * overflow the 32 KiB L1I, so every request's fetches miss to the L2
- * or to DRAM. Items are fetched lines.
+ * at their AddressMap offsets: request path, rx packet path, hash of
+ * an 8-byte key, memcached GET, request path, tx packet path.
+ * Together they overflow the 32 KiB L1I, so every request's fetches
+ * miss to the L2 or to DRAM.
  */
-void
-BM_CoreGetCodePasses(benchmark::State &state)
+cpu::OpTrace
+getCodePasses()
 {
-    const bool with_l2 = state.range(0) != 0;
     const server::ServerModelParams params;
     const auto &cal = server::ServerModelParams::cal;
     const server::AddressMap map(params.sliceBase,
                                  params.storeMemLimit + miB);
-    mem::DramModel dram(mem::stackedDramParams());
-    mem::CacheHierarchy caches(
-        cpu::defaultHierarchy(cpu::CoreType::CortexA7, with_l2), &dram);
-    cpu::CoreModel core(cpu::cortexA7Params(), &caches);
-
     const Addr request_code = map.netstackCode() + 64 * kiB;
     cpu::OpTrace trace;
     cpu::TraceBuilder(trace)
@@ -160,6 +155,26 @@ BM_CoreGetCodePasses(benchmark::State &state)
                   cal.netstackInstrPerRequest / 2)
         .codePass(map.netstackCode() + 32 * kiB, cal.netstackTxPathBytes,
                   cal.netstackInstrPerTxPacket);
+    return trace;
+}
+
+/**
+ * A GET's code passes, over and over, on an A7 with (arg 1) or
+ * without (arg 0) the L2, with a fetch memo as ServerModel gives its
+ * core. The passes recur, so after the first two GETs every pass
+ * replays from the memo. Items are fetched lines.
+ */
+void
+BM_CoreGetCodePasses(benchmark::State &state)
+{
+    const bool with_l2 = state.range(0) != 0;
+    mem::DramModel dram(mem::stackedDramParams());
+    mem::FetchMemo memo;
+    mem::CacheHierarchy caches(
+        cpu::defaultHierarchy(cpu::CoreType::CortexA7, with_l2), &dram,
+        nullptr, &memo);
+    cpu::CoreModel core(cpu::cortexA7Params(), &caches);
+    const cpu::OpTrace trace = getCodePasses();
 
     Tick now = 0;
     std::uint64_t lines = 0;
@@ -173,6 +188,40 @@ BM_CoreGetCodePasses(benchmark::State &state)
     state.SetLabel(with_l2 ? "L2" : "no L2");
 }
 BENCHMARK(BM_CoreGetCodePasses)->Arg(0)->Arg(1);
+
+/**
+ * BM_CoreGetCodePasses with a fresh hierarchy and memo for every
+ * batch of two GETs, one from a cold L1I and one from the L1I the
+ * first left: no pass recurs within a batch, so every pass walks and
+ * records. This is the memo's cost on code that never repeats.
+ * Items are fetched lines.
+ */
+void
+BM_CoreGetCodePassesCold(benchmark::State &state)
+{
+    const bool with_l2 = state.range(0) != 0;
+    mem::DramModel dram(mem::stackedDramParams());
+    const mem::HierarchyParams hp =
+        cpu::defaultHierarchy(cpu::CoreType::CortexA7, with_l2);
+    const cpu::OpTrace trace = getCodePasses();
+
+    Tick now = 0;
+    std::uint64_t lines = 0;
+    for (auto _ : state) {
+        mem::FetchMemo memo;
+        mem::CacheHierarchy caches(hp, &dram, nullptr, &memo);
+        cpu::CoreModel core(cpu::cortexA7Params(), &caches);
+        for (int get = 0; get < 2; ++get) {
+            const cpu::RunResult r = core.run(trace, now);
+            now = r.end;
+            lines += r.memOps;
+        }
+        benchmark::DoNotOptimize(now);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(lines));
+    state.SetLabel(with_l2 ? "L2" : "no L2");
+}
+BENCHMARK(BM_CoreGetCodePassesCold)->Arg(0)->Arg(1);
 
 void
 BM_EndToEndGet(benchmark::State &state)

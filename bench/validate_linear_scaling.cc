@@ -8,11 +8,17 @@
  * single-core. At 64 B the assumption holds almost exactly; at
  * large request sizes the stack's one NIC port becomes the wall the
  * paper's memory-side bandwidth numbers never see.
+ *
+ * Each (sweep, core count) stack is an independent ParallelSweep
+ * point; rows print in order from the points' `after` callbacks, so
+ * `--jobs N` output is byte-identical to `--jobs 1`.
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hh"
+#include "parallel_sweep.hh"
 #include "server/stack_sim.hh"
 
 namespace
@@ -21,32 +27,24 @@ namespace
 using namespace mercury;
 using namespace mercury::server;
 
+/** One table: a memory technology at one request size. */
+struct SweepSpec
+{
+    MemoryKind memory;
+    std::uint32_t size;
+};
+
 void
-sweep(const char *title, MemoryKind memory, std::uint32_t size)
+printHeader(const SweepSpec &spec)
 {
     std::printf("%s, %s requests\n",
-                memory == MemoryKind::StackedDram ? "Mercury"
-                                                  : "Iridium",
-                bench::sizeLabel(size).c_str());
+                spec.memory == MemoryKind::StackedDram ? "Mercury"
+                                                       : "Iridium",
+                bench::sizeLabel(spec.size).c_str());
     std::printf("  %-6s %14s %14s %12s %10s\n", "Cores",
                 "aggregate TPS", "linear pred.", "efficiency",
                 "NIC util");
     bench::rule(64);
-    for (unsigned cores : {1u, 2u, 4u, 8u, 16u}) {
-        StackSimParams params;
-        params.node.core = cpu::cortexA7Params();
-        params.node.memory = memory;
-        params.node.withL2 = memory == MemoryKind::Flash;
-        params.cores = cores;
-        params.valueBytes = size;
-        StackSimulation sim(params);
-        const StackSimResult r = sim.run();
-        std::printf("  %-6u %14.0f %14.0f %11.2f%% %9.2f%%\n", cores,
-                    r.aggregateTps, r.linearPredictionTps,
-                    r.scalingEfficiency * 100,
-                    r.nicUtilization * 100);
-    }
-    std::printf("\n%s", title);
 }
 
 } // anonymous namespace
@@ -58,9 +56,47 @@ main(int argc, char **argv)
     bench::banner("Validation: linear scaling of per-core TPS to "
                   "the stack level (Sec. 5.3)");
 
-    sweep("", MemoryKind::StackedDram, 64);
-    sweep("", MemoryKind::StackedDram, 65536);
-    sweep("", MemoryKind::Flash, 64);
+    const std::vector<SweepSpec> sweeps = {
+        {MemoryKind::StackedDram, 64},
+        {MemoryKind::StackedDram, 65536},
+        {MemoryKind::Flash, 64},
+    };
+    const std::vector<unsigned> core_counts = {1, 2, 4, 8, 16};
+
+    // results[sweep][cores], filled by the sweep points.
+    std::vector<std::vector<StackSimResult>> results(
+        sweeps.size(), std::vector<StackSimResult>(core_counts.size()));
+
+    bench::ParallelSweep sweep(session);
+    for (std::size_t si = 0; si < sweeps.size(); ++si) {
+        for (std::size_t ci = 0; ci < core_counts.size(); ++ci) {
+            sweep.point(
+                [&, si, ci](bench::PointContext &) {
+                    StackSimParams params;
+                    params.node.core = cpu::cortexA7Params();
+                    params.node.memory = sweeps[si].memory;
+                    params.node.withL2 =
+                        sweeps[si].memory == MemoryKind::Flash;
+                    params.cores = core_counts[ci];
+                    params.valueBytes = sweeps[si].size;
+                    StackSimulation sim(params);
+                    results[si][ci] = sim.run();
+                },
+                [&, si, ci] {
+                    if (ci == 0)
+                        printHeader(sweeps[si]);
+                    const StackSimResult &r = results[si][ci];
+                    std::printf("  %-6u %14.0f %14.0f %11.2f%% %9.2f%%\n",
+                                core_counts[ci], r.aggregateTps,
+                                r.linearPredictionTps,
+                                r.scalingEfficiency * 100,
+                                r.nicUtilization * 100);
+                    if (ci + 1 == core_counts.size())
+                        std::printf("\n");
+                });
+        }
+    }
+    sweep.run();
 
     std::printf("At 64 B the paper's linear scaling holds within a "
                 "few percent: separate Memcached instances share "

@@ -11,7 +11,8 @@
 #
 # It then runs the google-benchmark micro suite (cache hit, DRAM
 # access, flash read, core trace walk on A7 and A15, a GET's code
-# passes on an A7 with and without the L2, end-to-end GET, and the
+# passes on an A7 with and without the L2 -- replayed from the fetch
+# memo, and walked cold with a fresh memo --, end-to-end GET, and the
 # cluster client's rack-aware replica routing per request).
 #
 # Numbers are host-dependent; nothing here is golden, but the

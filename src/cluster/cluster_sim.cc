@@ -30,6 +30,7 @@ ClusterSim::ClusterSim(const ClusterSimParams &params)
         node_params.name = name;
         node_params.seed = params_.seed + i + 1;
         node_params.tracer = params_.tracer;
+        node_params.fetchMemo = fetchMemo_.get();
         if (params_.faults.enabled) {
             node_params.net.lossProbability =
                 params_.faults.packetLossProbability;
@@ -122,6 +123,7 @@ ClusterSim::aggregateCapacity()
     if (capacity_ == 0.0) {
         server::ServerModelParams probe = params_.node;
         probe.name = "capacityProbe";
+        probe.fetchMemo = fetchMemo_.get();
         server::ServerModel node(probe);
         capacity_ =
             node.measureGets(params_.valueBytes, 16, 4).avgTps *

@@ -331,6 +331,12 @@ class ClusterSim
 
     ClusterSimParams params_;
     ConsistentHashRing ring_;
+    /** One fetch memo for every node and the capacity probe: all
+     * run the same code at the same addresses (sliceBase 0), on
+     * this sim's one thread. Declared before the nodes, so it
+     * outlives them. */
+    std::unique_ptr<mem::FetchMemo> fetchMemo_ =
+        std::make_unique<mem::FetchMemo>();
     /** Node i is ring index i, so ring answers index this. */
     std::vector<std::unique_ptr<server::ServerModel>> nodes_;
     fault::FaultInjector injector_;

@@ -90,6 +90,19 @@ struct ProbeTrace
     /** Headers of items evicted to make room. */
     std::vector<const void *> evictedItems;
     bool hit = false;
+
+    /** Reset every field, keeping the vectors' capacity. */
+    void
+    clear()
+    {
+        bucketAddr = nullptr;
+        bucketIndex = 0;
+        chainItems.clear();
+        itemAddr = nullptr;
+        valueLen = 0;
+        evictedItems.clear();
+        hit = false;
+    }
 };
 
 /** Operation counters; readable without locks. */

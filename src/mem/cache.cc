@@ -35,6 +35,25 @@ SetAssocCache::SetAssocCache(const CacheParams &params)
     dirty_.resize(ways);
 }
 
+void
+SetAssocCache::restore(const std::uint32_t *keys)
+{
+    // Way w of each set gets rank w: invalid ways stamp 0, valid
+    // ones stamps above every stamp handed out so far.
+    const unsigned assoc = params_.assoc;
+    const std::uint64_t base = nextStamp_;
+    for (std::size_t first = 0; first < keys_.size(); first += assoc) {
+        for (unsigned w = 0; w < assoc; ++w) {
+            const std::uint64_t key = keys[first + w];
+            MERCURY_ASSERT(dirty_[first + w] == 0,
+                           "read-only cache holds a dirty line");
+            keys_[first + w] = key;
+            stamps_[first + w] = key ? base + w : 0;
+        }
+    }
+    nextStamp_ = base + assoc;
+}
+
 bool
 SetAssocCache::lookup(Addr addr)
 {
@@ -83,9 +102,10 @@ SetAssocCache::flush()
 
 CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
                                MemDevice *memory,
-                               stats::StatGroup *parent)
+                               stats::StatGroup *parent,
+                               FetchMemo *fetch_memo)
     : SimObject(params.name), params_(params), memory_(memory),
-      l1i_(params.l1i), l1d_(params.l1d),
+      l1i_(params.l1i), l1d_(params.l1d), fetchMemo_(fetch_memo),
       statGroup_(params.name, parent),
       l1iHits_(&statGroup_, "l1iHits", "L1I hits"),
       l1iMisses_(&statGroup_, "l1iMisses", "L1I misses"),
@@ -100,6 +120,73 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
     mercury_assert(memory_ != nullptr, "hierarchy needs a memory device");
     if (params_.hasL2)
         l2_.emplace(params_.l2);
+    if (fetchMemo_)
+        fetchMemo_->attach(l1i_);
+}
+
+namespace
+{
+
+/** Compute time of lines [@p first, @p end) of a pass whose first
+ * @p extra lines run one instruction more than the rest. */
+Tick
+lineTicks(std::uint64_t first, std::uint64_t end, std::uint64_t extra,
+          Tick per_line_ticks, Tick extra_ticks)
+{
+    const std::uint64_t longer =
+        std::min(extra, end) - std::min(extra, first);
+    return longer * extra_ticks + (end - first - longer) * per_line_ticks;
+}
+
+} // anonymous namespace
+
+Tick
+CacheHierarchy::fetchBelow(Addr line_addr, Tick now)
+{
+    if (l2_)
+        return fillFromBelow(line_addr, false, now).completion;
+    return memory_->access(AccessType::Read, line_addr,
+                           params_.l1d.lineBytes, now);
+}
+
+void
+CacheHierarchy::leaveFetchMemo()
+{
+    if (l1iStale_)
+        fetchMemo_->restore(memoState_, l1i_);
+    l1iStale_ = false;
+    memoState_ = FetchMemo::none;
+}
+
+Tick
+CacheHierarchy::replayPass(const FetchMemo::Transition &pass, Tick cursor,
+                           Tick issue, std::uint64_t extra,
+                           Tick per_line_ticks, Tick extra_ticks)
+{
+    // Each line issues, then hits (hit_latency) or waits for its
+    // fetch, then runs its share; only the misses need a step each.
+    const Tick hit_latency = params_.l1i.hitLatency;
+    const Tick hit_step = issue + hit_latency;
+    const std::uint64_t *mask = fetchMemo_->missMask(pass);
+    std::uint64_t next = 0;
+    for (std::uint64_t word = 0; word * 64 < pass.lines; ++word) {
+        for (std::uint64_t bits = mask[word]; bits; bits &= bits - 1) {
+            const std::uint64_t miss =
+                word * 64 + static_cast<unsigned>(std::countr_zero(bits));
+            cursor += (miss - next) * hit_step +
+                      lineTicks(next, miss, extra, per_line_ticks,
+                                extra_ticks) +
+                      issue;
+            cursor = fetchBelow(pass.addr + miss * pass.stride,
+                                cursor + hit_latency);
+            cursor += lineTicks(miss, miss + 1, extra, per_line_ticks,
+                                extra_ticks);
+            next = miss + 1;
+        }
+    }
+    return cursor + (pass.lines - next) * hit_step +
+           lineTicks(next, pass.lines, extra, per_line_ticks,
+                     extra_ticks);
 }
 
 Tick
@@ -109,51 +196,84 @@ CacheHierarchy::fetchPass(Addr addr, std::uint64_t lines,
                           Tick per_line_ticks, Tick extra_ticks,
                           Tick *compute_ticks, Counter *instructions)
 {
-    // access(IFetch) per line, with every loop-carried value in a
-    // local. Nothing below the L1 reads the L1I and memory-access
+    const Tick hit_latency = params_.l1i.hitLatency;
+
+    // The memo may know this pass from the L1I's contents; if not,
+    // the walk below records it.
+    const FetchMemo::Transition *known = nullptr;
+    std::uint32_t from = FetchMemo::none;
+    std::uint64_t *miss_mask = nullptr;
+    if (fetchMemo_) {
+        if (memoState_ == FetchMemo::none)
+            memoState_ = fetchMemo_->identify(l1i_);
+        if (memoState_ != FetchMemo::none) {
+            known = fetchMemo_->find(memoState_, addr, lines, stride);
+            if (!known) {
+                // Walk from the real contents; record() puts the
+                // hierarchy back in the memo.
+                from = memoState_;
+                leaveFetchMemo();
+                miss_mask = fetchMemo_->beginRecord(lines);
+            }
+        }
+    }
+
+    std::uint64_t hits = 0;
+    if (known) {
+        cursor = replayPass(*known, cursor, issue, extra, per_line_ticks,
+                            extra_ticks);
+        hits = lines - known->misses;
+        memoState_ = known->to;
+        l1iStale_ = true;
+        ++replayedPasses_;
+    } else {
+        // access(IFetch) per line, with every loop-carried value in
+        // a local.
+        std::uint64_t fetched = 0;
+        l1i_.readLines(addr, lines, stride,
+                       [&](bool hit, Addr line_addr) {
+            cursor += issue;
+            if (hit) {
+                ++hits;
+                cursor += hit_latency;
+            } else {
+                if (miss_mask)
+                    miss_mask[fetched / 64] |= std::uint64_t{1}
+                                               << (fetched % 64);
+                cursor = fetchBelow(line_addr, cursor + hit_latency);
+            }
+            // per_line_ticks is the time of per_line instructions,
+            // so a line whose share is zero adds nothing.
+            cursor += fetched++ < extra ? extra_ticks : per_line_ticks;
+        });
+        if (from != FetchMemo::none) {
+            memoState_ = fetchMemo_->record(from, addr, lines, stride,
+                                            l1i_, miss_mask,
+                                            lines - hits);
+        }
+    }
+
+    // Issue and hit time count as compute, as does every line's
+    // share. Nothing below the L1 reads the L1I and memory-access
     // counters mid-pass, and they are integers far below 2^53, so
     // adding them once per pass is exact.
-    const Tick hit_latency = params_.l1i.hitLatency;
-    const unsigned line_bytes = params_.l1d.lineBytes;
-    const bool has_l2 = l2_.has_value();
-    Tick compute = *compute_ticks;
-    Counter instr = *instructions;
-    std::uint64_t fetched = 0;
-    std::uint64_t hits = 0;
-    l1i_.readLines(addr, lines, stride, [&](bool hit, Addr line_addr) {
-        cursor += issue;
-        compute += issue;
-        if (hit) {
-            ++hits;
-            cursor += hit_latency;
-            compute += hit_latency;
-        } else if (has_l2) {
-            cursor = fillFromBelow(line_addr, false, cursor + hit_latency)
-                         .completion;
-        } else {
-            cursor = memory_->access(AccessType::Read, line_addr,
-                                     line_bytes, cursor + hit_latency);
-        }
-        // per_line_ticks is the time of per_line instructions, so a
-        // line whose share is zero adds nothing.
-        const bool more = fetched++ < extra;
-        cursor += more ? extra_ticks : per_line_ticks;
-        compute += more ? extra_ticks : per_line_ticks;
-        instr += per_line + (more ? 1 : 0);
-    });
-
+    *compute_ticks += lines * issue + hits * hit_latency +
+                      lineTicks(0, lines, extra, per_line_ticks,
+                                extra_ticks);
+    *instructions += lines * per_line + std::min(extra, lines);
     l1iHits_ += static_cast<double>(hits);
     l1iMisses_ += static_cast<double>(lines - hits);
-    if (!has_l2)
+    if (!l2_)
         memAccesses_ += static_cast<double>(lines - hits);
-    *compute_ticks = compute;
-    *instructions = instr;
     return cursor;
 }
 
 void
 CacheHierarchy::flushAll()
 {
+    // The flush rewrites every L1I way, so no stale state survives.
+    l1iStale_ = false;
+    memoState_ = FetchMemo::none;
     l1i_.flush();
     l1d_.flush();
     if (l2_)

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "mem/fetch_memo.hh"
 #include "mem/mem_device.hh"
 #include "sim/contract.hh"
 #include "sim/stats.hh"
@@ -149,6 +150,43 @@ class SetAssocCache
         nextStamp_ = stamp;
     }
 
+    /** The set @p addr maps to. */
+    std::size_t
+    setOf(Addr addr) const
+    {
+        return (addr >> lineShift_) & setMask_;
+    }
+
+    /**
+     * Write the keys of set @p set of this 2-way cache to @p out,
+     * least recently used first (an invalid way counts as least).
+     * Two sets that export the same keys behave the same on every
+     * later access, wherever their ways sit. Keys are stored in 32
+     * bits, which holds every tag of code below 64 TiB.
+     *
+     * @return false if a key did not fit in 32 bits.
+     */
+    bool
+    exportSet(std::size_t set, std::uint32_t *out) const
+    {
+        // Invalid ways have stamp 0; a tie is two invalid ways, whose
+        // keys are both 0.
+        const std::size_t first = set * 2;
+        const bool second_older = stamps_[first + 1] < stamps_[first];
+        const std::uint64_t older = keys_[first + second_older];
+        const std::uint64_t newer = keys_[first + !second_older];
+        out[0] = static_cast<std::uint32_t>(older);
+        out[1] = static_cast<std::uint32_t>(newer);
+        return ((older | newer) >> 32) == 0;
+    }
+
+    /**
+     * Make every set hold the keys at @p keys, one exportSet block
+     * per set in set order, each ranked as exportSet ranks it. Only
+     * for a cache nothing ever dirties (the L1I).
+     */
+    void restore(const std::uint32_t *keys);
+
     /** Probe for a line; updates LRU on hit. */
     bool lookup(Addr addr);
 
@@ -223,8 +261,14 @@ struct HierarchyParams
 class CacheHierarchy : public SimObject
 {
   public:
+    /**
+     * @p fetch_memo, when given, memoizes fetchPass (see FetchMemo);
+     * it must outlive the hierarchy, and every hierarchy sharing it
+     * must run on one thread.
+     */
     CacheHierarchy(const HierarchyParams &params, MemDevice *memory,
-                   stats::StatGroup *parent = nullptr);
+                   stats::StatGroup *parent = nullptr,
+                   FetchMemo *fetch_memo = nullptr);
 
     /**
      * Issue one access at absolute tick @p now. Defined below and
@@ -248,6 +292,11 @@ class CacheHierarchy : public SimObject
      * Issue, hit and line compute time is added to @p compute_ticks
      * and the instructions to @p instructions. The hierarchy's
      * counters are added once per pass.
+     *
+     * With a fetch memo, a pass the memo has seen from the L1I's
+     * current contents is replayed: only its misses go below the L1,
+     * and the L1I arrays are left stale until a pass the memo lacks,
+     * an access(IFetch) or flushAll.
      */
     Tick fetchPass(Addr addr, std::uint64_t lines, std::uint64_t stride,
                    Tick cursor, Tick issue, std::uint64_t per_line,
@@ -271,11 +320,29 @@ class CacheHierarchy : public SimObject
         return static_cast<Counter>(memAccesses_.value());
     }
 
+    /** Code passes fetchPass replayed from the fetch memo (for
+     * tests; not a statistic). */
+    std::uint64_t replayedPasses() const { return replayedPasses_; }
+
     void reset() override;
 
   private:
     /** Service a miss from the level below L1. */
     AccessResult fillFromBelow(Addr line_addr, bool store, Tick now);
+
+    /** Fetch the line of an L1I miss at @p now from below; returns
+     * its completion. */
+    Tick fetchBelow(Addr line_addr, Tick now);
+
+    /** Replay @p pass, which the memo recorded from the L1I's
+     * current state, from @p cursor; returns the cursor after it. */
+    Tick replayPass(const FetchMemo::Transition &pass, Tick cursor,
+                    Tick issue, std::uint64_t extra, Tick per_line_ticks,
+                    Tick extra_ticks);
+
+    /** Make the L1I arrays hold the memo's state again and leave the
+     * memo. */
+    void leaveFetchMemo();
 
     HierarchyParams params_;
     MemDevice *memory_;
@@ -283,6 +350,14 @@ class CacheHierarchy : public SimObject
     SetAssocCache l1i_;
     SetAssocCache l1d_;
     std::optional<SetAssocCache> l2_;
+
+    FetchMemo *fetchMemo_;
+    /** The memo state the L1I holds, or FetchMemo::none when the
+     * L1I is outside the memo. */
+    std::uint32_t memoState_ = FetchMemo::none;
+    /** True when memoState_ is ahead of the L1I arrays. */
+    bool l1iStale_ = false;
+    std::uint64_t replayedPasses_ = 0;
 
     stats::StatGroup statGroup_;
     stats::Scalar l1iHits_;
@@ -332,6 +407,8 @@ CacheHierarchy::fillFromBelow(Addr line_addr, bool store, Tick now)
 inline AccessResult
 CacheHierarchy::access(CpuAccessKind kind, Addr addr, Tick now)
 {
+    if (kind == CpuAccessKind::IFetch && memoState_ != FetchMemo::none)
+        leaveFetchMemo();
     SetAssocCache &l1 = kind == CpuAccessKind::IFetch ? l1i_ : l1d_;
     stats::Scalar &hits =
         kind == CpuAccessKind::IFetch ? l1iHits_ : l1dHits_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "sim/contract.hh"
 #include "sim/logging.hh"
 
 namespace mercury::mem
@@ -30,6 +31,14 @@ DramModel::DramModel(const DramParams &params, stats::StatGroup *parent)
                    "must be powers of two");
     mercury_assert(params_.capacity >= params_.numPorts,
                    "capacity must divide evenly across ports");
+    // One delay must clear a blackout: access() takes the time
+    // modulo tREFI and waits out at most one tRFC.
+    MERCURY_EXPECTS(!params_.modelRefresh ||
+                        (params_.refreshInterval > 0 &&
+                         params_.refreshDuration < params_.refreshInterval),
+                    "DRAM refresh needs tRFC < tREFI, got tRFC ",
+                    params_.refreshDuration, " tREFI ",
+                    params_.refreshInterval);
 
     const std::uint64_t port_size = params_.capacity / params_.numPorts;
     const std::uint64_t bank_size = port_size / params_.banksPerPort;

@@ -179,7 +179,8 @@ ServerModel::ServerModel(const ServerModelParams &params,
     if (params_.l2SizeBytes)
         hp.l2.sizeBytes = params_.l2SizeBytes;
     caches_ = std::make_unique<mem::CacheHierarchy>(
-        hp, memory_, params_.statsParent);
+        hp, memory_, params_.statsParent,
+        params_.fetchMemo ? params_.fetchMemo : &ownFetchMemo_);
 
     cpu::CoreParams cp = params_.core;
     cp.name = params_.name + ".core";
@@ -624,10 +625,11 @@ ServerModel::serve(const std::string &key, bool is_put,
         buildHashPhase(trace, key.size());
         phase(pt.hash, trace::Stage::Hash, key.size());
 
-        kvstore::ProbeTrace probe;
+        kvstore::ProbeTrace &probe = probe_;
+        probe.clear();
         if (is_put) {
-            const std::string value(put_bytes, 'p');
-            hit = store_->setTraced(key, value, 0, 0, probe) ==
+            putValue_.assign(put_bytes, 'p');
+            hit = store_->setTraced(key, putValue_, 0, 0, probe) ==
                   kvstore::StoreStatus::Stored;
             // The NIC cache snoops SETs and drops its copy (LaKe's
             // invalidate-on-write); the invalidation engine costs no

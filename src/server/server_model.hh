@@ -109,6 +109,15 @@ struct ServerModelParams
      * nothing and costs nothing. */
     trace::Tracer *tracer = nullptr;
 
+    /**
+     * Memo of the in-order core's code passes (mem::FetchMemo), for
+     * nodes that run the same code at the same addresses to share;
+     * nullptr (the default) gives the node a memo of its own. A
+     * shared memo must outlive the node, and every node sharing it
+     * must run on one thread.
+     */
+    mem::FetchMemo *fetchMemo = nullptr;
+
     /** Base of this core's slice in the stack's address space; used
      * when several cores share one stack's devices (multi-core
      * stack simulation). */
@@ -443,6 +452,8 @@ class ServerModel
     net::NetworkPath *s2c_ = nullptr;
     mem::MemDevice *memory_ = nullptr;
 
+    /** The fetch memo, when params_.fetchMemo is nullptr. */
+    mem::FetchMemo ownFetchMemo_;
     std::unique_ptr<mem::CacheHierarchy> caches_;
     std::unique_ptr<cpu::CoreModel> core_;
 
@@ -456,6 +467,11 @@ class ServerModel
     /** The phase serve() is building; runPhase empties it, and it
      * keeps its capacity across requests. */
     cpu::OpTrace trace_;
+    /** The store walk of the request serve() is serving; reset per
+     * request, keeping its vectors' capacity. */
+    kvstore::ProbeTrace probe_;
+    /** The value of the PUT serve() is serving. */
+    std::string putValue_;
 
     Rng rng_;
     std::map<std::uint32_t, unsigned> populated_;

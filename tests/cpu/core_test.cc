@@ -15,6 +15,9 @@
 #include "alloc_probe.hh"
 #include "cpu/core.hh"
 #include "mem/dram.hh"
+#include "mem/fetch_memo.hh"
+#include "server/address_map.hh"
+#include "server/calibration.hh"
 #include "sim/contract.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -364,7 +367,8 @@ mixedTrace(std::uint64_t seed)
  */
 struct SharedDramRig
 {
-    SharedDramRig(bool with_l2, unsigned count)
+    /** @p memo, when given, is shared by every hierarchy. */
+    SharedDramRig(bool with_l2, unsigned count, FetchMemo *memo = nullptr)
     {
         DramParams dp = stackedDramParams();
         dp.arrayLatency = 40 * tickNs;
@@ -375,7 +379,7 @@ struct SharedDramRig
                 defaultHierarchy(CoreType::CortexA7, with_l2);
             hp.name = detail::concat("caches", i);
             caches.push_back(std::make_unique<CacheHierarchy>(
-                hp, dram.get(), &stats));
+                hp, dram.get(), &stats, memo));
             cores.push_back(std::make_unique<CoreModel>(
                 cortexA7Params(), caches.back().get()));
         }
@@ -462,6 +466,295 @@ TEST(CoreModel, InOrderFetchLoopMatchesOpByOpWalk)
                 expectInOrderWalkMatchesReference(with_l2, seed, cores);
             }
         }
+    }
+}
+
+/**
+ * The six code passes of one kernel-TCP GET with one packet each
+ * way, at their AddressMap offsets: request path, rx packet path,
+ * hash of an 8-byte key, memcached GET, request path, tx packet path.
+ * Together they overflow the 32 KiB L1I.
+ */
+OpTrace
+getCodePasses()
+{
+    const server::Calibration cal{};
+    const server::AddressMap map(0, 224 * miB + miB);
+    const Addr request_code = map.netstackCode() + 64 * kiB;
+    OpTrace trace;
+    TraceBuilder(trace)
+        .codePass(request_code, cal.netstackRequestPathBytes,
+                  cal.netstackInstrPerRequest / 2)
+        .codePass(map.netstackCode(), cal.netstackRxPathBytes,
+                  cal.netstackInstrPerRxPacket)
+        .codePass(map.hashCode(), cal.hashCodeBytes,
+                  cal.hashInstrBase + cal.hashInstrPerKeyByte * 8)
+        .codePass(map.memcachedCode(), cal.memcachedGetPathBytes,
+                  cal.memcachedInstrGet)
+        .codePass(request_code, cal.netstackRequestPathBytes,
+                  cal.netstackInstrPerRequest / 2)
+        .codePass(map.netstackCode() + 32 * kiB, cal.netstackTxPathBytes,
+                  cal.netstackInstrPerTxPacket);
+    return trace;
+}
+
+/** A few seeded data ops, which leave the L1I alone. */
+OpTrace
+dataOps(Rng &rng)
+{
+    OpTrace trace;
+    TraceBuilder b(trace);
+    auto line_in = [&](std::uint64_t bytes) -> Addr {
+        return rng.nextInt(bytes) & ~Addr(63);
+    };
+    b.chaseLoad(line_in(64 * miB))
+        .compute(rng.nextInt(400))
+        .randomStore(line_in(64 * miB))
+        .streamRead(line_in(64 * miB), (1 + rng.nextInt(8)) * 64);
+    return trace;
+}
+
+/**
+ * A rig whose hierarchies share a fetch memo, beside a twin without
+ * one that the op-by-op reference walks. Every step goes to both,
+ * one after another on a common clock, and must agree.
+ */
+struct MemoTwins
+{
+    MemoTwins(bool with_l2, unsigned count)
+        : rig(with_l2, count, &memo), twin(with_l2, count)
+    {}
+
+    /** Run @p trace on core @p c. */
+    void
+    run(unsigned c, const OpTrace &trace)
+    {
+        const RunResult got = rig.cores[c]->run(trace, now);
+        const RunResult want = referenceInOrderRun(
+            cortexA7Params(), *twin.caches[c], trace, now);
+        EXPECT_EQ(got.start, want.start);
+        EXPECT_EQ(got.end, want.end);
+        EXPECT_EQ(got.instructions, want.instructions);
+        EXPECT_EQ(got.memOps, want.memOps);
+        EXPECT_EQ(got.computeTicks, want.computeTicks);
+        EXPECT_EQ(got.stallTicks, want.stallTicks);
+        now = std::max(got.end, want.end) + 777;
+    }
+
+    /** One access(IFetch) of @p addr on core @p c. */
+    void
+    fetch(unsigned c, Addr addr)
+    {
+        const AccessResult got =
+            rig.caches[c]->access(CpuAccessKind::IFetch, addr, now);
+        const AccessResult want =
+            twin.caches[c]->access(CpuAccessKind::IFetch, addr, now);
+        EXPECT_EQ(got.completion, want.completion) << addr;
+        EXPECT_EQ(got.source, want.source) << addr;
+        now = std::max(got.completion, want.completion) + 777;
+    }
+
+    void
+    flushAll(unsigned c)
+    {
+        rig.caches[c]->flushAll();
+        twin.caches[c]->flushAll();
+    }
+
+    /** Every hierarchy counter and the DRAM's agree. */
+    void
+    expectSameCounters() const
+    {
+        for (std::size_t c = 0; c < rig.caches.size(); ++c) {
+            for (const char *counter :
+                 {"l1iHits", "l1iMisses", "l1dHits", "l1dMisses",
+                  "l2Hits", "l2Misses", "memAccesses", "writebacks"}) {
+                const std::string path =
+                    detail::concat("caches", c, ".", counter);
+                EXPECT_EQ(rig.stat(path), twin.stat(path)) << path;
+            }
+        }
+        for (const char *counter : {"reads", "writes", "bytesRead",
+                                    "rowMisses", "portQueueTicks"}) {
+            const std::string path =
+                detail::concat("stackedDram.", counter);
+            EXPECT_EQ(rig.stat(path), twin.stat(path)) << path;
+        }
+    }
+
+    std::uint64_t
+    replayed(unsigned c) const
+    {
+        return rig.caches[c]->replayedPasses();
+    }
+
+    FetchMemo memo;
+    SharedDramRig rig;
+    SharedDramRig twin;
+    Tick now = 1000;
+};
+
+TEST(FetchMemo, RecurringGetPassesReplayExactly)
+{
+    const OpTrace get = getCodePasses();
+    for (const bool with_l2 : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "L2 " << with_l2);
+        MemoTwins twins(with_l2, 1);
+        Rng rng(7);
+        for (int i = 0; i < 60; ++i) {
+            twins.run(0, get);
+            twins.run(0, dataOps(rng));
+            if (i % 10 == 9) {
+                // A pass the memo lacks, after replays left the L1I
+                // arrays stale.
+                OpTrace other;
+                TraceBuilder(other).codePass(0x100000 + 64 * i, 40 * 64,
+                                             100 + i);
+                twins.run(0, other);
+            }
+        }
+        twins.expectSameCounters();
+        // The loop settles within two GETs of any other code; every
+        // later pass replays.
+        EXPECT_GE(twins.replayed(0), 6u * 40);
+    }
+}
+
+TEST(FetchMemo, HitRunsBeforeMissesReplayExactly)
+{
+    // P covers sets 0-127; Q1 and Q2 give sets 64-127 a third tag
+    // each, so in the 2-way L1I P's first 64 lines hit and the rest
+    // miss. P's first 30 lines run one instruction more: the boundary
+    // sits inside the run of hits that the replay times in closed
+    // form before the first miss.
+    OpTrace trace;
+    TraceBuilder(trace)
+        .codePass(0x200000, 128 * 64, 128 * 5 + 30)
+        .codePass(0x300000 + 64 * 64, 64 * 64, 333)
+        .codePass(0x340000 + 64 * 64, 64 * 64, 333);
+    for (const bool with_l2 : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "L2 " << with_l2);
+        MemoTwins twins(with_l2, 1);
+        for (int i = 0; i < 20; ++i)
+            twins.run(0, trace);
+        twins.expectSameCounters();
+        EXPECT_GE(twins.replayed(0), 3u * 17);
+    }
+}
+
+TEST(FetchMemo, HierarchiesSharingOneMemoStayExact)
+{
+    const OpTrace get = getCodePasses();
+    for (const bool with_l2 : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "L2 " << with_l2);
+        MemoTwins twins(with_l2, 2);
+        Rng rng(11);
+        // Core 0 learns the GET loop; core 1 starts from an L1I full
+        // of other code, then meets the states core 0 recorded.
+        for (int i = 0; i < 10; ++i)
+            twins.run(0, get);
+        OpTrace other;
+        TraceBuilder(other)
+            .codePass(0x100000, 300 * 64, 4000)
+            .codePass(0x140000, 200 * 64, 999);
+        twins.run(1, other);
+        const std::uint32_t learned = twins.memo.states();
+        for (int i = 0; i < 50; ++i) {
+            twins.run(0, get);
+            twins.run(1, get);
+            twins.run(i % 2, dataOps(rng));
+        }
+        twins.expectSameCounters();
+        EXPECT_GE(twins.replayed(0), 6u * 50);
+        EXPECT_GE(twins.replayed(1), 6u * 45);
+        // Core 1 joins the loop core 0 recorded: a loop of its own
+        // would take two GETs of new states.
+        EXPECT_LT(twins.memo.states(), learned + 2 * 6);
+        EXPECT_GT(twins.rig.stat("stackedDram.portQueueTicks"), 0.0);
+    }
+}
+
+TEST(FetchMemo, FlushAndIFetchBetweenReplaysStayExact)
+{
+    const OpTrace get = getCodePasses();
+    for (const bool with_l2 : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "L2 " << with_l2);
+        MemoTwins twins(with_l2, 1);
+        Rng rng(13);
+        for (int i = 0; i < 60; ++i) {
+            twins.run(0, get);
+            // The same phase each time, so that the memo's budget
+            // holds the states these leave.
+            if (i % 10 == 3)
+                twins.flushAll(0);
+            if (i % 10 == 7) {
+                // One line of each pass, and lines just past them:
+                // some hit and some miss in the true L1I.
+                for (const Op &pass : get) {
+                    twins.fetch(0, pass.addr + 64 * (pass.lines / 2));
+                    twins.fetch(0, pass.addr + 64 * pass.lines);
+                }
+            }
+            twins.run(0, dataOps(rng));
+        }
+        twins.expectSameCounters();
+        EXPECT_GE(twins.replayed(0), 6u * 40);
+    }
+}
+
+TEST(FetchMemo, PassLongerThanTheL1IReplaysExactly)
+{
+    // 800 lines: each set of the 2-way, 256-set L1I is touched at
+    // least three times in one pass.
+    OpTrace trace = getCodePasses();
+    TraceBuilder(trace).codePass(0x1c0000, 800 * 64, 50001);
+    for (const bool with_l2 : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "L2 " << with_l2);
+        MemoTwins twins(with_l2, 1);
+        Rng rng(17);
+        for (int i = 0; i < 30; ++i) {
+            twins.run(0, trace);
+            twins.run(0, dataOps(rng));
+        }
+        twins.expectSameCounters();
+        EXPECT_GE(twins.replayed(0), 7u * 25);
+    }
+}
+
+TEST(FetchMemo, FullMemoFallsBackToWalking)
+{
+    const OpTrace get = getCodePasses();
+    for (const bool with_l2 : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "L2 " << with_l2);
+        MemoTwins twins(with_l2, 3);
+        for (int i = 0; i < 10; ++i)
+            twins.run(0, get);
+
+        // Core 1 fills the memo with passes that do not recur.
+        Rng rng(19);
+        for (int i = 0; i < 1000 && twins.memo.states() <
+                                        FetchMemo::maxStates; ++i) {
+            const std::uint64_t lines = 1 + rng.nextInt(96);
+            OpTrace pass;
+            TraceBuilder(pass).codePass(
+                0x100000 + (rng.nextInt(64 * kiB) & ~Addr(63)),
+                lines * 64, rng.nextInt(3 * lines));
+            twins.run(1, pass);
+        }
+        ASSERT_EQ(twins.memo.states(), FetchMemo::maxStates);
+
+        // Core 0 still replays its loop; core 2 starts outside the
+        // full memo and walks; core 1 walks its passes again.
+        const std::uint64_t before = twins.replayed(0);
+        for (int i = 0; i < 20; ++i) {
+            twins.run(0, get);
+            twins.run(2, get);
+            twins.run(1, mixedTrace(23));
+        }
+        twins.expectSameCounters();
+        EXPECT_EQ(twins.replayed(0) - before, 6u * 20);
+        EXPECT_EQ(twins.replayed(2), 0u);
+        EXPECT_EQ(twins.memo.states(), FetchMemo::maxStates);
     }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/dram.hh"
+#include "sim/contract.hh"
 #include "sim/logging.hh"
 
 namespace
@@ -203,6 +204,33 @@ TEST(DramModel, RefreshWindowsDelayAccesses)
     const Tick done2 = dram.access(AccessType::Read, 64 * miB, 64,
                                    mid);
     EXPECT_EQ(done2 - mid, dram.idleReadLatency());
+}
+
+TEST(DramModel, RefreshNeedsTrfcShorterThanTrefi)
+{
+    contract::ScopedContractThrow guard;
+    DramParams p = stackedDramParams();
+    p.modelRefresh = true;
+
+    // tREFI 0 would divide by zero in access().
+    p.refreshInterval = 0;
+    EXPECT_THROW(DramModel{p}, contract::ContractViolation);
+
+    // A blackout as long as the interval never ends: one delay would
+    // land the access in the next window.
+    p.refreshInterval = 350 * tickNs;
+    p.refreshDuration = 350 * tickNs;
+    EXPECT_THROW(DramModel{p}, contract::ContractViolation);
+    p.refreshDuration = 400 * tickNs;
+    EXPECT_THROW(DramModel{p}, contract::ContractViolation);
+
+    p.refreshDuration = 349 * tickNs;
+    EXPECT_NO_THROW(DramModel{p});
+
+    // Unchecked while refresh is off.
+    p.modelRefresh = false;
+    p.refreshInterval = 0;
+    EXPECT_NO_THROW(DramModel{p});
 }
 
 TEST(DramModel, RefreshCostsAboutTrfcOverTrefi)

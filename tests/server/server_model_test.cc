@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "alloc_probe.hh"
 #include "server/server_model.hh"
 
 namespace
@@ -479,6 +482,39 @@ TEST(ServerModel, MeasureRejectsZeroSamples)
     ServerModel server(mercuryParams(cpu::cortexA7Params(), true));
     EXPECT_THROW(server.measureGets(64, 0), contract::ContractViolation);
     EXPECT_THROW(server.measurePuts(64, 0), contract::ContractViolation);
+}
+
+TEST(ServerModel, SteadyStateRequestsAllocateOnlyTheGetCopy)
+{
+    // The phase trace, the store walk and the PUT value are reused
+    // members; what is left is the store's copy of a GET's value.
+    for (const bool flash : {false, true}) {
+        SCOPED_TRACE(flash ? "Iridium" : "Mercury");
+        ServerModel server(
+            flash ? iridiumParams(cpu::cortexA7Params())
+                  : mercuryParams(cpu::cortexA7Params(), false));
+        const unsigned keys = server.populate(64, 64);
+        ASSERT_EQ(keys, 64u);
+        std::vector<std::string> names;
+        for (unsigned i = 0; i < keys; ++i)
+            names.push_back(ServerModel::keyFor(64, i));
+        for (unsigned i = 0; i < 2 * keys; ++i) {
+            server.get(names[i % keys]);
+            server.put(names[(7 * i) % keys], 64);
+        }
+
+        std::uint64_t before = mercuryAllocCalls.load();
+        for (unsigned i = 0; i < keys; ++i)
+            EXPECT_TRUE(server.get(names[(5 * i) % keys]).hit);
+        EXPECT_EQ(mercuryAllocCalls.load() - before, keys)
+            << "a GET allocated more than its value copy";
+
+        before = mercuryAllocCalls.load();
+        for (unsigned i = 0; i < keys; ++i)
+            server.put(names[(3 * i) % keys], 64);
+        EXPECT_EQ(mercuryAllocCalls.load() - before, 0u)
+            << "a PUT allocated";
+    }
 }
 
 TEST(ServerModel, SubMillisecondSlaHolds)
