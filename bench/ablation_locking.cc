@@ -27,7 +27,6 @@ reordersPerMillionGets(EvictionPolicyKind eviction)
     StoreParams params;
     params.memLimit = 64 * miB;
     params.eviction = eviction;
-    params.locking = LockingMode::Striped;
     Store store(params);
 
     for (int i = 0; i < 10000; ++i)

@@ -40,6 +40,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -47,8 +48,6 @@
 
 #include "sim/sampler.hh"
 #include "sim/stats.hh"
-#include "sim/sync.hh"
-#include "sim/thread_annotations.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
 
@@ -285,11 +284,11 @@ class Session
      * unless --stats-json was requested.
      */
     void
-    capture() EXCLUDES(emitMutex_)
+    capture()
     {
         if (statsPath_.empty())
             return;
-        sim::ScopedLock lock(emitMutex_);
+        std::lock_guard<std::mutex> lock(emitMutex_);
         if (captured_.capacity() < 4096)
             captured_.reserve(4096);
         registry_.formatJson(captured_, "", capturedFirst_);
@@ -317,11 +316,11 @@ class Session
      * --timeseries-out or for an empty series.
      */
     void
-    appendTimeseries(const std::string &jsonl) EXCLUDES(emitMutex_)
+    appendTimeseries(const std::string &jsonl)
     {
         if (timeseriesPath_.empty() || jsonl.empty())
             return;
-        sim::ScopedLock lock(emitMutex_);
+        std::lock_guard<std::mutex> lock(emitMutex_);
         timeseries_ += jsonl;
     }
 
@@ -335,11 +334,10 @@ class Session
      */
     void
     appendStatsFragment(const std::string &fragment)
-        EXCLUDES(emitMutex_)
     {
         if (statsPath_.empty() || fragment.empty())
             return;
-        sim::ScopedLock lock(emitMutex_);
+        std::lock_guard<std::mutex> lock(emitMutex_);
         if (!capturedFirst_)
             captured_ += ',';
         capturedFirst_ = false;
@@ -352,15 +350,14 @@ class Session
      * destructor; calling earlier pins the capture point. Idempotent.
      */
     void
-    finish() EXCLUDES(emitMutex_)
+    finish()
     {
         if (finished_)
             return;
         finished_ = true;
-        sim::ScopedLock lock(emitMutex_);
+        std::lock_guard<std::mutex> lock(emitMutex_);
         if (!statsPath_.empty())
-            writeTo(statsPath_, [this](std::ostream &os)
-                                    NO_THREAD_SAFETY_ANALYSIS {
+            writeTo(statsPath_, [this](std::ostream &os) {
                 if (haveCapture_)
                     os << "{" << captured_ << "}\n";
                 else
@@ -377,11 +374,8 @@ class Session
         // The timeseries file is written even when no sampler fed it
         // (an empty file is an honest "this bench sampled nothing"),
         // so determinism harnesses can diff it unconditionally.
-        // (The lambdas run synchronously under the lock taken above;
-        // the analysis cannot see through the writeTo indirection.)
         if (!timeseriesPath_.empty())
-            writeTo(timeseriesPath_, [this](std::ostream &os)
-                                         NO_THREAD_SAFETY_ANALYSIS {
+            writeTo(timeseriesPath_, [this](std::ostream &os) {
                 os << timeseries_;
             });
     }
@@ -522,16 +516,14 @@ class Session
     std::string tracePath_;
     std::string chromePath_;
     std::string timeseriesPath_;
-    /** Serializes the capture/append/finish emission state. Today
-     * ParallelSweep publishes in submission order from one thread;
-     * the capability makes that discipline machine-checked so a
-     * future concurrent emitter cannot silently append unlocked. */
-    mutable sim::Mutex emitMutex_;
-    std::string captured_ GUARDED_BY(emitMutex_);
-    std::string timeseries_ GUARDED_BY(emitMutex_);
+    /** Serializes the capture/append/finish emission state; guards
+     * captured_, timeseries_, capturedFirst_ and haveCapture_. */
+    mutable std::mutex emitMutex_;
+    std::string captured_;
+    std::string timeseries_;
     std::uint64_t sampleIntervalUs_ = 1000;
-    bool capturedFirst_ GUARDED_BY(emitMutex_) = true;
-    bool haveCapture_ GUARDED_BY(emitMutex_) = false;
+    bool capturedFirst_ = true;
+    bool haveCapture_ = false;
     bool smoke_ = false;
     bool finished_ = false;
     unsigned jobs_ = 1;

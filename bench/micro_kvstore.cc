@@ -9,6 +9,8 @@
 
 #include "bench_util.hh"
 
+#include <charconv>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,20 +55,18 @@ BM_SlabAllocateFree(benchmark::State &state)
 BENCHMARK(BM_SlabAllocateFree)->Arg(128)->Arg(4096)->Arg(65536);
 
 StoreParams
-benchStoreParams(EvictionPolicyKind eviction, LockingMode locking)
+benchStoreParams(EvictionPolicyKind eviction)
 {
     StoreParams p;
     p.memLimit = 256 * miB;
     p.eviction = eviction;
-    p.locking = locking;
     return p;
 }
 
 void
 BM_StoreGetHit(benchmark::State &state)
 {
-    Store store(benchStoreParams(EvictionPolicyKind::StrictLru,
-                                 LockingMode::Global));
+    Store store(benchStoreParams(EvictionPolicyKind::StrictLru));
     const std::string value(static_cast<std::size_t>(state.range(0)),
                             'v');
     for (int i = 0; i < 10000; ++i)
@@ -86,9 +86,7 @@ BM_StoreGetBagsVsStrict(benchmark::State &state)
 {
     const bool bags = state.range(0) == 1;
     Store store(benchStoreParams(bags ? EvictionPolicyKind::Bags
-                                      : EvictionPolicyKind::StrictLru,
-                                 bags ? LockingMode::Striped
-                                      : LockingMode::Global));
+                                      : EvictionPolicyKind::StrictLru));
     for (int i = 0; i < 10000; ++i)
         store.set("key" + std::to_string(i), "value");
     Rng rng(2);
@@ -105,8 +103,7 @@ BENCHMARK(BM_StoreGetBagsVsStrict)
 void
 BM_StoreSet(benchmark::State &state)
 {
-    Store store(benchStoreParams(EvictionPolicyKind::StrictLru,
-                                 LockingMode::Global));
+    Store store(benchStoreParams(EvictionPolicyKind::StrictLru));
     const std::string value(1024, 'v');
     Rng rng(3);
     for (auto _ : state) {
@@ -120,8 +117,7 @@ BENCHMARK(BM_StoreSet);
 void
 BM_StoreSetWithEviction(benchmark::State &state)
 {
-    StoreParams params = benchStoreParams(
-        EvictionPolicyKind::StrictLru, LockingMode::Global);
+    StoreParams params = benchStoreParams(EvictionPolicyKind::StrictLru);
     params.memLimit = 8 * miB;
     Store store(params);
     const std::string value(4096, 'v');
@@ -133,11 +129,41 @@ BM_StoreSetWithEviction(benchmark::State &state)
 }
 BENCHMARK(BM_StoreSetWithEviction);
 
+/** Fill a fresh store with state.range(0) distinct, absent 64 B
+ * items, as ServerModel::populate does before a measurement. Keys
+ * follow ServerModel::keyFor's "v<size>:<index>" and are built in
+ * one reused buffer, so the timed loop is the store's insert path. */
+void
+BM_StorePopulate(benchmark::State &state)
+{
+    const auto keys = static_cast<std::uint64_t>(state.range(0));
+    const std::string value(64, 'v');
+    std::string key = "v64:";
+    const std::size_t prefix = key.size();
+    char digits[20];
+    std::optional<Store> store;
+    for (auto _ : state) {
+        state.PauseTiming();
+        store.reset();
+        store.emplace(benchStoreParams(EvictionPolicyKind::StrictLru));
+        state.ResumeTiming();
+        for (std::uint64_t i = 0; i < keys; ++i) {
+            char *end =
+                std::to_chars(digits, digits + sizeof(digits), i).ptr;
+            key.resize(prefix);
+            key.append(digits, end);
+            benchmark::DoNotOptimize(store->set(key, value));
+        }
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_StorePopulate)->Arg(20000);
+
 void
 BM_ProtocolRoundTrip(benchmark::State &state)
 {
-    Store store(benchStoreParams(EvictionPolicyKind::StrictLru,
-                                 LockingMode::Global));
+    Store store(benchStoreParams(EvictionPolicyKind::StrictLru));
     ServerSession session(store);
     session.consume("set bench 0 0 5\r\nhello\r\n");
     for (auto _ : state)

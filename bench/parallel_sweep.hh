@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,8 +48,6 @@
 #include "bench_util.hh"
 
 #include "sim/stats.hh"
-#include "sim/sync.hh"
-#include "sim/thread_annotations.hh"
 #include "sim/thread_pool.hh"
 #include "sim/trace.hh"
 
@@ -100,16 +99,16 @@ class PointContext
      * identical across --jobs values.
      */
     void
-    timeseries(const std::string &jsonl) EXCLUDES(mutex_)
+    timeseries(const std::string &jsonl)
     {
-        sim::ScopedLock lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         timeseries_ += jsonl;
     }
 
     /** Append printf-formatted text to the point's ordered stdout
      * segment. */
     void
-    printf(const char *fmt, ...) EXCLUDES(mutex_)
+    printf(const char *fmt, ...)
     {
         char stack[512];
         std::va_list args;
@@ -120,7 +119,7 @@ class PointContext
         if (needed < 0)
             return;
         if (static_cast<std::size_t>(needed) < sizeof(stack)) {
-            sim::ScopedLock lock(mutex_);
+            std::lock_guard<std::mutex> lock(mutex_);
             text_.append(stack, static_cast<std::size_t>(needed));
             return;
         }
@@ -128,7 +127,7 @@ class PointContext
         va_start(args, fmt);
         std::vsnprintf(heap.data(), heap.size(), fmt, args);
         va_end(args);
-        sim::ScopedLock lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         text_.append(heap.data(), static_cast<std::size_t>(needed));
     }
 
@@ -139,9 +138,9 @@ class PointContext
      * for --stats-json.
      */
     void
-    capture() EXCLUDES(mutex_)
+    capture()
     {
-        sim::ScopedLock lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         captureLocked();
     }
 
@@ -157,8 +156,9 @@ class PointContext
           sampleInterval_(sample_interval)
     {}
 
+    /** @pre mutex_ held. */
     void
-    captureLocked() REQUIRES(mutex_)
+    captureLocked()
     {
         if (!wantStats_ || !registry_)
             return;
@@ -173,9 +173,9 @@ class PointContext
      * pool.wait(), so the worker that filled the buffers is done.
      */
     void
-    publish(Session &session) EXCLUDES(mutex_)
+    publish(Session &session)
     {
-        sim::ScopedLock lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         if (!text_.empty())
             std::fwrite(text_.data(), 1, text_.size(), stdout);
         if (!captured_ && registry_)
@@ -191,18 +191,17 @@ class PointContext
     bool wantTimeseries_ = false;
     Tick sampleInterval_ = 0;
     /** Worker-confined until pool.wait(), then emitter-confined; the
-     * handoff happens-before via the pool's idle barrier, which the
-     * analysis cannot express -- hence deliberately unguarded. */
+     * handoff happens-before via the pool's idle barrier, so it needs
+     * no lock. */
     std::optional<stats::Registry> registry_;
-    /** The per-point merge state: filled by the owning worker,
-     * drained by publish() on the calling thread. GUARDED_BY makes
-     * any future cross-point sharing a compile error under Clang. */
-    mutable sim::Mutex mutex_;
-    std::string text_ GUARDED_BY(mutex_);
-    std::string fragment_ GUARDED_BY(mutex_);
-    std::string timeseries_ GUARDED_BY(mutex_);
-    bool fragmentFirst_ GUARDED_BY(mutex_) = true;
-    bool captured_ GUARDED_BY(mutex_) = false;
+    /** Guards the per-point merge state below: filled by the owning
+     * worker, drained by publish() on the calling thread. */
+    mutable std::mutex mutex_;
+    std::string text_;
+    std::string fragment_;
+    std::string timeseries_;
+    bool fragmentFirst_ = true;
+    bool captured_ = false;
 };
 
 class ParallelSweep

@@ -13,7 +13,8 @@
 # access, flash read, core trace walk on A7 and A15, a GET's code
 # passes on an A7 with and without the L2 -- replayed from the fetch
 # memo, and walked cold with a fresh memo --, end-to-end GET, and the
-# cluster client's rack-aware replica routing per request).
+# cluster client's rack-aware replica routing per request), and the
+# store's populate case (items/s inserting a fresh working set).
 #
 # Numbers are host-dependent; nothing here is golden, but the
 # per-second rates are compared against the committed
@@ -30,7 +31,8 @@ set -eu -o pipefail
 cd "$(dirname "$0")/.."
 
 cmake --preset release
-cmake --build --preset release -j "$(nproc)" --target selfbench micro_sim
+cmake --build --preset release -j "$(nproc)" \
+    --target selfbench micro_sim micro_kvstore
 
 ./build/release/bench/selfbench "$@"
 
@@ -56,3 +58,4 @@ fi
 # The google-benchmark micro suite prints per-operation costs for
 # the same substrate; useful next to the selfbench aggregate rates.
 ./build/release/bench/micro_sim
+./build/release/bench/micro_kvstore --benchmark_filter=BM_StorePopulate

@@ -5,10 +5,9 @@
 #   1. the asan-ubsan preset: configure, build (-Werror), full ctest
 #      under AddressSanitizer + UBSan with expensive invariant checks
 #      (MERCURY_EXTRA_CHECKS) compiled in;
-#   2. the tsan preset: golden + parallel-sweep determinism suites,
-#      the thread-pool unit tests and the StoreConcurrency cases under
-#      ThreadSanitizer (the `--jobs` machinery and the striped store
-#      must be race-free, not just byte-stable);
+#   2. the tsan preset: golden + parallel-sweep determinism suites
+#      and the thread-pool unit tests under ThreadSanitizer (the
+#      `--jobs` machinery must be race-free, not just byte-stable);
 #   3. the timeseries label (windowed-JSONL golden, --timeseries-out
 #      jobs-invariance, Chrome-trace exporter) under both the release
 #      and asan-ubsan builds;
@@ -160,9 +159,8 @@ if [ "$skip_build" -eq 0 ]; then
         exit 1
     fi
     if ! ctest --test-dir build/tsan \
-            -R '^(ThreadPool|StoreConcurrency)\.' --output-on-failure; then
-        echo "check.sh: thread-pool/store concurrency tests failed" \
-             "under tsan" >&2
+            -R '^ThreadPool\.' --output-on-failure; then
+        echo "check.sh: thread-pool tests failed under tsan" >&2
         exit 1
     fi
 

@@ -1,10 +1,8 @@
 #include "config/perf_oracle.hh"
 
 #include <map>
+#include <mutex>
 #include <tuple>
-
-#include "sim/sync.hh"
-#include "sim/thread_annotations.hh"
 
 namespace mercury::config
 {
@@ -17,16 +15,15 @@ using MemoKey = std::tuple<int, int, int, bool, Tick, Tick,
 
 /**
  * Memoization shared by all sweep points; parallel sweeps (fig7/
- * fig8/table3 under --jobs N) probe it concurrently, so the entry
- * map is GUARDED_BY its mutex and the thread-safety analysis rejects
- * any unlocked access. The measurement itself runs outside the lock:
- * two points racing on the same key both compute the same
- * deterministic value, and the first insert wins.
+ * fig8/table3 under --jobs N) probe it concurrently, so every access
+ * to the entry map holds its mutex. The measurement itself runs
+ * outside the lock: two points racing on the same key both compute
+ * the same deterministic value, and the first insert wins.
  */
 struct MemoCache
 {
-    sim::Mutex mutex;
-    std::map<MemoKey, PerCorePerf> entries GUARDED_BY(mutex);
+    std::mutex mutex;
+    std::map<MemoKey, PerCorePerf> entries;
 };
 
 MemoCache &
@@ -81,7 +78,7 @@ measurePerCorePerf(const physical::StackConfig &stack,
                       params.datapath.txBatch,
                       params.datapath.nicCacheEntries};
     {
-        sim::ScopedLock lock(cache.mutex);
+        std::lock_guard<std::mutex> lock(cache.mutex);
         auto it = cache.entries.find(key);
         if (it != cache.entries.end())
             return it->second;
@@ -103,7 +100,7 @@ measurePerCorePerf(const physical::StackConfig &stack,
     }
 
     {
-        sim::ScopedLock lock(cache.mutex);
+        std::lock_guard<std::mutex> lock(cache.mutex);
         cache.entries.emplace(key, perf);
     }
     return perf;

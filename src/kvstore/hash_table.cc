@@ -58,7 +58,7 @@ HashTable::insert(Item *item, std::uint64_t hash)
     Item **bucket = bucketFor(hash, index);
     item->hNext = *bucket;
     *bucket = item;
-    size_.fetch_add(1, std::memory_order_relaxed);
+    ++size_;
     maybeExpand();
     if (expanding_)
         migrateStep();
@@ -77,7 +77,7 @@ HashTable::remove(std::string_view key, std::uint64_t hash)
             MERCURY_ASSERT(size() > 0,
                            "remove from a table that thinks it is "
                            "empty");
-            size_.fetch_sub(1, std::memory_order_relaxed);
+            --size_;
             if (expanding_)
                 migrateStep();
             return removed;

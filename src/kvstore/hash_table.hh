@@ -11,7 +11,6 @@
 #ifndef MERCURY_KVSTORE_HASH_TABLE_HH
 #define MERCURY_KVSTORE_HASH_TABLE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -55,11 +54,7 @@ class HashTable
     Item *remove(std::string_view key, std::uint64_t hash);
 
     /** Items currently linked. */
-    std::size_t
-    size() const
-    {
-        return size_.load(std::memory_order_relaxed);
-    }
+    std::size_t size() const { return size_; }
 
     std::size_t buckets() const { return primary_.size(); }
 
@@ -71,22 +66,6 @@ class HashTable
     {
         return static_cast<double>(size()) /
                static_cast<double>(primary_.size());
-    }
-
-    /**
-     * True if the next insert() or remove() may double the table or
-     * migrate buckets. Those move chains of every bucket, so a caller
-     * that locks buckets in stripes must hold all of them across such
-     * a call. Conservative: near the threshold a remove is counted
-     * too, although only an insert can start an expansion.
-     */
-    bool
-    mutationMayRestructure() const
-    {
-        return expanding_ ||
-               static_cast<double>(size() + 1) >=
-                   expandLoadFactor *
-                       static_cast<double>(primary_.size());
     }
 
     /**
@@ -137,9 +116,7 @@ class HashTable
     bool expanding_ = false;
     /** Next old-table bucket to migrate. */
     std::size_t migrateBucket_ = 0;
-    /** Atomic so that readers in one lock stripe may read it while a
-     * mutation in another stripe changes it. */
-    std::atomic<std::size_t> size_{0};
+    std::size_t size_ = 0;
 };
 
 } // namespace mercury::kvstore

@@ -1,7 +1,6 @@
 #include "kvstore/store.hh"
 
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <new>
 
@@ -27,15 +26,6 @@ Store::Store(const StoreParams &params)
       }()),
       table_(params.hashPower)
 {
-    mercury_assert(params_.lockStripes >= 1, "need at least one stripe");
-    // Buckets and stripes both index by the low hash bits; a bucket's
-    // chain sits under one stripe only if the stripe count is a power
-    // of two no larger than the bucket count.
-    mercury_assert(params_.locking != LockingMode::Striped ||
-                       (std::has_single_bit(params_.lockStripes) &&
-                        params_.lockStripes <= table_.buckets()),
-                   "striped locking needs a power-of-two stripe count "
-                   "no larger than the bucket count");
     policies_.reserve(slabs_.numClasses());
     for (unsigned cls = 0; cls < slabs_.numClasses(); ++cls) {
         if (params_.eviction == EvictionPolicyKind::Bags)
@@ -44,86 +34,26 @@ Store::Store(const StoreParams &params)
         else
             policies_.push_back(std::make_unique<StrictLru>());
     }
-    stripes_.reserve(params_.lockStripes);
-    for (unsigned i = 0; i < params_.lockStripes; ++i)
-        stripes_.push_back(std::make_unique<std::recursive_mutex>());
-}
-
-// Defined below RegisteredStats so unique_ptr sees a complete type.
-
-unsigned
-Store::stripeOf(std::uint64_t hash) const
-{
-    return static_cast<unsigned>(hash % stripes_.size());
 }
 
 bool
 Store::itemDead(const Item *item) const
 {
-    if (item->casId <= flushCas_.load(std::memory_order_relaxed))
+    if (item->casId <= flushCas_)
         return true;
-    const std::uint32_t now = clock_.load(std::memory_order_relaxed);
-    return item->expiry != 0 && item->expiry <= now;
+    return item->expiry != 0 && item->expiry <= clock_;
 }
 
 std::uint32_t
 Store::expiryFor(std::uint32_t ttl) const
 {
-    return ttl == 0 ? 0 : clock_.load(std::memory_order_relaxed) + ttl;
+    return ttl == 0 ? 0 : clock_ + ttl;
 }
 
-/**
- * Readers serialize on the whole store when the configuration demands
- * it: Global locking (memcached 1.4), or strict LRU, whose
- * move-to-front makes every GET a list mutation. Bags + striped
- * locking is the scalable 1.6 configuration: GETs take only their
- * stripe.
- */
-struct Store::StripeLock
+std::uint32_t
+Store::remainingTtl(const Item *item) const
 {
-    StripeLock(Store &store, std::uint64_t hash, bool mutation)
-    {
-        // Bags is the only policy whose GET path mutates no shared
-        // list state; every other policy's reads serialize on the
-        // store-wide lock (the memcached 1.4 behaviour).
-        const bool whole_store =
-            store.params_.locking == LockingMode::Global ||
-            store.params_.eviction != EvictionPolicyKind::Bags;
-        if (mutation || whole_store)
-            alloc = std::unique_lock<std::recursive_mutex>(
-                store.allocMutex_);
-        if (store.params_.locking != LockingMode::Striped)
-            return;
-        if (mutation && store.table_.mutationMayRestructure())
-            allStripes = store.lockAllStripes();
-        else
-            stripe = std::unique_lock<std::recursive_mutex>(
-                *store.stripes_[store.stripeOf(hash)]);
-    }
-
-    std::unique_lock<std::recursive_mutex> alloc;
-    std::unique_lock<std::recursive_mutex> stripe;
-    std::vector<std::unique_lock<std::recursive_mutex>> allStripes;
-};
-
-/**
- * Doubling the hash table or migrating its buckets moves chains of
- * every stripe, and a Bags + Striped GET holds only its own stripe. So
- * a mutation that may do either (HashTable::mutationMayRestructure)
- * takes every stripe, in index order and before any other, as
- * memcached switches to global item locks while it expands. The
- * caller holds allocMutex_, which serializes all mutations: the table
- * cannot start restructuring after the check, since within one
- * mutation only its last insert can start an expansion.
- */
-std::vector<std::unique_lock<std::recursive_mutex>>
-Store::lockAllStripes()
-{
-    std::vector<std::unique_lock<std::recursive_mutex>> held;
-    held.reserve(stripes_.size());
-    for (auto &stripe : stripes_)
-        held.emplace_back(*stripe);
-    return held;
+    return item->expiry == 0 ? 0 : item->expiry - clock_;
 }
 
 void
@@ -144,18 +74,9 @@ Store::allocateWithEviction(unsigned cls, ProbeTrace *trace)
         if (chunk)
             return chunk;
 
-        Item *victim = policies_[cls]->victim(clock_.load());
+        Item *victim = policies_[cls]->victim(clock_);
         if (!victim)
             return nullptr;
-
-        // The victim may live in another stripe; mutations are
-        // serialized by allocMutex_, so grabbing it here is safe and
-        // recursive mutexes tolerate it being the stripe we hold.
-        std::unique_lock<std::recursive_mutex> victim_stripe;
-        if (params_.locking == LockingMode::Striped) {
-            victim_stripe = std::unique_lock<std::recursive_mutex>(
-                *stripes_[stripeOf(hashKey(victim->key()))]);
-        }
 
         if (itemDead(victim)) {
             counters_.expiredReclaimed.fetch_add(1);
@@ -178,7 +99,7 @@ Store::buildItem(void *chunk, unsigned cls, std::string_view key,
     item->slabClass = static_cast<std::uint8_t>(cls);
     item->clientFlags = flags;
     item->expiry = expiryFor(ttl);
-    item->casId = casCounter_.fetch_add(1) + 1;
+    item->casId = ++casCounter_;
     item->setKey(key);
     item->setValue(value);
     return item;
@@ -197,8 +118,6 @@ Store::getTraced(std::string_view key, ProbeTrace &trace)
     GetResult result;
     const std::uint64_t hash = hashKey(key);
     counters_.gets.fetch_add(1);
-
-    StripeLock guard(*this, hash, false);
 
     ProbeResult probe = table_.find(key, hash);
     trace.bucketAddr = probe.bucketAddr;
@@ -220,7 +139,7 @@ Store::getTraced(std::string_view key, ProbeTrace &trace)
         return result;
     }
 
-    policies_[item->slabClass]->onAccess(item, clock_.load());
+    policies_[item->slabClass]->onAccess(item, clock_);
 
     trace.hit = true;
     trace.itemAddr = item;
@@ -244,8 +163,6 @@ Store::storeInternal(std::string_view key, std::string_view value,
 
     const std::uint64_t hash = hashKey(key);
     counters_.sets.fetch_add(1);
-
-    StripeLock guard(*this, hash, true);
 
     ProbeResult probe = table_.find(key, hash);
     if (trace) {
@@ -302,10 +219,8 @@ Store::storeInternal(std::string_view key, std::string_view value,
     void *chunk = allocateWithEviction(static_cast<unsigned>(cls),
                                        trace);
     if (!chunk) {
-        if (existing) {
-            policies_[existing->slabClass]->onInsert(existing,
-                                                     clock_.load());
-        }
+        if (existing)
+            policies_[existing->slabClass]->onInsert(existing, clock_);
         counters_.outOfMemory.fetch_add(1);
         return StoreStatus::OutOfMemory;
     }
@@ -321,7 +236,7 @@ Store::storeInternal(std::string_view key, std::string_view value,
     Item *item = buildItem(chunk, static_cast<unsigned>(cls), key,
                            value, flags, ttl);
     table_.insert(item, hash);
-    policies_[item->slabClass]->onInsert(item, clock_.load());
+    policies_[item->slabClass]->onInsert(item, clock_);
 
     if (trace) {
         trace->itemAddr = item;
@@ -374,8 +289,6 @@ StoreStatus
 Store::remove(std::string_view key)
 {
     const std::uint64_t hash = hashKey(key);
-    StripeLock guard(*this, hash, true);
-
     ProbeResult probe = table_.find(key, hash);
     if (!probe.item)
         return StoreStatus::NotFound;
@@ -393,8 +306,6 @@ Store::arith(std::string_view key, std::uint64_t delta, bool increment,
              std::uint64_t &out)
 {
     const std::uint64_t hash = hashKey(key);
-    StripeLock guard(*this, hash, true);
-
     ProbeResult probe = table_.find(key, hash);
     Item *item = probe.item;
     if (!item || itemDead(item))
@@ -423,17 +334,18 @@ Store::arith(std::string_view key, std::uint64_t delta, bool increment,
                                          end - buf));
 
     // Rewrite in place when the chunk fits; otherwise fall back to a
-    // full store (new chunk, possibly a different class).
+    // full store (new chunk, possibly a different class) that keeps
+    // the item's flags and remaining TTL, as memcached keeps exptime.
     const std::size_t needed = Item::totalSize(key.size(),
                                                new_value.size());
     if (needed <= slabs_.chunkSize(item->slabClass)) {
         item->setValue(new_value);
-        item->casId = casCounter_.fetch_add(1) + 1;
-        policies_[item->slabClass]->onAccess(item, clock_.load());
+        item->casId = ++casCounter_;
+        policies_[item->slabClass]->onAccess(item, clock_);
         return StoreStatus::Stored;
     }
-    return storeInternal(key, new_value, item->clientFlags, 0, modeSet,
-                         0, nullptr);
+    return storeInternal(key, new_value, item->clientFlags,
+                         remainingTtl(item), modeSet, 0, nullptr);
 }
 
 StoreStatus
@@ -441,8 +353,6 @@ Store::concat(std::string_view key, std::string_view value,
               bool after)
 {
     const std::uint64_t hash = hashKey(key);
-    StripeLock guard(*this, hash, true);
-
     ProbeResult probe = table_.find(key, hash);
     Item *item = probe.item;
     if (!item || itemDead(item))
@@ -459,16 +369,8 @@ Store::concat(std::string_view key, std::string_view value,
     }
 
     // Preserve flags and remaining TTL of the existing item.
-    const std::uint32_t flags = item->clientFlags;
-    std::uint32_t ttl = 0;
-    if (item->expiry != 0) {
-        const std::uint32_t now = clock_.load();
-        if (item->expiry <= now)
-            return StoreStatus::NotStored;
-        ttl = item->expiry - now;
-    }
-    return storeInternal(key, combined, flags, ttl, modeSet, 0,
-                         nullptr);
+    return storeInternal(key, combined, item->clientFlags,
+                         remainingTtl(item), modeSet, 0, nullptr);
 }
 
 StoreStatus
@@ -501,42 +403,32 @@ StoreStatus
 Store::touch(std::string_view key, std::uint32_t ttl)
 {
     const std::uint64_t hash = hashKey(key);
-    StripeLock guard(*this, hash, true);
-
     ProbeResult probe = table_.find(key, hash);
     Item *item = probe.item;
     if (!item || itemDead(item))
         return StoreStatus::NotFound;
 
     item->expiry = expiryFor(ttl);
-    policies_[item->slabClass]->onAccess(item, clock_.load());
+    policies_[item->slabClass]->onAccess(item, clock_);
     return StoreStatus::Stored;
 }
 
 void
 Store::flushAll()
 {
-    std::lock_guard<std::recursive_mutex> guard(allocMutex_);
-    flushCas_.store(casCounter_.load());
+    flushCas_ = casCounter_;
 }
 
 void
 Store::setClock(std::uint32_t seconds)
 {
-    clock_.store(seconds);
+    clock_ = seconds;
 }
 
 void
 Store::housekeeping(unsigned reap_limit)
 {
-    std::lock_guard<std::recursive_mutex> guard(allocMutex_);
-    const std::uint32_t now = clock_.load();
-    // Reaping removes items, and a remove migrates buckets while the
-    // table expands.
-    std::vector<std::unique_lock<std::recursive_mutex>> all_stripes;
-    if (params_.locking == LockingMode::Striped &&
-        table_.mutationMayRestructure())
-        all_stripes = lockAllStripes();
+    const std::uint32_t now = clock_;
 
     unsigned reaped = 0;
     for (auto &policy : policies_) {
@@ -545,11 +437,6 @@ Store::housekeeping(unsigned reap_limit)
             Item *victim = policy->victim(now);
             if (!victim || !itemDead(victim))
                 break;
-            std::unique_lock<std::recursive_mutex> stripe;
-            if (params_.locking == LockingMode::Striped) {
-                stripe = std::unique_lock<std::recursive_mutex>(
-                    *stripes_[stripeOf(hashKey(victim->key()))]);
-            }
             counters_.expiredReclaimed.fetch_add(1);
             destroyItem(victim);
             ++reaped;
@@ -658,10 +545,8 @@ Store::registerStats(stats::StatGroup *parent)
 Store::~Store() = default;
 
 bool
-Store::checkConsistency()
+Store::checkConsistency() const
 {
-    std::lock_guard<std::recursive_mutex> guard(allocMutex_);
-
     std::size_t linked = 0;
     bool ok = true;
     table_.forEach([&](Item *item) {

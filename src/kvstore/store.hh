@@ -7,11 +7,10 @@
  * add, replace, cas, delete, incr/decr, touch, flush_all) with lazy
  * TTL expiry.
  *
- * Locking models the two designs the paper compares:
- *  - Global (memcached 1.4): one lock serializes everything,
- *    including the strict-LRU reorder on every GET.
- *  - Striped (memcached 1.6 / Bags): per-stripe hash locks; GETs
- *    under the Bags policy touch no shared list state at all.
+ * A Store is used from one host thread at a time: it takes no locks.
+ * Parallel sweeps and clusters give every node its own store. The
+ * memcached 1.4 / 1.6 / Bags thread-scaling rows come from the
+ * analytic contention model in src/baseline, not from host locks.
  *
  * The store is functional (it really stores bytes); the timing
  * simulator drives it through the *Traced variants, which report the
@@ -25,7 +24,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +36,11 @@
 namespace mercury::kvstore
 {
 
+/**
+ * Read by no code: the store takes no locks. Kept, with
+ * StoreParams::locking, only because simbench still assigns it; both
+ * go in the next change to the benchmark.
+ */
 enum class LockingMode { Global, Striped };
 
 /** Static configuration of a store instance. */
@@ -47,8 +50,8 @@ struct StoreParams
     std::uint64_t memLimit = 64 * miB;
     unsigned hashPower = 16;
     EvictionPolicyKind eviction = EvictionPolicyKind::StrictLru;
+    /** Unused; see LockingMode. */
     LockingMode locking = LockingMode::Global;
-    unsigned lockStripes = 16;
     std::uint32_t bagAgeSeconds = 60;
     SlabParams slab{};
 };
@@ -105,7 +108,10 @@ struct ProbeTrace
     }
 };
 
-/** Operation counters; readable without locks. */
+/**
+ * Operation counters. A store is single-threaded, so the atomics are
+ * not needed; they stay until the benchmark stops calling load().
+ */
 struct StoreCounters
 {
     std::atomic<std::uint64_t> gets{0};
@@ -182,7 +188,7 @@ class Store
     /** Advance the store clock (seconds since start). */
     void setClock(std::uint32_t seconds);
 
-    std::uint32_t clock() const { return clock_.load(); }
+    std::uint32_t clock() const { return clock_; }
 
     /** Run eviction-policy aging and reclaim a few dead items. */
     void housekeeping(unsigned reap_limit = 64);
@@ -209,21 +215,15 @@ class Store
 
     /** Verify internal invariants (test hook): every linked item is
      * tracked by exactly one policy, accounting matches, etc. */
-    bool checkConsistency();
+    bool checkConsistency() const;
 
   private:
-    struct StripeLock;
-
-    /** Every hash stripe, in index order. @pre alloc lock held. */
-    std::vector<std::unique_lock<std::recursive_mutex>> lockAllStripes();
-
     bool itemDead(const Item *item) const;
 
-    /** Allocate a chunk for a class, evicting as needed.
-     * @pre alloc lock held. */
+    /** Allocate a chunk for a class, evicting as needed. */
     void *allocateWithEviction(unsigned cls, ProbeTrace *trace);
 
-    /** Unlink + free an item. @pre alloc lock (or global) held. */
+    /** Unlink + free an item. */
     void destroyItem(Item *item);
 
     Item *buildItem(void *chunk, unsigned cls, std::string_view key,
@@ -244,23 +244,18 @@ class Store
 
     std::uint32_t expiryFor(std::uint32_t ttl) const;
 
-    unsigned stripeOf(std::uint64_t hash) const;
+    /** The TTL that keeps @p item's expiry. @pre item is live. */
+    std::uint32_t remainingTtl(const Item *item) const;
 
     StoreParams params_;
     SlabAllocator slabs_;
     HashTable table_;
     std::vector<std::unique_ptr<EvictionPolicy>> policies_;
 
-    /** Serializes all mutations (and everything, in Global mode). */
-    std::recursive_mutex allocMutex_;
-    /** Hash stripes; recursive so eviction may revisit the held
-     * stripe (mutations are already serialized by allocMutex_). */
-    std::vector<std::unique_ptr<std::recursive_mutex>> stripes_;
-
-    std::atomic<std::uint32_t> clock_{0};
-    std::atomic<std::uint64_t> casCounter_{0};
+    std::uint32_t clock_ = 0;
+    std::uint64_t casCounter_ = 0;
     /** Items with casId <= flushCas_ are dead. */
-    std::atomic<std::uint64_t> flushCas_{0};
+    std::uint64_t flushCas_ = 0;
 
     StoreCounters counters_;
 

@@ -81,9 +81,11 @@ struct ServerModelParams
      * bit-for-bit. */
     net::DatapathParams datapath{};
 
-    /** Eviction/locking of the store instance on this core. */
+    /** Eviction policy of the store instance on this core. */
     kvstore::EvictionPolicyKind eviction =
         kvstore::EvictionPolicyKind::StrictLru;
+    /** Unused: the store takes no locks. Kept only because simbench
+     * still assigns it (see kvstore::LockingMode). */
     kvstore::LockingMode locking = kvstore::LockingMode::Global;
 
     /** Memory budget of this core's store (one DRAM port slice by

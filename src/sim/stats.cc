@@ -264,7 +264,7 @@ Registry::writeJson(std::string &out) const
 void
 Registry::writeJson(std::ostream &os) const
 {
-    sim::ScopedLock lock(jsonMutex_);
+    std::lock_guard<std::mutex> lock(jsonMutex_);
     // clear() keeps the buffer's capacity, so after the first dump a
     // sweep loop formats into already-sized storage.
     jsonBuffer_.clear();

@@ -21,13 +21,12 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "sim/sync.hh"
-#include "sim/thread_annotations.hh"
 #include "sim/types.hh"
 
 namespace mercury::stats
@@ -286,7 +285,7 @@ class Registry : public StatGroup
      * text is built in a pre-sized buffer that the registry keeps
      * and reuses, so repeated --stats-json dumps in a sweep loop
      * stop paying reallocation-per-append. */
-    void writeJson(std::ostream &os) const EXCLUDES(jsonMutex_);
+    void writeJson(std::ostream &os) const;
 
     /** Append the flat {"path":value,...} object plus newline. */
     void writeJson(std::string &out) const;
@@ -295,11 +294,11 @@ class Registry : public StatGroup
     /** Serializes dumps through the shared buffer. The stats tree
      * itself is single-writer by design (each sweep point owns its
      * own Registry); the buffer is the one piece of state a shared
-     * root registry mutates on a *read* path, so it gets a real
-     * capability rather than a convention. */
-    mutable sim::Mutex jsonMutex_;
-    /** Reused across dumps; capacity persists, contents do not. */
-    mutable std::string jsonBuffer_ GUARDED_BY(jsonMutex_);
+     * root registry mutates on a *read* path, so it gets a lock. */
+    mutable std::mutex jsonMutex_;
+    /** Reused across dumps; capacity persists, contents do not.
+     * Guarded by jsonMutex_. */
+    mutable std::string jsonBuffer_;
 };
 
 } // namespace mercury::stats

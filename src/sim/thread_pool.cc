@@ -19,10 +19,10 @@ ThreadPool::~ThreadPool()
 {
     wait();
     {
-        ScopedLock lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;
     }
-    workAvailable_.notifyAll();
+    workAvailable_.notify_all();
     for (std::thread &worker : workers_)
         worker.join();
 }
@@ -32,20 +32,20 @@ ThreadPool::submit(std::function<void()> task)
 {
     MERCURY_EXPECTS(task != nullptr, "null task submitted to pool");
     {
-        ScopedLock lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         MERCURY_EXPECTS(!stopping_, "task submitted to stopping pool");
         tasks_.push_back(std::move(task));
         ++inFlight_;
     }
-    workAvailable_.notifyOne();
+    workAvailable_.notify_one();
 }
 
 void
 ThreadPool::wait()
 {
-    ScopedLock lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     while (inFlight_ != 0)
-        allIdle_.wait(mutex_);
+        allIdle_.wait(lock);
 }
 
 void
@@ -54,9 +54,9 @@ ThreadPool::workerLoop()
     for (;;) {
         std::function<void()> task;
         {
-            ScopedLock lock(mutex_);
+            std::unique_lock<std::mutex> lock(mutex_);
             while (!stopping_ && tasks_.empty())
-                workAvailable_.wait(mutex_);
+                workAvailable_.wait(lock);
             if (tasks_.empty())
                 return;  // stopping, queue drained
             task = std::move(tasks_.front());
@@ -64,10 +64,10 @@ ThreadPool::workerLoop()
         }
         task();
         {
-            ScopedLock lock(mutex_);
+            std::lock_guard<std::mutex> lock(mutex_);
             --inFlight_;
             if (inFlight_ == 0)
-                allIdle_.notifyAll();
+                allIdle_.notify_all();
         }
     }
 }

@@ -11,24 +11,21 @@
  * completion order.
  *
  * The implementation is a plain mutex + condition-variable task
- * queue, clean under ThreadSanitizer (scripts/check.sh runs the
- * determinism suite under the tsan preset) and fully annotated for
- * Clang's thread-safety analysis (sim/sync.hh): every field the
- * workers share is GUARDED_BY(mutex_), so taking one without the
- * lock is a compile error under -Wthread-safety.
+ * queue, clean under ThreadSanitizer: scripts/check.sh runs the
+ * golden and determinism suites and the ThreadPool tests under the
+ * tsan preset.
  */
 
 #ifndef MERCURY_SIM_THREAD_POOL_HH
 #define MERCURY_SIM_THREAD_POOL_HH
 
+#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
-
-#include "sim/sync.hh"
-#include "sim/thread_annotations.hh"
 
 namespace mercury::sim
 {
@@ -46,10 +43,10 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /** Enqueue a task; tasks may be submitted from any thread. */
-    void submit(std::function<void()> task) EXCLUDES(mutex_);
+    void submit(std::function<void()> task);
 
     /** Block until every submitted task has finished executing. */
-    void wait() EXCLUDES(mutex_);
+    void wait();
 
     unsigned threadCount() const { return static_cast<unsigned>(workers_.size()); }
 
@@ -62,15 +59,16 @@ class ThreadPool
     }
 
   private:
-    void workerLoop() EXCLUDES(mutex_);
+    void workerLoop();
 
-    Mutex mutex_;
-    ConditionVariable workAvailable_;
-    ConditionVariable allIdle_;
-    std::deque<std::function<void()>> tasks_ GUARDED_BY(mutex_);
+    /** Guards tasks_, inFlight_ and stopping_. */
+    std::mutex mutex_;
+    std::condition_variable workAvailable_;
+    std::condition_variable allIdle_;
+    std::deque<std::function<void()>> tasks_;
     /** Queued + currently executing. */
-    std::size_t inFlight_ GUARDED_BY(mutex_) = 0;
-    bool stopping_ GUARDED_BY(mutex_) = false;
+    std::size_t inFlight_ = 0;
+    bool stopping_ = false;
     std::vector<std::thread> workers_;
 };
 

@@ -5,9 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "kvstore/store.hh"
@@ -22,14 +20,12 @@ using namespace mercury::kvstore;
 using mercury::detail::concat;
 
 StoreParams
-smallStore(EvictionPolicyKind eviction = EvictionPolicyKind::StrictLru,
-           LockingMode locking = LockingMode::Global)
+smallStore(EvictionPolicyKind eviction = EvictionPolicyKind::StrictLru)
 {
     StoreParams p;
     p.memLimit = 8 * miB;
     p.hashPower = 8;
     p.eviction = eviction;
-    p.locking = locking;
     return p;
 }
 
@@ -147,6 +143,33 @@ TEST(Store, IncrGrowsValueLength)
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(store.incr("n", 9999999, out), StoreStatus::Stored);
     EXPECT_EQ(store.get("n").value, std::to_string(out));
+}
+
+TEST(Store, IncrPastChunkKeepsTtlAndFlags)
+{
+    // A 23-byte key and 17 digits fill a 96 B chunk: the 18th digit
+    // moves the item to a new chunk through a full store.
+    Store store(smallStore());
+    const std::string key(23, 'k');
+    store.setClock(0);
+    store.set(key, "99999999999999999", 7, 100);
+    ProbeTrace before;
+    store.getTraced(key, before);
+
+    std::uint64_t out = 0;
+    EXPECT_EQ(store.incr(key, 1, out), StoreStatus::Stored);
+    EXPECT_EQ(out, 100000000000000000u);
+    ProbeTrace after;
+    const GetResult r = store.getTraced(key, after);
+    EXPECT_NE(after.itemAddr, before.itemAddr)
+        << "the value should have outgrown its chunk";
+    EXPECT_EQ(r.value, "100000000000000000");
+    EXPECT_EQ(r.flags, 7u);
+
+    store.setClock(99);
+    EXPECT_TRUE(store.get(key).hit);
+    store.setClock(101);
+    EXPECT_FALSE(store.get(key).hit) << "incr keeps the item's TTL";
 }
 
 TEST(Store, TtlExpiresLazily)
@@ -313,8 +336,7 @@ TEST(Store, StrictLruCountsReorders)
 
 TEST(Store, BagsAvoidsReordersOnGets)
 {
-    Store store(smallStore(EvictionPolicyKind::Bags,
-                           LockingMode::Striped));
+    Store store(smallStore(EvictionPolicyKind::Bags));
     store.set("k", "v");
     for (int i = 0; i < 50; ++i)
         store.get("k");
@@ -322,14 +344,12 @@ TEST(Store, BagsAvoidsReordersOnGets)
 }
 
 class StorePropertyTest
-    : public ::testing::TestWithParam<std::tuple<EvictionPolicyKind,
-                                                 LockingMode>>
+    : public ::testing::TestWithParam<EvictionPolicyKind>
 {};
 
 TEST_P(StorePropertyTest, RandomOpsMatchReferenceModel)
 {
-    auto [eviction, locking] = GetParam();
-    StoreParams p = smallStore(eviction, locking);
+    StoreParams p = smallStore(GetParam());
     p.memLimit = 32 * miB;  // large enough to avoid evictions
     Store store(p);
 
@@ -337,8 +357,7 @@ TEST_P(StorePropertyTest, RandomOpsMatchReferenceModel)
     // agree exactly.
     std::vector<std::string> reference(64);
     std::vector<bool> present(64, false);
-    Rng rng(std::get<0>(GetParam()) == EvictionPolicyKind::Bags ? 7
-                                                                : 13);
+    Rng rng(GetParam() == EvictionPolicyKind::Bags ? 7 : 13);
 
     for (int i = 0; i < 20000; ++i) {
         const auto slot = static_cast<std::size_t>(rng.nextInt(64));
@@ -365,124 +384,39 @@ TEST_P(StorePropertyTest, RandomOpsMatchReferenceModel)
     EXPECT_TRUE(store.checkConsistency());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Configs, StorePropertyTest,
-    ::testing::Values(
-        std::make_tuple(EvictionPolicyKind::StrictLru,
-                        LockingMode::Global),
-        std::make_tuple(EvictionPolicyKind::StrictLru,
-                        LockingMode::Striped),
-        std::make_tuple(EvictionPolicyKind::Bags, LockingMode::Global),
-        std::make_tuple(EvictionPolicyKind::Bags,
-                        LockingMode::Striped)));
+INSTANTIATE_TEST_SUITE_P(Configs, StorePropertyTest,
+                         ::testing::Values(EvictionPolicyKind::StrictLru,
+                                           EvictionPolicyKind::Bags));
 
-TEST(StoreConcurrency, ParallelGetsAndSetsStayConsistent)
+TEST(Store, GetsStayCorrectThroughTableDoublings)
 {
-    StoreParams p = smallStore(EvictionPolicyKind::Bags,
-                               LockingMode::Striped);
-    p.memLimit = 32 * miB;
-    Store store(p);
-
-    for (int i = 0; i < 256; ++i)
-        store.set(concat("k", i), "seed");
-
-    std::vector<std::thread> threads;
-    std::atomic<bool> failed{false};
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&store, &failed, t] {
-            Rng rng(static_cast<std::uint64_t>(t) + 1);
-            for (int i = 0; i < 5000; ++i) {
-                const std::string key =
-                    concat("k", rng.nextInt(256));
-                if (rng.nextBool(0.7)) {
-                    GetResult r = store.get(key);
-                    if (r.hit && r.value.empty())
-                        failed = true;
-                } else {
-                    store.set(key, concat("t", t));
-                }
-            }
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
-
-    EXPECT_FALSE(failed.load());
-    EXPECT_TRUE(store.checkConsistency());
-    EXPECT_EQ(store.itemCount(), 256u);
-}
-
-TEST(StoreConcurrency, GetsRaceTableExpansionAndMigration)
-{
-    // 16 buckets, one per stripe, pass the 1.5 load factor at 24
-    // items: the writer below doubles the table eight times, and each
-    // migration moves chains of every stripe while the readers walk
-    // theirs holding only their own stripe.
-    StoreParams p = smallStore(EvictionPolicyKind::Bags,
-                               LockingMode::Striped);
+    // 16 buckets pass the 1.5 load factor at 24 items, so the inserts
+    // below double the table eight times, and the GET after each
+    // insert walks chains while buckets migrate.
+    StoreParams p = smallStore();
     p.hashPower = 4;
-    p.memLimit = 32 * miB;
     Store store(p);
 
-    constexpr int seeded = 16;
     constexpr int total = 4096;
     auto value_of = [](std::uint64_t i) { return concat("v", i); };
-    for (int i = 0; i < seeded; ++i)
+    Rng rng(7);
+    ProbeTrace trace;
+    for (int i = 0; i < total; ++i) {
         store.set(concat("k", i), value_of(i));
-
-    std::atomic<int> inserted{seeded};
-    std::atomic<bool> failed{false};
-    std::vector<std::thread> readers;
-    for (int t = 0; t < 3; ++t) {
-        readers.emplace_back([&, t] {
-            Rng rng(static_cast<std::uint64_t>(t) + 7);
-            while (inserted.load() < total) {
-                const std::uint64_t i = rng.nextInt(
-                    static_cast<std::uint64_t>(inserted.load()));
-                const GetResult r = store.get(concat("k", i));
-                if (!r.hit || r.value != value_of(i))
-                    failed = true;
-            }
-        });
+        const std::uint64_t probe =
+            rng.nextInt(static_cast<std::uint64_t>(i) + 1);
+        trace.clear();
+        const GetResult r = store.getTraced(concat("k", probe), trace);
+        ASSERT_TRUE(r.hit) << "GET of key " << probe << " after "
+                           << i + 1 << " inserts";
+        ASSERT_EQ(r.value, value_of(probe));
+        ASSERT_FALSE(trace.chainItems.empty());
+        ASSERT_EQ(trace.chainItems.back(), trace.itemAddr)
+            << "the chain walk must end at the returned item";
     }
-    for (int i = seeded; i < total; ++i) {
-        store.set(concat("k", i), value_of(i));
-        inserted.store(i + 1);
-    }
-    for (auto &reader : readers)
-        reader.join();
 
-    EXPECT_FALSE(failed.load()) << "a GET missed an inserted key";
     EXPECT_EQ(store.table().buckets(), 4096u);
     EXPECT_EQ(store.itemCount(), static_cast<std::size_t>(total));
-    EXPECT_TRUE(store.checkConsistency());
-}
-
-TEST(StoreConcurrency, GlobalLockModeIsAlsoSafe)
-{
-    StoreParams p = smallStore(EvictionPolicyKind::StrictLru,
-                               LockingMode::Global);
-    p.memLimit = 32 * miB;
-    Store store(p);
-    for (int i = 0; i < 64; ++i)
-        store.set(concat("k", i), "seed");
-
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&store, t] {
-            Rng rng(static_cast<std::uint64_t>(t) + 99);
-            for (int i = 0; i < 3000; ++i) {
-                const std::string key =
-                    concat("k", rng.nextInt(64));
-                if (rng.nextBool(0.5))
-                    store.get(key);
-                else
-                    store.set(key, "x");
-            }
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
     EXPECT_TRUE(store.checkConsistency());
 }
 

@@ -194,7 +194,6 @@ evictionParams()
     params.memLimit = 64 * kiB;
     params.slab.pageSize = 16 * kiB;
     params.eviction = EvictionPolicyKind::StrictLru;
-    params.locking = LockingMode::Global;
     return params;
 }
 
