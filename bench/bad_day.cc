@@ -62,7 +62,6 @@ baseParams(bool smoke)
     params.faults.requestTimeout = 1 * tickMs;
     params.faults.nodeDowntime = 5 * tickMs;
     params.faults.backoffBase = 200 * tickUs;
-    params.faults.backoffJitter = 0.2;
     params.faults.seed = 0xbadda7;
     return params;
 }

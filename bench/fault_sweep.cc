@@ -106,7 +106,6 @@ baseParams(bool smoke)
     params.faults.nodeDowntime = 5 * tickMs;
     params.faults.maxRetries = 2;
     params.faults.backoffBase = 200 * tickUs;
-    params.faults.backoffJitter = 0.2;
     params.faults.seed = 0xfa17;
     return params;
 }

@@ -5,10 +5,13 @@
 
 #include "cluster/backoff.hh"
 #include "sim/contract.hh"
+#include "sim/latency_summary.hh"
 #include "sim/logging.hh"
 
 namespace mercury::cluster
 {
+
+using workload::WorkloadGenerator;
 
 ClusterSim::ClusterSim(const ClusterSimParams &params)
     : params_(params), ring_(params.virtualNodes),
@@ -60,12 +63,6 @@ ClusterSim::faultDigest() const
     return digest;
 }
 
-std::string
-ClusterSim::keyFor(std::uint64_t key_id) const
-{
-    return workload::WorkloadGenerator::keyFor(key_id);
-}
-
 std::size_t
 ClusterSim::indexOfName(const std::string &name) const
 {
@@ -100,7 +97,7 @@ ClusterSim::populate()
         return;
     const unsigned replication = effectiveReplication();
     for (std::uint64_t id = 0; id < params_.numKeys; ++id) {
-        const std::string key = keyFor(id);
+        const std::string key = WorkloadGenerator::keyFor(id);
         for (const std::size_t index : replicaOrder(key, replication))
             nodes_[index]->put(key, params_.valueBytes);
     }
@@ -136,6 +133,9 @@ ClusterSimResult
 ClusterSim::run(double offered_tps)
 {
     mercury_assert(offered_tps > 0.0, "offered load must be positive");
+    // Availability and the hot-node share divide by the measured
+    // request count; an empty window would make them 0/0.
+    MERCURY_EXPECTS(params_.requests > 0, "a run needs measured requests");
 
     workload::WorkloadParams wl;
     wl.numKeys = params_.numKeys;
@@ -145,7 +145,7 @@ ClusterSim::run(double offered_tps)
         workload::ValueSizeDist::fixed(params_.valueBytes);
     wl.getFraction = params_.getFraction;
     wl.seed = params_.seed;
-    workload::WorkloadGenerator gen(wl);
+    WorkloadGenerator gen(wl);
     workload::PoissonArrivals arrivals(offered_tps,
                                        params_.seed + 99);
 
@@ -187,7 +187,6 @@ ClusterSim::run(double offered_tps)
     std::vector<Tick> latencies;
     latencies.reserve(params_.requests);
     std::vector<std::vector<Tick>> per_node(nodes_.size());
-    std::vector<std::size_t> counts(nodes_.size(), 0);
 
     ClusterSimResult result;
     result.offeredTps = offered_tps;
@@ -223,14 +222,6 @@ ClusterSim::run(double offered_tps)
     // Per-node outstanding-request accounting: completion times of
     // requests in flight on each node, pruned as time passes.
     std::vector<std::deque<Tick>> inflight(nodes_.size());
-    auto note_inflight = [&](std::size_t n, Tick begin, Tick end) {
-        std::deque<Tick> &q = inflight[n];
-        while (!q.empty() && q.front() <= begin)
-            q.pop_front();
-        q.push_back(end);
-        result.maxOutstanding = std::max<std::uint64_t>(
-            result.maxOutstanding, q.size());
-    };
 
     // Observed attempt service times drive the hedge delay: hedge
     // when the primary is slower than the configured quantile of
@@ -251,14 +242,12 @@ ClusterSim::run(double offered_tps)
     // Retry budget: retries so far may not exceed the configured
     // fraction of requests issued so far (warmup included -- the
     // budget is a client-lifetime property, not a measurement one).
-    const bool budgeted = res.retryBudgetFraction > 0.0;
     std::uint64_t issued = 0;
     std::uint64_t retries_spent = 0;
     auto retry_allowed = [&]() {
-        if (!budgeted)
-            return true;
-        return static_cast<double>(retries_spent) <
-               res.retryBudgetFraction * static_cast<double>(issued);
+        return res.retryBudgetFraction <= 0.0 ||
+               static_cast<double>(retries_spent) <
+                   res.retryBudgetFraction * static_cast<double>(issued);
     };
 
     // Worst-window availability over the full run.
@@ -294,7 +283,8 @@ ClusterSim::run(double offered_tps)
         // order, so it comes back warm for everything written during
         // the outage.
         for (const std::uint64_t key_id : hints[index]) {
-            nodes_[index]->put(keyFor(key_id), params_.valueBytes);
+            nodes_[index]->put(WorkloadGenerator::keyFor(key_id),
+                               params_.valueBytes);
             ++result.hintsReplayed;
         }
         hints[index].clear();
@@ -311,7 +301,7 @@ ClusterSim::run(double offered_tps)
          ++i) {
         arrival = arrivals.next(arrival);
         const workload::Request request = gen.next();
-        const std::string key = keyFor(request.keyId);
+        const std::string key = WorkloadGenerator::keyFor(request.keyId);
         const bool measured = i >= params_.warmup;
 
         // The sampler sees every request, warmup included: recovery
@@ -418,12 +408,21 @@ ClusterSim::run(double offered_tps)
         const std::vector<std::size_t> order = replicaOrder(key, fan);
         ++issued;
 
-        enum class Outcome { Pending, Ok, Shed, Failed, TimedOut };
-        Outcome outcome = Outcome::Pending;
+        // The walk below only decides the request: its outcome, when
+        // the client got its answer and, if served, which node served
+        // it. The decision is recorded once, after the walk. A request
+        // left Unanswered met a dead node on every attempt: it timed
+        // out.
+        enum class Outcome { Unanswered, Ok, Shed, Failed };
+        struct Decision
+        {
+            Outcome outcome = Outcome::Unanswered;
+            Tick answeredAt = 0;
+            std::size_t servedBy = 0;
+        } decision;
         Tick penalty = 0;
-        Tick answered_at = arrival;
 
-        // Counts one event of this request in its result field (when
+        // Counts one event of this request in its counter (when
         // measured) and in its sampler channel (always).
         auto tally = [&](std::uint64_t &field, std::size_t channel) {
             if (measured)
@@ -431,15 +430,25 @@ ClusterSim::run(double offered_tps)
             if (sampler)
                 sampler->count(channel);
         };
-        // An unserved attempt's span, on the track of the node the
-        // client was waiting on.
-        auto attempt_span = [&](std::size_t index, Tick begin, Tick end,
-                                unsigned attempt_no) {
+        // A span the client records itself on @p track: the request's
+        // Client envelope, a Backoff, or an unserved Attempt on the
+        // track of the node the client was waiting on. The envelope
+        // is the root; the others name it as causal parent.
+        auto client_span = [&](std::size_t track, trace::Stage stage,
+                               Tick begin, Tick end, std::uint64_t arg) {
             trace::ScopedTraceContext span_ctx(
-                tracer, static_cast<std::uint16_t>(index), client_req);
-            MERCURY_TRACE_SPAN(tracer, client_req,
-                               trace::Stage::Attempt, begin, end,
-                               attempt_no);
+                tracer, static_cast<std::uint16_t>(track),
+                stage == trace::Stage::Client ? trace::noParent
+                                              : client_req);
+            MERCURY_TRACE_SPAN(tracer, client_req, stage, begin, end,
+                               arg);
+        };
+        // Rank in the order of the first up replica at or after
+        // rank `from`; `replication` when all of them are down.
+        auto first_up = [&](std::size_t from) {
+            while (from < replication && !up[order[from]])
+                ++from;
+            return from;
         };
 
         // Admission check: a node that cannot start serving within
@@ -453,10 +462,10 @@ ClusterSim::run(double offered_tps)
                 node_free > begin ? node_free - begin : 0;
             if (queue_delay <= res.sloQueueDelay)
                 return false;
-            answered_at = begin + res.shedResponseTime;
-            outcome = Outcome::Shed;
-            tally(result.shed, ch_shed);
-            attempt_span(index, begin, answered_at, attempt_no);
+            decision = {Outcome::Shed, begin + res.shedResponseTime,
+                        index};
+            client_span(index, trace::Stage::Attempt, begin,
+                        decision.answeredAt, attempt_no);
             return true;
         };
 
@@ -473,39 +482,22 @@ ClusterSim::run(double offered_tps)
                          unsigned attempt_no) {
             server::ServerModel &node = *nodes_[index];
             node.advanceTo(begin);
+            const trace::ScopedTraceContext span_ctx(
+                tracer, static_cast<std::uint16_t>(index), client_req);
             bool hit = false;
-            {
-                trace::ScopedTraceContext span_ctx(
-                    tracer, static_cast<std::uint16_t>(index),
-                    client_req);
-                if (is_get)
-                    hit = node.get(key).hit;
-                else
-                    node.put(key, params_.valueBytes);
-                MERCURY_TRACE_SPAN(tracer, client_req,
-                                   trace::Stage::Attempt, begin,
-                                   node.now(), attempt_no);
-            }
-            note_inflight(index, begin, node.now());
+            if (is_get)
+                hit = node.get(key).hit;
+            else
+                node.put(key, params_.valueBytes);
+            MERCURY_TRACE_SPAN(tracer, client_req, trace::Stage::Attempt,
+                               begin, node.now(), attempt_no);
+            std::deque<Tick> &q = inflight[index];
+            while (!q.empty() && q.front() <= begin)
+                q.pop_front();
+            q.push_back(node.now());
+            result.maxOutstanding = std::max<std::uint64_t>(
+                result.maxOutstanding, q.size());
             return AttemptOutcome{node.now(), hit};
-        };
-        auto finish_served = [&](std::size_t index, Tick end) {
-            outcome = Outcome::Ok;
-            answered_at = end;
-            const Tick latency = end - arrival;
-            ++win_ok;
-            if (sampler) {
-                sampler->count(ch_ok);
-                sampler->recordLatency(
-                    ch_lat, static_cast<std::uint64_t>(
-                                latency / tickUs));
-            }
-            if (measured) {
-                ++result.ok;
-                latencies.push_back(latency);
-                per_node[index].push_back(latency);
-                ++counts[index];
-            }
         };
         // The GET attempt that actually answered the client feeds the
         // hedge delay and the hit accounting. A cancelled hedge loser
@@ -513,15 +505,9 @@ ClusterSim::run(double offered_tps)
         auto answer_get = [&](std::size_t index, Tick begin,
                               const AttemptOutcome &got) {
             attempt_service.record((got.end - begin) / tickUs);
-            if (measured) {
-                ++gets;
-                hits += got.hit ? 1 : 0;
-            }
-            if (sampler) {
-                sampler->count(ch_gets);
-                if (got.hit)
-                    sampler->count(ch_hits);
-            }
+            tally(gets, ch_gets);
+            if (got.hit)
+                tally(hits, ch_hits);
             if (recovering[index] > 0) {
                 --recovering[index];
                 ++recovery_gets;
@@ -536,86 +522,62 @@ ClusterSim::run(double offered_tps)
                 if (replication >= 2)
                     ++result.readRepairs;
             }
-            finish_served(index, got.end);
+            decision = {Outcome::Ok, got.end, index};
         };
 
-        // Hedged GET: race the primary against one backup replica;
-        // the first answer wins and the loser is cancelled. A dead
-        // primary never answers, so the hedge rescues the GET at the
-        // hedge delay instead of waiting out the full request
-        // timeout.
         if (hedging && is_get) {
+            // Hedged GET: race the primary against the first up
+            // backup replica; the first answer wins and the loser is
+            // cancelled. No race when the primary sheds the GET (it
+            // is answered) or the whole replica set is down (the
+            // failover walk below times out over the replicas).
             const std::size_t primary = order[0];
-            std::size_t secondary = 0;
-            bool have_secondary = false;
-            for (std::size_t r = 1; r < replication; ++r) {
-                if (up[order[r]]) {
-                    secondary = order[r];
-                    have_secondary = true;
-                    break;
-                }
-            }
-            const bool primary_up = up[primary];
-            // No race when the primary shed the GET (it is answered)
-            // or the whole replica set is down (the failover walk
-            // below times out over the replicas).
-            const bool race = primary_up
-                                  ? !shed_check(primary, arrival, 0)
-                                  : have_secondary;
-            if (race) {
-                const AttemptOutcome first =
-                    primary_up ? serve(primary, arrival, 0)
-                               : AttemptOutcome{maxTick, false};
+            const std::size_t backup_rank = first_up(1);
+            const bool have_backup = backup_rank < replication;
+            if (!up[primary] && have_backup) {
+                // A dead primary never answers: the hedge fires at
+                // the hedge delay, when the primary's attempt times
+                // out, instead of after the full request timeout. The
+                // backup stands in for the primary, so it faces
+                // admission control; a fast refusal still answers.
+                const std::size_t backup = order[backup_rank];
                 const Tick backup_begin = arrival + hedge_delay();
-                if (have_secondary && first.end > backup_begin) {
-                    // The primary is dead or past the hedge quantile:
-                    // fire the backup. A dead primary's attempt times
-                    // out when the hedge fires.
-                    if (!primary_up) {
-                        tally(result.attemptTimeouts,
-                              ch_attempt_timeouts);
-                        attempt_span(primary, arrival, backup_begin, 0);
-                    }
+                tally(result.attemptTimeouts, ch_attempt_timeouts);
+                client_span(primary, trace::Stage::Attempt, arrival,
+                            backup_begin, 0);
+                tally(result.hedges, ch_hedges);
+                if (measured)
+                    ++result.hedgeWins;
+                if (!shed_check(backup, backup_begin, 1))
+                    answer_get(backup, backup_begin,
+                               serve(backup, backup_begin, 1));
+            } else if (up[primary] && !shed_check(primary, arrival, 0)) {
+                // The backup fires only when the primary is past the
+                // hedge quantile.
+                const AttemptOutcome first = serve(primary, arrival, 0);
+                const Tick backup_begin = arrival + hedge_delay();
+                AttemptOutcome second{maxTick, false};
+                if (have_backup && first.end > backup_begin) {
                     tally(result.hedges, ch_hedges);
-                    // Only a backup standing in for a dead primary
-                    // faces admission control; its fast refusal still
-                    // answers first.
-                    const bool backup_shed =
-                        !primary_up &&
-                        shed_check(secondary, backup_begin, 1);
-                    const AttemptOutcome second =
-                        backup_shed
-                            ? AttemptOutcome{answered_at, false}
-                            : serve(secondary, backup_begin, 1);
-                    const bool backup_won = second.end < first.end;
-                    if (measured && backup_won)
+                    second = serve(order[backup_rank], backup_begin, 1);
+                }
+                if (second.end < first.end) {
+                    if (measured)
                         ++result.hedgeWins;
-                    // A shed backup always wins, and its refusal is
-                    // the answer.
-                    if (!backup_won)
-                        answer_get(primary, arrival, first);
-                    else if (!backup_shed)
-                        answer_get(secondary, backup_begin, second);
+                    answer_get(order[backup_rank], backup_begin, second);
                 } else {
                     answer_get(primary, arrival, first);
                 }
             }
-        }
-
-        // Replicated write round: write every up replica at arrival,
-        // hint the down ones for replay at their restart.
-        if (outcome == Outcome::Pending && !is_get &&
-            replication >= 2) {
-            std::size_t first_up = replication;
-            for (std::size_t r = 0; r < replication; ++r) {
-                if (up[order[r]]) {
-                    first_up = r;
-                    break;
-                }
-            }
-            if (first_up < replication &&
-                !shed_check(order[first_up], arrival,
-                            static_cast<unsigned>(first_up))) {
+        } else if (!is_get && replication >= 2) {
+            // Replicated write round: write every up replica at
+            // arrival, hint the down ones for replay at their
+            // restart. The first up replica's admission check gates
+            // the round, and the round's latency is booked to it.
+            const std::size_t lead = first_up(0);
+            if (lead < replication &&
+                !shed_check(order[lead], arrival,
+                            static_cast<unsigned>(lead))) {
                 Tick end = arrival;
                 unsigned attempt_no = 0;
                 for (std::size_t r = 0; r < replication; ++r) {
@@ -630,11 +592,11 @@ ClusterSim::run(double offered_tps)
                 }
                 // The round completes when the slowest replica
                 // acked (write-all).
-                finish_served(order[first_up], end);
+                decision = {Outcome::Ok, end, order[lead]};
             }
         }
 
-        if (outcome == Outcome::Pending) {
+        if (decision.outcome == Outcome::Unanswered) {
             // Generic failover walk: successive attempts over the
             // order, a timeout per dead node and a jittered backoff
             // before each retry. A replicated write never walks past
@@ -649,110 +611,93 @@ ClusterSim::run(double offered_tps)
                 const std::size_t index =
                     order[attempt % walk_span];
                 const Tick attempt_begin = arrival + penalty;
-                if (!up[index]) {
-                    penalty += fp.requestTimeout;
-                    tally(result.attemptTimeouts, ch_attempt_timeouts);
-                    attempt_span(index, attempt_begin, arrival + penalty,
-                                 attempt);
-                    if (attempt < fp.maxRetries) {
-                        if (!retry_allowed()) {
-                            // Budget spent: give up now instead of
-                            // feeding a retry storm.
-                            outcome = Outcome::Failed;
-                            answered_at = arrival + penalty;
-                            tally(result.failedRequests, ch_failed);
-                            break;
-                        }
-                        ++retries_spent;
-                        const Tick backoff_begin = arrival + penalty;
-                        penalty += jitteredBackoff(
-                            fp.backoffBase, attempt,
-                            fp.backoffJitter, injector_);
-                        tally(result.retries, ch_retries);
-                        {
-                            trace::ScopedTraceContext span_ctx(
-                                tracer, trace::clientNode,
-                                client_req);
-                            MERCURY_TRACE_SPAN(
-                                tracer, client_req,
-                                trace::Stage::Backoff,
-                                backoff_begin, arrival + penalty,
-                                attempt);
-                        }
-                    }
-                    continue;
-                }
-
-                if (shed_check(index, attempt_begin, attempt))
+                if (up[index]) {
+                    if (shed_check(index, attempt_begin, attempt))
+                        break;
+                    const AttemptOutcome got =
+                        serve(index, attempt_begin, attempt);
+                    if (is_get)
+                        answer_get(index, attempt_begin, got);
+                    else
+                        decision = {Outcome::Ok, got.end, index};
                     break;
-
-                const AttemptOutcome got =
-                    serve(index, attempt_begin, attempt);
-                if (is_get)
-                    answer_get(index, attempt_begin, got);
-                else
-                    finish_served(index, got.end);
-                break;
+                }
+                penalty += fp.requestTimeout;
+                tally(result.attemptTimeouts, ch_attempt_timeouts);
+                client_span(index, trace::Stage::Attempt, attempt_begin,
+                            arrival + penalty, attempt);
+                if (attempt == fp.maxRetries)
+                    break;
+                if (!retry_allowed()) {
+                    // Budget spent: give up now instead of feeding a
+                    // retry storm.
+                    decision = {Outcome::Failed, arrival + penalty};
+                    break;
+                }
+                ++retries_spent;
+                const Tick backoff_begin = arrival + penalty;
+                penalty += jitteredBackoff(fp.backoffBase, attempt,
+                                           fp.backoffJitter, injector_);
+                tally(result.retries, ch_retries);
+                client_span(trace::clientNode, trace::Stage::Backoff,
+                            backoff_begin, arrival + penalty, attempt);
             }
         }
 
-        if (outcome == Outcome::Pending) {
-            // Exhausted every attempt against dead nodes.
-            outcome = Outcome::TimedOut;
-            answered_at = arrival + penalty;
+        // Record the outcome: its result class and sampler channel;
+        // a served request also counts toward its availability
+        // window and gives a latency sample.
+        switch (decision.outcome) {
+        case Outcome::Ok: {
+            const Tick latency = decision.answeredAt - arrival;
+            tally(result.ok, ch_ok);
+            ++win_ok;
+            if (sampler)
+                sampler->recordLatency(ch_lat, latency / tickUs);
+            if (measured) {
+                latencies.push_back(latency);
+                per_node[decision.servedBy].push_back(latency);
+            }
+            break;
+        }
+        case Outcome::Shed:
+            tally(result.shed, ch_shed);
+            break;
+        case Outcome::Failed:
+            tally(result.failedRequests, ch_failed);
+            break;
+        case Outcome::Unanswered:
+            decision.answeredAt = arrival + penalty;
             tally(result.timeouts, ch_timeouts);
+            break;
         }
-        if (tracer) {
-            trace::ScopedTraceContext span_ctx(tracer,
-                                               trace::clientNode);
-            MERCURY_TRACE_SPAN(tracer, client_req,
-                               trace::Stage::Client, arrival,
-                               answered_at,
-                               outcome == Outcome::Ok ? 1 : 0);
-        }
+        client_span(trace::clientNode, trace::Stage::Client, arrival,
+                    decision.answeredAt,
+                    decision.outcome == Outcome::Ok ? 1 : 0);
     }
 
-    if (!latencies.empty()) {
-        std::sort(latencies.begin(), latencies.end());
-        double sum = 0.0;
-        std::size_t sub_ms = 0;
-        for (const Tick latency : latencies) {
-            sum += ticksToUs(latency);
-            if (latency < tickMs)
-                ++sub_ms;
-        }
-        result.avgLatencyUs =
-            sum / static_cast<double>(latencies.size());
-        result.p99LatencyUs = ticksToUs(latencies[static_cast<
-            std::size_t>(0.99 * (latencies.size() - 1))]);
-        result.p999LatencyUs = ticksToUs(latencies[static_cast<
-            std::size_t>(0.999 * (latencies.size() - 1))]);
-        result.subMsFraction = static_cast<double>(sub_ms) /
-                               static_cast<double>(latencies.size());
-    }
+    const stats::LatencySummary summary(std::move(latencies));
+    result.avgLatencyUs = summary.meanUs();
+    result.p99LatencyUs = summary.quantileUs(0.99);
+    result.p999LatencyUs = summary.quantileUs(0.999);
+    result.subMsFraction = summary.subMsFraction();
 
     // Hot-node statistics.
     std::size_t hottest = 0;
-    for (std::size_t i = 1; i < counts.size(); ++i) {
-        if (counts[i] > counts[hottest])
-            hottest = i;
+    for (std::size_t n = 1; n < per_node.size(); ++n) {
+        if (per_node[n].size() > per_node[hottest].size())
+            hottest = n;
     }
     result.hottestNodeShare =
-        static_cast<double>(counts[hottest]) /
+        static_cast<double>(per_node[hottest].size()) /
         static_cast<double>(params_.requests);
-
-    auto p99_of = [](std::vector<Tick> &v) {
-        if (v.empty())
-            return 0.0;
-        std::sort(v.begin(), v.end());
-        return ticksToUs(
-            v[static_cast<std::size_t>(0.99 * (v.size() - 1))]);
-    };
-    const double hot_p99 = p99_of(per_node[hottest]);
+    const double hot_p99 =
+        stats::LatencySummary(per_node[hottest]).quantileUs(0.99);
     std::vector<double> node_p99s;
-    for (auto &v : per_node) {
-        if (!v.empty())
-            node_p99s.push_back(p99_of(v));
+    for (std::vector<Tick> &samples : per_node) {
+        if (!samples.empty())
+            node_p99s.push_back(stats::LatencySummary(std::move(samples))
+                                    .quantileUs(0.99));
     }
     if (!node_p99s.empty()) {
         std::sort(node_p99s.begin(), node_p99s.end());

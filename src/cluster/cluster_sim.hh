@@ -61,7 +61,7 @@ struct ClusterFaultParams
 
     /** Backoff jitter: each wait is scaled by a uniform factor in
      * [1-j, 1+j] to decorrelate client retry storms. */
-    double backoffJitter = 0.2;
+    static constexpr double backoffJitter = 0.2;
 
     /** Seed of the fault RNG stream (independent of the workload). */
     std::uint64_t seed = 0xfa17;
@@ -105,15 +105,15 @@ struct ClusterResilienceParams
 
     /** The hedge fires when the primary is slower than this
      * quantile of observed attempt service times. */
-    double hedgeQuantile = 0.95;
+    static constexpr double hedgeQuantile = 0.95;
 
     /** Floor on the hedge delay; also used verbatim until
      * hedgeWarmup attempt samples have been observed. */
-    Tick hedgeFloor = 300 * tickUs;
+    static constexpr Tick hedgeFloor = 300 * tickUs;
 
     /** Attempt-latency samples needed before the quantile (rather
      * than hedgeFloor) drives the hedge delay. */
-    unsigned hedgeWarmup = 32;
+    static constexpr unsigned hedgeWarmup = 32;
 
     /**
      * Retry budget: retries across the run may not exceed this
@@ -140,7 +140,7 @@ struct ClusterResilienceParams
 
     /** Time to deliver the "busy" refusal (network + a queue-front
      * check; the store is never touched). */
-    Tick shedResponseTime = 20 * tickUs;
+    static constexpr Tick shedResponseTime = 20 * tickUs;
 };
 
 /** Static configuration of a cluster experiment. */
@@ -149,7 +149,8 @@ struct ClusterSimParams
     /** Per-node configuration. */
     server::ServerModelParams node;
     unsigned nodes = 8;
-    unsigned virtualNodes = 64;
+    /** Ring points per node. */
+    static constexpr unsigned virtualNodes = 64;
 
     /** Key space and popularity. */
     std::uint64_t numKeys = 4000;
@@ -313,7 +314,6 @@ class ClusterSim
     const fault::FaultInjector &injector() const { return injector_; }
 
   private:
-    std::string keyFor(std::uint64_t key_id) const;
     /** Node index of a name (fault-plan targets arrive as names). */
     std::size_t indexOfName(const std::string &name) const;
 

@@ -113,13 +113,4 @@ DistributedCache::itemCounts() const
     return counts;
 }
 
-std::uint64_t
-DistributedCache::usedBytes() const
-{
-    std::uint64_t total = 0;
-    for (const Node &node : nodes_)
-        total += node.store->usedBytes();
-    return total;
-}
-
 } // namespace mercury::cluster

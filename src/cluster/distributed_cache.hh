@@ -76,9 +76,6 @@ class DistributedCache
     std::vector<std::pair<std::string, std::size_t>>
     itemCounts() const;
 
-    /** Aggregate memory in use across nodes. */
-    std::uint64_t usedBytes() const;
-
     /** The store behind a node (for stats/tests). */
     kvstore::Store &storeOf(const std::string &name);
 

@@ -159,21 +159,6 @@ SlabAllocator::usedChunks(unsigned cls) const
     return slab_class.totalChunks - slab_class.freeChunks.size();
 }
 
-unsigned
-SlabAllocator::pagesOf(unsigned cls) const
-{
-    MERCURY_EXPECTS(cls < classes_.size(), "bad slab class ", cls);
-    return classes_[cls].pages;
-}
-
-unsigned
-SlabAllocator::classOfPage(std::uint32_t page_index) const
-{
-    MERCURY_EXPECTS(page_index < pageClass_.size(),
-                    "bad slab page index ", page_index);
-    return pageClass_[page_index];
-}
-
 bool
 SlabAllocator::checkConsistency() const
 {

@@ -81,9 +81,6 @@ class SlabAllocator
     /** Chunks currently handed out in a class. */
     std::uint64_t usedChunks(unsigned cls) const;
 
-    /** Pages assigned to a class. */
-    unsigned pagesOf(unsigned cls) const;
-
     /** True when another page could still be assigned. */
     bool
     canGrow() const
@@ -94,9 +91,6 @@ class SlabAllocator
     /** Index of the slab page containing a chunk, for address
      * mapping; -1 if the pointer is not from this allocator. */
     std::int64_t pageIndexOf(const void *chunk) const;
-
-    /** Class a page was assigned to (pages never move classes). */
-    unsigned classOfPage(std::uint32_t page_index) const;
 
     /**
      * Full structural audit of the class tables and accounting:

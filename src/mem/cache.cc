@@ -281,24 +281,10 @@ CacheHierarchy::flushAll()
 }
 
 double
-CacheHierarchy::l1iMissRate() const
-{
-    const double total = l1iHits_.value() + l1iMisses_.value();
-    return total > 0.0 ? l1iMisses_.value() / total : 0.0;
-}
-
-double
 CacheHierarchy::l1dMissRate() const
 {
     const double total = l1dHits_.value() + l1dMisses_.value();
     return total > 0.0 ? l1dMisses_.value() / total : 0.0;
-}
-
-double
-CacheHierarchy::l2MissRate() const
-{
-    const double total = l2Hits_.value() + l2Misses_.value();
-    return total > 0.0 ? l2Misses_.value() / total : 0.0;
 }
 
 void

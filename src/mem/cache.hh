@@ -311,9 +311,7 @@ class CacheHierarchy : public SimObject
 
     const HierarchyParams &params() const { return params_; }
 
-    double l1iMissRate() const;
     double l1dMissRate() const;
-    double l2MissRate() const;
 
     Counter memoryAccesses() const
     {

@@ -655,15 +655,6 @@ FlashController::totalErases() const
     return total;
 }
 
-std::uint64_t
-FlashController::totalGcMoves() const
-{
-    std::uint64_t total = 0;
-    for (const auto &channel : channels_)
-        total += channel.ftl.totalMoves();
-    return total;
-}
-
 void
 FlashController::setFaultInjector(fault::FaultInjector *injector)
 {
@@ -694,15 +685,6 @@ FlashController::totalRetiredBlocks() const
     return total;
 }
 
-std::uint64_t
-FlashController::totalProgramFailures() const
-{
-    std::uint64_t total = 0;
-    for (const auto &channel : channels_)
-        total += channel.ftl.programFailures();
-    return total;
-}
-
 double
 FlashController::capacityDegradation() const
 {
@@ -710,15 +692,6 @@ FlashController::capacityDegradation() const
     for (const auto &channel : channels_)
         total += channel.ftl.capacityLossFraction();
     return total / static_cast<double>(channels_.size());
-}
-
-unsigned
-FlashController::maxEraseSpread() const
-{
-    unsigned spread = 0;
-    for (const auto &channel : channels_)
-        spread = std::max(spread, channel.ftl.eraseSpread());
-    return spread;
 }
 
 void

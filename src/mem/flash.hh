@@ -380,8 +380,6 @@ class FlashController : public MemDevice
 
     double writeAmplification() const;
     std::uint64_t totalErases() const;
-    std::uint64_t totalGcMoves() const;
-    unsigned maxEraseSpread() const;
 
     /** Attach a fault injector to every channel's FTL (nullptr
      * detaches); the params' failure probabilities apply. */
@@ -395,9 +393,6 @@ class FlashController : public MemDevice
 
     /** Blocks retired as grown-bad across all channels. */
     std::uint64_t totalRetiredBlocks() const;
-
-    /** Failed page programs across all channels. */
-    std::uint64_t totalProgramFailures() const;
 
     /** Fraction of raw capacity lost to retired blocks. */
     double capacityDegradation() const;

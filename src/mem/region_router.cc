@@ -25,16 +25,6 @@ RegionRouter::addRegion(const AddressRegion &region, MemDevice *device,
     entries_.push_back({region, device, device_offset});
 }
 
-MemDevice *
-RegionRouter::deviceFor(Addr addr) const
-{
-    for (const Entry &entry : entries_) {
-        if (entry.region.contains(addr))
-            return entry.device;
-    }
-    return nullptr;
-}
-
 Tick
 RegionRouter::access(AccessType type, Addr addr, unsigned size,
                      Tick now)

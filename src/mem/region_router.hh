@@ -57,9 +57,6 @@ class RegionRouter : public MemDevice
 
     Tick idleReadLatency() const override;
 
-    /** Device that owns an address (nullptr if unmapped). */
-    MemDevice *deviceFor(Addr addr) const;
-
   private:
     struct Entry
     {

@@ -5,6 +5,7 @@
 
 #include "kvstore/udp_frame.hh"
 #include "sim/contract.hh"
+#include "sim/latency_summary.hh"
 
 namespace mercury::server
 {
@@ -799,16 +800,9 @@ ServerModel::measure(bool puts, std::uint32_t value_bytes,
         static_cast<Tick>(hashHist_.totalSum() / samples),
         static_cast<Tick>(memcachedHist_.totalSum() / samples),
         static_cast<Tick>(nicCacheHist_.totalSum() / samples)};
-    std::sort(rtts.begin(), rtts.end());
-    m.p99RttUs = ticksToUs(rtts[static_cast<std::size_t>(
-        0.99 * (rtts.size() - 1))]);
-    std::size_t sub_ms = 0;
-    for (const Tick rtt : rtts) {
-        if (rtt < tickMs)
-            ++sub_ms;
-    }
-    m.subMsFraction = static_cast<double>(sub_ms) /
-                      static_cast<double>(rtts.size());
+    const stats::LatencySummary summary(std::move(rtts));
+    m.p99RttUs = summary.quantileUs(0.99);
+    m.subMsFraction = summary.subMsFraction();
     m.goodput = static_cast<double>(payload_total) /
                 ticksToSeconds(span);
     return m;

@@ -54,7 +54,6 @@ class Sampler
 
     Tick interval() const { return interval_; }
     const std::string &label() const { return label_; }
-    void setLabel(std::string label) { label_ = std::move(label); }
 
     // --- channel registration (before begin()) ---------------------
 

@@ -151,7 +151,6 @@ class LatencyHistogram : public StatBase
 
     unsigned precisionBits() const { return precisionBits_; }
     unsigned maxValueBits() const { return maxValueBits_; }
-    std::size_t bucketCount() const { return buckets_.size(); }
 
     /**
      * Nearest-rank p-quantile (p in [0,1]): the lowest value of the

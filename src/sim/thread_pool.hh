@@ -50,14 +50,6 @@ class ThreadPool
 
     unsigned threadCount() const { return static_cast<unsigned>(workers_.size()); }
 
-    /** Host hardware concurrency, at least 1. */
-    static unsigned
-    hardwareThreads()
-    {
-        const unsigned n = std::thread::hardware_concurrency();
-        return n ? n : 1;
-    }
-
   private:
     void workerLoop();
 

@@ -57,13 +57,6 @@ ticksToUs(Tick ticks)
     return static_cast<double>(ticks) / static_cast<double>(tickUs);
 }
 
-/** Convert ticks to floating-point nanoseconds. */
-constexpr double
-ticksToNs(Tick ticks)
-{
-    return static_cast<double>(ticks) / static_cast<double>(tickNs);
-}
-
 /** Size constants. */
 constexpr std::uint64_t kiB = 1024;
 constexpr std::uint64_t miB = 1024 * kiB;

@@ -36,7 +36,6 @@ smallCluster()
     p.faults.nodeDowntime = 15 * tickMs;
     p.faults.maxRetries = 0;
     p.faults.backoffBase = 200 * tickUs;
-    p.faults.backoffJitter = 0.2;
     p.faults.seed = 0xbadda7;
     return p;
 }

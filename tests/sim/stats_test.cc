@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "sim/latency_summary.hh"
 #include "sim/stats.hh"
 
 namespace
@@ -99,6 +100,27 @@ TEST(Registry, RepeatedDumpsReuseTheBuffer)
     registry.writeJson(last);
     EXPECT_EQ(first.str(), last.str())
         << "buffer reuse must not leak bytes between dumps";
+}
+
+TEST(LatencySummary, ReadsExactOrderStatistics)
+{
+    using mercury::tickMs;
+    using mercury::tickUs;
+    // Unsorted input; the quantile index is floor(q * (n - 1)).
+    const LatencySummary s({3 * tickMs, 1 * tickUs, 2 * tickMs,
+                            500 * tickUs});
+    EXPECT_DOUBLE_EQ(s.meanUs(), (3000.0 + 1.0 + 2000.0 + 500.0) / 4);
+    EXPECT_DOUBLE_EQ(s.quantileUs(0.0), 1.0);
+    EXPECT_DOUBLE_EQ(s.quantileUs(0.5), 500.0);
+    EXPECT_DOUBLE_EQ(s.quantileUs(0.99), 2000.0);
+    EXPECT_DOUBLE_EQ(s.quantileUs(1.0), 3000.0);
+    EXPECT_DOUBLE_EQ(s.subMsFraction(), 0.5);
+
+    // A run that served nothing reports zeros, not NaN.
+    const LatencySummary empty({});
+    EXPECT_EQ(empty.meanUs(), 0.0);
+    EXPECT_EQ(empty.quantileUs(0.99), 0.0);
+    EXPECT_EQ(empty.subMsFraction(), 0.0);
 }
 
 } // anonymous namespace
