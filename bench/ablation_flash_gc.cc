@@ -4,6 +4,8 @@
  * vs overprovisioning and workload skew. Sustained Iridium PUT
  * throughput degrades with GC activity; this quantifies how much
  * headroom the 7% default overprovision buys.
+ *
+ * --smoke churns an FTL of one eighth the size.
  */
 
 #include <cstdio>
@@ -26,10 +28,10 @@ struct Result
 };
 
 Result
-churn(double overprovision, double zipf_like_hot_fraction,
-      std::uint64_t seed)
+churn(std::uint64_t phys_pages, double overprovision,
+      double zipf_like_hot_fraction, std::uint64_t seed)
 {
-    Ftl ftl(4096 * 16, 16, overprovision, 4, 32);
+    Ftl ftl(phys_pages, 16, overprovision, 4, 32);
     Rng rng(seed);
 
     // Fill once.
@@ -62,9 +64,11 @@ main(int argc, char **argv)
     std::printf("%-14s %12s %12s %12s\n", "Config", "WA",
                 "eraseSpread", "erases");
     bench::rule(54);
+    const std::uint64_t phys_pages =
+        session.smoke() ? 4096 * 2 : 4096 * 16;
     for (double op : {0.07, 0.15, 0.28}) {
         for (double hot : {1.0, 0.1}) {
-            const Result r = churn(op, hot, 42);
+            const Result r = churn(phys_pages, op, hot, 42);
             std::printf("op=%.2f %s %9.2f %12u %12llu\n", op,
                         hot < 1.0 ? "hot10%" : "unifrm",
                         r.writeAmplification, r.eraseSpread,

@@ -11,9 +11,12 @@
  * page size to one cache line degenerates it to exactly the paper's
  * behaviour, which is how we reconcile the Iridium magnitudes in
  * EXPERIMENTS.md (large-request bandwidth in particular).
+ *
+ * --smoke measures the 64 B and 16 KB rows only.
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hh"
 #include "server/server_model.hh"
@@ -56,8 +59,11 @@ main(int argc, char **argv)
     std::printf("%-8s %15s %15s %15s %15s\n", "Size",
                 "paged GET", "flat GET", "paged PUT", "flat PUT");
     bench::rule(76);
-    for (std::uint32_t size : {64u, 1024u, 16384u, 262144u,
-                               1048576u}) {
+    const std::vector<std::uint32_t> sizes =
+        session.smoke() ? std::vector<std::uint32_t>{64u, 16384u}
+                        : std::vector<std::uint32_t>{64u, 1024u, 16384u,
+                                                     262144u, 1048576u};
+    for (std::uint32_t size : sizes) {
         const double paged_get = paged.measureGets(size).avgTps;
         const double flat_get = flat.measureGets(size).avgTps;
         const double paged_put = paged.measurePuts(size, 6, 2).avgTps;

@@ -474,21 +474,25 @@ class Session
     }
 
     /** Accepts --flag=VALUE and --flag VALUE; advances @p i for the
-     * two-token form. */
-    static bool
+     * two-token form. A value flag given last fails fast (exit 2). */
+    bool
     match(const std::string &arg, const char *flag, int &i, int argc,
-          char **argv, std::string &value)
+          char **argv, std::string &value) const
     {
         const std::string prefix = std::string(flag) + "=";
         if (arg.rfind(prefix, 0) == 0) {
             value = arg.substr(prefix.size());
             return true;
         }
-        if (arg == flag && i + 1 < argc) {
-            value = argv[++i];
-            return true;
+        if (arg != flag)
+            return false;
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "%s: flag '%s' needs a value; see "
+                         "--help\n", registry_.name().c_str(), flag);
+            std::exit(2);
         }
-        return false;
+        value = argv[++i];
+        return true;
     }
 
     template <typename Fn>

@@ -1,8 +1,7 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the key-value store
- * substrate: hashing, slab allocation, table probes, store
- * operations and protocol parsing.
+ * substrate: hashing, slab allocation and store operations.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "kvstore/hash.hh"
-#include "kvstore/protocol.hh"
 #include "kvstore/store.hh"
 #include "sim/random.hh"
 
@@ -55,18 +53,17 @@ BM_SlabAllocateFree(benchmark::State &state)
 BENCHMARK(BM_SlabAllocateFree)->Arg(128)->Arg(4096)->Arg(65536);
 
 StoreParams
-benchStoreParams(EvictionPolicyKind eviction)
+benchStoreParams()
 {
     StoreParams p;
     p.memLimit = 256 * miB;
-    p.eviction = eviction;
     return p;
 }
 
 void
 BM_StoreGetHit(benchmark::State &state)
 {
-    Store store(benchStoreParams(EvictionPolicyKind::StrictLru));
+    Store store(benchStoreParams());
     const std::string value(static_cast<std::size_t>(state.range(0)),
                             'v');
     for (int i = 0; i < 10000; ++i)
@@ -82,28 +79,9 @@ BM_StoreGetHit(benchmark::State &state)
 BENCHMARK(BM_StoreGetHit)->Arg(64)->Arg(1024)->Arg(65536);
 
 void
-BM_StoreGetBagsVsStrict(benchmark::State &state)
-{
-    const bool bags = state.range(0) == 1;
-    Store store(benchStoreParams(bags ? EvictionPolicyKind::Bags
-                                      : EvictionPolicyKind::StrictLru));
-    for (int i = 0; i < 10000; ++i)
-        store.set("key" + std::to_string(i), "value");
-    Rng rng(2);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            store.get("key" + std::to_string(rng.nextInt(10000))));
-    }
-}
-BENCHMARK(BM_StoreGetBagsVsStrict)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("bags");
-
-void
 BM_StoreSet(benchmark::State &state)
 {
-    Store store(benchStoreParams(EvictionPolicyKind::StrictLru));
+    Store store(benchStoreParams());
     const std::string value(1024, 'v');
     Rng rng(3);
     for (auto _ : state) {
@@ -117,7 +95,7 @@ BENCHMARK(BM_StoreSet);
 void
 BM_StoreSetWithEviction(benchmark::State &state)
 {
-    StoreParams params = benchStoreParams(EvictionPolicyKind::StrictLru);
+    StoreParams params = benchStoreParams();
     params.memLimit = 8 * miB;
     Store store(params);
     const std::string value(4096, 'v');
@@ -145,7 +123,7 @@ BM_StorePopulate(benchmark::State &state)
     for (auto _ : state) {
         state.PauseTiming();
         store.reset();
-        store.emplace(benchStoreParams(EvictionPolicyKind::StrictLru));
+        store.emplace(benchStoreParams());
         state.ResumeTiming();
         for (std::uint64_t i = 0; i < keys; ++i) {
             char *end =
@@ -159,17 +137,6 @@ BM_StorePopulate(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_StorePopulate)->Arg(20000);
-
-void
-BM_ProtocolRoundTrip(benchmark::State &state)
-{
-    Store store(benchStoreParams(EvictionPolicyKind::StrictLru));
-    ServerSession session(store);
-    session.consume("set bench 0 0 5\r\nhello\r\n");
-    for (auto _ : state)
-        benchmark::DoNotOptimize(session.consume("get bench\r\n"));
-}
-BENCHMARK(BM_ProtocolRoundTrip);
 
 } // anonymous namespace
 

@@ -10,7 +10,6 @@
 
 #include <cstdio>
 
-#include "kvstore/protocol.hh"
 #include "kvstore/store.hh"
 #include "server/server_model.hh"
 
@@ -39,11 +38,6 @@ main()
     store.incr("visits", 5, counter);
     std::printf("INCR visits -> %llu\n",
                 static_cast<unsigned long long>(counter));
-
-    // The wire protocol works too (text protocol, fragmentable).
-    kvstore::ServerSession session(store);
-    std::printf("protocol: %s",
-                session.consume("get visits\r\n").c_str());
 
     // ------------------------------------------------------------
     // 2. A Mercury node: one Cortex-A7 on a 3D stack with 4 GB of

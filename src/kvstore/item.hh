@@ -26,7 +26,7 @@ struct Item
 {
     /** Next item in the hash-bucket chain. */
     Item *hNext = nullptr;
-    /** LRU list linkage (meaning depends on the eviction policy). */
+    /** StrictLru list linkage. */
     Item *lruNext = nullptr;
     Item *lruPrev = nullptr;
 
@@ -35,7 +35,8 @@ struct Item
 
     /** Absolute expiry in store-clock seconds; 0 = never expires. */
     std::uint32_t expiry = 0;
-    /** Store-clock second of the last access (for Bags aging). */
+    /** Store-clock second of the last insert or access; models
+     * memcached's item time field, which no code reads here. */
     std::uint32_t lastAccess = 0;
     /** Opaque client flags stored with the value. */
     std::uint32_t clientFlags = 0;
@@ -44,8 +45,6 @@ struct Item
     std::uint16_t keyLen = 0;
     /** Slab class the chunk was allocated from. */
     std::uint8_t slabClass = 0;
-    /** Set while the item sits in an eviction bag (Bags policy). */
-    std::uint8_t bagIndex = 0;
 
     char *
     data()
@@ -102,6 +101,10 @@ struct Item
 
 static_assert(sizeof(Item) % alignof(Item) == 0,
               "item data() payload must start aligned");
+static_assert(sizeof(Item) == 56,
+              "item sizes pick slab classes and simulated addresses: "
+              "the header size cannot move unless the goldens move "
+              "with it");
 
 } // namespace mercury::kvstore
 

@@ -24,17 +24,9 @@ Store::Store(const StoreParams &params)
           sp.memLimit = params.memLimit;
           return sp;
       }()),
-      table_(params.hashPower)
-{
-    policies_.reserve(slabs_.numClasses());
-    for (unsigned cls = 0; cls < slabs_.numClasses(); ++cls) {
-        if (params_.eviction == EvictionPolicyKind::Bags)
-            policies_.push_back(
-                std::make_unique<BagLru>(params_.bagAgeSeconds));
-        else
-            policies_.push_back(std::make_unique<StrictLru>());
-    }
-}
+      table_(params.hashPower),
+      lrus_(slabs_.numClasses())
+{}
 
 bool
 Store::itemDead(const Item *item) const
@@ -61,8 +53,8 @@ Store::destroyItem(Item *item)
 {
     const std::uint64_t hash = hashKey(item->key());
     Item *removed = table_.remove(item->key(), hash);
-    mercury_assert(removed == item, "hash table / policy out of sync");
-    policies_[item->slabClass]->onRemove(item);
+    mercury_assert(removed == item, "hash table / LRU out of sync");
+    lrus_[item->slabClass].onRemove(item);
     slabs_.free(item->slabClass, item);
 }
 
@@ -74,7 +66,7 @@ Store::allocateWithEviction(unsigned cls, ProbeTrace *trace)
         if (chunk)
             return chunk;
 
-        Item *victim = policies_[cls]->victim(clock_);
+        Item *victim = lrus_[cls].victim();
         if (!victim)
             return nullptr;
 
@@ -139,7 +131,7 @@ Store::getTraced(std::string_view key, ProbeTrace &trace)
         return result;
     }
 
-    policies_[item->slabClass]->onAccess(item, clock_);
+    lrus_[item->slabClass].onAccess(item, clock_);
 
     trace.hit = true;
     trace.itemAddr = item;
@@ -210,17 +202,17 @@ Store::storeInternal(std::string_view key, std::string_view value,
         return StoreStatus::OutOfMemory;
     }
 
-    // Pin the existing item: take it out of the eviction policy so
+    // Pin the existing item: take it out of its LRU so
     // allocateWithEviction cannot free it underneath us, but keep it
     // readable in the table until the new item is ready.
     if (existing)
-        policies_[existing->slabClass]->onRemove(existing);
+        lrus_[existing->slabClass].onRemove(existing);
 
     void *chunk = allocateWithEviction(static_cast<unsigned>(cls),
                                        trace);
     if (!chunk) {
         if (existing)
-            policies_[existing->slabClass]->onInsert(existing, clock_);
+            lrus_[existing->slabClass].onInsert(existing, clock_);
         counters_.outOfMemory.fetch_add(1);
         return StoreStatus::OutOfMemory;
     }
@@ -236,7 +228,7 @@ Store::storeInternal(std::string_view key, std::string_view value,
     Item *item = buildItem(chunk, static_cast<unsigned>(cls), key,
                            value, flags, ttl);
     table_.insert(item, hash);
-    policies_[item->slabClass]->onInsert(item, clock_);
+    lrus_[item->slabClass].onInsert(item, clock_);
 
     if (trace) {
         trace->itemAddr = item;
@@ -341,7 +333,7 @@ Store::arith(std::string_view key, std::uint64_t delta, bool increment,
     if (needed <= slabs_.chunkSize(item->slabClass)) {
         item->setValue(new_value);
         item->casId = ++casCounter_;
-        policies_[item->slabClass]->onAccess(item, clock_);
+        lrus_[item->slabClass].onAccess(item, clock_);
         return StoreStatus::Stored;
     }
     return storeInternal(key, new_value, item->clientFlags,
@@ -409,7 +401,7 @@ Store::touch(std::string_view key, std::uint32_t ttl)
         return StoreStatus::NotFound;
 
     item->expiry = expiryFor(ttl);
-    policies_[item->slabClass]->onAccess(item, clock_);
+    lrus_[item->slabClass].onAccess(item, clock_);
     return StoreStatus::Stored;
 }
 
@@ -428,13 +420,10 @@ Store::setClock(std::uint32_t seconds)
 void
 Store::housekeeping(unsigned reap_limit)
 {
-    const std::uint32_t now = clock_;
-
     unsigned reaped = 0;
-    for (auto &policy : policies_) {
-        policy->age(now);
+    for (const StrictLru &lru : lrus_) {
         while (reaped < reap_limit) {
-            Item *victim = policy->victim(now);
+            Item *victim = lru.victim();
             if (!victim || !itemDead(victim))
                 break;
             counters_.expiredReclaimed.fetch_add(1);
@@ -454,15 +443,6 @@ std::uint64_t
 Store::usedBytes() const
 {
     return slabs_.usedBytes();
-}
-
-std::uint64_t
-Store::lruReorderOps() const
-{
-    std::uint64_t total = 0;
-    for (const auto &policy : policies_)
-        total += policy->reorderOps();
-    return total;
 }
 
 struct Store::RegisteredStats
@@ -564,8 +544,8 @@ Store::checkConsistency() const
         ok = false;
 
     std::size_t tracked = 0;
-    for (const auto &policy : policies_)
-        tracked += policy->trackedItems();
+    for (const StrictLru &lru : lrus_)
+        tracked += lru.trackedItems();
     if (tracked != linked)
         ok = false;
 

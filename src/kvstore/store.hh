@@ -2,8 +2,8 @@
  * @file
  * The memcached-compatible key-value store.
  *
- * Combines the slab allocator, chained hash table and an eviction
- * policy into a store supporting the memcached verb set (get, set,
+ * Combines the slab allocator, chained hash table and a strict LRU
+ * per slab class into a store supporting the memcached verb set (get, set,
  * add, replace, cas, delete, incr/decr, touch, flush_all) with lazy
  * TTL expiry.
  *
@@ -49,10 +49,10 @@ struct StoreParams
     std::string name = "store";
     std::uint64_t memLimit = 64 * miB;
     unsigned hashPower = 16;
+    /** Unused; see EvictionPolicyKind. */
     EvictionPolicyKind eviction = EvictionPolicyKind::StrictLru;
     /** Unused; see LockingMode. */
     LockingMode locking = LockingMode::Global;
-    std::uint32_t bagAgeSeconds = 60;
     SlabParams slab{};
 };
 
@@ -190,7 +190,7 @@ class Store
 
     std::uint32_t clock() const { return clock_; }
 
-    /** Run eviction-policy aging and reclaim a few dead items. */
+    /** Reclaim a few dead items from the cold end of each LRU. */
     void housekeeping(unsigned reap_limit = 64);
 
     // --- Introspection ------------------------------------------------
@@ -203,9 +203,6 @@ class Store
     const HashTable &table() const { return table_; }
     const StoreParams &params() const { return params_; }
 
-    /** Sum of reorder ops across class policies (contention proxy). */
-    std::uint64_t lruReorderOps() const;
-
     /**
      * Publish the op counters into a stats registry as formula
      * stats under a group named after this store. Idempotent: a
@@ -214,7 +211,7 @@ class Store
     void registerStats(stats::StatGroup *parent);
 
     /** Verify internal invariants (test hook): every linked item is
-     * tracked by exactly one policy, accounting matches, etc. */
+     * tracked by exactly one LRU, accounting matches, etc. */
     bool checkConsistency() const;
 
   private:
@@ -250,7 +247,8 @@ class Store
     StoreParams params_;
     SlabAllocator slabs_;
     HashTable table_;
-    std::vector<std::unique_ptr<EvictionPolicy>> policies_;
+    /** One LRU per slab class. */
+    std::vector<StrictLru> lrus_;
 
     std::uint32_t clock_ = 0;
     std::uint64_t casCounter_ = 0;

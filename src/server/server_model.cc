@@ -191,7 +191,6 @@ ServerModel::ServerModel(const ServerModelParams &params,
     kvstore::StoreParams sp;
     sp.name = params_.name + ".store";
     sp.memLimit = params_.storeMemLimit;
-    sp.eviction = params_.eviction;
     sp.hashPower = 16;
     store_ = std::make_unique<kvstore::Store>(sp);
     if (params_.statsParent)

@@ -81,7 +81,8 @@ struct ServerModelParams
      * bit-for-bit. */
     net::DatapathParams datapath{};
 
-    /** Eviction policy of the store instance on this core. */
+    /** Unused: the store has one policy. Kept only because simbench
+     * still assigns it (see kvstore::EvictionPolicyKind). */
     kvstore::EvictionPolicyKind eviction =
         kvstore::EvictionPolicyKind::StrictLru;
     /** Unused: the store takes no locks. Kept only because simbench

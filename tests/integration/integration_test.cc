@@ -6,15 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <map>
 #include <string>
 
 #include "baseline/baseline.hh"
 #include "cluster/distributed_cache.hh"
 #include "config/explorer.hh"
 #include "config/perf_oracle.hh"
-#include "kvstore/protocol.hh"
-#include "net/network.hh"
 #include "server/server_model.hh"
 #include "sim/logging.hh"
 #include "workload/workload.hh"
@@ -69,32 +67,6 @@ TEST(Integration, WorkloadDrivesDistributedCacheCoherently)
     EXPECT_GT(static_cast<double>(hits) /
                   static_cast<double>(hits + misses),
               0.5);
-}
-
-TEST(Integration, ProtocolSurvivesTcpSegmentation)
-{
-    // Push a large SET through MSS-sized chunks exactly as the wire
-    // would deliver it.
-    kvstore::StoreParams sp;
-    sp.memLimit = 16 * miB;
-    kvstore::Store store(sp);
-    kvstore::ServerSession session(store);
-
-    const std::string value(100000, 'p');
-    const std::string request = "set big 0 0 " +
-                                std::to_string(value.size()) +
-                                "\r\n" + value + "\r\n";
-
-    net::TcpSegmenter segmenter(net::tenGbEParams());
-    std::string response;
-    std::size_t offset = 0;
-    for (unsigned chunk : segmenter.segmentSizes(request.size())) {
-        response += session.consume(
-            std::string_view(request).substr(offset, chunk));
-        offset += chunk;
-    }
-    EXPECT_EQ(response, "STORED\r\n");
-    EXPECT_EQ(store.get("big").value.size(), value.size());
 }
 
 TEST(Integration, Table4HeadlineRatiosHold)

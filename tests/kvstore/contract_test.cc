@@ -199,7 +199,6 @@ TEST_F(ListContract, DoubleLinkIsCaught)
 
     ScopedContractThrow guard;
     EXPECT_THROW(list_.pushFront(item), ContractViolation);
-    EXPECT_THROW(list_.pushBack(item), ContractViolation);
 }
 
 TEST_F(ListContract, UnlinkingAnUnlinkedItemIsCaught)
@@ -217,10 +216,7 @@ TEST_F(ListContract, WellFormednessHoldsThroughChurn)
     std::vector<Item *> items;
     for (int i = 0; i < 64; ++i) {
         items.push_back(makeItem(concat("k", i)));
-        if (i % 2)
-            list_.pushFront(items.back());
-        else
-            list_.pushBack(items.back());
+        list_.pushFront(items.back());
         EXPECT_TRUE(list_.checkWellFormed());
     }
     for (int i = 0; i < 64; i += 3) {

@@ -20,12 +20,11 @@ using namespace mercury::kvstore;
 using mercury::detail::concat;
 
 StoreParams
-smallStore(EvictionPolicyKind eviction = EvictionPolicyKind::StrictLru)
+smallStore()
 {
     StoreParams p;
     p.memLimit = 8 * miB;
     p.hashPower = 8;
-    p.eviction = eviction;
     return p;
 }
 
@@ -325,31 +324,9 @@ TEST(Store, CountersTrackOperations)
     EXPECT_EQ(c.deletes.load(), 1u);
 }
 
-TEST(Store, StrictLruCountsReorders)
+TEST(Store, RandomOpsMatchReferenceModel)
 {
-    Store store(smallStore(EvictionPolicyKind::StrictLru));
-    store.set("k", "v");
-    for (int i = 0; i < 50; ++i)
-        store.get("k");
-    EXPECT_EQ(store.lruReorderOps(), 50u);
-}
-
-TEST(Store, BagsAvoidsReordersOnGets)
-{
-    Store store(smallStore(EvictionPolicyKind::Bags));
-    store.set("k", "v");
-    for (int i = 0; i < 50; ++i)
-        store.get("k");
-    EXPECT_EQ(store.lruReorderOps(), 0u);
-}
-
-class StorePropertyTest
-    : public ::testing::TestWithParam<EvictionPolicyKind>
-{};
-
-TEST_P(StorePropertyTest, RandomOpsMatchReferenceModel)
-{
-    StoreParams p = smallStore(GetParam());
+    StoreParams p = smallStore();
     p.memLimit = 32 * miB;  // large enough to avoid evictions
     Store store(p);
 
@@ -357,7 +334,7 @@ TEST_P(StorePropertyTest, RandomOpsMatchReferenceModel)
     // agree exactly.
     std::vector<std::string> reference(64);
     std::vector<bool> present(64, false);
-    Rng rng(GetParam() == EvictionPolicyKind::Bags ? 7 : 13);
+    Rng rng(13);
 
     for (int i = 0; i < 20000; ++i) {
         const auto slot = static_cast<std::size_t>(rng.nextInt(64));
@@ -383,10 +360,6 @@ TEST_P(StorePropertyTest, RandomOpsMatchReferenceModel)
     }
     EXPECT_TRUE(store.checkConsistency());
 }
-
-INSTANTIATE_TEST_SUITE_P(Configs, StorePropertyTest,
-                         ::testing::Values(EvictionPolicyKind::StrictLru,
-                                           EvictionPolicyKind::Bags));
 
 TEST(Store, GetsStayCorrectThroughTableDoublings)
 {

@@ -64,7 +64,6 @@ TEST(KvModelProperty, RandomSoupMatchesOracle)
         StoreParams params;
         params.name = "soup";
         params.memLimit = 64 * miB;  // ample: no eviction pressure
-        params.eviction = EvictionPolicyKind::StrictLru;
         Store store(params);
 
         std::unordered_map<std::string, RefItem> oracle;
@@ -193,7 +192,6 @@ evictionParams()
     // a few hundred items.
     params.memLimit = 64 * kiB;
     params.slab.pageSize = 16 * kiB;
-    params.eviction = EvictionPolicyKind::StrictLru;
     return params;
 }
 
@@ -289,7 +287,6 @@ TEST(KvModelProperty, NicCacheHitsMatchTheStoreExactly)
         StoreParams params;
         params.name = "niccache";
         params.memLimit = 64 * miB;  // no eviction pressure
-        params.eviction = EvictionPolicyKind::StrictLru;
         Store store(params);
 
         net::DatapathParams dp;
