@@ -1,6 +1,6 @@
 /**
  * @file
- * Quickstart: the functional memcached-compatible store and the
+ * Quickstart: the functional memcached-style store and the
  * single-node server timing model in a dozen lines each.
  *
  * Build & run:
@@ -30,14 +30,7 @@ main()
     store.set("session:9", "token-xyz", 0, /* ttl seconds */ 300);
 
     const kvstore::GetResult hit = store.get("user:42");
-    std::printf("GET user:42 -> %s (cas %llu)\n", hit.value.c_str(),
-                static_cast<unsigned long long>(hit.cas));
-
-    std::uint64_t counter = 0;
-    store.set("visits", "100");
-    store.incr("visits", 5, counter);
-    std::printf("INCR visits -> %llu\n",
-                static_cast<unsigned long long>(counter));
+    std::printf("GET user:42 -> %s\n", hit.value.c_str());
 
     // ------------------------------------------------------------
     // 2. A Mercury node: one Cortex-A7 on a 3D stack with 4 GB of

@@ -47,34 +47,6 @@ ConsistentHashRing::addNode(const std::string &name, unsigned rack)
     return true;
 }
 
-bool
-ConsistentHashRing::removeNode(const std::string &name)
-{
-    auto it = std::find(nodes_.begin(), nodes_.end(), name);
-    if (it == nodes_.end())
-        return false;
-    const auto index =
-        static_cast<std::size_t>(it - nodes_.begin());
-
-    for (unsigned v = 0; v < virtualNodes_; ++v)
-        ring_.erase(kvstore::hashKey(name, v + 1));
-
-    // Keep indices of the other nodes stable: swap the last node's
-    // points onto the vacated slot.
-    const std::size_t last = nodes_.size() - 1;
-    if (index != last) {
-        nodes_[index] = std::move(nodes_[last]);
-        racks_[index] = racks_[last];
-        for (auto &[point, owner] : ring_) {
-            if (owner == last)
-                owner = index;
-        }
-    }
-    nodes_.pop_back();
-    racks_.pop_back();
-    return true;
-}
-
 const std::string &
 ConsistentHashRing::nodeFor(std::string_view key) const
 {
@@ -228,30 +200,6 @@ ConsistentHashRing::sampleLoad(std::size_t samples,
     stats.cv = stats.mean > 0.0 ? std::sqrt(variance) / stats.mean
                                 : 0.0;
     return stats;
-}
-
-double
-ConsistentHashRing::remapFractionOnRemoval(const std::string &node,
-                                           std::size_t samples,
-                                           std::uint64_t seed) const
-{
-    ConsistentHashRing without(virtualNodes_);
-    for (const auto &name : nodes_) {
-        if (name != node)
-            without.addNode(name);
-    }
-    mercury_assert(without.numNodes() + 1 == numNodes(),
-                   "node to remove must be on the ring");
-
-    Rng rng(seed);
-    std::size_t moved = 0;
-    for (std::size_t i = 0; i < samples; ++i) {
-        const std::string key = sampleKey(rng.next());
-        if (nodeFor(key) != without.nodeFor(key))
-            ++moved;
-    }
-    return static_cast<double>(moved) /
-           static_cast<double>(samples);
 }
 
 } // namespace mercury::cluster

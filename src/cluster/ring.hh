@@ -7,6 +7,10 @@
  * Iridium argument -- or more virtual nodes per physical node shrink
  * the arcs and flatten the load distribution, reducing resource
  * contention in the DHT.
+ *
+ * The ring is append-only. A node that goes down stays on it: the
+ * cluster client (ClusterSim) fails its keys over to their ring
+ * successors instead of remapping them.
  */
 
 #ifndef MERCURY_CLUSTER_RING_HH
@@ -44,9 +48,6 @@ class ConsistentHashRing
      * placement); nodes default to rack 0. */
     bool addNode(const std::string &name, unsigned rack = 0);
 
-    /** Remove a node and its ring points. @return false if absent. */
-    bool removeNode(const std::string &name);
-
     /** Node responsible for a key.
      * @pre at least one node present. */
     const std::string &nodeFor(std::string_view key) const;
@@ -78,10 +79,8 @@ class ConsistentHashRing
                                          bool distinct_racks) const;
 
     /**
-     * Name of the node at @p index. Nodes are indexed 0.. in the
-     * order they were added; indices stay valid until the next
-     * addNode() or removeNode() (removal moves the last node into
-     * the vacated slot).
+     * Name of the node at @p index. The ring is append-only: indices
+     * follow add order and never change.
      * @pre index < numNodes()
      */
     const std::string &nodeName(std::size_t index) const;
@@ -101,12 +100,6 @@ class ConsistentHashRing
      * per-node request counts. */
     LoadStats sampleLoad(std::size_t samples,
                          std::uint64_t seed = 1) const;
-
-    /** Keys (of @p samples drawn) that change owner if @p node is
-     * removed -- the consistent-hashing selling point. */
-    double remapFractionOnRemoval(const std::string &node,
-                                  std::size_t samples,
-                                  std::uint64_t seed = 2) const;
 
   private:
     using RingIter =

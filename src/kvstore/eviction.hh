@@ -68,7 +68,7 @@ class StrictLru
     /** The item was read: it moves to the hot end. */
     void onAccess(Item *item, std::uint32_t now);
 
-    /** The item is leaving the store (delete/evict/expire). */
+    /** The item is leaving the store (overwrite/evict/expire). */
     void onRemove(Item *item);
 
     /** Coldest item, or nullptr if empty. Does not unlink. */

@@ -70,8 +70,7 @@ class HashTable
 
     /**
      * Advance incremental migration by a few buckets. Called
-     * internally on mutations; exposed so idle housekeeping can also
-     * drive it.
+     * internally on mutations; exposed so tests can drive it.
      */
     void migrateStep(unsigned buckets = 2);
 
@@ -86,7 +85,7 @@ class HashTable
     bool checkIntegrity() const;
 
     /** MERCURY_ASSERT wrapper around checkIntegrity(), so callers
-     * (tests, housekeeping) get the formatted contract diagnostic. */
+     * (tests) get the formatted contract diagnostic. */
     void validate() const;
 
     /** Visit every item (slow; used by flush and tests). */

@@ -30,7 +30,8 @@ struct Item
     Item *lruNext = nullptr;
     Item *lruPrev = nullptr;
 
-    /** Compare-and-swap token. */
+    /** Store-wide insertion sequence number (memcached's cas id);
+     * flushAll() kills every item at or below the current one. */
     std::uint64_t casId = 0;
 
     /** Absolute expiry in store-clock seconds; 0 = never expires. */

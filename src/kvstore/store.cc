@@ -1,7 +1,5 @@
 #include "kvstore/store.hh"
 
-#include <algorithm>
-#include <charconv>
 #include <new>
 
 #include "kvstore/hash.hh"
@@ -9,13 +7,6 @@
 
 namespace mercury::kvstore
 {
-
-namespace
-{
-
-enum StoreMode { modeSet, modeAdd, modeReplace, modeCas };
-
-} // anonymous namespace
 
 Store::Store(const StoreParams &params)
     : params_(params),
@@ -40,12 +31,6 @@ std::uint32_t
 Store::expiryFor(std::uint32_t ttl) const
 {
     return ttl == 0 ? 0 : clock_ + ttl;
-}
-
-std::uint32_t
-Store::remainingTtl(const Item *item) const
-{
-    return item->expiry == 0 ? 0 : item->expiry - clock_;
 }
 
 void
@@ -139,7 +124,6 @@ Store::getTraced(std::string_view key, ProbeTrace &trace)
 
     result.hit = true;
     result.value.assign(item->value());
-    result.cas = item->casId;
     result.flags = item->clientFlags;
     counters_.getHits.fetch_add(1);
     return result;
@@ -147,8 +131,8 @@ Store::getTraced(std::string_view key, ProbeTrace &trace)
 
 StoreStatus
 Store::storeInternal(std::string_view key, std::string_view value,
-                     std::uint32_t flags, std::uint32_t ttl, int mode,
-                     std::uint64_t cas_token, ProbeTrace *trace)
+                     std::uint32_t flags, std::uint32_t ttl,
+                     ProbeTrace *trace)
 {
     if (key.empty() || key.size() > 250)
         return StoreStatus::BadValue;
@@ -172,27 +156,6 @@ Store::storeInternal(std::string_view key, std::string_view value,
         counters_.expiredReclaimed.fetch_add(1);
         destroyItem(existing);
         existing = nullptr;
-    }
-
-    switch (mode) {
-      case modeAdd:
-        if (existing)
-            return StoreStatus::NotStored;
-        break;
-      case modeReplace:
-        if (!existing)
-            return StoreStatus::NotStored;
-        break;
-      case modeCas:
-        if (!existing)
-            return StoreStatus::NotFound;
-        if (existing->casId != cas_token) {
-            counters_.casMismatches.fetch_add(1);
-            return StoreStatus::Exists;
-        }
-        break;
-      default:
-        break;
     }
 
     const int cls = slabs_.classFor(Item::totalSize(key.size(),
@@ -242,7 +205,7 @@ StoreStatus
 Store::set(std::string_view key, std::string_view value,
            std::uint32_t flags, std::uint32_t ttl)
 {
-    return storeInternal(key, value, flags, ttl, modeSet, 0, nullptr);
+    return storeInternal(key, value, flags, ttl, nullptr);
 }
 
 StoreStatus
@@ -250,159 +213,7 @@ Store::setTraced(std::string_view key, std::string_view value,
                  std::uint32_t flags, std::uint32_t ttl,
                  ProbeTrace &trace)
 {
-    return storeInternal(key, value, flags, ttl, modeSet, 0, &trace);
-}
-
-StoreStatus
-Store::add(std::string_view key, std::string_view value,
-           std::uint32_t flags, std::uint32_t ttl)
-{
-    return storeInternal(key, value, flags, ttl, modeAdd, 0, nullptr);
-}
-
-StoreStatus
-Store::replace(std::string_view key, std::string_view value,
-               std::uint32_t flags, std::uint32_t ttl)
-{
-    return storeInternal(key, value, flags, ttl, modeReplace, 0,
-                         nullptr);
-}
-
-StoreStatus
-Store::cas(std::string_view key, std::string_view value,
-           std::uint64_t cas_token, std::uint32_t flags,
-           std::uint32_t ttl)
-{
-    return storeInternal(key, value, flags, ttl, modeCas, cas_token,
-                         nullptr);
-}
-
-StoreStatus
-Store::remove(std::string_view key)
-{
-    const std::uint64_t hash = hashKey(key);
-    ProbeResult probe = table_.find(key, hash);
-    if (!probe.item)
-        return StoreStatus::NotFound;
-
-    const bool dead = itemDead(probe.item);
-    destroyItem(probe.item);
-    if (dead)
-        return StoreStatus::NotFound;
-    counters_.deletes.fetch_add(1);
-    return StoreStatus::Stored;
-}
-
-StoreStatus
-Store::arith(std::string_view key, std::uint64_t delta, bool increment,
-             std::uint64_t &out)
-{
-    const std::uint64_t hash = hashKey(key);
-    ProbeResult probe = table_.find(key, hash);
-    Item *item = probe.item;
-    if (!item || itemDead(item))
-        return StoreStatus::NotFound;
-
-    const std::string_view value = item->value();
-    std::uint64_t current = 0;
-    auto [ptr, ec] = std::from_chars(value.data(),
-                                     value.data() + value.size(),
-                                     current);
-    if (ec != std::errc() || ptr != value.data() + value.size())
-        return StoreStatus::BadValue;
-
-    if (increment) {
-        current += delta;  // memcached wraps on overflow
-    } else {
-        current = delta > current ? 0 : current - delta;
-    }
-    out = current;
-
-    char buf[24];
-    auto [end, ec2] = std::to_chars(buf, buf + sizeof(buf), current);
-    mercury_assert(ec2 == std::errc(), "to_chars cannot fail here");
-    const std::string_view new_value(buf,
-                                     static_cast<std::size_t>(
-                                         end - buf));
-
-    // Rewrite in place when the chunk fits; otherwise fall back to a
-    // full store (new chunk, possibly a different class) that keeps
-    // the item's flags and remaining TTL, as memcached keeps exptime.
-    const std::size_t needed = Item::totalSize(key.size(),
-                                               new_value.size());
-    if (needed <= slabs_.chunkSize(item->slabClass)) {
-        item->setValue(new_value);
-        item->casId = ++casCounter_;
-        lrus_[item->slabClass].onAccess(item, clock_);
-        return StoreStatus::Stored;
-    }
-    return storeInternal(key, new_value, item->clientFlags,
-                         remainingTtl(item), modeSet, 0, nullptr);
-}
-
-StoreStatus
-Store::concat(std::string_view key, std::string_view value,
-              bool after)
-{
-    const std::uint64_t hash = hashKey(key);
-    ProbeResult probe = table_.find(key, hash);
-    Item *item = probe.item;
-    if (!item || itemDead(item))
-        return StoreStatus::NotStored;
-
-    std::string combined;
-    combined.reserve(item->valueLen + value.size());
-    if (after) {
-        combined.assign(item->value());
-        combined.append(value);
-    } else {
-        combined.assign(value);
-        combined.append(item->value());
-    }
-
-    // Preserve flags and remaining TTL of the existing item.
-    return storeInternal(key, combined, item->clientFlags,
-                         remainingTtl(item), modeSet, 0, nullptr);
-}
-
-StoreStatus
-Store::append(std::string_view key, std::string_view value)
-{
-    return concat(key, value, true);
-}
-
-StoreStatus
-Store::prepend(std::string_view key, std::string_view value)
-{
-    return concat(key, value, false);
-}
-
-StoreStatus
-Store::incr(std::string_view key, std::uint64_t delta,
-            std::uint64_t &out)
-{
-    return arith(key, delta, true, out);
-}
-
-StoreStatus
-Store::decr(std::string_view key, std::uint64_t delta,
-            std::uint64_t &out)
-{
-    return arith(key, delta, false, out);
-}
-
-StoreStatus
-Store::touch(std::string_view key, std::uint32_t ttl)
-{
-    const std::uint64_t hash = hashKey(key);
-    ProbeResult probe = table_.find(key, hash);
-    Item *item = probe.item;
-    if (!item || itemDead(item))
-        return StoreStatus::NotFound;
-
-    item->expiry = expiryFor(ttl);
-    lrus_[item->slabClass].onAccess(item, clock_);
-    return StoreStatus::Stored;
+    return storeInternal(key, value, flags, ttl, &trace);
 }
 
 void
@@ -415,22 +226,6 @@ void
 Store::setClock(std::uint32_t seconds)
 {
     clock_ = seconds;
-}
-
-void
-Store::housekeeping(unsigned reap_limit)
-{
-    unsigned reaped = 0;
-    for (const StrictLru &lru : lrus_) {
-        while (reaped < reap_limit) {
-            Item *victim = lru.victim();
-            if (!victim || !itemDead(victim))
-                break;
-            counters_.expiredReclaimed.fetch_add(1);
-            destroyItem(victim);
-            ++reaped;
-        }
-    }
 }
 
 std::size_t
@@ -459,12 +254,8 @@ struct Store::RegisteredStats
                     [store] {
                         return double(store->counters_.getMisses.load());
                     }),
-          sets(&group, "sets", "store mutations (set/add/replace/cas)",
+          sets(&group, "sets", "set operations",
                [store] { return double(store->counters_.sets.load()); }),
-          deletes(&group, "deletes", "delete operations",
-                  [store] {
-                      return double(store->counters_.deletes.load());
-                  }),
           evictions(&group, "evictions", "items evicted for space",
                     [store] {
                         return double(store->counters_.evictions.load());
@@ -475,11 +266,6 @@ struct Store::RegisteredStats
                       return double(
                           store->counters_.expiredReclaimed.load());
                   }),
-          casMismatches(&group, "casMismatches", "cas token mismatches",
-                        [store] {
-                            return double(
-                                store->counters_.casMismatches.load());
-                        }),
           outOfMemory(&group, "outOfMemory",
                       "allocations that failed outright",
                       [store] {
@@ -505,10 +291,8 @@ struct Store::RegisteredStats
     stats::Formula getHits;
     stats::Formula getMisses;
     stats::Formula sets;
-    stats::Formula deletes;
     stats::Formula evictions;
     stats::Formula expired;
-    stats::Formula casMismatches;
     stats::Formula outOfMemory;
     stats::Formula itemCount;
     stats::Formula usedBytes;

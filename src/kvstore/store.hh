@@ -1,10 +1,10 @@
 /**
  * @file
- * The memcached-compatible key-value store.
+ * The memcached-style key-value store.
  *
  * Combines the slab allocator, chained hash table and a strict LRU
- * per slab class into a store supporting the memcached verb set (get, set,
- * add, replace, cas, delete, incr/decr, touch, flush_all) with lazy
+ * per slab class into a store with the operations the timing model
+ * issues: get, set and flush_all (a node's cold restart), with lazy
  * TTL expiry.
  *
  * A Store is used from one host thread at a time: it takes no locks.
@@ -56,15 +56,12 @@ struct StoreParams
     SlabParams slab{};
 };
 
-/** Outcome of mutating commands, matching memcached semantics. */
+/** Outcome of a set. */
 enum class StoreStatus
 {
     Stored,
-    NotStored,   ///< add on existing / replace on missing key
-    Exists,      ///< cas token mismatch
-    NotFound,    ///< delete/cas/incr on missing key
     OutOfMemory, ///< allocation failed and nothing evictable
-    BadValue,    ///< incr/decr on non-numeric value
+    BadValue,    ///< empty or over-long key
 };
 
 /** Result of a get. */
@@ -72,7 +69,6 @@ struct GetResult
 {
     bool hit = false;
     std::string value;
-    std::uint64_t cas = 0;
     std::uint32_t flags = 0;
 };
 
@@ -118,10 +114,8 @@ struct StoreCounters
     std::atomic<std::uint64_t> getHits{0};
     std::atomic<std::uint64_t> getMisses{0};
     std::atomic<std::uint64_t> sets{0};
-    std::atomic<std::uint64_t> deletes{0};
     std::atomic<std::uint64_t> evictions{0};
     std::atomic<std::uint64_t> expiredReclaimed{0};
-    std::atomic<std::uint64_t> casMismatches{0};
     std::atomic<std::uint64_t> outOfMemory{0};
 };
 
@@ -134,43 +128,12 @@ class Store
     Store(const Store &) = delete;
     Store &operator=(const Store &) = delete;
 
-    // --- The memcached verb set -------------------------------------
+    // --- Operations ---------------------------------------------------
 
     GetResult get(std::string_view key);
 
     StoreStatus set(std::string_view key, std::string_view value,
                     std::uint32_t flags = 0, std::uint32_t ttl = 0);
-
-    /** Store only if the key does not exist. */
-    StoreStatus add(std::string_view key, std::string_view value,
-                    std::uint32_t flags = 0, std::uint32_t ttl = 0);
-
-    /** Store only if the key exists. */
-    StoreStatus replace(std::string_view key, std::string_view value,
-                        std::uint32_t flags = 0, std::uint32_t ttl = 0);
-
-    /** Store only if the caller holds the current cas token. */
-    StoreStatus cas(std::string_view key, std::string_view value,
-                    std::uint64_t cas_token, std::uint32_t flags = 0,
-                    std::uint32_t ttl = 0);
-
-    /** Concatenate after an existing value (flags/TTL preserved). */
-    StoreStatus append(std::string_view key, std::string_view value);
-
-    /** Concatenate before an existing value. */
-    StoreStatus prepend(std::string_view key, std::string_view value);
-
-    StoreStatus remove(std::string_view key);
-
-    /** Numeric increment; returns the new value through @p out. */
-    StoreStatus incr(std::string_view key, std::uint64_t delta,
-                     std::uint64_t &out);
-
-    StoreStatus decr(std::string_view key, std::uint64_t delta,
-                     std::uint64_t &out);
-
-    /** Update TTL without touching the value. */
-    StoreStatus touch(std::string_view key, std::uint32_t ttl);
 
     /** Invalidate everything stored so far (lazy reclamation). */
     void flushAll();
@@ -183,15 +146,12 @@ class Store
                           std::uint32_t flags, std::uint32_t ttl,
                           ProbeTrace &trace);
 
-    // --- Clock & housekeeping ----------------------------------------
+    // --- Clock --------------------------------------------------------
 
     /** Advance the store clock (seconds since start). */
     void setClock(std::uint32_t seconds);
 
     std::uint32_t clock() const { return clock_; }
-
-    /** Reclaim a few dead items from the cold end of each LRU. */
-    void housekeeping(unsigned reap_limit = 64);
 
     // --- Introspection ------------------------------------------------
 
@@ -230,19 +190,9 @@ class Store
     StoreStatus storeInternal(std::string_view key,
                               std::string_view value,
                               std::uint32_t flags, std::uint32_t ttl,
-                              int mode, std::uint64_t cas_token,
                               ProbeTrace *trace);
 
-    StoreStatus arith(std::string_view key, std::uint64_t delta,
-                      bool increment, std::uint64_t &out);
-
-    StoreStatus concat(std::string_view key, std::string_view value,
-                       bool after);
-
     std::uint32_t expiryFor(std::uint32_t ttl) const;
-
-    /** The TTL that keeps @p item's expiry. @pre item is live. */
-    std::uint32_t remainingTtl(const Item *item) const;
 
     StoreParams params_;
     SlabAllocator slabs_;

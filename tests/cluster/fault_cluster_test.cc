@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the cluster-layer fault model: ring failover order,
- * removal bookkeeping, client retry/failover, and whole-simulation
- * determinism under a fixed fault seed.
+ * client retry/failover, and whole-simulation determinism under a
+ * fixed fault seed.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cluster/cluster_sim.hh"
-#include "cluster/distributed_cache.hh"
 #include "sim/logging.hh"
 
 namespace
@@ -20,14 +19,6 @@ namespace
 using namespace mercury;
 using namespace mercury::cluster;
 using mercury::detail::concat;
-
-kvstore::StoreParams
-nodeParams()
-{
-    kvstore::StoreParams p;
-    p.memLimit = 4 * miB;
-    return p;
-}
 
 // --- Ring failover order --------------------------------------------
 
@@ -55,40 +46,6 @@ TEST(ConsistentHashRing, NodesForCapsAtClusterSize)
     ring.addNode("b");
     const auto order = ring.nodesFor("key", 10);
     EXPECT_EQ(order.size(), 2u);
-}
-
-TEST(ConsistentHashRing, RemapFractionNearOneOverN)
-{
-    // The consistent-hashing selling point: removing one of N nodes
-    // remaps ~1/N of the keyspace. Property-checked over several N.
-    for (unsigned n : {4u, 8u, 16u}) {
-        ConsistentHashRing ring(100);
-        for (unsigned i = 0; i < n; ++i)
-            ring.addNode("node" + std::to_string(i));
-        const double expected = 1.0 / n;
-        const double got =
-            ring.remapFractionOnRemoval("node1", 4000);
-        EXPECT_GT(got, 0.4 * expected) << n;
-        EXPECT_LT(got, 2.5 * expected) << n;
-    }
-}
-
-// --- DistributedCache removal ---------------------------------------
-
-TEST(DistributedCache, RemoveNodeRecordsLossAndRemapFraction)
-{
-    DistributedCache cache(8, nodeParams());
-    for (int i = 0; i < 2000; ++i)
-        cache.set(concat("k", i), "v");
-    const std::size_t doomed = cache.storeOf("node3").itemCount();
-
-    ASSERT_TRUE(cache.removeNode("node3"));
-    const TopologyStats &stats = cache.topologyStats();
-    EXPECT_EQ(stats.removedNodes, 1u);
-    EXPECT_EQ(stats.lostItems, doomed);
-    // Consistent hashing: ~1/8 of the arcs move.
-    EXPECT_GT(stats.lastRemapFraction, 0.4 / 8);
-    EXPECT_LT(stats.lastRemapFraction, 2.5 / 8);
 }
 
 // --- ClusterSim under faults ----------------------------------------

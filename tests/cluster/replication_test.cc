@@ -189,32 +189,6 @@ TEST(RingIndexWalk, MatchesNameWalkSixNodesTwoRacks)
     expectMatchesNameWalk(6, 2, 40);
 }
 
-TEST(RingIndexWalk, IndicesFollowNodeRemoval)
-{
-    // Removal moves the last node into the vacated index; answers
-    // after it must still name the right nodes.
-    auto list = stripedNodes(8, 4);
-    ConsistentHashRing ring = ringOf(list, 40);
-    ASSERT_TRUE(ring.removeNode("node2"));
-    list.erase(list.begin() + 2);
-    const NameRing reference(list, 40);
-
-    for (std::size_t index = 0; index < ring.numNodes(); ++index) {
-        const auto named = std::find_if(
-            list.begin(), list.end(), [&](const auto &node) {
-                return node.first == ring.nodeName(index);
-            });
-        ASSERT_NE(named, list.end());
-        EXPECT_EQ(ring.rackOf(index), named->second);
-    }
-    for (int i = 0; i < 1000; ++i) {
-        const std::string key = concat("k", i);
-        EXPECT_EQ(namesOf(ring, ring.replicasFor(key, 3, true)),
-                  reference.replicasFor(key, 3, true))
-            << key;
-    }
-}
-
 TEST(RingIndexWalk, ZeroCountIsAnEmptyOrder)
 {
     const ConsistentHashRing ring = ringOf(stripedNodes(8, 4), 40);

@@ -6,68 +6,18 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 
 #include "baseline/baseline.hh"
-#include "cluster/distributed_cache.hh"
 #include "config/explorer.hh"
 #include "config/perf_oracle.hh"
 #include "server/server_model.hh"
-#include "sim/logging.hh"
 #include "workload/workload.hh"
 
 namespace
 {
 
 using namespace mercury;
-using mercury::detail::concat;
-
-TEST(Integration, WorkloadDrivesDistributedCacheCoherently)
-{
-    // Zipf + ETC sizes through consistent hashing onto real stores,
-    // with TTL expiry and eviction in play; every hit must return
-    // exactly what was last stored.
-    kvstore::StoreParams node_params;
-    node_params.memLimit = 4 * miB;
-    cluster::DistributedCache cache(8, node_params);
-
-    workload::WorkloadParams wl;
-    wl.numKeys = 5000;
-    wl.popularity = workload::Popularity::Zipf;
-    wl.valueSize = workload::ValueSizeDist::fixed(128);
-    wl.getFraction = 0.7;
-    workload::WorkloadGenerator gen(wl);
-
-    std::map<std::uint64_t, std::string> reference;
-    unsigned hits = 0, misses = 0;
-    for (int i = 0; i < 30000; ++i) {
-        const workload::Request req = gen.next();
-        const std::string key =
-            workload::WorkloadGenerator::keyFor(req.keyId);
-        if (req.op == workload::Request::Op::Set) {
-            const std::string value =
-                concat("v", i, std::string(100, 'x'));
-            ASSERT_EQ(cache.set(key, value),
-                      kvstore::StoreStatus::Stored);
-            reference[req.keyId] = value;
-        } else {
-            const kvstore::GetResult r = cache.get(key);
-            if (r.hit) {
-                ++hits;
-                ASSERT_TRUE(reference.count(req.keyId));
-                EXPECT_EQ(r.value, reference[req.keyId]);
-            } else {
-                ++misses;
-            }
-        }
-    }
-    EXPECT_GT(hits, 0u);
-    // Zipf head keys are nearly always resident.
-    EXPECT_GT(static_cast<double>(hits) /
-                  static_cast<double>(hits + misses),
-              0.5);
-}
 
 TEST(Integration, Table4HeadlineRatiosHold)
 {
