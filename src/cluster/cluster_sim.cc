@@ -186,7 +186,8 @@ ClusterSim::run(double offered_tps)
 
     std::vector<Tick> latencies;
     latencies.reserve(params_.requests);
-    std::vector<std::vector<Tick>> per_node(nodes_.size());
+    /** Measured requests answered by each node. */
+    std::vector<std::uint64_t> served(nodes_.size(), 0);
 
     ClusterSimResult result;
     result.offeredTps = offered_tps;
@@ -656,7 +657,7 @@ ClusterSim::run(double offered_tps)
                 sampler->recordLatency(ch_lat, latency / tickUs);
             if (measured) {
                 latencies.push_back(latency);
-                per_node[decision.servedBy].push_back(latency);
+                ++served[decision.servedBy];
             }
             break;
         }
@@ -682,29 +683,10 @@ ClusterSim::run(double offered_tps)
     result.p999LatencyUs = summary.quantileUs(0.999);
     result.subMsFraction = summary.subMsFraction();
 
-    // Hot-node statistics.
-    std::size_t hottest = 0;
-    for (std::size_t n = 1; n < per_node.size(); ++n) {
-        if (per_node[n].size() > per_node[hottest].size())
-            hottest = n;
-    }
     result.hottestNodeShare =
-        static_cast<double>(per_node[hottest].size()) /
+        static_cast<double>(
+            *std::max_element(served.begin(), served.end())) /
         static_cast<double>(params_.requests);
-    const double hot_p99 =
-        stats::LatencySummary(per_node[hottest]).quantileUs(0.99);
-    std::vector<double> node_p99s;
-    for (std::vector<Tick> &samples : per_node) {
-        if (!samples.empty())
-            node_p99s.push_back(stats::LatencySummary(std::move(samples))
-                                    .quantileUs(0.99));
-    }
-    if (!node_p99s.empty()) {
-        std::sort(node_p99s.begin(), node_p99s.end());
-        const double median_p99 = node_p99s[node_p99s.size() / 2];
-        result.hotNodeTailAmplification =
-            median_p99 > 0.0 ? hot_p99 / median_p99 : 0.0;
-    }
 
     if (avail_window > 0)
         close_window();

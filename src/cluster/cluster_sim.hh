@@ -214,8 +214,6 @@ struct ClusterSimResult
     double subMsFraction = 0.0;
     /** Share of requests landing on the busiest node. */
     double hottestNodeShare = 0.0;
-    /** p99 of the busiest node vs the cluster median node. */
-    double hotNodeTailAmplification = 0.0;
 
     // --- Fault-mode outcomes (defaults describe a clean run) --------
 
