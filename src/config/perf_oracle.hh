@@ -16,9 +16,10 @@ namespace mercury::config
 
 struct OracleOptions
 {
-    Tick dramLatency = 10 * tickNs;
+    static constexpr Tick dramLatency = 10 * tickNs;
     Tick flashReadLatency = 10 * tickUs;
-    unsigned samples = 12;
+    /** Requests timed per measured size. */
+    static constexpr unsigned samples = 12;
     /** Datapath the modeled cores run (kernel vs bypass, batching,
      * NIC GET cache). nicCacheEntries == 0 with stack.nicCacheMB > 0
      * derives the entry count from the SRAM budget. */

@@ -74,11 +74,11 @@ struct DatapathParams
 
     /** Nominal SRAM cost of one cache slot (key + value + tag),
      * used to convert a physical-model MB budget into entries. */
-    std::uint32_t nicCacheEntryBytes = 128;
+    static constexpr std::uint32_t nicCacheEntryBytes = 128;
 
     /** Hardware lookup + response-build latency of a cache hit,
      * charged instead of any CPU phase. */
-    Tick nicCacheLookupLatency = 300 * tickNs;
+    static constexpr Tick nicCacheLookupLatency = 300 * tickNs;
 
     bool
     bypass() const

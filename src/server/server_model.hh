@@ -57,7 +57,7 @@ struct ServerModelParams
     /** Flash read latency (Fig. 6 sweeps 10-20 us). */
     Tick flashReadLatency = 10 * tickUs;
     /** Flash program latency (fixed at 200 us in the paper). */
-    Tick flashWriteLatency = 200 * tickUs;
+    static constexpr Tick flashWriteLatency = 200 * tickUs;
 
     /** DRAM row-buffer policy (closed-page is the paper's
      * worst-case assumption; open-page is the ablation). */
