@@ -46,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/sampler.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
@@ -101,6 +102,28 @@ rule(int width = 100)
 {
     std::fputs((ruleString(width) + "\n").c_str(), stdout);
 }
+
+/**
+ * The rows a bench prints, as a `results.*` group for
+ * Session::appendStatsFragment: `"results.<name>":value` pairs in the
+ * order they were added.
+ */
+class ResultsFragment
+{
+  public:
+    void
+    add(std::string_view name, double value)
+    {
+        json::appendKey(text_, first_, "results.", name);
+        json::appendDouble(text_, value);
+    }
+
+    const std::string &text() const { return text_; }
+
+  private:
+    std::string text_;
+    bool first_ = true;
+};
 
 /**
  * Per-bench observability session: owns the stats registry and the

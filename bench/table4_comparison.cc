@@ -50,6 +50,28 @@ fromDesign(const std::string &name, const ServerDesign &design)
             design.bw64GBs};
 }
 
+/** The abstract's four headline ratios of one design against Bags. */
+struct Headline
+{
+    double density;
+    double tps;
+    double tpsPerWatt;
+    /** Mercury's TPS/GB gain; Iridium's TPS/GB shortfall (Bags over
+     * Iridium), as the paper quotes it. */
+    double tpsPerGB;
+};
+
+/** Publish @p h as results.<design>.* ratios. */
+void
+addHeadline(bench::ResultsFragment &results, const std::string &design,
+            const Headline &h, const char *per_gb_key)
+{
+    results.add(design + ".density_x", h.density);
+    results.add(design + ".tps_x", h.tps);
+    results.add(design + ".tps_per_watt_x", h.tpsPerWatt);
+    results.add(design + per_gb_key, h.tpsPerGB);
+}
+
 Row
 fromBaseline(const BaselineServer &server)
 {
@@ -120,20 +142,28 @@ main(int argc, char **argv)
     const Row bags = fromBaseline(
         memcachedBaseline(MemcachedVersion::Bags));
 
+    const Headline m{mercury32.memoryGB / bags.memoryGB,
+                     mercury32.mtps / bags.mtps,
+                     mercury32.ktpsPerWatt / bags.ktpsPerWatt,
+                     mercury32.ktpsPerGB / bags.ktpsPerGB};
+    const Headline ir{iridium32.memoryGB / bags.memoryGB,
+                      iridium32.mtps / bags.mtps,
+                      iridium32.ktpsPerWatt / bags.ktpsPerWatt,
+                      bags.ktpsPerGB / iridium32.ktpsPerGB};
+
     bench::banner("Headline ratios vs optimized Memcached (Bags)");
     std::printf("Mercury-32: density %.1fx  TPS %.1fx  TPS/W %.1fx  "
                 "TPS/GB %.1fx\n",
-                mercury32.memoryGB / bags.memoryGB,
-                mercury32.mtps / bags.mtps,
-                mercury32.ktpsPerWatt / bags.ktpsPerWatt,
-                mercury32.ktpsPerGB / bags.ktpsPerGB);
+                m.density, m.tps, m.tpsPerWatt, m.tpsPerGB);
     std::printf("Iridium-32: density %.1fx  TPS %.1fx  TPS/W %.1fx  "
                 "TPS/GB %.2fx (lower)\n",
-                iridium32.memoryGB / bags.memoryGB,
-                iridium32.mtps / bags.mtps,
-                iridium32.ktpsPerWatt / bags.ktpsPerWatt,
-                bags.ktpsPerGB / iridium32.ktpsPerGB);
+                ir.density, ir.tps, ir.tpsPerWatt, ir.tpsPerGB);
     std::printf("(Paper: Mercury 2.9x / 10x / 4.9x / 3.5x; "
                 "Iridium 14x / 5.2x / 2.4x / 2.8x-lower)\n");
+
+    bench::ResultsFragment results;
+    addHeadline(results, "mercury32", m, ".tps_per_gb_x");
+    addHeadline(results, "iridium32", ir, ".tps_per_gb_lower_x");
+    session.appendStatsFragment(results.text());
     return 0;
 }

@@ -11,10 +11,13 @@
  *
  * Each (sweep, core count) stack is an independent ParallelSweep
  * point; rows print in order from the points' `after` callbacks, so
- * `--jobs N` output is byte-identical to `--jobs 1`.
+ * `--jobs N` output is byte-identical to `--jobs 1`. --stats-json
+ * publishes each row's scaling efficiency as
+ * results.<family>_<size>.cores<n>.efficiency.
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hh"
@@ -97,6 +100,21 @@ main(int argc, char **argv)
         }
     }
     sweep.run();
+
+    bench::ResultsFragment published;
+    for (std::size_t si = 0; si < sweeps.size(); ++si) {
+        const std::string table =
+            (sweeps[si].memory == MemoryKind::StackedDram ? "mercury_"
+                                                          : "iridium_") +
+            bench::sizeLabel(sweeps[si].size);
+        for (std::size_t ci = 0; ci < core_counts.size(); ++ci) {
+            published.add(table + ".cores" +
+                              std::to_string(core_counts[ci]) +
+                              ".efficiency",
+                          results[si][ci].scalingEfficiency);
+        }
+    }
+    session.appendStatsFragment(published.text());
 
     std::printf("At 64 B the paper's linear scaling holds within a "
                 "few percent: separate Memcached instances share "
