@@ -6,6 +6,10 @@
  * headroom the 7% default overprovision buys.
  *
  * --smoke churns an FTL of one eighth the size.
+ *
+ * Knob moved: the `Ftl` overprovision argument (the full flash
+ * model fixes `FlashParams::overprovision` at 0.07), under uniform
+ * and hot-10% overwrite churn.
  */
 
 #include <cstdio>

@@ -15,6 +15,9 @@
  * --smoke measures the 64 B and 16 KB rows only. Each row runs on a
  * fresh pair of models, so a row reads the same at --smoke and in
  * the full run.
+ *
+ * Knob moved: `ServerModelParams::flashPageBytes` (4 KiB vs one
+ * 64 B line).
  */
 
 #include <cstdio>

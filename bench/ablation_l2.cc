@@ -5,6 +5,9 @@
  * both decisions: on Mercury at 10 ns DRAM the L2 size barely
  * matters, while Iridium needs enough L2 to hold the instruction
  * footprint and hot metadata in front of flash.
+ *
+ * Knob moved: `ServerModelParams::l2SizeBytes` (with `withL2`),
+ * at two `dramArrayLatency` values and on flash.
  */
 
 #include <cstdio>

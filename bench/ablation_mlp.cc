@@ -4,6 +4,9 @@
  * paper observes that aggressive cores buy little once the network
  * stack dominates (Sec. 6.1); this sweep quantifies how much of the
  * A15's edge comes from miss overlap vs raw issue width.
+ *
+ * Knob moved: `CoreParams::mlpRandom` and `mlpSequential` of the
+ * A15.
  */
 
 #include <cstdio>

@@ -3,6 +3,9 @@
  * Ablation: DRAM row-buffer policy. The paper's memory model
  * assumes closed-page latency for every access as a worst case
  * (Sec. 5.2). Open-page exposes row hits for streaming values.
+ *
+ * Knob moved: `ServerModelParams::dramPagePolicy` (closed vs open
+ * page).
  */
 
 #include <cstdio>

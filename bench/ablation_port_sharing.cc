@@ -6,6 +6,10 @@
  * two threads. This experiment drives k concurrent line streams at
  * a single port (vs spread over k ports) and measures the effective
  * bandwidth each stream sees.
+ *
+ * Knob moved: none of the model's; the bench moves where k
+ * streams land on one `stackedDramParams()` device (one port vs one
+ * port each).
  */
 
 #include <cstdio>

@@ -11,6 +11,9 @@
  * three models register under the point's stats tree, so
  * `--stats-json` runs are machine-diffable with tools/statdiff.py
  * and `--jobs N` output stays byte-identical to the serial run.
+ *
+ * Knob moved: `ServerModelParams::datapath` (`kind`, and `rxBatch`
+ * / `txBatch` for the batched bypass row).
  */
 
 #include <cstddef>

@@ -7,6 +7,9 @@
  *
  * --smoke samples 20k keys per ring instead of 200k and skips the
  * 768-node row.
+ *
+ * Knob moved: the `ConsistentHashRing` virtual-node count, and the
+ * number of physical nodes added to the ring.
  */
 
 #include <cstdio>
@@ -14,7 +17,7 @@
 
 #include "bench_util.hh"
 #include "cluster/ring.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace
 {

@@ -24,7 +24,7 @@
 #include "mem/flash.hh"
 #include "server/address_map.hh"
 #include "server/server_model.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace
 {

@@ -1,6 +1,6 @@
 #include "baseline/baseline.hh"
 
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace mercury::baseline
 {
@@ -28,7 +28,7 @@ publishedFor(MemcachedVersion version)
       case MemcachedVersion::Bags:
         return {"Memcached Bags", 16, 128.0, 3.15};
     }
-    mercury_panic("unknown memcached version");
+    MERCURY_UNREACHABLE("unknown memcached version");
 }
 
 } // anonymous namespace
@@ -55,7 +55,7 @@ scalingFor(MemcachedVersion version)
         kappa = 0.0002;
         break;
       default:
-        mercury_panic("unknown memcached version");
+        MERCURY_UNREACHABLE("unknown memcached version");
     }
 
     // Derive the single-thread ceiling so the published deployment
@@ -71,7 +71,7 @@ scalingFor(MemcachedVersion version)
 double
 scaledTps(const ScalingParams &params, unsigned threads)
 {
-    mercury_assert(threads >= 1, "need at least one thread");
+    MERCURY_EXPECTS(threads >= 1, "need at least one thread");
     const double n = threads;
     const double denom = 1.0 + params.sigma * (n - 1.0) +
                          params.kappa * n * (n - 1.0);

@@ -6,7 +6,6 @@
 #include "cluster/backoff.hh"
 #include "sim/contract.hh"
 #include "sim/latency_summary.hh"
-#include "sim/logging.hh"
 
 namespace mercury::cluster
 {
@@ -17,7 +16,7 @@ ClusterSim::ClusterSim(const ClusterSimParams &params)
     : params_(params), ring_(params.virtualNodes),
       injector_(params.faults.seed)
 {
-    mercury_assert(params_.nodes >= 1, "cluster needs nodes");
+    MERCURY_EXPECTS(params_.nodes >= 1, "cluster needs nodes");
     nodes_.reserve(params_.nodes);
     for (unsigned i = 0; i < params_.nodes; ++i) {
         const std::string name = "node" + std::to_string(i);
@@ -70,7 +69,7 @@ ClusterSim::indexOfName(const std::string &name) const
         if (ring_.nodeName(i) == name)
             return i;
     }
-    mercury_panic("unknown node ", name);
+    MERCURY_UNREACHABLE("unknown node ", name);
 }
 
 unsigned
@@ -132,7 +131,7 @@ ClusterSim::aggregateCapacity()
 ClusterSimResult
 ClusterSim::run(double offered_tps)
 {
-    mercury_assert(offered_tps > 0.0, "offered load must be positive");
+    MERCURY_EXPECTS(offered_tps > 0.0, "offered load must be positive");
     // Availability and the hot-node share divide by the measured
     // request count; an empty window would make them 0/0.
     MERCURY_EXPECTS(params_.requests > 0, "a run needs measured requests");
@@ -379,8 +378,8 @@ ClusterSim::run(double offered_tps)
             default:
                 // Probabilistic kinds are never scheduled; a plan
                 // carrying one is a bug in the plan builder.
-                mercury_panic("unschedulable fault kind in plan: ",
-                              fault::kindName(due->kind));
+                MERCURY_UNREACHABLE("unschedulable fault kind in plan: ",
+                                    fault::kindName(due->kind));
             }
         }
         // Poisson crashes; the last live node is never taken down.

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "kvstore/hash.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 #include "sim/random.hh"
 
 namespace mercury::cluster
@@ -27,8 +27,8 @@ sampleKey(std::uint64_t id)
 ConsistentHashRing::ConsistentHashRing(unsigned virtual_nodes)
     : virtualNodes_(virtual_nodes)
 {
-    mercury_assert(virtualNodes_ >= 1,
-                   "need at least one virtual node per node");
+    MERCURY_EXPECTS(virtualNodes_ >= 1,
+                    "need at least one virtual node per node");
 }
 
 bool
@@ -50,7 +50,7 @@ ConsistentHashRing::addNode(const std::string &name, unsigned rack)
 const std::string &
 ConsistentHashRing::nodeFor(std::string_view key) const
 {
-    mercury_assert(!ring_.empty(), "ring has no nodes");
+    MERCURY_EXPECTS(!ring_.empty(), "ring has no nodes");
     const std::uint64_t point = kvstore::hashKey(key);
     auto it = ring_.lower_bound(point);
     if (it == ring_.end())
@@ -84,7 +84,7 @@ std::vector<std::size_t>
 ConsistentHashRing::nodesFor(std::string_view key,
                              std::size_t count) const
 {
-    mercury_assert(!ring_.empty(), "ring has no nodes");
+    MERCURY_EXPECTS(!ring_.empty(), "ring has no nodes");
     std::vector<std::size_t> order;
     order.reserve(std::min(count, nodes_.size()));
     std::vector<bool> seen(nodes_.size(), false);
@@ -136,44 +136,22 @@ ConsistentHashRing::replicasFor(std::string_view key,
 const std::string &
 ConsistentHashRing::nodeName(std::size_t index) const
 {
-    mercury_assert(index < nodes_.size(), "no node at index ", index);
+    MERCURY_EXPECTS(index < nodes_.size(), "no node at index ", index);
     return nodes_[index];
 }
 
 unsigned
 ConsistentHashRing::rackOf(std::size_t index) const
 {
-    mercury_assert(index < racks_.size(), "no node at index ", index);
+    MERCURY_EXPECTS(index < racks_.size(), "no node at index ", index);
     return racks_[index];
-}
-
-std::map<std::string, double>
-ConsistentHashRing::arcShare() const
-{
-    std::map<std::string, double> share;
-    if (ring_.empty())
-        return share;
-
-    const double full = std::pow(2.0, 64.0);
-    std::uint64_t prev = std::prev(ring_.end())->first;
-    bool first = true;
-    for (const auto &[point, owner] : ring_) {
-        // Arc from the previous point (exclusive) to this point
-        // belongs to this point's owner.
-        const std::uint64_t arc =
-            first ? point + (~prev + 1) : point - prev;
-        share[nodes_[owner]] += static_cast<double>(arc) / full;
-        prev = point;
-        first = false;
-    }
-    return share;
 }
 
 LoadStats
 ConsistentHashRing::sampleLoad(std::size_t samples,
                                std::uint64_t seed) const
 {
-    mercury_assert(!nodes_.empty(), "ring has no nodes");
+    MERCURY_EXPECTS(!nodes_.empty(), "ring has no nodes");
     Rng rng(seed);
     std::map<std::string, std::size_t> counts;
     for (const auto &node : nodes_)

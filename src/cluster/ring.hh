@@ -93,9 +93,6 @@ class ConsistentHashRing
 
     unsigned virtualNodes() const { return virtualNodes_; }
 
-    /** Fraction of the ring owned by each node. */
-    std::map<std::string, double> arcShare() const;
-
     /** Distribute @p samples uniform-random keys and summarize the
      * per-node request counts. */
     LoadStats sampleLoad(std::size_t samples,

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace mercury::config
 {
@@ -20,12 +20,12 @@ ServerDesign
 DesignExplorer::solve(const physical::StackConfig &stack,
                       const PerCorePerf &perf) const
 {
-    mercury_assert(perf.tps64 > 0.0 && perf.maxBwGBs > 0.0,
-                   "per-core performance inputs required");
+    MERCURY_EXPECTS(perf.tps64 > 0.0 && perf.maxBwGBs > 0.0,
+                    "per-core performance inputs required");
 
     physical::StackModel model(stack, catalog_);
-    mercury_assert(model.fitsLogicDie(),
-                   "stack configuration exceeds the logic die");
+    MERCURY_EXPECTS(model.fitsLogicDie(),
+                    "stack configuration exceeds the logic die");
 
     ServerDesign design;
     design.stack = stack;

@@ -10,8 +10,8 @@ namespace mercury::config
 namespace
 {
 
-using MemoKey = std::tuple<int, int, int, bool, Tick, int, unsigned,
-                           unsigned, unsigned>;
+using MemoKey =
+    std::tuple<int, int, int, bool, int, unsigned, unsigned, unsigned>;
 
 /**
  * Memoization shared by all sweep points; parallel sweeps (fig7/
@@ -72,7 +72,6 @@ measurePerCorePerf(const physical::StackConfig &stack,
     const MemoKey key{static_cast<int>(stack.core.type),
                       static_cast<int>(stack.core.freqGHz * 100),
                       static_cast<int>(stack.memory), stack.withL2,
-                      options.flashReadLatency,
                       static_cast<int>(params.datapath.kind),
                       params.datapath.rxBatch,
                       params.datapath.txBatch,

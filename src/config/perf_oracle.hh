@@ -17,7 +17,7 @@ namespace mercury::config
 struct OracleOptions
 {
     static constexpr Tick dramLatency = 10 * tickNs;
-    Tick flashReadLatency = 10 * tickUs;
+    static constexpr Tick flashReadLatency = 10 * tickUs;
     /** Requests timed per measured size. */
     static constexpr unsigned samples = 12;
     /** Datapath the modeled cores run (kernel vs bypass, batching,

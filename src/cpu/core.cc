@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "sim/contract.hh"
-#include "sim/logging.hh"
 
 namespace mercury::cpu
 {
@@ -69,11 +68,11 @@ CoreModel::CoreModel(const CoreParams &params,
       stallTicksStat_(&statGroup_, "stallTicks",
                       "ticks stalled on the memory system")
 {
-    mercury_assert(caches_ != nullptr, "core needs a cache hierarchy");
-    mercury_assert(params_.freqGHz > 0.0, "core frequency must be > 0");
-    mercury_assert(params_.issueIpc > 0.0, "core IPC must be > 0");
-    mercury_assert(params_.mlpRandom >= 1 && params_.mlpSequential >= 1,
-                   "MLP must be at least 1");
+    MERCURY_EXPECTS(caches_ != nullptr, "core needs a cache hierarchy");
+    MERCURY_EXPECTS(params_.freqGHz > 0.0, "core frequency must be > 0");
+    MERCURY_EXPECTS(params_.issueIpc > 0.0, "core IPC must be > 0");
+    MERCURY_EXPECTS(params_.mlpRandom >= 1 && params_.mlpSequential >= 1,
+                    "MLP must be at least 1");
 }
 
 unsigned

@@ -3,7 +3,7 @@
 #include <new>
 
 #include "kvstore/hash.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace mercury::kvstore
 {
@@ -38,7 +38,7 @@ Store::destroyItem(Item *item)
 {
     const std::uint64_t hash = hashKey(item->key());
     Item *removed = table_.remove(item->key(), hash);
-    mercury_assert(removed == item, "hash table / LRU out of sync");
+    MERCURY_ASSERT(removed == item, "hash table / LRU out of sync");
     lrus_[item->slabClass].onRemove(item);
     slabs_.free(item->slabClass, item);
 }
@@ -182,7 +182,7 @@ Store::storeInternal(std::string_view key, std::string_view value,
 
     if (existing) {
         Item *removed = table_.remove(key, hash);
-        mercury_assert(removed == existing, "table lost the pinned item");
+        MERCURY_ASSERT(removed == existing, "table lost the pinned item");
         if (trace)
             trace->evictedItems.push_back(existing);
         slabs_.free(existing->slabClass, existing);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace mercury::mem
 {
@@ -11,18 +11,18 @@ namespace mercury::mem
 SetAssocCache::SetAssocCache(const CacheParams &params)
     : params_(params)
 {
-    mercury_assert(params_.lineBytes > 0 &&
-                   std::has_single_bit(params_.lineBytes),
-                   "cache line size must be a power of two");
-    mercury_assert(params_.assoc > 0, "cache needs associativity >= 1");
-    mercury_assert(params_.sizeBytes %
-                   (params_.lineBytes * params_.assoc) == 0,
-                   "cache size must be a whole number of sets");
+    MERCURY_EXPECTS(params_.lineBytes > 0 &&
+                    std::has_single_bit(params_.lineBytes),
+                    "cache line size must be a power of two");
+    MERCURY_EXPECTS(params_.assoc > 0, "cache needs associativity >= 1");
+    MERCURY_EXPECTS(params_.sizeBytes %
+                    (params_.lineBytes * params_.assoc) == 0,
+                    "cache size must be a whole number of sets");
 
     numSets_ = static_cast<unsigned>(
         params_.sizeBytes / (params_.lineBytes * params_.assoc));
-    mercury_assert(std::has_single_bit(numSets_),
-                   "cache set count must be a power of two");
+    MERCURY_EXPECTS(std::has_single_bit(numSets_),
+                    "cache set count must be a power of two");
     lineShift_ = static_cast<unsigned>(
         std::countr_zero(params_.lineBytes));
     setShift_ = static_cast<unsigned>(std::countr_zero(numSets_));
@@ -117,7 +117,7 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
       memAccesses_(&statGroup_, "memAccesses",
                    "demand accesses reaching memory")
 {
-    mercury_assert(memory_ != nullptr, "hierarchy needs a memory device");
+    MERCURY_EXPECTS(memory_ != nullptr, "hierarchy needs a memory device");
     if (params_.hasL2)
         l2_.emplace(params_.l2);
     if (fetchMemo_)

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "sim/contract.hh"
-#include "sim/logging.hh"
 
 namespace mercury::mem
 {
@@ -23,14 +22,14 @@ DramModel::DramModel(const DramParams &params, stats::StatGroup *parent)
       refreshStallTicks_(&statGroup_, "refreshStallTicks",
                          "ticks stalled behind refresh windows")
 {
-    mercury_assert(std::has_single_bit(params_.capacity) &&
-                   std::has_single_bit(params_.numPorts) &&
-                   std::has_single_bit(params_.banksPerPort) &&
-                   std::has_single_bit(params_.rowBytes),
-                   "DRAM capacity, ports, banks per port and row size "
-                   "must be powers of two");
-    mercury_assert(params_.capacity >= params_.numPorts,
-                   "capacity must divide evenly across ports");
+    MERCURY_EXPECTS(std::has_single_bit(params_.capacity) &&
+                    std::has_single_bit(params_.numPorts) &&
+                    std::has_single_bit(params_.banksPerPort) &&
+                    std::has_single_bit(params_.rowBytes),
+                    "DRAM capacity, ports, banks per port and row size "
+                    "must be powers of two");
+    MERCURY_EXPECTS(params_.capacity >= params_.numPorts,
+                    "capacity must divide evenly across ports");
     // One delay must clear a blackout: access() takes the time
     // modulo tREFI and waits out at most one tRFC.
     MERCURY_EXPECTS(!params_.modelRefresh ||
@@ -42,8 +41,8 @@ DramModel::DramModel(const DramParams &params, stats::StatGroup *parent)
 
     const std::uint64_t port_size = params_.capacity / params_.numPorts;
     const std::uint64_t bank_size = port_size / params_.banksPerPort;
-    mercury_assert(bank_size >= params_.rowBytes,
-                   "bank smaller than one row");
+    MERCURY_EXPECTS(bank_size >= params_.rowBytes,
+                    "bank smaller than one row");
     portShift_ = static_cast<unsigned>(std::countr_zero(port_size));
     bankShift_ = static_cast<unsigned>(std::countr_zero(bank_size));
     rowShift_ = static_cast<unsigned>(
@@ -86,7 +85,7 @@ DramModel::transferTime(unsigned size) const
 Tick
 DramModel::access(AccessType type, Addr addr, unsigned size, Tick now)
 {
-    mercury_assert(size > 0, "zero-size DRAM access");
+    MERCURY_EXPECTS(size > 0, "zero-size DRAM access");
     addr &= params_.capacity - 1;
 
     Port &port = ports_[portIndex(addr)];

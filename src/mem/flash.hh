@@ -53,7 +53,7 @@ struct FlashParams
     unsigned pagesPerBlock = 128;
 
     /** Fraction of physical pages reserved for the FTL. */
-    double overprovision = 0.07;
+    static constexpr double overprovision = 0.07;
 
     /** Array sense latency for a page read. */
     Tick readLatency = 10 * tickUs;
@@ -62,13 +62,13 @@ struct FlashParams
     Tick programLatency = 200 * tickUs;
 
     /** Block erase latency. */
-    Tick eraseLatency = 2 * tickMs;
+    static constexpr Tick eraseLatency = 2 * tickMs;
 
     /** Channel transfer bandwidth, bytes per second. */
-    double channelBandwidth = 800e6;
+    static constexpr double channelBandwidth = 800e6;
 
     /** GC starts when a channel's free blocks drop to this level. */
-    unsigned gcLowWaterBlocks = 4;
+    static constexpr unsigned gcLowWaterBlocks = 4;
 
     /** Write-coalescing buffer slots per channel (whole pages).
      * Scattered line writes gather here and are programmed
@@ -76,7 +76,7 @@ struct FlashParams
     unsigned writeBufferPages = 16;
 
     /** Wear-leveling kicks in when erase-count spread exceeds this. */
-    unsigned wearLevelThreshold = 64;
+    static constexpr unsigned wearLevelThreshold = 64;
 
     // --- Fault model (only consulted with a FaultInjector) ----------
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace mercury::mem
 {
@@ -15,12 +15,12 @@ void
 RegionRouter::addRegion(const AddressRegion &region, MemDevice *device,
                         std::uint64_t device_offset)
 {
-    mercury_assert(device != nullptr, "router region needs a device");
-    mercury_assert(region.size > 0, "router region must be non-empty");
+    MERCURY_EXPECTS(device != nullptr, "router region needs a device");
+    MERCURY_EXPECTS(region.size > 0, "router region must be non-empty");
     for (const Entry &entry : entries_) {
         const bool disjoint = region.end() <= entry.region.base ||
                               entry.region.end() <= region.base;
-        mercury_assert(disjoint, "router regions must not overlap");
+        MERCURY_EXPECTS(disjoint, "router regions must not overlap");
     }
     entries_.push_back({region, device, device_offset});
 }
@@ -36,7 +36,7 @@ RegionRouter::access(AccessType type, Addr addr, unsigned size,
                 size, now);
         }
     }
-    mercury_panic("access to unmapped address ", addr, " on ", name());
+    MERCURY_UNREACHABLE("access to unmapped address ", addr, " on ", name());
 }
 
 std::uint64_t

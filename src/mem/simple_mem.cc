@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace mercury::mem
 {
@@ -10,14 +10,14 @@ namespace mercury::mem
 SimpleMemory::SimpleMemory(const SimpleMemParams &params)
     : MemDevice(params.name), params_(params)
 {
-    mercury_assert(params_.bandwidth > 0.0,
-                   "SRAM bandwidth must be positive");
+    static_assert(SimpleMemParams::bandwidth > 0.0,
+                  "SRAM bandwidth must be positive");
 }
 
 Tick
 SimpleMemory::access(AccessType, Addr, unsigned size, Tick now)
 {
-    mercury_assert(size > 0, "zero-size SRAM access");
+    MERCURY_EXPECTS(size > 0, "zero-size SRAM access");
     const Tick start = std::max(now, busyUntil_);
     const Tick transfer = std::max<Tick>(
         1, secondsToTicks(static_cast<double>(size) /

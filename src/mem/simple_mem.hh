@@ -21,9 +21,9 @@ struct SimpleMemParams
 {
     std::string name = "sram";
     std::uint64_t capacity = 1 * miB;
-    Tick latency = 8 * tickNs;
+    static constexpr Tick latency = 8 * tickNs;
     /** Bytes per second. */
-    double bandwidth = 32e9;
+    static constexpr double bandwidth = 32e9;
 };
 
 class SimpleMemory : public MemDevice

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace mercury::net
 {
@@ -60,9 +60,9 @@ NetworkPath::NetworkPath(const NetParams &params,
       rtoTicks_(&statGroup_, "rtoTicks",
                 "ticks spent waiting out retransmission timeouts")
 {
-    mercury_assert(params_.linkBandwidth > 0.0,
-                   "link bandwidth must be positive");
-    mercury_assert(params_.mss > 0, "MSS must be positive");
+    static_assert(NetParams::linkBandwidth > 0.0,
+                  "link bandwidth must be positive");
+    static_assert(NetParams::mss > 0, "MSS must be positive");
 }
 
 Tick

@@ -33,30 +33,30 @@ struct NetParams
     std::string name = "net";
 
     /** Link rate in bytes per second (10GbE). */
-    double linkBandwidth = 10e9 / 8.0;
+    static constexpr double linkBandwidth = 10e9 / 8.0;
 
     /** TCP maximum segment size (1500 MTU - IP/TCP headers). */
-    unsigned mss = 1448;
+    static constexpr unsigned mss = 1448;
 
     /** Per-packet non-payload wire bytes: preamble+SFD (8), Ethernet
      * header (14), FCS (4), interframe gap (12), IP (20), TCP (20). */
-    unsigned perPacketOverhead = 78;
+    static constexpr unsigned perPacketOverhead = 78;
 
     /** Same for UDP datagrams (8-byte UDP header instead of TCP's
      * 20): used by deliverDatagrams on the bypass/NIC-cache path. */
-    unsigned udpPerPacketOverhead = 66;
+    static constexpr unsigned udpPerPacketOverhead = 66;
 
     /** PHY traversal latency per direction. */
-    Tick phyLatency = 500 * tickNs;
+    static constexpr Tick phyLatency = 500 * tickNs;
 
     /** MAC + buffer store-and-forward latency per packet. */
-    Tick macLatency = 200 * tickNs;
+    static constexpr Tick macLatency = 200 * tickNs;
 
     /** One-way propagation (client NIC to server PHY). */
-    Tick propagation = 1 * tickUs;
+    static constexpr Tick propagation = 1 * tickUs;
 
     /** NIC MAC packet buffer capacity. */
-    std::uint64_t macBufferBytes = 128 * kiB;
+    static constexpr std::uint64_t macBufferBytes = 128 * kiB;
 
     // --- Fault model (all zero-cost when left at defaults) ----------
 
@@ -68,7 +68,7 @@ struct NetParams
      * 200 ms; datacenter deployments tune RTOmin to ~1-10 ms to
      * survive incast (Vasudevan et al., SIGCOMM'09), and our RTTs
      * are 10-1000 us, so 1 ms is the faithful in-rack choice. */
-    Tick rtoMin = 1 * tickMs;
+    static constexpr Tick rtoMin = 1 * tickMs;
 
     /** Retransmission attempts per segment before giving up; each
      * consecutive loss doubles the RTO (exponential backoff). */

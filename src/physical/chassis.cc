@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace mercury::physical
 {
@@ -34,7 +34,7 @@ StackModel::StackModel(const StackConfig &config,
                        const ComponentCatalog &catalog)
     : config_(config), catalog_(catalog)
 {
-    mercury_assert(config_.coresPerStack >= 1, "stack needs cores");
+    MERCURY_EXPECTS(config_.coresPerStack >= 1, "stack needs cores");
 }
 
 double

@@ -1,6 +1,6 @@
 #include "physical/components.hh"
 
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace mercury::physical
 {
@@ -14,7 +14,7 @@ ComponentCatalog::corePowerW(const cpu::CoreParams &core) const
       case cpu::CoreType::CortexA15:
         return core.freqGHz > 1.25 ? a15PowerW15GHz : a15PowerW1GHz;
     }
-    mercury_panic("unknown core type");
+    MERCURY_UNREACHABLE("unknown core type");
 }
 
 double
@@ -26,7 +26,7 @@ ComponentCatalog::coreAreaMm2(const cpu::CoreParams &core) const
       case cpu::CoreType::CortexA15:
         return a15AreaMm2;
     }
-    mercury_panic("unknown core type");
+    MERCURY_UNREACHABLE("unknown core type");
 }
 
 const ComponentCatalog &

@@ -1,6 +1,6 @@
 #include "physical/thermal.hh"
 
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace mercury::physical
 {
@@ -9,7 +9,7 @@ ThermalReport
 checkThermal(unsigned stacks, double stack_components_w,
              double wall_power_w, const ThermalParams &params)
 {
-    mercury_assert(stacks > 0, "thermal check needs stacks");
+    MERCURY_EXPECTS(stacks > 0, "thermal check needs stacks");
 
     ThermalReport report;
     report.perStackW = stack_components_w / stacks;

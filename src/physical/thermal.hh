@@ -19,15 +19,15 @@ namespace mercury::physical
 struct ThermalParams
 {
     /** Chassis inlet air temperature (deg C). */
-    double inletTempC = 25.0;
+    static constexpr double inletTempC = 25.0;
     /** Maximum junction temperature for the DRAM layers (DRAM
      * retention limits the stack, not the logic die). */
-    double maxJunctionC = 85.0;
+    static constexpr double maxJunctionC = 85.0;
     /** Junction-to-ambient thermal resistance of a 21 mm BGA under
      * 1.5U forced airflow, no heatsink (deg C per W). */
-    double thetaJaCPerW = 7.0;
+    static constexpr double thetaJaCPerW = 7.0;
     /** Air temperature rise budget front-to-back of the chassis. */
-    double airRiseBudgetC = 15.0;
+    static constexpr double airRiseBudgetC = 15.0;
     /** Airflow heat-removal capacity of a 1.5U fan wall (W). */
     double chassisAirflowW = 900.0;
 };

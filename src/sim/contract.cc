@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <iostream>
 
 namespace mercury::contract
 {
@@ -63,15 +64,10 @@ fail(Kind kind, const char *cond, const char *file, int line,
        << ":" << line << " [curTick=" << lastNotedTick() << "]";
     if (!message.empty())
         os << ": " << message;
-    const std::string full = os.str();
 
-    // Route through the logger so ScopedLogCapture sees the record.
-    mercury::detail::log(LogLevel::Panic, full);
-
-    if (throwDepth.load(std::memory_order_relaxed) > 0 ||
-        mercury::detail::logThrowModeActive()) {
-        throw ContractViolation(full);
-    }
+    if (throwDepth.load(std::memory_order_relaxed) > 0)
+        throw ContractViolation(os.str());
+    std::cerr << os.str() << '\n';
     std::abort();
 }
 

@@ -17,22 +17,47 @@
  * The always-on variants must stay cheap enough for release builds:
  * O(1) or O(log n) per call, no allocation on the success path.
  *
+ * MERCURY_UNREACHABLE(...) marks a path no valid state reaches (a
+ * switch fall-through, an unmapped address); it is an invariant
+ * violation that never returns, so callers need no dummy return.
+ *
  * A violation formats "<kind> '<cond>' violated at file:line
- * [curTick=N]: message" and aborts, so a debugger or core dump can
- * inspect the broken state. Tests instead install a
- * ScopedContractThrow (or the wider ScopedLogCapture), under which a
- * violation throws ContractViolation; ContractViolation derives from
- * SimFatalError so older tests that expect SimFatalError keep
- * passing.
+ * [curTick=N]: message", writes it to stderr and aborts, so a
+ * debugger or core dump can inspect the broken state. Tests instead
+ * install a ScopedContractThrow, under which a violation throws
+ * ContractViolation carrying the same text in what() and writes
+ * nothing. contract::fail() is the simulator's only failure path.
  */
 
 #ifndef MERCURY_SIM_CONTRACT_HH
 #define MERCURY_SIM_CONTRACT_HH
 
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
-#include "sim/logging.hh"
 #include "sim/types.hh"
+
+namespace mercury::detail
+{
+
+/** Fold any streamable arguments into a single string ("" for
+ * none). */
+template <typename... Args>
+std::string
+concat(Args &&...args)
+{
+    if constexpr (sizeof...(Args) == 0) {
+        return {};
+    } else {
+        std::ostringstream os;
+        (os << ... << std::forward<Args>(args));
+        return os.str();
+    }
+}
+
+} // namespace mercury::detail
 
 namespace mercury::contract
 {
@@ -40,12 +65,12 @@ namespace mercury::contract
 /** Which contract family a violation came from. */
 enum class Kind { Invariant, Precondition, Postcondition };
 
-/** Thrown instead of aborting while a ScopedContractThrow (or
- * ScopedLogCapture) is active. */
-struct ContractViolation : public SimFatalError
+/** Thrown instead of aborting while a ScopedContractThrow is
+ * active. */
+struct ContractViolation : public std::runtime_error
 {
     explicit ContractViolation(const std::string &what)
-        : SimFatalError(what)
+        : std::runtime_error(what)
     {}
 };
 
@@ -74,7 +99,8 @@ class ScopedContractThrow
     ScopedContractThrow &operator=(const ScopedContractThrow &) = delete;
 };
 
-/** Report a violated contract and abort (or throw in test mode). */
+/** Report a violated contract: write it to stderr and abort, or
+ * throw it, without writing, in test mode. */
 [[noreturn]] void fail(Kind kind, const char *cond, const char *file,
                        int line, const std::string &message);
 
@@ -104,6 +130,12 @@ class ScopedContractThrow
 #define MERCURY_ENSURES(cond, ...)                                          \
     MERCURY_CONTRACT_CHECK_(::mercury::contract::Kind::Postcondition, cond, \
                             ##__VA_ARGS__)
+
+/** A path no valid state reaches; never returns. */
+#define MERCURY_UNREACHABLE(...)                                            \
+    ::mercury::contract::fail(::mercury::contract::Kind::Invariant,         \
+                              "unreachable", __FILE__, __LINE__,            \
+                              ::mercury::detail::concat(__VA_ARGS__))
 
 #ifdef MERCURY_EXTRA_CHECKS
 /** Expensive structural check; compiled in only with

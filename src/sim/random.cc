@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace mercury
 {
@@ -60,7 +60,7 @@ Rng::next()
 std::uint64_t
 Rng::nextInt(std::uint64_t bound)
 {
-    mercury_assert(bound > 0, "nextInt bound must be positive");
+    MERCURY_EXPECTS(bound > 0, "nextInt bound must be positive");
     // Rejection sampling to avoid modulo bias.
     const std::uint64_t threshold = (0 - bound) % bound;
     for (;;) {
@@ -73,7 +73,7 @@ Rng::nextInt(std::uint64_t bound)
 std::uint64_t
 Rng::nextRange(std::uint64_t lo, std::uint64_t hi)
 {
-    mercury_assert(lo <= hi, "nextRange requires lo <= hi");
+    MERCURY_EXPECTS(lo <= hi, "nextRange requires lo <= hi");
     return lo + nextInt(hi - lo + 1);
 }
 
@@ -93,7 +93,7 @@ Rng::nextBool(double probability)
 double
 Rng::nextExponential(double mean)
 {
-    mercury_assert(mean > 0.0, "exponential mean must be positive");
+    MERCURY_EXPECTS(mean > 0.0, "exponential mean must be positive");
     double u;
     do {
         u = nextDouble();

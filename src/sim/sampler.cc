@@ -2,8 +2,8 @@
 
 #include <cstdio>
 
+#include "sim/contract.hh"
 #include "sim/json.hh"
-#include "sim/logging.hh"
 
 namespace mercury::stats
 {
@@ -12,16 +12,16 @@ Sampler::Sampler(Tick interval, std::string label)
     : interval_(interval), label_(std::move(label)),
       histParent_("sampler")
 {
-    mercury_assert(interval_ > 0, "sampler window must be non-empty");
+    MERCURY_EXPECTS(interval_ > 0, "sampler window must be non-empty");
     line_.reserve(256);
 }
 
 std::size_t
 Sampler::addChannel(Kind kind, std::string name)
 {
-    mercury_assert(!began_,
-                   "sampler channels must be registered before "
-                   "begin(): ", name);
+    MERCURY_EXPECTS(!began_,
+                    "sampler channels must be registered before "
+                    "begin(): ", name);
     Channel channel;
     channel.kind = kind;
     channel.name = std::move(name);
@@ -39,14 +39,14 @@ std::size_t
 Sampler::addRatio(std::string name, std::size_t numerator,
                   std::size_t denominator, double when_empty)
 {
-    mercury_assert(numerator < channels_.size() &&
-                       denominator < channels_.size(),
-                   "ratio channel references unknown channels");
-    mercury_assert(channels_[numerator].kind != Kind::Ratio &&
-                       channels_[denominator].kind != Kind::Ratio &&
-                       channels_[numerator].kind != Kind::Latency &&
-                       channels_[denominator].kind != Kind::Latency,
-                   "ratio channels must reference counter channels");
+    MERCURY_EXPECTS(numerator < channels_.size() &&
+                        denominator < channels_.size(),
+                    "ratio channel references unknown channels");
+    MERCURY_EXPECTS(channels_[numerator].kind != Kind::Ratio &&
+                        channels_[denominator].kind != Kind::Ratio &&
+                        channels_[numerator].kind != Kind::Latency &&
+                        channels_[denominator].kind != Kind::Latency,
+                    "ratio channels must reference counter channels");
     const std::size_t index =
         addChannel(Kind::Ratio, std::move(name));
     channels_[index].a = numerator;
@@ -71,7 +71,7 @@ Sampler::addLatency(std::string name, unsigned precision_bits)
 void
 Sampler::begin(Tick origin)
 {
-    mercury_assert(!began_, "sampler already begun");
+    MERCURY_EXPECTS(!began_, "sampler already begun");
     began_ = true;
     origin_ = origin;
     windowStart_ = origin;
@@ -81,18 +81,18 @@ Sampler::begin(Tick origin)
 void
 Sampler::count(std::size_t channel, std::uint64_t delta)
 {
-    mercury_assert(channel < channels_.size() &&
-                       channels_[channel].kind == Kind::Count,
-                   "count() on a non-counter sampler channel");
+    MERCURY_EXPECTS(channel < channels_.size() &&
+                        channels_[channel].kind == Kind::Count,
+                    "count() on a non-counter sampler channel");
     channels_[channel].a += delta;
 }
 
 void
 Sampler::recordLatency(std::size_t channel, std::uint64_t value)
 {
-    mercury_assert(channel < channels_.size() &&
-                       channels_[channel].kind == Kind::Latency,
-                   "recordLatency() on a non-latency channel");
+    MERCURY_EXPECTS(channel < channels_.size() &&
+                        channels_[channel].kind == Kind::Latency,
+                    "recordLatency() on a non-latency channel");
     hists_[channels_[channel].a]->record(value);
 }
 
@@ -177,10 +177,10 @@ Sampler::closeWindow()
 void
 Sampler::advanceTo(Tick now)
 {
-    mercury_assert(began_, "sampler used before begin()");
-    mercury_assert(!finished_, "sampler used after finish()");
-    mercury_assert(now >= origin_,
-                   "sampler moved before its origin: ", now);
+    MERCURY_EXPECTS(began_, "sampler used before begin()");
+    MERCURY_EXPECTS(!finished_, "sampler used after finish()");
+    MERCURY_EXPECTS(now >= origin_,
+                    "sampler moved before its origin: ", now);
     while (now >= windowStart_ + interval_)
         closeWindow();
 }
@@ -190,7 +190,7 @@ Sampler::finish(Tick end)
 {
     if (finished_)
         return;
-    mercury_assert(began_, "sampler finished before begin()");
+    MERCURY_EXPECTS(began_, "sampler finished before begin()");
     advanceTo(end);
     // The trailing partial window is emitted iff simulated time
     // actually entered it, so a run ending exactly on a boundary

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/contract.hh"
 #include "sim/json.hh"
-#include "sim/logging.hh"
 
 namespace mercury::stats
 {
@@ -12,8 +12,8 @@ namespace mercury::stats
 StatBase::StatBase(StatGroup *parent, std::string name, std::string desc)
     : _name(std::move(name)), _desc(std::move(desc))
 {
-    mercury_assert(parent != nullptr,
-                   "statistic '", _name, "' needs a parent group");
+    MERCURY_EXPECTS(parent != nullptr,
+                    "statistic '", _name, "' needs a parent group");
     parent->addStat(this);
 }
 
@@ -40,10 +40,10 @@ LatencyHistogram::LatencyHistogram(StatGroup *parent, std::string name,
     : StatBase(parent, std::move(name), std::move(desc)),
       precisionBits_(precision_bits), maxValueBits_(max_value_bits)
 {
-    mercury_assert(precisionBits_ >= 1 && precisionBits_ <= 20,
-                   "latency histogram precision out of range");
-    mercury_assert(maxValueBits_ > precisionBits_ && maxValueBits_ <= 64,
-                   "latency histogram max-value bits out of range");
+    MERCURY_EXPECTS(precisionBits_ >= 1 && precisionBits_ <= 20,
+                    "latency histogram precision out of range");
+    MERCURY_EXPECTS(maxValueBits_ > precisionBits_ && maxValueBits_ <= 64,
+                    "latency histogram max-value bits out of range");
     const std::size_t half = std::size_t(1) << precisionBits_;
     const std::size_t regular =
         2 * half + (maxValueBits_ - (precisionBits_ + 1)) * half;
@@ -79,7 +79,7 @@ LatencyHistogram::record(std::uint64_t value, std::uint64_t count)
 std::uint64_t
 LatencyHistogram::percentile(double p) const
 {
-    mercury_assert(p >= 0.0 && p <= 1.0, "percentile requires p in [0,1]");
+    MERCURY_EXPECTS(p >= 0.0 && p <= 1.0, "percentile requires p in [0,1]");
     if (_count == 0)
         return 0;
     if (p <= 0.0)
@@ -106,10 +106,10 @@ LatencyHistogram::percentile(double p) const
 void
 LatencyHistogram::merge(const LatencyHistogram &other)
 {
-    mercury_assert(precisionBits_ == other.precisionBits_ &&
-                       maxValueBits_ == other.maxValueBits_,
-                   "cannot merge latency histograms of different "
-                   "geometry");
+    MERCURY_EXPECTS(precisionBits_ == other.precisionBits_ &&
+                        maxValueBits_ == other.maxValueBits_,
+                    "cannot merge latency histograms of different "
+                    "geometry");
     for (std::size_t i = 0; i < buckets_.size(); ++i)
         buckets_[i] += other.buckets_[i];
     _count += other._count;

@@ -1,7 +1,7 @@
 #include "sim/trace.hh"
 
+#include "sim/contract.hh"
 #include "sim/json.hh"
-#include "sim/logging.hh"
 
 namespace mercury::trace
 {
@@ -27,14 +27,14 @@ stageName(Stage stage)
 
 Tracer::Tracer(std::size_t capacity)
 {
-    mercury_assert(capacity > 0, "tracer needs a non-empty ring");
+    MERCURY_EXPECTS(capacity > 0, "tracer needs a non-empty ring");
     ring_.resize(capacity);
 }
 
 const Span &
 Tracer::span(std::size_t index) const
 {
-    mercury_assert(index < size(), "tracer span index out of range");
+    MERCURY_EXPECTS(index < size(), "tracer span index out of range");
     const std::size_t oldest =
         written_ < ring_.size()
             ? 0

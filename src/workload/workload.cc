@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace mercury::workload
 {
@@ -11,9 +11,9 @@ namespace mercury::workload
 ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)
     : n_(n), theta_(theta)
 {
-    mercury_assert(n_ > 0, "zipf population must be positive");
-    mercury_assert(theta_ > 0.0 && theta_ < 1.0,
-                   "zipf theta must be in (0,1)");
+    MERCURY_EXPECTS(n_ > 0, "zipf population must be positive");
+    MERCURY_EXPECTS(theta_ > 0.0 && theta_ < 1.0,
+                    "zipf theta must be in (0,1)");
     zetan_ = zeta(n_, theta_);
     zeta2Theta_ = zeta(2, theta_);
     alpha_ = 1.0 / (1.0 - theta_);
@@ -99,10 +99,10 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadParams &params)
     : params_(params), rng_(params.seed),
       zipf_(params.numKeys, params.zipfTheta)
 {
-    mercury_assert(params_.numKeys > 0, "workload needs keys");
-    mercury_assert(params_.getFraction >= 0.0 &&
-                   params_.getFraction <= 1.0,
-                   "getFraction must be a probability");
+    MERCURY_EXPECTS(params_.numKeys > 0, "workload needs keys");
+    MERCURY_EXPECTS(params_.getFraction >= 0.0 &&
+                    params_.getFraction <= 1.0,
+                    "getFraction must be a probability");
 }
 
 std::string
@@ -140,7 +140,7 @@ WorkloadGenerator::next()
 PoissonArrivals::PoissonArrivals(double rate, std::uint64_t seed)
     : rate_(rate), rng_(seed)
 {
-    mercury_assert(rate_ > 0.0, "arrival rate must be positive");
+    MERCURY_EXPECTS(rate_ > 0.0, "arrival rate must be positive");
 }
 
 Tick

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "cluster/cluster_sim.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace
 {

@@ -18,7 +18,7 @@
 
 #include "cluster/ring.hh"
 #include "kvstore/hash.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace
 {

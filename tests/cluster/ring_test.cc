@@ -74,24 +74,12 @@ TEST(ConsistentHashRing, MorePhysicalNodesShrinkArcs)
     for (int i = 0; i < 96; ++i)
         many.addNode("node" + std::to_string(i));
 
-    double few_max = 0.0, many_max = 0.0;
-    for (const auto &[node, share] : few.arcShare())
-        few_max = std::max(few_max, share);
-    for (const auto &[node, share] : many.arcShare())
-        many_max = std::max(many_max, share);
+    // The largest share of uniform-random keys any node receives.
+    const std::size_t samples = 40000;
+    const double few_max = few.sampleLoad(samples).max / samples;
+    const double many_max = many.sampleLoad(samples).max / samples;
     EXPECT_LT(many_max, few_max);
     EXPECT_LT(many_max, 0.05);
-}
-
-TEST(ConsistentHashRing, ArcSharesSumToOne)
-{
-    ConsistentHashRing ring;
-    for (int i = 0; i < 10; ++i)
-        ring.addNode("node" + std::to_string(i));
-    double total = 0.0;
-    for (const auto &[node, share] : ring.arcShare())
-        total += share;
-    EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
 } // anonymous namespace

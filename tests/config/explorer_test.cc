@@ -7,7 +7,7 @@
 
 #include "config/explorer.hh"
 #include "config/perf_oracle.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace
 {
@@ -143,10 +143,10 @@ TEST(DesignExplorer, MoreCoresMoreThroughputUntilPowerBinds)
 
 TEST(DesignExplorer, RejectsMissingPerf)
 {
-    mercury::ScopedLogCapture capture;
+    mercury::contract::ScopedContractThrow guard;
     DesignExplorer explorer;
     EXPECT_THROW(explorer.solve(a7Stack(8), PerCorePerf{}),
-                 mercury::SimFatalError);
+                 mercury::contract::ContractViolation);
 }
 
 TEST(PerfOracle, MeasuresSaneA7Numbers)

@@ -19,7 +19,6 @@
 #include "server/address_map.hh"
 #include "server/calibration.hh"
 #include "sim/contract.hh"
-#include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 

@@ -17,7 +17,6 @@
 #include "kvstore/hash_table.hh"
 #include "kvstore/slab.hh"
 #include "sim/contract.hh"
-#include "sim/logging.hh"
 
 namespace
 {

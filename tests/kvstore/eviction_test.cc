@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "kvstore/eviction.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace
 {

@@ -13,7 +13,7 @@
 
 #include "kvstore/hash.hh"
 #include "kvstore/hash_table.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace
 {

@@ -8,7 +8,6 @@
 #include <set>
 
 #include "kvstore/slab.hh"
-#include "sim/logging.hh"
 
 namespace
 {

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "kvstore/store.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 #include "sim/random.hh"
 
 namespace

@@ -7,7 +7,7 @@
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace
 {
@@ -116,10 +116,10 @@ TEST(SetAssocCache, InvalidateAndFlush)
 
 TEST(SetAssocCache, RejectsBadGeometry)
 {
-    ScopedLogCapture capture;
+    contract::ScopedContractThrow guard;
     CacheParams p = tinyCache();
     p.lineBytes = 48;  // not a power of two
-    EXPECT_THROW(SetAssocCache{p}, SimFatalError);
+    EXPECT_THROW(SetAssocCache{p}, contract::ContractViolation);
 }
 
 class HierarchyTest : public ::testing::Test

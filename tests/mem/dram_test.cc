@@ -7,7 +7,6 @@
 
 #include "mem/dram.hh"
 #include "sim/contract.hh"
-#include "sim/logging.hh"
 
 namespace
 {
@@ -153,9 +152,10 @@ TEST(DramModel, PresetCatalogMatchesTable2)
 
 TEST(DramModel, RejectsZeroSizeAccess)
 {
-    ScopedLogCapture capture;
+    contract::ScopedContractThrow guard;
     DramModel dram(stackedDramParams());
-    EXPECT_THROW(dram.access(AccessType::Read, 0, 0, 0), SimFatalError);
+    EXPECT_THROW(dram.access(AccessType::Read, 0, 0, 0),
+                 contract::ContractViolation);
 }
 
 class DramBandwidthTest : public ::testing::TestWithParam<unsigned>

@@ -9,7 +9,6 @@
 
 #include "mem/flash.hh"
 #include "sim/contract.hh"
-#include "sim/logging.hh"
 #include "sim/random.hh"
 
 namespace
@@ -470,10 +469,10 @@ TEST(FlashController, IdleReadLatencyMatchesConfig)
 
 TEST(FlashController, RejectsOversizedAccess)
 {
-    ScopedLogCapture capture;
+    contract::ScopedContractThrow guard;
     FlashController flash(smallFlash());
     EXPECT_THROW(flash.access(AccessType::Read, 0, 8192, 0),
-                 SimFatalError);
+                 contract::ContractViolation);
 }
 
 // --- Fault injection ------------------------------------------------

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "physical/thermal.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 
 namespace
 {
@@ -66,9 +66,9 @@ TEST(Thermal, DramRetentionLimitIsTheCeiling)
 
 TEST(Thermal, ZeroStacksPanics)
 {
-    mercury::ScopedLogCapture capture;
+    mercury::contract::ScopedContractThrow guard;
     EXPECT_THROW(checkThermal(0, 100.0, 100.0),
-                 mercury::SimFatalError);
+                 mercury::contract::ContractViolation);
 }
 
 } // anonymous namespace

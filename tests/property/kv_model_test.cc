@@ -21,7 +21,7 @@
 
 #include "kvstore/store.hh"
 #include "net/datapath.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 

@@ -22,7 +22,7 @@
 #include "mem/dram.hh"
 #include "mem/flash.hh"
 #include "server/server_model.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 #include "sim/random.hh"
 #include "workload/workload.hh"
 
@@ -530,20 +530,20 @@ INSTANTIATE_TEST_SUITE_P(WithAndWithoutL2, HierarchyReferenceTest,
 
 TEST(CacheGeometry, RejectsANonPowerOfTwoSetCount)
 {
-    ScopedLogCapture capture;
+    contract::ScopedContractThrow guard;
     CacheParams params;
     params.sizeBytes = 24 * kiB;  // 96 sets of 4 x 64 B
     params.assoc = 4;
-    EXPECT_THROW(SetAssocCache{params}, SimFatalError);
+    EXPECT_THROW(SetAssocCache{params}, contract::ContractViolation);
 }
 
 TEST(DramGeometry, RejectsNonPowerOfTwoGeometry)
 {
-    ScopedLogCapture capture;
+    contract::ScopedContractThrow guard;
     auto rejects = [](auto edit) {
         DramParams params = stackedDramParams();
         edit(params);
-        EXPECT_THROW(DramModel{params}, SimFatalError);
+        EXPECT_THROW(DramModel{params}, contract::ContractViolation);
     };
     rejects([](DramParams &p) { p.capacity = 3 * giB; });
     rejects([](DramParams &p) { p.numPorts = 12; });
@@ -553,7 +553,7 @@ TEST(DramGeometry, RejectsNonPowerOfTwoGeometry)
 
 TEST(DramGeometry, EveryPresetConstructs)
 {
-    ScopedLogCapture capture;
+    contract::ScopedContractThrow guard;
     for (const DramParams &params :
          {stackedDramParams(), ddr3Params(), ddr4Params(),
           lpddr3Params(), hmc1Params(), wideIoParams(),

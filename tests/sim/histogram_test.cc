@@ -13,7 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc_probe.hh"
-#include "sim/logging.hh"
+#include "sim/contract.hh"
 #include "sim/stats.hh"
 
 namespace
