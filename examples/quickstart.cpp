@@ -20,14 +20,14 @@ main()
 
     // ------------------------------------------------------------
     // 1. A real key-value store: memcached semantics, slab
-    //    allocator, LRU eviction, TTLs.
+    //    allocator, LRU eviction.
     // ------------------------------------------------------------
     kvstore::StoreParams store_params;
     store_params.memLimit = 64 * miB;
     kvstore::Store store(store_params);
 
     store.set("user:42", "{\"name\":\"ada\"}");
-    store.set("session:9", "token-xyz", 0, /* ttl seconds */ 300);
+    store.set("session:9", "token-xyz");
 
     const kvstore::GetResult hit = store.get("user:42");
     std::printf("GET user:42 -> %s\n", hit.value.c_str());

@@ -4,14 +4,11 @@
  * 1.5U Xeon-class box running Memcached 1.4, stock 1.6, or the Bags
  * build (Wiggins & Langston), plus the TSSP accelerator row.
  *
- * Per-core ceilings for the three software versions come from the
- * published numbers (0.41 MTPS on 6 cores, 0.52 MTPS on 4, 3.15
- * MTPS on 16), exactly as the paper cites them. Thread scaling
- * uses a Universal-Scalability-Law contention model whose
- * sigma reflects each version's locking design (global cache lock vs
- * striped locks + Bags), matching the qualitative analysis in
- * Sec. 3.6. Server wall power follows a base + per-core + per-GB fit
- * that reproduces the paper's three baseline rows exactly.
+ * Each software version's row takes the published deployment and
+ * throughput (0.41 MTPS on 6 cores, 0.52 MTPS on 4, 3.15 MTPS on
+ * 16) exactly as the paper cites them. Server wall power follows a
+ * base + per-core + per-GB fit that reproduces the paper's three
+ * baseline rows exactly.
  */
 
 #ifndef MERCURY_BASELINE_BASELINE_HH
@@ -23,23 +20,6 @@ namespace mercury::baseline
 {
 
 enum class MemcachedVersion { V14, V16, Bags };
-
-/** USL-style thread-scaling parameters. */
-struct ScalingParams
-{
-    /** Serialization (lock contention) coefficient. */
-    double sigma;
-    /** Coherence (cross-thread data movement) coefficient. */
-    double kappa;
-    /** Single-thread 64 B GET ceiling for this software version. */
-    double perCoreTps;
-};
-
-/** Scaling parameters per memcached version. */
-ScalingParams scalingFor(MemcachedVersion version);
-
-/** Universal Scalability Law: X(n). */
-double scaledTps(const ScalingParams &params, unsigned threads);
 
 /** Wall power of the baseline Xeon server: base + cores + DRAM.
  * Fitted to the paper's three baseline rows. */
@@ -59,14 +39,9 @@ struct BaselineServer
     double tpsPerGB() const { return tps / memoryGB; }
 };
 
-/** The published deployment for each version (cores and DRAM as the
- * paper lists them). */
+/** The published deployment for each version (cores, DRAM and
+ * throughput as the paper lists them). */
 BaselineServer memcachedBaseline(MemcachedVersion version);
-
-/** Memcached on an arbitrary core/memory configuration (used by the
- * scaling ablation). */
-BaselineServer memcachedBaseline(MemcachedVersion version,
-                                 unsigned cores, double memory_gb);
 
 /** The TSSP accelerator row (Lim et al., literature constants). */
 BaselineServer tsspReference();

@@ -59,7 +59,7 @@ TraceBuilder::streamWrite(Addr base, std::uint64_t bytes,
 CoreModel::CoreModel(const CoreParams &params,
                      mem::CacheHierarchy *caches,
                      stats::StatGroup *parent)
-    : SimObject(params.name), params_(params), caches_(caches),
+    : params_(params), caches_(caches),
       statGroup_(params.name, parent),
       instrRetired_(&statGroup_, "instructions", "instructions retired"),
       memOpsIssued_(&statGroup_, "memOps", "memory operations issued"),
@@ -227,12 +227,6 @@ CoreModel::run(const OpTrace &trace, Tick start)
     computeTicksStat_ += static_cast<double>(result.computeTicks);
     stallTicksStat_ += static_cast<double>(result.stallTicks);
     return result;
-}
-
-void
-CoreModel::reset()
-{
-    statGroup_.resetStats();
 }
 
 CoreParams

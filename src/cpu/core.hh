@@ -88,7 +88,7 @@ struct RunResult
 /**
  * A core timing model bound to its cache hierarchy.
  */
-class CoreModel : public SimObject
+class CoreModel
 {
   public:
     CoreModel(const CoreParams &params, mem::CacheHierarchy *caches,
@@ -107,8 +107,6 @@ class CoreModel : public SimObject
     const CoreParams &params() const { return params_; }
 
     mem::CacheHierarchy *caches() const { return caches_; }
-
-    void reset() override;
 
   private:
     unsigned mlpFor(Stream stream) const;

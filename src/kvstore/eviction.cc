@@ -83,16 +83,14 @@ ItemList::checkWellFormed() const
 }
 
 void
-StrictLru::onInsert(Item *item, std::uint32_t now)
+StrictLru::onInsert(Item *item)
 {
-    item->lastAccess = now;
     list_.pushFront(item);
 }
 
 void
-StrictLru::onAccess(Item *item, std::uint32_t now)
+StrictLru::onAccess(Item *item)
 {
-    item->lastAccess = now;
     list_.unlink(item);
     list_.pushFront(item);
 }

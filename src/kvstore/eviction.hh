@@ -1,17 +1,12 @@
 /**
  * @file
  * Strict move-to-front LRU (memcached 1.4), one list per slab class.
- *
- * The memcached 1.4 / 1.6 / Bags thread-scaling rows of Table 4 come
- * from the analytic contention model in src/baseline; only this
- * policy runs under the timing model.
  */
 
 #ifndef MERCURY_KVSTORE_EVICTION_HH
 #define MERCURY_KVSTORE_EVICTION_HH
 
 #include <cstddef>
-#include <cstdint>
 
 #include "kvstore/item.hh"
 
@@ -63,12 +58,12 @@ class StrictLru
 {
   public:
     /** A freshly stored item enters the hot end. */
-    void onInsert(Item *item, std::uint32_t now);
+    void onInsert(Item *item);
 
     /** The item was read: it moves to the hot end. */
-    void onAccess(Item *item, std::uint32_t now);
+    void onAccess(Item *item);
 
-    /** The item is leaving the store (overwrite/evict/expire). */
+    /** The item is leaving the store (overwrite/evict/flush). */
     void onRemove(Item *item);
 
     /** Coldest item, or nullptr if empty. Does not unlink. */

@@ -34,10 +34,10 @@ struct Item
      * flushAll() kills every item at or below the current one. */
     std::uint64_t casId = 0;
 
-    /** Absolute expiry in store-clock seconds; 0 = never expires. */
+    /** memcached's expiry and last-access time fields. The store
+     * keeps no clock, so both stay 0; they keep sizeof(Item), which
+     * picks the slab class of every item. */
     std::uint32_t expiry = 0;
-    /** Store-clock second of the last insert or access; models
-     * memcached's item time field, which no code reads here. */
     std::uint32_t lastAccess = 0;
     /** Opaque client flags stored with the value. */
     std::uint32_t clientFlags = 0;

@@ -22,15 +22,7 @@ Store::Store(const StoreParams &params)
 bool
 Store::itemDead(const Item *item) const
 {
-    if (item->casId <= flushCas_)
-        return true;
-    return item->expiry != 0 && item->expiry <= clock_;
-}
-
-std::uint32_t
-Store::expiryFor(std::uint32_t ttl) const
-{
-    return ttl == 0 ? 0 : clock_ + ttl;
+    return item->casId <= flushCas_;
 }
 
 void
@@ -55,11 +47,9 @@ Store::allocateWithEviction(unsigned cls, ProbeTrace *trace)
         if (!victim)
             return nullptr;
 
-        if (itemDead(victim)) {
-            counters_.expiredReclaimed.fetch_add(1);
-        } else {
+        // A flushed item is reclaimed, not evicted.
+        if (!itemDead(victim))
             counters_.evictions.fetch_add(1);
-        }
         if (trace)
             trace->evictedItems.push_back(victim);
         destroyItem(victim);
@@ -69,13 +59,11 @@ Store::allocateWithEviction(unsigned cls, ProbeTrace *trace)
 
 Item *
 Store::buildItem(void *chunk, unsigned cls, std::string_view key,
-                 std::string_view value, std::uint32_t flags,
-                 std::uint32_t ttl)
+                 std::string_view value, std::uint32_t flags)
 {
     Item *item = new (chunk) Item();
     item->slabClass = static_cast<std::uint8_t>(cls);
     item->clientFlags = flags;
-    item->expiry = expiryFor(ttl);
     item->casId = ++casCounter_;
     item->setKey(key);
     item->setValue(value);
@@ -116,7 +104,7 @@ Store::getTraced(std::string_view key, ProbeTrace &trace)
         return result;
     }
 
-    lrus_[item->slabClass].onAccess(item, clock_);
+    lrus_[item->slabClass].onAccess(item);
 
     trace.hit = true;
     trace.itemAddr = item;
@@ -131,8 +119,7 @@ Store::getTraced(std::string_view key, ProbeTrace &trace)
 
 StoreStatus
 Store::storeInternal(std::string_view key, std::string_view value,
-                     std::uint32_t flags, std::uint32_t ttl,
-                     ProbeTrace *trace)
+                     std::uint32_t flags, ProbeTrace *trace)
 {
     if (key.empty() || key.size() > 250)
         return StoreStatus::BadValue;
@@ -153,7 +140,6 @@ Store::storeInternal(std::string_view key, std::string_view value,
 
     Item *existing = probe.item;
     if (existing && itemDead(existing)) {
-        counters_.expiredReclaimed.fetch_add(1);
         destroyItem(existing);
         existing = nullptr;
     }
@@ -175,7 +161,7 @@ Store::storeInternal(std::string_view key, std::string_view value,
                                        trace);
     if (!chunk) {
         if (existing)
-            lrus_[existing->slabClass].onInsert(existing, clock_);
+            lrus_[existing->slabClass].onInsert(existing);
         counters_.outOfMemory.fetch_add(1);
         return StoreStatus::OutOfMemory;
     }
@@ -189,9 +175,9 @@ Store::storeInternal(std::string_view key, std::string_view value,
     }
 
     Item *item = buildItem(chunk, static_cast<unsigned>(cls), key,
-                           value, flags, ttl);
+                           value, flags);
     table_.insert(item, hash);
-    lrus_[item->slabClass].onInsert(item, clock_);
+    lrus_[item->slabClass].onInsert(item);
 
     if (trace) {
         trace->itemAddr = item;
@@ -203,9 +189,9 @@ Store::storeInternal(std::string_view key, std::string_view value,
 
 StoreStatus
 Store::set(std::string_view key, std::string_view value,
-           std::uint32_t flags, std::uint32_t ttl)
+           std::uint32_t flags)
 {
-    return storeInternal(key, value, flags, ttl, nullptr);
+    return storeInternal(key, value, flags, nullptr);
 }
 
 StoreStatus
@@ -213,19 +199,14 @@ Store::setTraced(std::string_view key, std::string_view value,
                  std::uint32_t flags, std::uint32_t ttl,
                  ProbeTrace &trace)
 {
-    return storeInternal(key, value, flags, ttl, &trace);
+    MERCURY_EXPECTS(ttl == 0, "the store keeps no clock: ttl ", ttl);
+    return storeInternal(key, value, flags, &trace);
 }
 
 void
 Store::flushAll()
 {
     flushCas_ = casCounter_;
-}
-
-void
-Store::setClock(std::uint32_t seconds)
-{
-    clock_ = seconds;
 }
 
 std::size_t
@@ -260,12 +241,6 @@ struct Store::RegisteredStats
                     [store] {
                         return double(store->counters_.evictions.load());
                     }),
-          expired(&group, "expiredReclaimed",
-                  "dead items lazily reclaimed",
-                  [store] {
-                      return double(
-                          store->counters_.expiredReclaimed.load());
-                  }),
           outOfMemory(&group, "outOfMemory",
                       "allocations that failed outright",
                       [store] {
@@ -292,7 +267,6 @@ struct Store::RegisteredStats
     stats::Formula getMisses;
     stats::Formula sets;
     stats::Formula evictions;
-    stats::Formula expired;
     stats::Formula outOfMemory;
     stats::Formula itemCount;
     stats::Formula usedBytes;

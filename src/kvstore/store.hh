@@ -4,13 +4,11 @@
  *
  * Combines the slab allocator, chained hash table and a strict LRU
  * per slab class into a store with the operations the timing model
- * issues: get, set and flush_all (a node's cold restart), with lazy
- * TTL expiry.
+ * issues: get, set and flush_all (a node's cold restart). Items never
+ * expire: the paper's evaluation sets no TTL.
  *
  * A Store is used from one host thread at a time: it takes no locks.
- * Parallel sweeps and clusters give every node its own store. The
- * memcached 1.4 / 1.6 / Bags thread-scaling rows come from the
- * analytic contention model in src/baseline, not from host locks.
+ * Parallel sweeps and clusters give every node its own store.
  *
  * The store is functional (it really stores bytes); the timing
  * simulator drives it through the *Traced variants, which report the
@@ -115,7 +113,6 @@ struct StoreCounters
     std::atomic<std::uint64_t> getMisses{0};
     std::atomic<std::uint64_t> sets{0};
     std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> expiredReclaimed{0};
     std::atomic<std::uint64_t> outOfMemory{0};
 };
 
@@ -133,7 +130,7 @@ class Store
     GetResult get(std::string_view key);
 
     StoreStatus set(std::string_view key, std::string_view value,
-                    std::uint32_t flags = 0, std::uint32_t ttl = 0);
+                    std::uint32_t flags = 0);
 
     /** Invalidate everything stored so far (lazy reclamation). */
     void flushAll();
@@ -142,16 +139,10 @@ class Store
 
     GetResult getTraced(std::string_view key, ProbeTrace &trace);
 
+    /** @p ttl must be 0: it stays only while simbench passes it. */
     StoreStatus setTraced(std::string_view key, std::string_view value,
                           std::uint32_t flags, std::uint32_t ttl,
                           ProbeTrace &trace);
-
-    // --- Clock --------------------------------------------------------
-
-    /** Advance the store clock (seconds since start). */
-    void setClock(std::uint32_t seconds);
-
-    std::uint32_t clock() const { return clock_; }
 
     // --- Introspection ------------------------------------------------
 
@@ -184,15 +175,11 @@ class Store
     void destroyItem(Item *item);
 
     Item *buildItem(void *chunk, unsigned cls, std::string_view key,
-                    std::string_view value, std::uint32_t flags,
-                    std::uint32_t ttl);
+                    std::string_view value, std::uint32_t flags);
 
     StoreStatus storeInternal(std::string_view key,
                               std::string_view value,
-                              std::uint32_t flags, std::uint32_t ttl,
-                              ProbeTrace *trace);
-
-    std::uint32_t expiryFor(std::uint32_t ttl) const;
+                              std::uint32_t flags, ProbeTrace *trace);
 
     StoreParams params_;
     SlabAllocator slabs_;
@@ -200,7 +187,6 @@ class Store
     /** One LRU per slab class. */
     std::vector<StrictLru> lrus_;
 
-    std::uint32_t clock_ = 0;
     std::uint64_t casCounter_ = 0;
     /** Items with casId <= flushCas_ are dead. */
     std::uint64_t flushCas_ = 0;

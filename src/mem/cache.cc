@@ -104,7 +104,7 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
                                MemDevice *memory,
                                stats::StatGroup *parent,
                                FetchMemo *fetch_memo)
-    : SimObject(params.name), params_(params), memory_(memory),
+    : params_(params), memory_(memory),
       l1i_(params.l1i), l1d_(params.l1d), fetchMemo_(fetch_memo),
       statGroup_(params.name, parent),
       l1iHits_(&statGroup_, "l1iHits", "L1I hits"),
@@ -285,12 +285,6 @@ CacheHierarchy::l1dMissRate() const
 {
     const double total = l1dHits_.value() + l1dMisses_.value();
     return total > 0.0 ? l1dMisses_.value() / total : 0.0;
-}
-
-void
-CacheHierarchy::reset()
-{
-    statGroup_.resetStats();
 }
 
 } // namespace mercury::mem

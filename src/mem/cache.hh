@@ -258,7 +258,7 @@ struct HierarchyParams
  * level off the critical path (the writeback occupies the memory
  * device but does not extend the triggering access).
  */
-class CacheHierarchy : public SimObject
+class CacheHierarchy
 {
   public:
     /**
@@ -321,8 +321,6 @@ class CacheHierarchy : public SimObject
     /** Code passes fetchPass replayed from the fetch memo (for
      * tests; not a statistic). */
     std::uint64_t replayedPasses() const { return replayedPasses_; }
-
-    void reset() override;
 
   private:
     /** Service a miss from the level below L1. */

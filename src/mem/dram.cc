@@ -9,7 +9,7 @@ namespace mercury::mem
 {
 
 DramModel::DramModel(const DramParams &params, stats::StatGroup *parent)
-    : MemDevice(params.name), params_(params),
+    : params_(params),
       statGroup_(params.name, parent),
       readCount_(&statGroup_, "reads", "read accesses"),
       writeCount_(&statGroup_, "writes", "write accesses"),
@@ -160,19 +160,6 @@ DramModel::rowHitRate() const
 {
     const double total = rowHits_.value() + rowMisses_.value();
     return total > 0.0 ? rowHits_.value() / total : 0.0;
-}
-
-void
-DramModel::reset()
-{
-    statGroup_.resetStats();
-    for (auto &port : ports_) {
-        port.busyUntil = 0;
-        for (auto &bank : port.banks) {
-            bank.busyUntil = 0;
-            bank.openRow = -1;
-        }
-    }
 }
 
 DramParams

@@ -108,8 +108,6 @@ class DramModel : public MemDevice
 
     double rowHitRate() const;
 
-    void reset() override;
-
   private:
     struct Bank
     {

@@ -199,7 +199,7 @@ Ftl::reclaimBlock(std::uint64_t block, FtlWriteOutcome &outcome,
     // No full checkConsistency() here: reclaim runs nested inside
     // write(), which invalidates the overwritten page's reverse
     // mapping before allocating, so the map/reverse audit only holds
-    // at the write()/trim() API boundary.
+    // at the write() API boundary.
 }
 
 void
@@ -272,7 +272,7 @@ Ftl::maybeWearLevel(FtlWriteOutcome &outcome, Tick now)
         ++outcome.movedPages;
     }
     eraseBlock(cold_block, outcome, now);
-    // Full audit deferred to the write()/trim() boundary; see
+    // Full audit deferred to the write() boundary; see
     // reclaimBlock().
 }
 
@@ -361,25 +361,6 @@ Ftl::write(std::uint64_t lpn, Tick now)
     return outcome;
 }
 
-void
-Ftl::trim(std::uint64_t lpn)
-{
-    MERCURY_EXPECTS(lpn < logicalPages_,
-                    "trim of lpn out of range: ", lpn);
-    const std::int64_t mapped = map_.get(lpn);
-    if (mapped == unmapped)
-        return;
-    const auto ppn = static_cast<std::uint64_t>(mapped);
-    MERCURY_ASSERT(validCount_[blockOf(ppn)] > 0,
-                   "trim accounting underflow on block ", blockOf(ppn));
-    reverse_.set(ppn, unmapped);
-    --validCount_[blockOf(ppn)];
-    map_.set(lpn, unmapped);
-    MERCURY_ASSERT_SLOW(auditIfDue(),
-                        "FTL accounting inconsistent after trim of "
-                        "lpn ", lpn);
-}
-
 double
 Ftl::writeAmplification() const
 {
@@ -458,7 +439,7 @@ FlashController::Channel::Channel(const FlashParams &params)
 
 FlashController::FlashController(const FlashParams &params,
                                  stats::StatGroup *parent)
-    : MemDevice(params.name), params_(params),
+    : params_(params),
       statGroup_(params.name, parent),
       lineReads_(&statGroup_, "lineReads", "line-granularity reads"),
       lineWrites_(&statGroup_, "lineWrites", "line-granularity writes"),
@@ -661,18 +642,15 @@ FlashController::setFaultInjector(fault::FaultInjector *injector)
     faults_ = injector;
     for (unsigned c = 0; c < channels_.size(); ++c) {
         channels_[c].ftl.setFaultInjection(
-            injector, params_.programFailProbability,
-            params_.eraseFailProbability,
+            injector, params_.programFailProbability, 0.0,
             params_.name + ".ch" + std::to_string(c));
     }
 }
 
 void
-FlashController::setWearRates(double program_fail_probability,
-                              double erase_fail_probability)
+FlashController::setWearRate(double program_fail_probability)
 {
     params_.programFailProbability = program_fail_probability;
-    params_.eraseFailProbability = erase_fail_probability;
     setFaultInjector(faults_);
 }
 
@@ -692,17 +670,6 @@ FlashController::capacityDegradation() const
     for (const auto &channel : channels_)
         total += channel.ftl.capacityLossFraction();
     return total / static_cast<double>(channels_.size());
-}
-
-void
-FlashController::reset()
-{
-    statGroup_.resetStats();
-    for (auto &channel : channels_) {
-        channel.busyUntil = 0;
-        channel.readRegisterLpn = -1;
-        channel.writeSlots.clear();
-    }
 }
 
 } // namespace mercury::mem

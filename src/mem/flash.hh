@@ -83,10 +83,6 @@ struct FlashParams
     /** Per-page probability a program fails: the page is burned and
      * its block marked for retirement at its next erase. */
     double programFailProbability = 0.0;
-
-    /** Per-erase probability the block grows bad and is retired into
-     * the (implicit) spare pool instead of being reused. */
-    double eraseFailProbability = 0.0;
 };
 
 /** Cost summary of one FTL host-write (for the timing layer). */
@@ -142,9 +138,6 @@ class Ftl
      * injected fault records with the simulated time. */
     FtlWriteOutcome write(std::uint64_t lpn, Tick now = 0);
 
-    /** Discard a logical page's mapping (TRIM). */
-    void trim(std::uint64_t lpn);
-
     /** Total block erases so far. */
     std::uint64_t totalErases() const { return totalErases_; }
 
@@ -169,6 +162,8 @@ class Ftl
      * Attach a fault injector (nullptr detaches) with the failure
      * probabilities to apply and a target label for the recorded
      * timeline. Failures only fire while an injector is attached.
+     * @p erase_fail_probability is the chance an erase grows the
+     * block bad; only fault_sweep's FTL section sets it.
      */
     void setFaultInjection(fault::FaultInjector *injector,
                            double program_fail_probability,
@@ -382,14 +377,14 @@ class FlashController : public MemDevice
     std::uint64_t totalErases() const;
 
     /** Attach a fault injector to every channel's FTL (nullptr
-     * detaches); the params' failure probabilities apply. */
+     * detaches); the params' program-failure probability applies and
+     * erases never fail. */
     void setFaultInjector(fault::FaultInjector *injector);
 
-    /** Retune the wear-fault probabilities at runtime (scheduled
+    /** Retune the program-failure probability at runtime (scheduled
      * wear-burst scenarios) and re-attach the last injector given to
-     * setFaultInjector with the new rates. */
-    void setWearRates(double program_fail_probability,
-                      double erase_fail_probability);
+     * setFaultInjector with the new rate. */
+    void setWearRate(double program_fail_probability);
 
     /** Blocks retired as grown-bad across all channels. */
     std::uint64_t totalRetiredBlocks() const;
@@ -398,8 +393,6 @@ class FlashController : public MemDevice
     double capacityDegradation() const;
 
     const stats::StatGroup &statGroup() const { return statGroup_; }
-
-    void reset() override;
 
   private:
     struct WriteSlot

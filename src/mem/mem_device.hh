@@ -14,7 +14,6 @@
 
 #include <cstdint>
 
-#include "sim/sim_object.hh"
 #include "sim/types.hh"
 
 namespace mercury::mem
@@ -26,10 +25,10 @@ enum class AccessType { Read, Write };
 /**
  * A timed memory device (DRAM stack, DDR DIMM, flash controller...).
  */
-class MemDevice : public SimObject
+class MemDevice
 {
   public:
-    using SimObject::SimObject;
+    virtual ~MemDevice() = default;
 
     /**
      * Perform a timed access.

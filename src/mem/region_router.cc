@@ -8,7 +8,7 @@ namespace mercury::mem
 {
 
 RegionRouter::RegionRouter(std::string name)
-    : MemDevice(std::move(name))
+    : name_(std::move(name))
 {}
 
 void
@@ -36,7 +36,7 @@ RegionRouter::access(AccessType type, Addr addr, unsigned size,
                 size, now);
         }
     }
-    MERCURY_UNREACHABLE("access to unmapped address ", addr, " on ", name());
+    MERCURY_UNREACHABLE("access to unmapped address ", addr, " on ", name_);
 }
 
 std::uint64_t

@@ -65,6 +65,7 @@ class RegionRouter : public MemDevice
         std::uint64_t deviceOffset;
     };
 
+    std::string name_;
     std::vector<Entry> entries_;
 };
 

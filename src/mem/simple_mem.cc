@@ -8,7 +8,7 @@ namespace mercury::mem
 {
 
 SimpleMemory::SimpleMemory(const SimpleMemParams &params)
-    : MemDevice(params.name), params_(params)
+    : params_(params)
 {
     static_assert(SimpleMemParams::bandwidth > 0.0,
                   "SRAM bandwidth must be positive");

@@ -43,8 +43,6 @@ class SimpleMemory : public MemDevice
 
     Tick idleReadLatency() const override { return params_.latency; }
 
-    void reset() override { busyUntil_ = 0; }
-
   private:
     SimpleMemParams params_;
     Tick busyUntil_ = 0;

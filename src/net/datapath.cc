@@ -15,7 +15,7 @@ NicGetCache::NicGetCache(const DatapathParams &params,
       fills_(&group_, "fills", "entries inserted or refreshed"),
       evictions_(&group_, "evictions", "LRU evictions"),
       invalidations_(&group_, "invalidations",
-                     "entries dropped by SET/DELETE or expiry"),
+                     "entries dropped by SET/DELETE"),
       hitRate_(&group_, "hitRate", "NIC-cache hit fraction",
                [this] {
                    const std::uint64_t total =
@@ -37,7 +37,7 @@ NicGetCache::erase(LruList::iterator it)
 }
 
 std::optional<std::string_view>
-NicGetCache::lookup(std::string_view key, std::uint64_t logical_clock)
+NicGetCache::lookup(std::string_view key)
 {
     const auto idx = index_.find(key);
     if (idx == index_.end()) {
@@ -45,21 +45,13 @@ NicGetCache::lookup(std::string_view key, std::uint64_t logical_clock)
         return std::nullopt;
     }
     LruList::iterator it = idx->second;
-    if (it->expiry != 0 && it->expiry <= logical_clock) {
-        // The store's copy is gone; serving it would be stale.
-        ++invalidations_;
-        ++misses_;
-        erase(it);
-        return std::nullopt;
-    }
     lru_.splice(lru_.begin(), lru_, it);
     ++hits_;
     return std::string_view(it->value);
 }
 
 void
-NicGetCache::fill(std::string_view key, std::string_view value,
-                  std::uint64_t expiry)
+NicGetCache::fill(std::string_view key, std::string_view value)
 {
     if (value.size() > params_.nicCacheMaxValueBytes)
         return;
@@ -68,14 +60,12 @@ NicGetCache::fill(std::string_view key, std::string_view value,
     if (idx != index_.end()) {
         LruList::iterator it = idx->second;
         it->value.assign(value);
-        it->expiry = expiry;
         lru_.splice(lru_.begin(), lru_, it);
         ++fills_;
         return;
     }
 
-    lru_.push_front(Entry{std::string(key), std::string(value),
-                          expiry});
+    lru_.push_front(Entry{std::string(key), std::string(value)});
     index_.emplace(lru_.front().key, lru_.begin());
     ++fills_;
 

@@ -16,10 +16,9 @@
  *
  *  - NicGetCache is a small NIC-resident LRU that answers hot GETs
  *    at wire latency without waking a core (LaKe, PAPERS.md). SETs
- *    and DELETEs invalidate; entries carry the item's absolute
- *    expiry time so a cached TTL item can never outlive the store's
- *    copy. The cache is a *value* cache: a hit returns exactly the
- *    bytes a store read would, which tests/property pins.
+ *    and DELETEs invalidate. The cache is a *value* cache: a hit
+ *    returns exactly the bytes a store read would, which
+ *    tests/property pins.
  *
  * Every knob defaults off; a default DatapathParams reproduces the
  * kernel path byte-for-byte.
@@ -95,7 +94,7 @@ struct DatapathParams
 
 /**
  * Deterministic NIC-resident GET cache: LRU over (key -> value)
- * with SET/DELETE invalidation and absolute-expiry awareness.
+ * with SET/DELETE invalidation.
  *
  * Determinism contract: iteration-order-sensitive state lives in a
  * std::list (recency order) indexed by an ordered std::map -- no
@@ -114,23 +113,15 @@ class NicGetCache
                          stats::StatGroup *parent = nullptr,
                          const std::string &name = "nicCache");
 
-    /**
-     * Look up @p key at @p logical_clock (same clock as the expiry
-     * passed to fill; 0 works when nothing ever has a TTL). A hit
-     * promotes the entry and returns a view of the cached value; a
-     * present-but-expired entry is dropped and counts as a miss.
-     */
-    std::optional<std::string_view>
-    lookup(std::string_view key, std::uint64_t logical_clock = 0);
+    /** Look up @p key. A hit promotes the entry and returns a view
+     * of the cached value. */
+    std::optional<std::string_view> lookup(std::string_view key);
 
     /**
      * Insert/refresh @p key after a store read returned @p value.
-     * @p expiry is the item's absolute expiry time (0 = never) on
-     * the same clock lookup uses. Values over the configured size
-     * cap are not cached.
+     * Values over the configured size cap are not cached.
      */
-    void fill(std::string_view key, std::string_view value,
-              std::uint64_t expiry = 0);
+    void fill(std::string_view key, std::string_view value);
 
     /** Drop @p key (SET/DELETE seen by the NIC). */
     void invalidate(std::string_view key);
@@ -153,7 +144,6 @@ class NicGetCache
     {
         std::string key;
         std::string value;
-        std::uint64_t expiry = 0;
     };
 
     using LruList = std::list<Entry>;

@@ -41,7 +41,7 @@ TcpSegmenter::wireBytes(std::uint64_t payload_bytes) const
 
 NetworkPath::NetworkPath(const NetParams &params,
                          stats::StatGroup *parent)
-    : SimObject(params.name), params_(params), segmenter_(params),
+    : params_(params), segmenter_(params),
       statGroup_(params.name, parent),
       messages_(&statGroup_, "messages", "messages delivered"),
       packets_(&statGroup_, "packets", "packets delivered"),
@@ -132,7 +132,7 @@ NetworkPath::deliver(std::uint64_t payload_bytes, Tick now)
                 ++result.drops;
                 ++result.retransmits;
                 faults_->record(now, fault::FaultKind::PacketLoss,
-                                name(), i);
+                                params_.name, i);
                 penalty += rto;
                 rto *= 2;
                 retrans_wire += sizes[i] + params_.perPacketOverhead;
@@ -219,13 +219,6 @@ NetworkPath::utilization(Tick elapsed) const
     // Messages whose serialization began before the observation
     // window can push the ratio past 1 at saturation; clamp.
     return std::min(1.0, wireBytes_.value() / capacity);
-}
-
-void
-NetworkPath::reset()
-{
-    statGroup_.resetStats();
-    linkBusyUntil_ = 0;
 }
 
 NetParams

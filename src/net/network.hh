@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "sim/fault.hh"
-#include "sim/sim_object.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -116,7 +115,7 @@ struct DeliveryResult
  * forward and propagation timing. The link keeps busy-until state so
  * back-to-back messages queue.
  */
-class NetworkPath : public SimObject
+class NetworkPath
 {
   public:
     explicit NetworkPath(const NetParams &params,
@@ -150,7 +149,7 @@ class NetworkPath : public SimObject
 
     const TcpSegmenter &segmenter() const { return segmenter_; }
 
-    /** Offered-load utilization of the link since the last reset. */
+    /** Offered-load utilization of the link since construction. */
     double utilization(Tick elapsed) const;
 
     /** Peak MAC buffer occupancy observed (bytes), clamped to the
@@ -197,8 +196,6 @@ class NetworkPath : public SimObject
     {
         params_.lossProbability = probability;
     }
-
-    void reset() override;
 
   private:
     Tick serializationTime(std::uint64_t bytes) const;

@@ -231,8 +231,7 @@ void
 ServerModel::setFlashWear(double program_fail_probability)
 {
     if (flash_) {
-        flash_->setWearRates(program_fail_probability,
-                             flash_->params().eraseFailProbability);
+        flash_->setWearRate(program_fail_probability);
     }
 }
 

@@ -28,15 +28,6 @@ FaultInjector::FaultInjector(std::uint64_t seed)
     : seed_(seed), rng_(seed)
 {}
 
-void
-FaultInjector::reset(std::uint64_t seed)
-{
-    seed_ = seed;
-    rng_.seed(seed);
-    scheduled_.clear();
-    timeline_.clear();
-}
-
 bool
 FaultInjector::roll(double probability)
 {
@@ -152,23 +143,6 @@ FaultInjector::timelineDigest(std::uint64_t basis) const
         fold_u64(record.detail);
     }
     return hash;
-}
-
-void
-FaultInjector::formatTimeline(std::ostream &os,
-                              std::size_t max_records) const
-{
-    const std::size_t shown =
-        std::min(max_records, timeline_.size());
-    for (std::size_t i = 0; i < shown; ++i) {
-        const FaultRecord &r = timeline_[i];
-        os << ticksToUs(r.at) << " us  " << kindName(r.kind) << "  "
-           << r.target << "  #" << r.detail << "\n";
-    }
-    if (shown < timeline_.size()) {
-        os << "... (" << timeline_.size() - shown
-           << " more faults)\n";
-    }
 }
 
 void

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,9 +96,6 @@ class FaultInjector
     explicit FaultInjector(std::uint64_t seed = 0xfa17ull);
 
     std::uint64_t seed() const { return seed_; }
-
-    /** Re-seed and clear the timeline and the schedule. */
-    void reset(std::uint64_t seed);
 
     /**
      * Seed for a subordinate injector derived from this one's seed
@@ -171,10 +167,6 @@ class FaultInjector
      * digest.
      */
     std::uint64_t timelineDigest(std::uint64_t basis) const;
-
-    /** Human-readable dump of (up to) the first max_records faults. */
-    void formatTimeline(std::ostream &os,
-                        std::size_t max_records = 50) const;
 
   private:
     std::uint64_t seed_;

@@ -14,8 +14,7 @@
  *  - compile-time: configure with -DMERCURY_TRACING=OFF and the
  *    MERCURY_TRACE_SPAN macro evaluates none of its arguments;
  *  - runtime: subsystems only record through a Tracer pointer they
- *    were explicitly handed (default nullptr), and an attached
- *    tracer can additionally be setEnabled(false).
+ *    were explicitly handed (default nullptr).
  *
  * The buffer is a fixed-capacity ring: recording never allocates
  * after construction, and when full the oldest spans are overwritten
@@ -86,9 +85,6 @@ class Tracer
     /** @param capacity spans retained (oldest overwritten beyond). */
     explicit Tracer(std::size_t capacity = 1 << 16);
 
-    bool enabled() const { return enabled_; }
-    void setEnabled(bool enabled) { enabled_ = enabled; }
-
     /** Start a new request; returns its id for subsequent spans. */
     std::uint32_t
     beginRequest()
@@ -114,13 +110,11 @@ class Tracer
     std::uint16_t contextNode() const { return node_; }
     std::uint32_t contextParent() const { return parent_; }
 
-    /** Record one stage span. No-op while disabled. */
+    /** Record one stage span. */
     void
     record(std::uint32_t request, Stage stage, Tick begin, Tick end,
            std::uint64_t arg = 0)
     {
-        if (!enabled_)
-            return;
         Span &span = ring_[written_ % ring_.size()];
         span.begin = begin;
         span.end = end;
@@ -174,7 +168,6 @@ class Tracer
     void clear();
 
   private:
-    bool enabled_ = true;
     std::uint32_t nextRequest_ = 0;
     std::uint64_t written_ = 0;
     std::uint16_t node_ = 0;

@@ -58,40 +58,11 @@ ZipfGenerator::next(Rng &rng)
     return result >= n_ ? n_ - 1 : result;
 }
 
-std::uint32_t
-ValueSizeDist::sample(Rng &rng) const
-{
-    if (kind == Kind::Fixed)
-        return fixedBytes;
-
-    // ETC-like mixture (Atikoglu et al., SIGMETRICS '12): values are
-    // dominated by very small sizes with a long tail to ~1 MB.
-    const double roll = rng.nextDouble();
-    if (roll < 0.40)
-        return static_cast<std::uint32_t>(rng.nextRange(1, 11));
-    if (roll < 0.70)
-        return static_cast<std::uint32_t>(rng.nextRange(12, 100));
-    if (roll < 0.90)
-        return static_cast<std::uint32_t>(rng.nextRange(101, 1024));
-    if (roll < 0.99)
-        return static_cast<std::uint32_t>(rng.nextRange(1025, 65536));
-    return static_cast<std::uint32_t>(rng.nextRange(65537, 1048576));
-}
-
 ValueSizeDist
 ValueSizeDist::fixed(std::uint32_t bytes)
 {
     ValueSizeDist d;
-    d.kind = Kind::Fixed;
     d.fixedBytes = bytes;
-    return d;
-}
-
-ValueSizeDist
-ValueSizeDist::etc()
-{
-    ValueSizeDist d;
-    d.kind = Kind::EtcLike;
     return d;
 }
 
@@ -114,16 +85,6 @@ WorkloadGenerator::keyFor(std::uint64_t key_id)
     return buf;
 }
 
-std::uint32_t
-WorkloadGenerator::valueSizeFor(std::uint64_t key_id)
-{
-    if (params_.valueSize.kind == ValueSizeDist::Kind::Fixed)
-        return params_.valueSize.fixedBytes;
-    // Deterministic per key: hash the id into a private stream.
-    Rng key_rng(key_id * 0x9e3779b97f4a7c15ull + 1);
-    return params_.valueSize.sample(key_rng);
-}
-
 Request
 WorkloadGenerator::next()
 {
@@ -133,7 +94,7 @@ WorkloadGenerator::next()
     request.keyId = params_.popularity == Popularity::Zipf
                         ? zipf_.next(rng_)
                         : rng_.nextInt(params_.numKeys);
-    request.valueBytes = valueSizeFor(request.keyId);
+    request.valueBytes = params_.valueSize.fixedBytes;
     return request;
 }
 

@@ -6,9 +6,8 @@
  * The paper's evaluation sweeps fixed request sizes from 64 B to 1 MB
  * with GET-heavy mixes (Sec. 5.2), citing the Facebook workload
  * characterization of Atikoglu et al. for the claim that small GETs
- * dominate. This module provides those fixed-size sweeps plus
- * realistic generators (Zipf popularity, ETC-like size mixture) for
- * the cluster and SLA experiments.
+ * dominate. This module provides those fixed-size streams, with
+ * uniform or Zipf key popularity, for every experiment.
  */
 
 #ifndef MERCURY_WORKLOAD_WORKLOAD_HH
@@ -55,26 +54,13 @@ class ZipfGenerator
 /** How keys are chosen. */
 enum class Popularity { Uniform, Zipf };
 
-/** Value-size model. */
+/** Value-size model: every value is exactly `fixedBytes` (the
+ * paper's request-size sweep). */
 struct ValueSizeDist
 {
-    enum class Kind
-    {
-        /** Every value is exactly `fixedBytes` (the paper's
-         * request-size sweep). */
-        Fixed,
-        /** ETC-like mixture: mostly tiny values with a heavy tail,
-         * after Atikoglu et al. */
-        EtcLike,
-    };
-
-    Kind kind = Kind::Fixed;
     std::uint32_t fixedBytes = 64;
 
-    std::uint32_t sample(Rng &rng) const;
-
     static ValueSizeDist fixed(std::uint32_t bytes);
-    static ValueSizeDist etc();
 };
 
 /** One generated request. */
@@ -111,10 +97,6 @@ class WorkloadGenerator
     static std::string keyFor(std::uint64_t key_id);
 
     const WorkloadParams &params() const { return params_; }
-
-    /** Value sizes are stable per key so repeated SETs of a key stay
-     * in the same slab class (as real caches tend to). */
-    std::uint32_t valueSizeFor(std::uint64_t key_id);
 
   private:
     WorkloadParams params_;

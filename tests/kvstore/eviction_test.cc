@@ -42,8 +42,8 @@ TEST_F(StrictLruTest, VictimIsOldestInserted)
     StrictLru lru;
     Item *a = makeItem("a");
     Item *b = makeItem("b");
-    lru.onInsert(a, 0);
-    lru.onInsert(b, 1);
+    lru.onInsert(a);
+    lru.onInsert(b);
     EXPECT_EQ(lru.victim(), a);
 }
 
@@ -52,9 +52,9 @@ TEST_F(StrictLruTest, AccessRescuesItem)
     StrictLru lru;
     Item *a = makeItem("a");
     Item *b = makeItem("b");
-    lru.onInsert(a, 0);
-    lru.onInsert(b, 1);
-    lru.onAccess(a, 2);
+    lru.onInsert(a);
+    lru.onInsert(b);
+    lru.onAccess(a);
     EXPECT_EQ(lru.victim(), b);
 }
 
@@ -63,8 +63,8 @@ TEST_F(StrictLruTest, RemoveDropsFromList)
     StrictLru lru;
     Item *a = makeItem("a");
     Item *b = makeItem("b");
-    lru.onInsert(a, 0);
-    lru.onInsert(b, 1);
+    lru.onInsert(a);
+    lru.onInsert(b);
     lru.onRemove(a);
     EXPECT_EQ(lru.victim(), b);
     lru.onRemove(b);
@@ -77,14 +77,14 @@ TEST_F(StrictLruTest, EveryAccessReorders)
     StrictLru lru;
     Item *a = makeItem("a");
     Item *b = makeItem("b");
-    lru.onInsert(a, 0);
-    lru.onInsert(b, 1);
+    lru.onInsert(a);
+    lru.onInsert(b);
     // Reading the coldest item always moves it to the hot end, so the
     // other one becomes the victim (the 1.4 lock problem).
     for (int i = 0; i < 10; ++i) {
         Item *cold = lru.victim();
         Item *warm = cold == a ? b : a;
-        lru.onAccess(cold, static_cast<std::uint32_t>(2 + i));
+        lru.onAccess(cold);
         EXPECT_EQ(lru.victim(), warm) << "access " << i;
     }
     EXPECT_EQ(lru.trackedItems(), 2u);
@@ -96,10 +96,10 @@ TEST_F(StrictLruTest, ExactLruOrderUnderMixedOps)
     Item *items[5];
     for (int i = 0; i < 5; ++i) {
         items[i] = makeItem(concat("k", i));
-        lru.onInsert(items[i], static_cast<std::uint32_t>(i));
+        lru.onInsert(items[i]);
     }
-    lru.onAccess(items[0], 10);
-    lru.onAccess(items[1], 11);
+    lru.onAccess(items[0]);
+    lru.onAccess(items[1]);
     // Coldest now: 2, then 3, 4, 0, 1.
     EXPECT_EQ(lru.victim(), items[2]);
     lru.onRemove(items[2]);

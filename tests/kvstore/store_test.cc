@@ -39,7 +39,7 @@ TEST(Store, GetMissOnEmptyStore)
 TEST(Store, SetThenGetRoundTrips)
 {
     Store store(smallStore());
-    EXPECT_EQ(store.set("k", "hello world", 42, 0),
+    EXPECT_EQ(store.set("k", "hello world", 42),
               StoreStatus::Stored);
     GetResult r = store.get("k");
     ASSERT_TRUE(r.hit);
@@ -76,25 +76,16 @@ TEST(Store, LargeValueRoundTrips)
     EXPECT_EQ(store.get("big").value.size(), big.size());
 }
 
-TEST(Store, TtlExpiresLazily)
+TEST(Store, SetTracedRejectsAnExpiry)
 {
+    // The store keeps no clock, so an item with a TTL could never
+    // expire: setTraced refuses one instead of storing it forever.
+    contract::ScopedContractThrow guard;
     Store store(smallStore());
-    store.setClock(100);
-    store.set("k", "v", 0, 50);
-    EXPECT_TRUE(store.get("k").hit);
-
-    store.setClock(149);
-    EXPECT_TRUE(store.get("k").hit);
-    store.setClock(150);
+    ProbeTrace trace;
+    EXPECT_THROW(store.setTraced("k", "v", 0, 1, trace),
+                 contract::ContractViolation);
     EXPECT_FALSE(store.get("k").hit);
-}
-
-TEST(Store, ZeroTtlNeverExpires)
-{
-    Store store(smallStore());
-    store.set("k", "v");
-    store.setClock(~0u / 2);
-    EXPECT_TRUE(store.get("k").hit);
 }
 
 TEST(Store, FlushAllInvalidatesEverything)

@@ -110,17 +110,6 @@ TEST(DramModel, BytesTransferredAccumulates)
     EXPECT_EQ(dram.bytesTransferred(), 128u);
 }
 
-TEST(DramModel, ResetClearsDeviceState)
-{
-    DramModel dram(stackedDramParams());
-    dram.access(AccessType::Read, 0, 64, 0);
-    dram.reset();
-    EXPECT_EQ(dram.bytesTransferred(), 0u);
-    // After reset an access at tick 0 is unqueued again.
-    const Tick done = dram.access(AccessType::Read, 0, 64, 0);
-    EXPECT_EQ(done, dram.idleReadLatency());
-}
-
 TEST(DramModel, LatencyOverrideSweepsLikeThePaper)
 {
     // Figure 5 sweeps DRAM latency from 10 to 100 ns.

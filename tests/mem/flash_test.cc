@@ -65,21 +65,6 @@ TEST(Ftl, SequentialWritesUseDistinctPhysicalPages)
     EXPECT_EQ(ppns.size(), 32u);
 }
 
-TEST(Ftl, TrimUnmaps)
-{
-    Ftl ftl = smallFtl();
-    ftl.write(3);
-    ftl.trim(3);
-    EXPECT_FALSE(ftl.isMapped(3));
-    EXPECT_TRUE(ftl.checkConsistency());
-}
-
-TEST(Ftl, TrimOfUnmappedIsHarmless)
-{
-    Ftl ftl = smallFtl();
-    EXPECT_NO_THROW(ftl.trim(9));
-}
-
 TEST(Ftl, FillingLogicalSpaceKeepsConsistency)
 {
     Ftl ftl = smallFtl();
@@ -167,18 +152,13 @@ TEST_P(FtlPropertyTest, RandomWorkloadPreservesMappingInvariant)
     Ftl ftl = smallFtl();
     Rng rng(GetParam());
 
-    // Mixed writes and trims; the map must always be consistent and
-    // the most recent write of each lpn must remain visible.
+    // Random writes and overwrites; the map must stay consistent,
+    // every written lpn mapped and every other lpn unmapped.
     std::vector<bool> live(ftl.logicalPages(), false);
     for (int i = 0; i < 20000; ++i) {
         const std::uint64_t lpn = rng.nextInt(ftl.logicalPages());
-        if (rng.nextBool(0.85)) {
-            ftl.write(lpn);
-            live[lpn] = true;
-        } else {
-            ftl.trim(lpn);
-            live[lpn] = false;
-        }
+        ftl.write(lpn);
+        live[lpn] = true;
     }
 
     ASSERT_TRUE(ftl.checkConsistency());
@@ -235,7 +215,6 @@ TEST(FtlTables, ReadsAndAuditsAllocateNothing)
             EXPECT_LT(ftl.translate(lpn), ftl.physicalPages());
         }
     }
-    ftl.trim(ftl.logicalPages() - 1);  // unmapped: a no-op
     EXPECT_TRUE(ftl.checkConsistency());
     EXPECT_EQ(mapped, 64u);
     EXPECT_EQ(ftl.tableBytes(), written);
@@ -591,7 +570,7 @@ TEST(FlashControllerFaults, RetirementSurfacesInAggregateStats)
     p.capacity = 8 * miB;
     p.pagesPerBlock = 16;
     p.writeBufferPages = 2;
-    p.eraseFailProbability = 0.3;
+    p.programFailProbability = 0.3;
     FlashController flash(p);
     fault::FaultInjector injector(9);
     flash.setFaultInjector(&injector);

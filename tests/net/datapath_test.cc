@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the kernel-bypass datapath pieces: the on-NIC GET
- * cache (deterministic LRU with invalidation and expiry) and the
+ * cache (deterministic LRU with invalidation) and the
  * batched UDP datagram delivery path.
  */
 
@@ -112,17 +112,6 @@ TEST(NicGetCache, OversizedValuesAreNotCached)
     EXPECT_EQ(cache.fills(), 0u);
     cache.fill("ok", std::string(8, 'x'));
     EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(NicGetCache, ExpiredEntryCountsAsMiss)
-{
-    NicGetCache cache(cacheParams(4));
-    cache.fill("ttl", "v", /*expiry=*/100);
-    EXPECT_TRUE(cache.lookup("ttl", 99).has_value());
-    EXPECT_FALSE(cache.lookup("ttl", 100).has_value())
-        << "an entry at its absolute expiry must be gone";
-    EXPECT_EQ(cache.size(), 0u) << "expired entries are dropped";
-    EXPECT_FALSE(cache.lookup("ttl", 0).has_value());
 }
 
 TEST(NicGetCache, ClearEmptiesEverything)

@@ -108,15 +108,6 @@ TEST(NetworkPath, UtilizationTracksOfferedLoad)
     EXPECT_LE(util, 1.0);
 }
 
-TEST(NetworkPath, ResetClearsLinkState)
-{
-    NetworkPath path(tenGbEParams());
-    path.deliver(1 * miB, 0);
-    path.reset();
-    auto r = path.deliver(64, 0);
-    EXPECT_LT(r.completion, 10 * tickUs);
-}
-
 TEST(NetworkPath, AttachedInjectorWithZeroLossIsBitIdentical)
 {
     // The zero-cost-off contract: an attached injector with zero

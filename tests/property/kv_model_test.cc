@@ -1,8 +1,8 @@
 /**
  * @file
  * Property-based tests of the key-value store against an executable
- * reference model: random operation soups (set/get/flush/expire,
- * mixed value sizes) must produce hit/miss/content outcomes identical
+ * reference model: random operation soups (set/get/flush, mixed
+ * value sizes) must produce hit/miss/content outcomes identical
  * to a std::unordered_map-based oracle, eviction under strict LRU
  * must match a textbook LRU of the empirically-measured capacity,
  * and the registry counters must satisfy their algebraic invariants
@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <list>
-#include <map>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -31,20 +30,6 @@ namespace
 using namespace mercury;
 using namespace mercury::kvstore;
 using mercury::detail::concat;
-
-/** Reference semantics of one entry. */
-struct RefItem
-{
-    std::string value;
-    std::uint32_t expiry = 0;  ///< absolute seconds; 0 = never
-};
-
-/** Expiry rule copied from Store::itemDead. */
-bool
-refDead(const RefItem &item, std::uint32_t now)
-{
-    return item.expiry != 0 && item.expiry <= now;
-}
 
 /** Algebraic invariants every counter snapshot must satisfy. */
 void
@@ -66,10 +51,8 @@ TEST(KvModelProperty, RandomSoupMatchesOracle)
         params.memLimit = 64 * miB;  // ample: no eviction pressure
         Store store(params);
 
-        std::unordered_map<std::string, RefItem> oracle;
+        std::unordered_map<std::string, std::string> oracle;
         Rng rng(seed);
-        std::uint32_t clock = 1;
-        store.setClock(clock);
 
         std::uint64_t hits = 0, misses = 0;
         for (unsigned op = 0; op < 4000; ++op) {
@@ -77,34 +60,25 @@ TEST(KvModelProperty, RandomSoupMatchesOracle)
                 concat("k", rng.nextInt(200));
             const unsigned kind = rng.nextInt(100);
 
-            if (kind < 47) {  // set, mixed sizes, sometimes with TTL
+            if (kind < 47) {  // set, mixed sizes
                 const std::uint32_t len = 1 + rng.nextInt(2048);
-                const std::uint32_t ttl =
-                    rng.nextInt(4) == 0 ? 1 + rng.nextInt(20) : 0;
                 const std::string value(len, 'a' + op % 26);
-                ASSERT_EQ(store.set(key, value, 0, ttl),
-                          StoreStatus::Stored);
-                oracle[key] = RefItem{
-                    value, ttl == 0 ? 0 : clock + ttl};
-            } else if (kind < 94) {  // get
+                ASSERT_EQ(store.set(key, value), StoreStatus::Stored);
+                oracle[key] = value;
+            } else if (kind < 99) {  // get
                 const GetResult got = store.get(key);
                 const auto it = oracle.find(key);
-                const bool oracle_hit =
-                    it != oracle.end() && !refDead(it->second, clock);
-                ASSERT_EQ(got.hit, oracle_hit)
+                ASSERT_EQ(got.hit, it != oracle.end())
                     << "op " << op << " key " << key;
                 if (got.hit) {
-                    ASSERT_EQ(got.value, it->second.value);
+                    ASSERT_EQ(got.value, it->second);
                     ++hits;
                 } else {
                     ++misses;
                 }
-            } else if (kind < 95) {  // flush_all: a node's cold restart
+            } else {  // flush_all: a node's cold restart
                 store.flushAll();
                 oracle.clear();  // every key is dead
-            } else {  // let time pass: expiry becomes observable
-                clock += 1 + rng.nextInt(5);
-                store.setClock(clock);
             }
 
             if (op % 512 == 0)
@@ -260,11 +234,10 @@ TEST(KvModelProperty, StrictLruEvictionMatchesReferenceLru)
 /**
  * The NIC cache is a *value* cache in front of the store, wired the
  * way ServerModel wires it: GETs look up the cache first and fill on
- * a store hit, SETs invalidate. Under a random SET/GET soup with
- * TTLs, every cache hit must return exactly
- * the bytes a store read would have returned at that instant --
- * stale hits (missed invalidation, outlived TTL) are the bug class
- * this pins down.
+ * a store hit, SETs invalidate. Under a random SET/GET soup, every
+ * cache hit must return exactly the bytes a store read would have
+ * returned at that instant -- stale hits (a missed invalidation) are
+ * the bug class this pins down.
  */
 TEST(KvModelProperty, NicCacheHitsMatchTheStoreExactly)
 {
@@ -282,13 +255,6 @@ TEST(KvModelProperty, NicCacheHitsMatchTheStoreExactly)
         net::NicGetCache cache(dp);
 
         Rng rng(seed);
-        std::uint32_t clock = 1;
-        store.setClock(clock);
-
-        // Absolute expiry per key, tracked the way the protocol
-        // layer would learn it from the SET (0 = never). Mirrors
-        // Store::expiryFor: ttl ? clock + ttl : 0.
-        std::map<std::string, std::uint64_t> expiry_of;
 
         std::uint64_t nic_hits = 0;
         for (unsigned op = 0; op < 6000; ++op) {
@@ -296,17 +262,13 @@ TEST(KvModelProperty, NicCacheHitsMatchTheStoreExactly)
                 concat("k", rng.nextInt(200));
             const unsigned kind = rng.nextInt(100);
 
-            if (kind < 35) {  // SET (sometimes TTL'd, mixed sizes)
+            if (kind < 35) {  // SET, mixed sizes
                 const std::uint32_t len = 1 + rng.nextInt(2000);
-                const std::uint32_t ttl =
-                    rng.nextInt(4) == 0 ? 1 + rng.nextInt(20) : 0;
-                ASSERT_EQ(store.set(key, std::string(len, 'a' + op % 26),
-                                    0, ttl),
+                ASSERT_EQ(store.set(key, std::string(len, 'a' + op % 26)),
                           StoreStatus::Stored);
-                expiry_of[key] = ttl == 0 ? 0 : clock + ttl;
                 cache.invalidate(key);
-            } else if (kind < 92) {  // GET through the NIC frontend
-                const auto cached = cache.lookup(key, clock);
+            } else {  // GET through the NIC frontend
+                const auto cached = cache.lookup(key);
                 const GetResult direct = store.get(key);
                 if (cached.has_value()) {
                     ++nic_hits;
@@ -317,13 +279,10 @@ TEST(KvModelProperty, NicCacheHitsMatchTheStoreExactly)
                         << "op " << op << ": stale NIC-cache bytes";
                 } else if (direct.hit) {
                     // Miss path: the core answered; the NIC caches
-                    // the response with the item's absolute expiry
-                    // (values over the size cap stay uncached).
-                    cache.fill(key, direct.value, expiry_of[key]);
+                    // the response (values over the size cap stay
+                    // uncached).
+                    cache.fill(key, direct.value);
                 }
-            } else {  // time passes; TTL expiry becomes observable
-                clock += 1 + rng.nextInt(4);
-                store.setClock(clock);
             }
         }
         EXPECT_GT(nic_hits, 100u)

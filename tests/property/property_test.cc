@@ -347,8 +347,6 @@ struct DeviceCall
 class RecordingDevice : public MemDevice
 {
   public:
-    RecordingDevice() : MemDevice("recorder") {}
-
     Tick
     access(AccessType type, Addr addr, unsigned size, Tick now) override
     {

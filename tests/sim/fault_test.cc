@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "sim/fault.hh"
@@ -118,29 +117,6 @@ TEST(FaultInjector, TimelineDigestMatchesForEqualHistories)
     FaultInjector d(3);
     d.record(100, FaultKind::MacBufferDrop, "net0", 4);
     EXPECT_NE(a.timelineDigest(), d.timelineDigest());
-}
-
-TEST(FaultInjector, ResetClearsHistoryAndRestartsStream)
-{
-    FaultInjector injector(11);
-    const bool first = injector.roll(0.5);
-    injector.record(1, FaultKind::NodeCrash, "n");
-    injector.schedule(5, FaultKind::NodeRestart, "n");
-
-    injector.reset(11);
-    EXPECT_EQ(injector.faultCount(), 0u);
-    EXPECT_EQ(injector.pendingScheduled(), 0u);
-    EXPECT_EQ(injector.roll(0.5), first);
-}
-
-TEST(FaultInjector, FormatTimelineIsReadable)
-{
-    FaultInjector injector(1);
-    injector.record(2 * tickMs, FaultKind::NodeCrash, "node3");
-    std::ostringstream os;
-    injector.formatTimeline(os);
-    EXPECT_NE(os.str().find("node-crash"), std::string::npos);
-    EXPECT_NE(os.str().find("node3"), std::string::npos);
 }
 
 TEST(FaultInjector, KindNamesAreStable)

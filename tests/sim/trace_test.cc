@@ -61,19 +61,6 @@ TEST(Tracer, RingWrapKeepsNewestSpans)
     EXPECT_EQ(tracer.span(3).request, 9u);
 }
 
-TEST(Tracer, DisabledRecordsNothing)
-{
-    Tracer tracer(8);
-    tracer.setEnabled(false);
-    tracer.record(0, Stage::NicIn, 0, 10);
-    EXPECT_EQ(tracer.size(), 0u);
-    EXPECT_EQ(tracer.recordedSpans(), 0u);
-
-    tracer.setEnabled(true);
-    tracer.record(0, Stage::NicIn, 0, 10);
-    EXPECT_EQ(tracer.size(), 1u);
-}
-
 TEST(Tracer, TraceSpanMacroToleratesNullTracer)
 {
     Tracer *tracer = nullptr;

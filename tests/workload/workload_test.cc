@@ -66,28 +66,12 @@ TEST(ZipfGenerator, LowerThetaIsFlatter)
 
 TEST(ValueSizeDist, FixedIsFixed)
 {
-    Rng rng(5);
-    auto dist = ValueSizeDist::fixed(1024);
+    WorkloadParams p;
+    p.valueSize = ValueSizeDist::fixed(1024);
+    p.seed = 5;
+    WorkloadGenerator gen(p);
     for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(dist.sample(rng), 1024u);
-}
-
-TEST(ValueSizeDist, EtcSkewsSmall)
-{
-    Rng rng(6);
-    auto dist = ValueSizeDist::etc();
-    int small = 0, total = 20000;
-    std::uint32_t max_seen = 0;
-    for (int i = 0; i < total; ++i) {
-        const std::uint32_t size = dist.sample(rng);
-        EXPECT_GE(size, 1u);
-        EXPECT_LE(size, 1048576u);
-        if (size <= 100)
-            ++small;
-        max_seen = std::max(max_seen, size);
-    }
-    EXPECT_GT(small, total / 2) << "most ETC values are tiny";
-    EXPECT_GT(max_seen, 65536u) << "the tail must reach large sizes";
+        EXPECT_EQ(gen.next().valueBytes, 1024u);
 }
 
 TEST(WorkloadGenerator, DeterministicForSeed)
@@ -136,15 +120,6 @@ TEST(WorkloadGenerator, KeyStringsAreCanonical)
               "key:00000000deadbeef");
     EXPECT_NE(WorkloadGenerator::keyFor(1),
               WorkloadGenerator::keyFor(2));
-}
-
-TEST(WorkloadGenerator, ValueSizeStablePerKey)
-{
-    WorkloadParams p;
-    p.valueSize = ValueSizeDist::etc();
-    WorkloadGenerator gen(p);
-    for (std::uint64_t key = 0; key < 100; ++key)
-        EXPECT_EQ(gen.valueSizeFor(key), gen.valueSizeFor(key));
 }
 
 TEST(PoissonArrivals, MeanRateMatches)
