@@ -9,6 +9,9 @@
  * resets the per-stage "window" histograms at the warmup boundary, so
  * afterwards each histogram holds exactly the sampled requests and
  * its mean is the figure's per-stage average.
+ *
+ * --stats-json publishes every printed share as
+ * results.<get|put>.<size>.<memcached|kernel|wire|hash>_share.
  */
 
 #include <cstdio>
@@ -50,7 +53,8 @@ windowBreakdown(const ServerModel &server)
 }
 
 void
-sweep(mercury::bench::Session &session, bool puts)
+sweep(mercury::bench::Session &session, bool puts,
+      bench::ResultsFragment &published)
 {
     ServerModelParams params;
     params.core = cpu::cortexA15Params(1.0);
@@ -75,12 +79,18 @@ sweep(mercury::bench::Session &session, bool puts)
         else
             server.measureGets(size);
         const RttBreakdown b = windowBreakdown(server);
+        const std::string label = bench::sizeLabel(size);
         std::printf("%-8s %11.1f%% %11.1f%% %11.1f%% %11.1f%%\n",
-                    bench::sizeLabel(size).c_str(),
-                    b.memcachedFraction() * 100,
+                    label.c_str(), b.memcachedFraction() * 100,
                     b.netstackFraction() * 100,
                     b.wireFraction() * 100,
                     b.hashFraction() * 100);
+        const std::string row =
+            std::string(puts ? "put." : "get.") + label;
+        published.add(row + ".memcached_share", b.memcachedFraction());
+        published.add(row + ".kernel_share", b.netstackFraction());
+        published.add(row + ".wire_share", b.wireFraction());
+        published.add(row + ".hash_share", b.hashFraction());
     }
     std::printf("\n");
     session.capture();  // the model (and its stat tree) dies here
@@ -92,14 +102,16 @@ int
 main(int argc, char **argv)
 {
     mercury::bench::Session session(argc, argv, "fig4");
+    mercury::bench::ResultsFragment published;
 
     mercury::bench::banner(
         "Figure 4a: components of GET execution time "
         "(A15 @1GHz, 2MB L2, 10ns DRAM)");
-    sweep(session, false);
+    sweep(session, false, published);
 
     mercury::bench::banner(
         "Figure 4b: components of PUT execution time");
-    sweep(session, true);
+    sweep(session, true, published);
+    session.appendStatsFragment(published.text());
     return 0;
 }
