@@ -152,7 +152,7 @@ HashTable::checkIntegrity() const
     // Count linked items, bounding each chain walk so a cycle cannot
     // hang the audit.
     std::size_t linked = 0;
-    auto walk = [this, &linked](const std::vector<Item *> &table) {
+    auto walk = [this, &linked](const Buckets &table) {
         for (const auto &head : table) {
             std::size_t chain = 0;
             for (Item *it = head; it; it = it->hNext) {

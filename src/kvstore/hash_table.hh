@@ -15,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "kvstore/block_pool.hh"
 #include "kvstore/item.hh"
 
 namespace mercury::kvstore
@@ -110,8 +111,11 @@ class HashTable
 
     static constexpr double expandLoadFactor = 1.5;
 
-    std::vector<Item *> primary_;
-    std::vector<Item *> old_;
+    /** A bucket array; large ones come from the block pool. */
+    using Buckets = std::vector<Item *, PoolAllocator<Item *>>;
+
+    Buckets primary_;
+    Buckets old_;
     bool expanding_ = false;
     /** Next old-table bucket to migrate. */
     std::size_t migrateBucket_ = 0;

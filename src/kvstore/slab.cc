@@ -67,7 +67,9 @@ SlabAllocator::growClass(unsigned cls)
     // header, key and value before anything reads them, and nothing
     // reads the slack past the value. Zero-filling would only make
     // the host touch pages the model has not used yet.
-    auto page = std::make_unique_for_overwrite<char[]>(params_.pageSize);
+    std::unique_ptr<char[], PoolDeleter> page(
+        static_cast<char *>(takeBlock(params_.pageSize)),
+        PoolDeleter{params_.pageSize});
     char *base = page.get();
     const auto page_index = static_cast<std::uint32_t>(pages_.size());
     pages_.push_back(std::move(page));
@@ -80,12 +82,14 @@ SlabAllocator::growClass(unsigned cls)
         });
     pageBases_.insert(pos, {base, page_index});
 
+    // The page's chunks are carved as they are handed out, not
+    // listed here: a page holding a few items costs no list of every
+    // chunk it could hold.
     SlabClass &slab_class = classes_[cls];
     const std::uint32_t chunks = params_.pageSize /
                                  slab_class.chunkSize;
-    for (std::uint32_t i = 0; i < chunks; ++i)
-        slab_class.freeChunks.push_back(base + i *
-                                        slab_class.chunkSize);
+    slab_class.freshPage = base;
+    slab_class.freshChunks = chunks;
     slab_class.totalChunks += chunks;
     ++slab_class.pages;
     allocatedBytes_ += params_.pageSize;
@@ -101,11 +105,17 @@ SlabAllocator::allocate(unsigned cls)
 {
     MERCURY_EXPECTS(cls < classes_.size(), "bad slab class ", cls);
     SlabClass &slab_class = classes_[cls];
-    if (slab_class.freeChunks.empty() && !growClass(cls))
+    void *chunk;
+    if (!slab_class.freeChunks.empty()) {
+        chunk = slab_class.freeChunks.back();
+        slab_class.freeChunks.pop_back();
+    } else if (slab_class.freshChunks > 0 || growClass(cls)) {
+        chunk = slab_class.freshPage +
+                std::size_t{--slab_class.freshChunks} *
+                    slab_class.chunkSize;
+    } else {
         return nullptr;
-
-    void *chunk = slab_class.freeChunks.back();
-    slab_class.freeChunks.pop_back();
+    }
     usedBytes_ += slab_class.chunkSize;
     MERCURY_ENSURES(usedBytes_ <= allocatedBytes_,
                     "more chunk bytes in use than pages assigned");
@@ -126,6 +136,16 @@ SlabAllocator::chunkClassMatches(unsigned cls, const void *chunk) const
     return pageOffsetOf(chunk) % classes_[cls].chunkSize == 0;
 }
 
+bool
+SlabAllocator::isFresh(const SlabClass &slab_class, const void *chunk)
+{
+    const char *p = static_cast<const char *>(chunk);
+    return p >= slab_class.freshPage &&
+           p < slab_class.freshPage +
+                   std::size_t{slab_class.freshChunks} *
+                       slab_class.chunkSize;
+}
+
 void
 SlabAllocator::free(unsigned cls, void *chunk)
 {
@@ -140,7 +160,8 @@ SlabAllocator::free(unsigned cls, void *chunk)
                     " (double free?)");
     MERCURY_ASSERT_SLOW(std::find(slab_class.freeChunks.begin(),
                                   slab_class.freeChunks.end(),
-                                  chunk) == slab_class.freeChunks.end(),
+                                  chunk) == slab_class.freeChunks.end() &&
+                            !isFresh(slab_class, chunk),
                         "double free of slab chunk in class ", cls);
     slab_class.freeChunks.push_back(chunk);
     MERCURY_ASSERT(usedBytes_ >= slab_class.chunkSize,
@@ -153,10 +174,12 @@ SlabAllocator::usedChunks(unsigned cls) const
 {
     MERCURY_EXPECTS(cls < classes_.size(), "bad slab class ", cls);
     const SlabClass &slab_class = classes_[cls];
-    MERCURY_ASSERT(slab_class.freeChunks.size() <=
-                   slab_class.totalChunks,
+    MERCURY_ASSERT(slab_class.freeChunks.size() +
+                           slab_class.freshChunks <=
+                       slab_class.totalChunks,
                    "class ", cls, " free list larger than the class");
-    return slab_class.totalChunks - slab_class.freeChunks.size();
+    return slab_class.totalChunks - slab_class.freeChunks.size() -
+           slab_class.freshChunks;
 }
 
 bool
@@ -187,14 +210,21 @@ SlabAllocator::checkConsistency() const
             chunks_per_page * slab_class.pages) {
             return false;
         }
-        if (slab_class.freeChunks.size() > slab_class.totalChunks)
+        const std::uint64_t idle =
+            slab_class.freeChunks.size() + slab_class.freshChunks;
+        if (idle > slab_class.totalChunks)
             return false;
         for (const void *chunk : slab_class.freeChunks) {
-            if (!chunkClassMatches(static_cast<unsigned>(cls), chunk))
+            if (!chunkClassMatches(static_cast<unsigned>(cls), chunk) ||
+                isFresh(slab_class, chunk))
                 return false;
         }
-        used_bytes += (slab_class.totalChunks -
-                       slab_class.freeChunks.size()) *
+        if (slab_class.freshChunks > 0 &&
+            (slab_class.freshChunks > chunks_per_page ||
+             !chunkClassMatches(static_cast<unsigned>(cls),
+                                slab_class.freshPage)))
+            return false;
+        used_bytes += (slab_class.totalChunks - idle) *
                       slab_class.chunkSize;
     }
     return used_bytes == usedBytes_;

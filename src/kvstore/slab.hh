@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "kvstore/block_pool.hh"
 #include "sim/types.hh"
 
 namespace mercury::kvstore
@@ -109,7 +110,13 @@ class SlabAllocator
     struct SlabClass
     {
         std::uint32_t chunkSize;
+        /** Chunks handed back, the next to go at the back. */
         std::vector<void *> freeChunks;
+        /** The newest page's chunks never handed out are its first
+         * freshChunks, at freshPage; they go highest first, once
+         * freeChunks is empty. */
+        char *freshPage = nullptr;
+        std::uint32_t freshChunks = 0;
         std::uint64_t totalChunks = 0;
         unsigned pages = 0;
     };
@@ -121,10 +128,14 @@ class SlabAllocator
      * class @p cls. */
     bool chunkClassMatches(unsigned cls, const void *chunk) const;
 
+    /** True if @p chunk is one of @p slab_class's chunks never
+     * handed out. */
+    static bool isFresh(const SlabClass &slab_class, const void *chunk);
+
     SlabParams params_;
     std::vector<SlabClass> classes_;
     /** Owning storage for pages, in allocation order. */
-    std::vector<std::unique_ptr<char[]>> pages_;
+    std::vector<std::unique_ptr<char[], PoolDeleter>> pages_;
     /** (base address, page index) sorted by base, for pageIndexOf. */
     std::vector<std::pair<const char *, std::uint32_t>> pageBases_;
     /** Owning class of each page, indexed like pages_. */

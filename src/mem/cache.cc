@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <typeinfo>
 
+#include "mem/dram.hh"
 #include "sim/contract.hh"
 
 namespace mercury::mem
@@ -122,6 +124,14 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
         l2_.emplace(params_.l2);
     if (fetchMemo_)
         fetchMemo_->attach(l1i_);
+    // Exact type: a subclass (a sampling wrapper, a test double) may
+    // time its calls differently, so it keeps the per-call replay.
+    if (!params_.hasL2 && params_.l1d.lineBytes == 64 &&
+        typeid(*memory_) == typeid(DramModel)) {
+        auto *dram = static_cast<DramModel *>(memory_);
+        if (dram->fixedLatencyReads())
+            serialDram_ = dram;
+    }
 }
 
 namespace
@@ -136,6 +146,18 @@ lineTicks(std::uint64_t first, std::uint64_t end, std::uint64_t extra,
     const std::uint64_t longer =
         std::min(extra, end) - std::min(extra, first);
     return longer * extra_ticks + (end - first - longer) * per_line_ticks;
+}
+
+/** Index of the last set bit of the @p lines-bit mask @p mask,
+ * which has one. */
+std::uint64_t
+lastMiss(const std::uint64_t *mask, std::uint64_t lines)
+{
+    std::uint64_t word = (lines - 1) / 64;
+    while (mask[word] == 0)
+        --word;
+    return word * 64 + 63 -
+           static_cast<unsigned>(std::countl_zero(mask[word]));
 }
 
 } // anonymous namespace
@@ -168,20 +190,47 @@ CacheHierarchy::replayPass(const FetchMemo::Transition &pass, Tick cursor,
     const Tick hit_latency = params_.l1i.hitLatency;
     const Tick hit_step = issue + hit_latency;
     const std::uint64_t *mask = fetchMemo_->missMask(pass);
+    const Addr last_line = pass.addr + (pass.lines - 1) * pass.stride;
+    DramModel *const dram =
+        serialDram_ && serialDram_->oneBank(pass.addr, last_line)
+            ? serialDram_
+            : nullptr;
     std::uint64_t next = 0;
+    std::uint64_t fetched = 0;
     for (std::uint64_t word = 0; word * 64 < pass.lines; ++word) {
         for (std::uint64_t bits = mask[word]; bits; bits &= bits - 1) {
             const std::uint64_t miss =
                 word * 64 + static_cast<unsigned>(std::countr_zero(bits));
-            cursor += (miss - next) * hit_step +
-                      lineTicks(next, miss, extra, per_line_ticks,
-                                extra_ticks) +
-                      issue;
-            cursor = fetchBelow(pass.addr + miss * pass.stride,
-                                cursor + hit_latency);
-            cursor += lineTicks(miss, miss + 1, extra, per_line_ticks,
-                                extra_ticks);
+            const Addr line_addr = pass.addr + miss * pass.stride;
+            const Tick at = cursor + (miss - next + 1) * hit_step +
+                            lineTicks(next, miss, extra, per_line_ticks,
+                                      extra_ticks);
+            if (dram && dram->idleFor(line_addr, at)) {
+                // This miss costs lineReadLatency() and completes
+                // before the next one issues, so every later miss
+                // also finds the bank and port idle and costs the
+                // same. The rest of the pass closes in one step; the
+                // bank and port keep the last miss's completion.
+                const std::uint64_t rest = pass.misses - fetched;
+                const Tick miss_ticks = rest * dram->lineReadLatency();
+                const std::uint64_t last = lastMiss(mask, pass.lines);
+                dram->noteSerialLineReads(
+                    line_addr, rest,
+                    cursor + (last - next + 1) * hit_step +
+                        lineTicks(next, last, extra, per_line_ticks,
+                                  extra_ticks) +
+                        miss_ticks);
+                ++closedReplays_;
+                return cursor + (pass.lines - next) * hit_step +
+                       lineTicks(next, pass.lines, extra, per_line_ticks,
+                                 extra_ticks) +
+                       miss_ticks;
+            }
+            cursor = fetchBelow(line_addr, at) +
+                     lineTicks(miss, miss + 1, extra, per_line_ticks,
+                               extra_ticks);
             next = miss + 1;
+            ++fetched;
         }
     }
     return cursor + (pass.lines - next) * hit_step +

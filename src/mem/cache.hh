@@ -26,6 +26,8 @@
 namespace mercury::mem
 {
 
+class DramModel;
+
 /** Static configuration of one cache level. */
 struct CacheParams
 {
@@ -322,6 +324,10 @@ class CacheHierarchy
      * tests; not a statistic). */
     std::uint64_t replayedPasses() const { return replayedPasses_; }
 
+    /** Replayed passes whose remaining misses were timed in one step
+     * (for tests; not a statistic). */
+    std::uint64_t closedReplays() const { return closedReplays_; }
+
   private:
     /** Service a miss from the level below L1. */
     AccessResult fillFromBelow(Addr line_addr, bool store, Tick now);
@@ -330,8 +336,13 @@ class CacheHierarchy
      * its completion. */
     Tick fetchBelow(Addr line_addr, Tick now);
 
-    /** Replay @p pass, which the memo recorded from the L1I's
-     * current state, from @p cursor; returns the cursor after it. */
+    /**
+     * Replay @p pass, which the memo recorded from the L1I's current
+     * state, from @p cursor; returns the cursor after it. On a
+     * serialDram_ whose bank holds the whole pass, the misses from
+     * the first that finds the bank and port idle on are closed in
+     * one step.
+     */
     Tick replayPass(const FetchMemo::Transition &pass, Tick cursor,
                     Tick issue, std::uint64_t extra, Tick per_line_ticks,
                     Tick extra_ticks);
@@ -342,6 +353,12 @@ class CacheHierarchy
 
     HierarchyParams params_;
     MemDevice *memory_;
+    /**
+     * memory_, when it is exactly a DramModel (no subclass may
+     * override access) with fixedLatencyReads(), 64-byte lines and no
+     * L2 in front of it; else nullptr.
+     */
+    DramModel *serialDram_ = nullptr;
 
     SetAssocCache l1i_;
     SetAssocCache l1d_;
@@ -354,6 +371,7 @@ class CacheHierarchy
     /** True when memoState_ is ahead of the L1I arrays. */
     bool l1iStale_ = false;
     std::uint64_t replayedPasses_ = 0;
+    std::uint64_t closedReplays_ = 0;
 
     stats::StatGroup statGroup_;
     stats::Scalar l1iHits_;

@@ -136,10 +136,21 @@ DramModel::access(AccessType type, Addr addr, unsigned size, Tick now)
     return done;
 }
 
-Tick
-DramModel::idleReadLatency() const
+void
+DramModel::noteSerialLineReads(Addr addr, std::uint64_t n, Tick done)
 {
-    return params_.arrayLatency + lineTransfer_;
+    MERCURY_ASSERT(fixedLatencyReads(),
+                   "serial reads noted on a DRAM with variable latency");
+    addr &= params_.capacity - 1;
+    Port &port = ports_[portIndex(addr)];
+    Bank &bank = port.banks[bankIndex(addr)];
+    bank.busyUntil = done;
+    bank.openRow = -1;
+    port.busyUntil = done;
+    readCount_ += static_cast<double>(n);
+    rowMisses_ += static_cast<double>(n);
+    bytesRead_ += static_cast<double>(n * 64);
+    portQueueTicks_ += static_cast<double>(n * params_.arrayLatency);
 }
 
 double

@@ -93,9 +93,57 @@ class DramModel : public MemDevice
         return params_.capacity;
     }
 
-    Tick idleReadLatency() const override;
-
     const DramParams &params() const { return params_; }
+
+    /** Latency of a 64-byte read that waits for neither its bank nor
+     * its port. */
+    Tick lineReadLatency() const
+    {
+        return params_.arrayLatency + lineTransfer_;
+    }
+
+    /**
+     * True when every read pays the full array latency and nothing
+     * but earlier accesses delays it: closed page, refresh off. Then
+     * a 64-byte read issued when its bank and port are free costs
+     * exactly lineReadLatency().
+     */
+    bool
+    fixedLatencyReads() const
+    {
+        return params_.pagePolicy == PagePolicy::Closed &&
+               !params_.modelRefresh;
+    }
+
+    /** True when every address in [@p first, @p last] maps to one
+     * bank of one port. */
+    bool
+    oneBank(Addr first, Addr last) const
+    {
+        return (first >> bankShift_) == (last >> bankShift_);
+    }
+
+    /** True when a read of @p addr issued at @p now would wait for
+     * neither its bank nor its port's transfer (closed page, refresh
+     * off). */
+    bool
+    idleFor(Addr addr, Tick now) const
+    {
+        addr &= params_.capacity - 1;
+        const Port &port = ports_[portIndex(addr)];
+        return port.banks[bankIndex(addr)].busyUntil <= now &&
+               port.busyUntil <= now + params_.arrayLatency;
+    }
+
+    /**
+     * Account @p n 64-byte reads of the bank of @p addr, each issued
+     * no earlier than the one before it completed, the first into an
+     * idle bank and port (idleFor), the last completing at @p done:
+     * exactly what @p n access() calls would leave behind on a
+     * fixedLatencyReads() device. The counters are integer-valued
+     * doubles far below 2^53, so one addition of n each is exact.
+     */
+    void noteSerialLineReads(Addr addr, std::uint64_t n, Tick done);
 
     /** Peak bandwidth across all ports, bytes/second. */
     double peakBandwidth() const;

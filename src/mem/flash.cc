@@ -588,12 +588,6 @@ FlashController::capacityBytes() const
 }
 
 Tick
-FlashController::idleReadLatency() const
-{
-    return params_.readLatency + transferTime(64);
-}
-
-Tick
 FlashController::drainWrites(Tick now)
 {
     Tick last = now;

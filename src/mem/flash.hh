@@ -357,8 +357,6 @@ class FlashController : public MemDevice
 
     std::uint64_t capacityBytes() const override;
 
-    Tick idleReadLatency() const override;
-
     const FlashParams &params() const { return params_; }
 
     /** Flush every channel's dirty write buffer at the given time.

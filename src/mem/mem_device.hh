@@ -44,12 +44,6 @@ class MemDevice
 
     /** Total addressable capacity of the device in bytes. */
     virtual std::uint64_t capacityBytes() const = 0;
-
-    /**
-     * Unloaded (contention-free) read latency for a small access, used
-     * by analytic consumers such as the power/perf explorer.
-     */
-    virtual Tick idleReadLatency() const = 0;
 };
 
 } // namespace mercury::mem

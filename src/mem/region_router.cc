@@ -1,6 +1,6 @@
 #include "mem/region_router.hh"
 
-#include <algorithm>
+#include <utility>
 
 #include "sim/contract.hh"
 
@@ -46,15 +46,6 @@ RegionRouter::capacityBytes() const
     for (const Entry &entry : entries_)
         total += entry.region.size;
     return total;
-}
-
-Tick
-RegionRouter::idleReadLatency() const
-{
-    Tick worst = 0;
-    for (const Entry &entry : entries_)
-        worst = std::max(worst, entry.device->idleReadLatency());
-    return worst;
 }
 
 } // namespace mercury::mem

@@ -55,8 +55,6 @@ class RegionRouter : public MemDevice
 
     std::uint64_t capacityBytes() const override;
 
-    Tick idleReadLatency() const override;
-
   private:
     struct Entry
     {

@@ -41,8 +41,6 @@ class SimpleMemory : public MemDevice
         return params_.capacity;
     }
 
-    Tick idleReadLatency() const override { return params_.latency; }
-
   private:
     SimpleMemParams params_;
     Tick busyUntil_ = 0;

@@ -359,19 +359,28 @@ mixedTrace(std::uint64_t seed)
     return trace;
 }
 
+/** The stacked DRAM at 40 ns, with refresh on unless @p refresh is
+ * false. */
+DramParams
+sharedDramParams(bool refresh = true)
+{
+    DramParams dp = stackedDramParams();
+    dp.arrayLatency = 40 * tickNs;
+    dp.modelRefresh = refresh;
+    return dp;
+}
+
 /**
  * @p count A7 cores, each with its own hierarchy ("caches0", ...) in
- * front of one DRAM with refresh on, so that one core's fetches can
- * meet banks another core left busy into the future.
+ * front of one DRAM (by default with refresh on), so that one core's
+ * fetches can meet banks another core left busy into the future.
  */
 struct SharedDramRig
 {
     /** @p memo, when given, is shared by every hierarchy. */
-    SharedDramRig(bool with_l2, unsigned count, FetchMemo *memo = nullptr)
+    SharedDramRig(bool with_l2, unsigned count, FetchMemo *memo = nullptr,
+                  const DramParams &dp = sharedDramParams())
     {
-        DramParams dp = stackedDramParams();
-        dp.arrayLatency = 40 * tickNs;
-        dp.modelRefresh = true;
         dram = std::make_unique<DramModel>(dp, &stats);
         for (unsigned i = 0; i < count; ++i) {
             HierarchyParams hp =
@@ -520,24 +529,33 @@ dataOps(Rng &rng)
  */
 struct MemoTwins
 {
-    MemoTwins(bool with_l2, unsigned count)
-        : rig(with_l2, count, &memo), twin(with_l2, count)
+    MemoTwins(bool with_l2, unsigned count,
+              const DramParams &dp = sharedDramParams())
+        : rig(with_l2, count, &memo, dp), twin(with_l2, count, nullptr, dp)
     {}
 
     /** Run @p trace on core @p c. */
     void
     run(unsigned c, const OpTrace &trace)
     {
-        const RunResult got = rig.cores[c]->run(trace, now);
+        runFrom(c, trace, now);
+    }
+
+    /** Run @p trace on core @p c from @p start, which may lie before
+     * the end of an earlier run. */
+    void
+    runFrom(unsigned c, const OpTrace &trace, Tick start)
+    {
+        const RunResult got = rig.cores[c]->run(trace, start);
         const RunResult want = referenceInOrderRun(
-            cortexA7Params(), *twin.caches[c], trace, now);
+            cortexA7Params(), *twin.caches[c], trace, start);
         EXPECT_EQ(got.start, want.start);
         EXPECT_EQ(got.end, want.end);
         EXPECT_EQ(got.instructions, want.instructions);
         EXPECT_EQ(got.memOps, want.memOps);
         EXPECT_EQ(got.computeTicks, want.computeTicks);
         EXPECT_EQ(got.stallTicks, want.stallTicks);
-        now = std::max(got.end, want.end) + 777;
+        now = std::max({now, got.end, want.end}) + 777;
     }
 
     /** One access(IFetch) of @p addr on core @p c. */
@@ -573,8 +591,9 @@ struct MemoTwins
                 EXPECT_EQ(rig.stat(path), twin.stat(path)) << path;
             }
         }
-        for (const char *counter : {"reads", "writes", "bytesRead",
-                                    "rowMisses", "portQueueTicks"}) {
+        for (const char *counter :
+             {"reads", "writes", "bytesRead", "rowHits", "rowMisses",
+              "portQueueTicks"}) {
             const std::string path =
                 detail::concat("stackedDram.", counter);
             EXPECT_EQ(rig.stat(path), twin.stat(path)) << path;
@@ -585,6 +604,12 @@ struct MemoTwins
     replayed(unsigned c) const
     {
         return rig.caches[c]->replayedPasses();
+    }
+
+    std::uint64_t
+    closed(unsigned c) const
+    {
+        return rig.caches[c]->closedReplays();
     }
 
     FetchMemo memo;
@@ -755,6 +780,176 @@ TEST(FetchMemo, FullMemoFallsBackToWalking)
         EXPECT_EQ(twins.replayed(2), 0u);
         EXPECT_EQ(twins.memo.states(), FetchMemo::maxStates);
     }
+}
+
+/**
+ * Three 64-line passes, @p period bytes apart from @p base, that share
+ * their L1I sets (@p period a multiple of the 16 KiB set span): in
+ * the 2-way L1I each pass evicts the one before the last, so every
+ * line of every pass misses, the first line included.
+ */
+void
+thrashingPasses(TraceBuilder &b, Addr base, std::uint64_t period)
+{
+    for (std::uint64_t k = 0; k < 3; ++k)
+        b.codePass(base + k * period, 64 * 64, 64 * 5 + 7);
+}
+
+OpTrace
+thrashingPasses(Addr base, std::uint64_t period = 16 * kiB)
+{
+    OpTrace trace;
+    TraceBuilder b(trace);
+    thrashingPasses(b, base, period);
+    return trace;
+}
+
+/** Ticks DRAM accesses spent waiting for a busy bank or port: the
+ * queue ticks beyond the array latency every access pays. */
+double
+dramWaitTicks(const SharedDramRig &rig)
+{
+    return rig.stat("stackedDram.portQueueTicks") -
+           (rig.stat("stackedDram.reads") + rig.stat("stackedDram.writes")) *
+               static_cast<double>(rig.dram->params().arrayLatency);
+}
+
+TEST(FetchMemo, IdleClosedPageDramClosesEveryReplay)
+{
+    // Closed page, refresh off, and nothing else on the DRAM: every
+    // miss of a replayed pass finds its bank idle.
+    MemoTwins twins(false, 1, sharedDramParams(false));
+    const OpTrace thrash = thrashingPasses(0x200000);
+    const OpTrace get = getCodePasses();
+    for (int i = 0; i < 20; ++i) {
+        twins.run(0, thrash);
+        twins.run(0, get);
+    }
+    twins.expectSameCounters();
+    EXPECT_GE(twins.replayed(0), 9u * 18);
+    EXPECT_EQ(twins.closed(0), twins.replayed(0));
+    EXPECT_EQ(dramWaitTicks(twins.rig), 0.0);
+}
+
+TEST(FetchMemo, DirtyVictimInTheCodeBankWalksThenCloses)
+{
+    // Before each round of passes, a store and four loads into one
+    // L1D set evict the stored line. Its writeback books the code's
+    // bank (bank 0), or in the second case bank 1 and so only the
+    // port they share, from the last load's completion on: the first
+    // fetch miss waits for it on the per-call path, and the rest of
+    // the pass closes.
+    for (const Addr bank_base : {Addr{0}, 32 * miB}) {
+        SCOPED_TRACE(::testing::Message() << "victim bank base "
+                                          << bank_base);
+        MemoTwins twins(false, 1, sharedDramParams(false));
+        for (int i = 0; i < 20; ++i) {
+            OpTrace trace;
+            TraceBuilder b(trace);
+            const Addr victim =
+                bank_base + 16 * miB + static_cast<Addr>(i) * 64 * kiB;
+            b.randomStore(victim);
+            for (Addr k = 1; k <= 4; ++k)
+                b.chaseLoad(victim + k * 8 * kiB);
+            thrashingPasses(b, 0x200000, 16 * kiB);
+            twins.run(0, trace);
+        }
+        twins.expectSameCounters();
+        EXPECT_GE(twins.rig.stat("stackedDram.writes"), 19.0);
+        EXPECT_GT(dramWaitTicks(twins.rig), 0.0);
+        EXPECT_GE(twins.replayed(0), 3u * 18);
+        EXPECT_EQ(twins.closed(0), twins.replayed(0));
+    }
+}
+
+TEST(FetchMemo, SecondCoreMeetsABankBusyIntoTheFuture)
+{
+    // Both cores run the same code from the same tick, core 0 first:
+    // core 1's first miss finds the bank booked until core 0's last
+    // miss, waits on the per-call path, then closes the rest.
+    MemoTwins twins(false, 2, sharedDramParams(false));
+    const OpTrace thrash = thrashingPasses(0x200000);
+    for (int i = 0; i < 20; ++i) {
+        const Tick start = twins.now;
+        twins.runFrom(0, thrash, start);
+        twins.runFrom(1, thrash, start);
+    }
+    twins.expectSameCounters();
+    EXPECT_GT(dramWaitTicks(twins.rig), 0.0);
+    for (unsigned c = 0; c < 2; ++c) {
+        EXPECT_GE(twins.replayed(c), 3u * 18) << c;
+        EXPECT_EQ(twins.closed(c), twins.replayed(c)) << c;
+    }
+}
+
+TEST(FetchMemo, PassAcrossTwoBanksKeepsThePerCallReplay)
+{
+    // Each pass straddles a boundary of the 32 MiB banks.
+    MemoTwins twins(false, 1, sharedDramParams(false));
+    const OpTrace thrash = thrashingPasses(32 * miB - 32 * 64, 32 * miB);
+    for (int i = 0; i < 20; ++i)
+        twins.run(0, thrash);
+    twins.expectSameCounters();
+    EXPECT_GE(twins.replayed(0), 3u * 18);
+    EXPECT_EQ(twins.closed(0), 0u);
+}
+
+TEST(FetchMemo, OpenPageOrRefreshKeepsThePerCallReplay)
+{
+    DramParams open_page = sharedDramParams(false);
+    open_page.pagePolicy = PagePolicy::Open;
+    for (const DramParams &dp : {open_page, sharedDramParams(true)}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "open page " << (dp.pagePolicy == PagePolicy::Open)
+                     << ", refresh " << dp.modelRefresh);
+        MemoTwins twins(false, 1, dp);
+        const OpTrace thrash = thrashingPasses(0x200000);
+        const OpTrace get = getCodePasses();
+        for (int i = 0; i < 20; ++i) {
+            twins.run(0, thrash);
+            twins.run(0, get);
+        }
+        twins.expectSameCounters();
+        EXPECT_GE(twins.replayed(0), 9u * 18);
+        EXPECT_EQ(twins.closed(0), 0u);
+    }
+}
+
+/** A DramModel subclass, as a sampling wrapper is: it counts its
+ * calls. */
+class CountingDram : public DramModel
+{
+  public:
+    using DramModel::DramModel;
+
+    Tick
+    access(AccessType type, Addr addr, unsigned size, Tick now) override
+    {
+        ++calls;
+        return DramModel::access(type, addr, size, now);
+    }
+
+    std::uint64_t calls = 0;
+};
+
+TEST(FetchMemo, DramSubclassKeepsThePerCallReplay)
+{
+    // Only an exact DramModel closes replays, so every miss still
+    // reaches an override of access().
+    stats::StatGroup stats{"rig"};
+    CountingDram dram(sharedDramParams(false), &stats);
+    FetchMemo memo;
+    CacheHierarchy caches(defaultHierarchy(CoreType::CortexA7, false),
+                          &dram, &stats, &memo);
+    CoreModel core(cortexA7Params(), &caches);
+    const OpTrace thrash = thrashingPasses(0x200000);
+    Tick now = 1000;
+    for (int i = 0; i < 20; ++i)
+        now = core.run(thrash, now).end + 777;
+    EXPECT_GE(caches.replayedPasses(), 3u * 18);
+    EXPECT_EQ(caches.closedReplays(), 0u);
+    EXPECT_EQ(static_cast<double>(dram.calls),
+              statValue(stats, "caches.l1iMisses"));
 }
 
 TEST(CoreModel, SteadyStateRunNeverAllocates)

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 
+#include "kvstore/block_pool.hh"
 #include "kvstore/slab.hh"
 
 namespace
@@ -170,6 +173,73 @@ TEST(SlabAllocator, UsedChunksPerClass)
     EXPECT_EQ(slabs.usedChunks(cls), 2u);
     slabs.free(cls, a);
     EXPECT_EQ(slabs.usedChunks(cls), 1u);
+}
+
+TEST(SlabAllocator, ChunksGoHighestFirstThenFreedOnesFirst)
+{
+    // The order simulated item addresses follow: a page's chunks go
+    // from its last down, and a freed chunk goes again before any
+    // chunk not yet handed out.
+    SlabAllocator slabs(smallParams());
+    const auto cls = static_cast<unsigned>(slabs.classFor(128));
+    const std::uint64_t size = slabs.chunkSize(cls);
+    const std::uint64_t last = (1 * miB / size - 1) * size;
+    void *a = slabs.allocate(cls);
+    void *b = slabs.allocate(cls);
+    EXPECT_EQ(slabs.pageOffsetOf(a), last);
+    EXPECT_EQ(slabs.pageOffsetOf(b), last - size);
+    slabs.free(cls, a);
+    EXPECT_TRUE(slabs.checkConsistency());
+    EXPECT_EQ(slabs.allocate(cls), a);
+    EXPECT_EQ(slabs.pageOffsetOf(slabs.allocate(cls)), last - 2 * size);
+    EXPECT_EQ(slabs.usedChunks(cls), 3u);
+    EXPECT_TRUE(slabs.checkConsistency());
+}
+
+TEST(SlabAllocator, FullPageGrowsAnotherFromItsLastChunk)
+{
+    SlabAllocator slabs(smallParams());
+    const auto cls = static_cast<unsigned>(slabs.classFor(128));
+    const std::uint64_t size = slabs.chunkSize(cls);
+    const std::uint64_t per_page = 1 * miB / size;
+    for (std::uint64_t i = 0; i < per_page; ++i)
+        ASSERT_NE(slabs.allocate(cls), nullptr);
+    EXPECT_EQ(slabs.allocatedBytes(), 1 * miB);
+    void *next = slabs.allocate(cls);
+    EXPECT_EQ(slabs.allocatedBytes(), 2 * miB);
+    EXPECT_EQ(slabs.pageIndexOf(next), 1);
+    EXPECT_EQ(slabs.pageOffsetOf(next), (per_page - 1) * size);
+    EXPECT_TRUE(slabs.checkConsistency());
+}
+
+// The pool is shared by the whole process, so each test uses a block
+// size no store asks for.
+
+TEST(BlockPool, ReusesAHandedBackBlockOfTheSameSize)
+{
+    const std::size_t bytes = 384 * kiB + 64;
+    void *block = takeBlock(bytes);
+    returnBlock(block, bytes);
+    void *other = takeBlock(bytes + 64);
+    EXPECT_NE(other, block);
+    EXPECT_EQ(takeBlock(bytes), block);
+    returnBlock(block, bytes);
+    returnBlock(other, bytes + 64);
+}
+
+TEST(BlockPool, HandsOutTheHighestIdleAddressFirst)
+{
+    const std::size_t bytes = 320 * kiB + 64;
+    void *a = takeBlock(bytes);
+    void *b = takeBlock(bytes);
+    returnBlock(a, bytes);
+    returnBlock(b, bytes);
+    void *first = takeBlock(bytes);
+    void *second = takeBlock(bytes);
+    EXPECT_EQ(first, std::max(a, b, std::less<>{}));
+    EXPECT_EQ(second, std::min(a, b, std::less<>{}));
+    returnBlock(first, bytes);
+    returnBlock(second, bytes);
 }
 
 } // anonymous namespace

@@ -192,7 +192,7 @@ TEST(DramModel, RefreshWindowsDelayAccesses)
     const Tick mid = 3 * tickUs;
     const Tick done2 = dram.access(AccessType::Read, 64 * miB, 64,
                                    mid);
-    EXPECT_EQ(done2 - mid, dram.idleReadLatency());
+    EXPECT_EQ(done2 - mid, dram.lineReadLatency());
 }
 
 TEST(DramModel, RefreshNeedsTrfcShorterThanTrefi)

@@ -195,8 +195,7 @@ TEST(KvModelProperty, StrictLruEvictionMatchesReferenceLru)
                 // Insert a brand-new key (overwrites are exercised
                 // by the soup test; here they would entangle slab
                 // reuse with LRU order).
-                const std::string key =
-                    "k" + std::to_string(next_key++);
+                const std::string key = concat("k", next_key++);
                 ASSERT_EQ(store.set(key, value),
                           StoreStatus::Stored);
                 ref.insert(key);
@@ -206,8 +205,7 @@ TEST(KvModelProperty, StrictLruEvictionMatchesReferenceLru)
                 const unsigned span = static_cast<unsigned>(
                     std::min<std::size_t>(next_key, capacity + 32));
                 const std::string key =
-                    "k" + std::to_string(
-                              next_key - 1 - rng.nextInt(span));
+                    concat("k", next_key - 1 - rng.nextInt(span));
                 const bool store_hit = store.get(key).hit;
                 const bool ref_hit = ref.get(key);
                 ASSERT_EQ(store_hit, ref_hit)

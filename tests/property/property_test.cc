@@ -356,8 +356,6 @@ class RecordingDevice : public MemDevice
 
     std::uint64_t capacityBytes() const override { return 4 * giB; }
 
-    Tick idleReadLatency() const override { return 30 * tickNs; }
-
     std::vector<DeviceCall> calls;
 };
 
