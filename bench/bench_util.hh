@@ -290,6 +290,29 @@ class Session
         return tracer_ ? 1u : jobs_;
     }
 
+    /** Accepts --flag=VALUE and --flag VALUE; advances @p i for the
+     * two-token form. A value flag given last fails fast (exit 2).
+     * Public so a bench parses its own extra flags the same way. */
+    bool
+    match(const std::string &arg, const char *flag, int &i, int argc,
+          char **argv, std::string &value) const
+    {
+        const std::string prefix = std::string(flag) + "=";
+        if (arg.rfind(prefix, 0) == 0) {
+            value = arg.substr(prefix.size());
+            return true;
+        }
+        if (arg != flag)
+            return false;
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "%s: flag '%s' needs a value; see "
+                         "--help\n", registry_.name().c_str(), flag);
+            std::exit(2);
+        }
+        value = argv[++i];
+        return true;
+    }
+
     /** Size sweep honouring --smoke. */
     std::vector<std::uint32_t>
     sizes() const
@@ -494,28 +517,6 @@ class Session
                          closest.c_str());
         std::fprintf(stderr, "; see --help\n");
         std::exit(2);
-    }
-
-    /** Accepts --flag=VALUE and --flag VALUE; advances @p i for the
-     * two-token form. A value flag given last fails fast (exit 2). */
-    bool
-    match(const std::string &arg, const char *flag, int &i, int argc,
-          char **argv, std::string &value) const
-    {
-        const std::string prefix = std::string(flag) + "=";
-        if (arg.rfind(prefix, 0) == 0) {
-            value = arg.substr(prefix.size());
-            return true;
-        }
-        if (arg != flag)
-            return false;
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "%s: flag '%s' needs a value; see "
-                         "--help\n", registry_.name().c_str(), flag);
-            std::exit(2);
-        }
-        value = argv[++i];
-        return true;
     }
 
     template <typename Fn>

@@ -7,15 +7,21 @@
  *
  * Each (panel, latency) pair is an independent ParallelSweep point;
  * `--jobs N` output stays byte-identical to the serial run.
+ *
+ * --stats-json publishes every printed cell as
+ * results.<panel>.<size>.<latency>us.<get|put>_tps, added in point
+ * order.
  */
 
 #include <cstddef>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "parallel_sweep.hh"
 #include "server/server_model.hh"
+#include "sim/contract.hh"
 
 namespace
 {
@@ -124,5 +130,23 @@ main(int argc, char **argv)
         }
     }
     sweep.run();
+
+    // The cells are complete once run() returns; publish them in
+    // point order, which does not depend on --jobs.
+    bench::ResultsFragment published;
+    for (std::size_t pi = 0; pi < panels.size(); ++pi) {
+        for (std::size_t li = 0; li < latencies.size(); ++li) {
+            for (std::size_t si = 0; si < sizes.size(); ++si) {
+                const std::string cell = detail::concat(
+                    panels[pi].tag, ".", bench::sizeLabel(sizes[si]),
+                    ".", latencies[li] / tickUs, "us");
+                published.add(cell + ".get_tps",
+                              cells[pi][li][si].getTps);
+                published.add(cell + ".put_tps",
+                              cells[pi][li][si].putTps);
+            }
+        }
+    }
+    session.appendStatsFragment(published.text());
     return 0;
 }

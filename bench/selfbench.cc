@@ -5,7 +5,7 @@
  *
  * Three sections, each timed with std::chrono::steady_clock and
  * reported both as a human-readable table and as a JSON file
- * (default BENCH_selfbench.json, override with --out=PATH):
+ * (default BENCH_selfbench.json, override with --out PATH):
  *
  *  - kv store: end-to-end GET/SET ops/sec through the single-node
  *    server timing model;
@@ -24,7 +24,7 @@
  * the committed BENCH_selfbench.json only when the fingerprints match
  * (tools/perfguard.py), and scripts/bench.sh runs the full version.
  *
- * Usage: selfbench [--smoke] [--jobs=N] [--out=PATH]
+ * Usage: selfbench [--smoke] [--jobs N] [--out PATH]
  */
 
 #include <algorithm>
@@ -165,9 +165,9 @@ main(int argc, char **argv)
 
     std::string out = "BENCH_selfbench.json";
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--out=", 0) == 0)
-            out = arg.substr(6);
+        std::string value;
+        if (session.match(argv[i], "--out", i, argc, argv, value))
+            out = value;
     }
 
     // --jobs defaults to 1 in Session; for the sweep section the

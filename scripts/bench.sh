@@ -41,10 +41,13 @@ cmake --build --preset release -j "$(nproc)" \
 # the worktree). Advisory here -- hosts differ; scripts/check.sh
 # runs the same guard as a hard failure against its own smoke run.
 out=BENCH_selfbench.json
+prev=
 for arg in "$@"; do
     case "$arg" in
         --out=*) out="${arg#--out=}" ;;
     esac
+    [ "$prev" = --out ] && out=$arg
+    prev=$arg
 done
 if git show HEAD:BENCH_selfbench.json \
         > /tmp/mercury-selfbench-baseline.json 2>/dev/null; then

@@ -38,7 +38,11 @@
 # the asan-ubsan ctest pass and an explicit release-preset stage, so a
 # stats drift fails this gate under either compiler mode. That stage
 # first builds every target, tests included, at -O3 with -Werror. The line
-# coverage gate lives in scripts/coverage.sh.
+# coverage gate lives in scripts/coverage.sh, and so does the reach
+# ratchet (`scripts/coverage.sh --reach`: every src function that no
+# bench, example or simbench workload runs must be allowlisted with a
+# reason); both need a coverage build, so neither runs here. Stage 6
+# checks the reach report's logic on a canned fixture.
 #
 # Fails on the first stage that reports a problem. Usage:
 #   scripts/check.sh [--skip-build]

@@ -140,13 +140,6 @@ ConsistentHashRing::nodeName(std::size_t index) const
     return nodes_[index];
 }
 
-unsigned
-ConsistentHashRing::rackOf(std::size_t index) const
-{
-    MERCURY_EXPECTS(index < racks_.size(), "no node at index ", index);
-    return racks_[index];
-}
-
 LoadStats
 ConsistentHashRing::sampleLoad(std::size_t samples,
                                std::uint64_t seed) const

@@ -85,13 +85,7 @@ class ConsistentHashRing
      */
     const std::string &nodeName(std::size_t index) const;
 
-    /** Rack label of the node at @p index.
-     * @pre index < numNodes() */
-    unsigned rackOf(std::size_t index) const;
-
     std::size_t numNodes() const { return nodes_.size(); }
-
-    unsigned virtualNodes() const { return virtualNodes_; }
 
     /** Distribute @p samples uniform-random keys and summarize the
      * per-node request counts. */

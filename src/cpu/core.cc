@@ -45,17 +45,6 @@ TraceBuilder::streamRead(Addr base, std::uint64_t bytes,
     return *this;
 }
 
-TraceBuilder &
-TraceBuilder::streamWrite(Addr base, std::uint64_t bytes,
-                          unsigned line_bytes)
-{
-    for (std::uint64_t i = 0; i < linesFor(bytes, line_bytes); ++i) {
-        trace_.push_back(
-            Op::store(base + i * line_bytes, Stream::Sequential));
-    }
-    return *this;
-}
-
 CoreModel::CoreModel(const CoreParams &params,
                      mem::CacheHierarchy *caches,
                      stats::StatGroup *parent)

@@ -126,10 +126,6 @@ class TraceBuilder
     TraceBuilder &streamRead(Addr base, std::uint64_t bytes,
                              unsigned line_bytes = 64);
 
-    /** Sequentially write a buffer at line granularity. */
-    TraceBuilder &streamWrite(Addr base, std::uint64_t bytes,
-                              unsigned line_bytes = 64);
-
     /** A dependent load (pointer chase step); serializes. */
     TraceBuilder &
     chaseLoad(Addr addr)

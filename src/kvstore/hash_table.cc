@@ -10,28 +10,15 @@ HashTable::HashTable(unsigned initial_power)
 {
     MERCURY_EXPECTS(initial_power >= 1 && initial_power <= 30,
                     "hash power out of range: ", initial_power);
-    primary_.assign(std::size_t(1) << initial_power, nullptr);
-}
-
-Item **
-HashTable::bucketFor(std::uint64_t hash, std::uint64_t &index)
-{
-    if (expanding_) {
-        const std::size_t old_idx = hash & (old_.size() - 1);
-        if (old_idx >= migrateBucket_) {
-            index = old_idx;
-            return &old_[old_idx];
-        }
-    }
-    index = hash & (primary_.size() - 1);
-    return &primary_[index];
+    buckets_.assign(std::size_t(1) << initial_power, nullptr);
 }
 
 ProbeResult
 HashTable::find(std::string_view key, std::uint64_t hash)
 {
     ProbeResult result;
-    Item **bucket = bucketFor(hash, result.bucketIndex);
+    result.bucketIndex = hash & (buckets_.size() - 1);
+    Item **bucket = &buckets_[result.bucketIndex];
     result.bucketAddr = bucket;
     for (Item *it = *bucket; it; it = it->hNext) {
         ++result.chainLength;
@@ -54,21 +41,19 @@ HashTable::insert(Item *item, std::uint64_t hash)
                     "insert of item already linked in a chain");
     MERCURY_ASSERT_SLOW(find(item->key(), hash).item == nullptr,
                         "duplicate insert of key '", item->key(), "'");
-    std::uint64_t index = 0;
-    Item **bucket = bucketFor(hash, index);
+    Item **bucket = &buckets_[hash & (buckets_.size() - 1)];
     item->hNext = *bucket;
     *bucket = item;
     ++size_;
-    maybeExpand();
-    if (expanding_)
-        migrateStep();
+    if (loadFactor() >= expandLoadFactor &&
+        buckets_.size() < (std::size_t(1) << 30))
+        grow();
 }
 
 Item *
 HashTable::remove(std::string_view key, std::uint64_t hash)
 {
-    std::uint64_t index = 0;
-    Item **bucket = bucketFor(hash, index);
+    Item **bucket = &buckets_[hash & (buckets_.size() - 1)];
     for (Item **link = bucket; *link; link = &(*link)->hNext) {
         if ((*link)->key() == key) {
             Item *removed = *link;
@@ -78,8 +63,6 @@ HashTable::remove(std::string_view key, std::uint64_t hash)
                            "remove from a table that thinks it is "
                            "empty");
             --size_;
-            if (expanding_)
-                migrateStep();
             return removed;
         }
     }
@@ -87,84 +70,40 @@ HashTable::remove(std::string_view key, std::uint64_t hash)
 }
 
 void
-HashTable::maybeExpand()
+HashTable::grow()
 {
-    if (expanding_ || loadFactor() < expandLoadFactor)
-        return;
-    if (primary_.size() >= (std::size_t(1) << 30))
-        return;
-
-    old_.swap(primary_);
-    primary_.assign(old_.size() * 2, nullptr);
-    expanding_ = true;
-    migrateBucket_ = 0;
-    MERCURY_ENSURES(primary_.size() == old_.size() * 2,
-                    "expansion must exactly double the table");
-}
-
-void
-HashTable::migrateStep(unsigned buckets)
-{
-    if (!expanding_)
-        return;
-
-    MERCURY_ASSERT(migrateBucket_ <= old_.size(),
-                   "migration cursor past the old table");
-    for (unsigned step = 0;
-         step < buckets && migrateBucket_ < old_.size(); ++step) {
-        Item *it = old_[migrateBucket_];
-        old_[migrateBucket_] = nullptr;
-        while (it) {
+    Buckets old(buckets_.size() * 2, nullptr);
+    old.swap(buckets_);  // buckets_ is now the empty doubled array
+    // Old bucket i splits into new buckets i and i + old.size(); each
+    // item goes to the front of its new chain.
+    for (Item *head : old) {
+        for (Item *it = head; it;) {
             Item *next = it->hNext;
-            const std::uint64_t hash = hashKey(it->key());
-            Item **bucket = &primary_[hash & (primary_.size() - 1)];
+            Item **bucket =
+                &buckets_[hashKey(it->key()) & (buckets_.size() - 1)];
             it->hNext = *bucket;
             *bucket = it;
             it = next;
         }
-        ++migrateBucket_;
     }
-
-    if (migrateBucket_ >= old_.size()) {
-        old_.clear();
-        old_.shrink_to_fit();
-        expanding_ = false;
-        migrateBucket_ = 0;
-        MERCURY_ASSERT_SLOW(checkIntegrity(),
-                            "hash table corrupt after finishing "
-                            "incremental migration");
-    }
+    MERCURY_ASSERT_SLOW(checkIntegrity(),
+                        "hash table corrupt after doubling");
 }
 
 bool
 HashTable::checkIntegrity() const
 {
-    if (expanding_) {
-        if (old_.empty() || primary_.size() != old_.size() * 2)
-            return false;
-        if (migrateBucket_ > old_.size())
-            return false;
-    } else {
-        if (!old_.empty() || migrateBucket_ != 0)
-            return false;
-    }
-
     // Count linked items, bounding each chain walk so a cycle cannot
     // hang the audit.
     std::size_t linked = 0;
-    auto walk = [this, &linked](const Buckets &table) {
-        for (const auto &head : table) {
-            std::size_t chain = 0;
-            for (Item *it = head; it; it = it->hNext) {
-                if (++chain > size() + 1)
-                    return false;
-                ++linked;
-            }
+    for (const auto &head : buckets_) {
+        std::size_t chain = 0;
+        for (Item *it = head; it; it = it->hNext) {
+            if (++chain > size() + 1)
+                return false;
+            ++linked;
         }
-        return true;
-    };
-    if (!walk(primary_) || !walk(old_))
-        return false;
+    }
     return linked == size();
 }
 
@@ -173,8 +112,7 @@ HashTable::validate() const
 {
     MERCURY_ASSERT(checkIntegrity(),
                    "hash table structural audit failed: size=", size(),
-                   " buckets=", primary_.size(),
-                   " expanding=", expanding_);
+                   " buckets=", buckets_.size());
 }
 
 } // namespace mercury::kvstore

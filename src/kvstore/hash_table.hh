@@ -1,11 +1,12 @@
 /**
  * @file
- * Chained hash table with memcached-style incremental expansion.
+ * Chained hash table that doubles in one rehash.
  *
- * The table doubles when the load factor passes a threshold, but
- * migration happens a few buckets at a time, piggybacked on mutating
- * operations, so no single request pays the full rehash (the
- * behaviour Wiggins & Langston analyse when scaling memcached 1.6).
+ * The table doubles when the load factor passes a threshold, moving
+ * every item to the new bucket array at once. memcached migrates a
+ * few buckets per request instead, to keep the rehash out of any one
+ * locked request; a Store takes no locks and the timing layer never
+ * charges rehash work, so one pass does the same job.
  */
 
 #ifndef MERCURY_KVSTORE_HASH_TABLE_HH
@@ -30,9 +31,10 @@ struct ProbeResult
     unsigned chainLength = 0;
     /** Address of the bucket head slot that was read. */
     const void *bucketAddr = nullptr;
-    /** Index of that slot within its table. Unlike bucketAddr this
-     * is independent of the host heap layout, so the timing layer
-     * maps it (not the pointer) into the simulated address space. */
+    /** Index of that slot in the bucket array. Unlike bucketAddr
+     * this is independent of the host heap layout, so the timing
+     * layer maps it (not the pointer) into the simulated address
+     * space. */
     std::uint64_t bucketIndex = 0;
 };
 
@@ -46,7 +48,8 @@ class HashTable
     ProbeResult find(std::string_view key, std::uint64_t hash);
 
     /**
-     * Link an item into its bucket.
+     * Link an item into its bucket; the table then doubles if the
+     * load factor has reached the threshold.
      * @pre no item with the same key is present.
      */
     void insert(Item *item, std::uint64_t hash);
@@ -57,31 +60,20 @@ class HashTable
     /** Items currently linked. */
     std::size_t size() const { return size_; }
 
-    std::size_t buckets() const { return primary_.size(); }
-
-    bool expanding() const { return expanding_; }
+    std::size_t buckets() const { return buckets_.size(); }
 
     /** Current load factor (items per bucket). */
     double
     loadFactor() const
     {
         return static_cast<double>(size()) /
-               static_cast<double>(primary_.size());
+               static_cast<double>(buckets_.size());
     }
 
     /**
-     * Advance incremental migration by a few buckets. Called
-     * internally on mutations; exposed so tests can drive it.
-     */
-    void migrateStep(unsigned buckets = 2);
-
-    /** Begin doubling if the load factor warrants it. */
-    void maybeExpand();
-
-    /**
-     * Full structural audit: bucket chains are cycle-free, linked
-     * item count matches size(), and the expansion bookkeeping is
-     * coherent. O(items); meant for tests and MERCURY_ASSERT_SLOW.
+     * Full structural audit: bucket chains are cycle-free and the
+     * linked item count matches size(). O(items); meant for tests
+     * and MERCURY_ASSERT_SLOW.
      */
     bool checkIntegrity() const;
 
@@ -89,36 +81,28 @@ class HashTable
      * (tests) get the formatted contract diagnostic. */
     void validate() const;
 
-    /** Visit every item (slow; used by flush and tests). */
+    /** Visit every item (slow; used by Store::checkConsistency and
+     * tests). */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &head : old_) {
-            for (Item *it = head; it; it = it->hNext)
-                fn(it);
-        }
-        for (const auto &head : primary_) {
+        for (const auto &head : buckets_) {
             for (Item *it = head; it; it = it->hNext)
                 fn(it);
         }
     }
 
   private:
-    /** Bucket slot (in whichever table currently owns the hash);
-     * also yields the slot's index within that table. */
-    Item **bucketFor(std::uint64_t hash, std::uint64_t &index);
+    /** Move every item into a bucket array twice the size. */
+    void grow();
 
     static constexpr double expandLoadFactor = 1.5;
 
     /** A bucket array; large ones come from the block pool. */
     using Buckets = std::vector<Item *, PoolAllocator<Item *>>;
 
-    Buckets primary_;
-    Buckets old_;
-    bool expanding_ = false;
-    /** Next old-table bucket to migrate. */
-    std::size_t migrateBucket_ = 0;
+    Buckets buckets_;
     std::size_t size_ = 0;
 };
 

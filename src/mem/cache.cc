@@ -56,15 +56,6 @@ SetAssocCache::restore(const std::uint32_t *keys)
     nextStamp_ = base + assoc;
 }
 
-bool
-SetAssocCache::lookup(Addr addr)
-{
-    const Probe p = probe(addr);
-    if (p.hit)
-        touch(p, false);
-    return p.hit;
-}
-
 std::optional<Victim>
 SetAssocCache::insert(Addr addr, bool dirty)
 {
@@ -74,25 +65,6 @@ SetAssocCache::insert(Addr addr, bool dirty)
         return std::nullopt;
     }
     return fill(p, dirty);
-}
-
-bool
-SetAssocCache::markDirty(Addr addr)
-{
-    const Probe p = probe(addr);
-    if (p.hit)
-        dirty_[p.way] = 1;
-    return p.hit;
-}
-
-void
-SetAssocCache::invalidate(Addr addr)
-{
-    const Probe p = probe(addr);
-    if (p.hit) {
-        keys_[p.way] = 0;
-        stamps_[p.way] = 0;
-    }
 }
 
 void
@@ -327,13 +299,6 @@ CacheHierarchy::flushAll()
     l1d_.flush();
     if (l2_)
         l2_->flush();
-}
-
-double
-CacheHierarchy::l1dMissRate() const
-{
-    const double total = l1dHits_.value() + l1dMisses_.value();
-    return total > 0.0 ? l1dMisses_.value() / total : 0.0;
 }
 
 } // namespace mercury::mem

@@ -189,9 +189,6 @@ class SetAssocCache
      */
     void restore(const std::uint32_t *keys);
 
-    /** Probe for a line; updates LRU on hit. */
-    bool lookup(Addr addr);
-
     /** Probe without disturbing replacement state. */
     bool contains(Addr addr) const { return probe(addr).hit; }
 
@@ -202,12 +199,6 @@ class SetAssocCache
      * @return the displaced line, if a valid line was evicted.
      */
     std::optional<Victim> insert(Addr addr, bool dirty);
-
-    /** Mark a (present) line dirty; returns false if absent. */
-    bool markDirty(Addr addr);
-
-    /** Remove a line if present (used for invalidations). */
-    void invalidate(Addr addr);
 
     /** Drop all lines. */
     void flush();
@@ -312,8 +303,6 @@ class CacheHierarchy
     bool hasL2() const { return params_.hasL2; }
 
     const HierarchyParams &params() const { return params_; }
-
-    double l1dMissRate() const;
 
     Counter memoryAccesses() const
     {

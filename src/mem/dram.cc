@@ -159,20 +159,6 @@ DramModel::peakBandwidth() const
     return params_.portBandwidth * params_.numPorts;
 }
 
-std::uint64_t
-DramModel::bytesTransferred() const
-{
-    return static_cast<std::uint64_t>(bytesRead_.value() +
-                                      bytesWritten_.value());
-}
-
-double
-DramModel::rowHitRate() const
-{
-    const double total = rowHits_.value() + rowMisses_.value();
-    return total > 0.0 ? rowHits_.value() / total : 0.0;
-}
-
 DramParams
 stackedDramParams()
 {

@@ -148,13 +148,8 @@ class DramModel : public MemDevice
     /** Peak bandwidth across all ports, bytes/second. */
     double peakBandwidth() const;
 
-    /** Bytes transferred so far (reads + writes). */
-    std::uint64_t bytesTransferred() const;
-
     /** Per-request statistics. */
     const stats::StatGroup &statGroup() const { return statGroup_; }
-
-    double rowHitRate() const;
 
   private:
     struct Bank

@@ -89,13 +89,6 @@ Ftl::isMapped(std::uint64_t lpn) const
     return map_.get(lpn) != unmapped;
 }
 
-std::uint64_t
-Ftl::translate(std::uint64_t lpn) const
-{
-    MERCURY_EXPECTS(isMapped(lpn), "translate of unmapped lpn ", lpn);
-    return static_cast<std::uint64_t>(map_.get(lpn));
-}
-
 std::int64_t
 Ftl::pickGcVictim() const
 {
@@ -621,15 +614,6 @@ FlashController::writeAmplification() const
                 : 1.0;
 }
 
-std::uint64_t
-FlashController::totalErases() const
-{
-    std::uint64_t total = 0;
-    for (const auto &channel : channels_)
-        total += channel.ftl.totalErases();
-    return total;
-}
-
 void
 FlashController::setFaultInjector(fault::FaultInjector *injector)
 {
@@ -646,24 +630,6 @@ FlashController::setWearRate(double program_fail_probability)
 {
     params_.programFailProbability = program_fail_probability;
     setFaultInjector(faults_);
-}
-
-std::uint64_t
-FlashController::totalRetiredBlocks() const
-{
-    std::uint64_t total = 0;
-    for (const auto &channel : channels_)
-        total += channel.ftl.retiredBlocks();
-    return total;
-}
-
-double
-FlashController::capacityDegradation() const
-{
-    double total = 0.0;
-    for (const auto &channel : channels_)
-        total += channel.ftl.capacityLossFraction();
-    return total / static_cast<double>(channels_.size());
 }
 
 } // namespace mercury::mem

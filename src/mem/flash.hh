@@ -130,10 +130,6 @@ class Ftl
     /** True once the logical page has been written. */
     bool isMapped(std::uint64_t lpn) const;
 
-    /** Physical page currently holding the logical page.
-     * @pre isMapped(lpn) */
-    std::uint64_t translate(std::uint64_t lpn) const;
-
     /** Write (or overwrite) a logical page. @p now stamps any
      * injected fault records with the simulated time. */
     FtlWriteOutcome write(std::uint64_t lpn, Tick now = 0);
@@ -372,7 +368,6 @@ class FlashController : public MemDevice
     unsigned numChannels() const { return params_.numChannels; }
 
     double writeAmplification() const;
-    std::uint64_t totalErases() const;
 
     /** Attach a fault injector to every channel's FTL (nullptr
      * detaches); the params' program-failure probability applies and
@@ -383,12 +378,6 @@ class FlashController : public MemDevice
      * wear-burst scenarios) and re-attach the last injector given to
      * setFaultInjector with the new rate. */
     void setWearRate(double program_fail_probability);
-
-    /** Blocks retired as grown-bad across all channels. */
-    std::uint64_t totalRetiredBlocks() const;
-
-    /** Fraction of raw capacity lost to retired blocks. */
-    double capacityDegradation() const;
 
     const stats::StatGroup &statGroup() const { return statGroup_; }
 

@@ -87,12 +87,4 @@ NicGetCache::invalidate(std::string_view key)
     erase(idx->second);
 }
 
-void
-NicGetCache::clear()
-{
-    invalidations_ += index_.size();
-    index_.clear();
-    lru_.clear();
-}
-
 } // namespace mercury::net

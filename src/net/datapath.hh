@@ -126,9 +126,6 @@ class NicGetCache
     /** Drop @p key (SET/DELETE seen by the NIC). */
     void invalidate(std::string_view key);
 
-    /** Drop everything (flush_all). */
-    void clear();
-
     std::size_t size() const { return index_.size(); }
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }

@@ -221,10 +221,4 @@ NetworkPath::utilization(Tick elapsed) const
     return std::min(1.0, wireBytes_.value() / capacity);
 }
 
-NetParams
-tenGbEParams()
-{
-    return NetParams{};
-}
-
 } // namespace mercury::net

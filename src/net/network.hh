@@ -222,9 +222,6 @@ class NetworkPath
     stats::Scalar rtoTicks_;
 };
 
-/** 10GbE defaults used by every stack (Sec. 4.1.4). */
-NetParams tenGbEParams();
-
 } // namespace mercury::net
 
 #endif // MERCURY_NET_NETWORK_HH

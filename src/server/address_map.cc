@@ -53,10 +53,8 @@ AddressMap::checkLayout() const
     if (sramRegion().base != bufferBase() ||
         sramRegion().size != bufferSize() + scratchSize())
         return false;
-    if (coldRegion().base != tableBase() ||
-        coldRegion().size != tableSize() + sockSize() + dataSize_)
-        return false;
-    return slice().base == base_ && slice().size == end() - base_;
+    return coldRegion().base == tableBase() &&
+           coldRegion().size == tableSize() + sockSize() + dataSize_;
 }
 
 mem::AddressRegion
@@ -81,12 +79,6 @@ mem::AddressRegion
 AddressMap::coldRegion() const
 {
     return {tableBase(), tableSize() + sockSize() + dataSize_};
-}
-
-mem::AddressRegion
-AddressMap::slice() const
-{
-    return {base_, end() - base_};
 }
 
 Addr

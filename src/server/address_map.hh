@@ -87,9 +87,6 @@ class AddressMap
     /** Region covering table + data (flash-backed on Iridium). */
     mem::AddressRegion coldRegion() const;
 
-    /** Whole slice. */
-    mem::AddressRegion slice() const;
-
     /** Map a slab chunk pointer into the data region. */
     Addr mapDataPointer(const kvstore::SlabAllocator &slabs,
                         const void *ptr) const;

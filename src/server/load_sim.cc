@@ -120,15 +120,4 @@ LoadSimulation::run(double offered_tps)
     return point;
 }
 
-std::vector<LoadPoint>
-LoadSimulation::sweep(const std::vector<double> &utilizations)
-{
-    const double cap = capacity();
-    std::vector<LoadPoint> points;
-    points.reserve(utilizations.size());
-    for (const double u : utilizations)
-        points.push_back(run(u * cap));
-    return points;
-}
-
 } // namespace mercury::server

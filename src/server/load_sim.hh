@@ -74,10 +74,6 @@ class LoadSimulation
         params_.sampler = sampler;
     }
 
-    /** Latency curve at the given fractions of capacity. */
-    std::vector<LoadPoint>
-    sweep(const std::vector<double> &utilizations);
-
   private:
     LoadSimParams params_;
     ServerModel node_;

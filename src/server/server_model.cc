@@ -248,14 +248,6 @@ ServerModel::netRetransmits() const
            s2c_->retransmittedPackets();
 }
 
-mem::MemDevice &
-ServerModel::dataDevice()
-{
-    return params_.memory == MemoryKind::StackedDram
-               ? static_cast<mem::MemDevice &>(*dram_)
-               : static_cast<mem::MemDevice &>(*flash_);
-}
-
 std::string
 ServerModel::keyFor(std::uint32_t value_bytes, std::uint64_t index)
 {

@@ -301,9 +301,6 @@ class ServerModel
         }
     }
 
-    /** The backing data device (DRAM or flash), for stats. */
-    mem::MemDevice &dataDevice();
-
     mem::CacheHierarchy &caches() { return *caches_; }
 
     /**
@@ -329,8 +326,8 @@ class ServerModel
     void setPacketLoss(double probability);
 
     /** Retune the flash program-fail probability (scheduled wear
-     * bursts); no-op on DRAM-backed nodes. The configured erase-fail
-     * probability is preserved. */
+     * bursts); no-op on DRAM-backed nodes. A node's flash erases
+     * never fail. */
     void setFlashWear(double program_fail_probability);
 
     /** Packets dropped across both network directions. */

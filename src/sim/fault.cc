@@ -81,12 +81,6 @@ FaultInjector::popDue(Tick now)
     return fault;
 }
 
-Tick
-FaultInjector::nextScheduledAt() const
-{
-    return scheduled_.empty() ? maxTick : scheduled_.begin()->first;
-}
-
 void
 FaultInjector::record(Tick at, FaultKind kind, std::string_view target,
                       std::uint64_t detail)

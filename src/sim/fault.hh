@@ -137,9 +137,6 @@ class FaultInjector
      * plan; nullopt when none is due. Ties pop in insertion order. */
     std::optional<ScheduledFault> popDue(Tick now);
 
-    /** Tick of the next scheduled fault, or maxTick when empty. */
-    Tick nextScheduledAt() const;
-
     std::size_t pendingScheduled() const { return scheduled_.size(); }
 
     // --- Recorded timeline ------------------------------------------

@@ -70,13 +70,6 @@ Rng::nextInt(std::uint64_t bound)
     }
 }
 
-std::uint64_t
-Rng::nextRange(std::uint64_t lo, std::uint64_t hi)
-{
-    MERCURY_EXPECTS(lo <= hi, "nextRange requires lo <= hi");
-    return lo + nextInt(hi - lo + 1);
-}
-
 double
 Rng::nextDouble()
 {

@@ -7,8 +7,7 @@
  * simulated time into fixed windows of `interval` ticks and emits one
  * JSONL line per window holding per-window counter deltas, derived
  * ratios, and windowed latency percentiles from interval histograms
- * that reset at every window boundary (and merge associatively, so
- * coarser windows can be rebuilt offline by folding finer ones).
+ * that reset at every window boundary.
  *
  * Channels are registered before begin(); afterwards the hot path --
  * count(), recordLatency(), advanceTo() -- is allocation-free in

@@ -104,22 +104,6 @@ LatencyHistogram::percentile(double p) const
 }
 
 void
-LatencyHistogram::merge(const LatencyHistogram &other)
-{
-    MERCURY_EXPECTS(precisionBits_ == other.precisionBits_ &&
-                        maxValueBits_ == other.maxValueBits_,
-                    "cannot merge latency histograms of different "
-                    "geometry");
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
-    _count += other._count;
-    _sum += other._sum;
-    _overflow += other._overflow;
-    _min = std::min(_min, other._min);
-    _max = std::max(_max, other._max);
-}
-
-void
 LatencyHistogram::formatJson(std::string &out, const std::string &prefix,
                              bool &first) const
 {

@@ -159,9 +159,6 @@ class LatencyHistogram : public StatBase
      */
     std::uint64_t percentile(double p) const;
 
-    /** Fold another histogram of identical geometry into this one. */
-    void merge(const LatencyHistogram &other);
-
     void formatJson(std::string &out, const std::string &prefix,
                     bool &first) const override;
     void reset() override;

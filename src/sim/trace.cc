@@ -159,36 +159,4 @@ Tracer::writeChromeJson(std::ostream &os) const
     os << "\n]}\n";
 }
 
-std::uint64_t
-Tracer::digest() const
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    const auto fold = [&hash](std::uint64_t value) {
-        for (unsigned byte = 0; byte < 8; ++byte) {
-            hash ^= (value >> (byte * 8)) & 0xff;
-            hash *= 0x100000001b3ull;
-        }
-    };
-    for (std::size_t i = 0; i < size(); ++i) {
-        const Span &s = span(i);
-        fold(s.begin);
-        fold(s.end);
-        fold(s.arg);
-        fold(s.request);
-        fold(s.parent);
-        fold(s.node);
-        fold(static_cast<std::uint64_t>(s.stage));
-    }
-    return hash;
-}
-
-void
-Tracer::clear()
-{
-    written_ = 0;
-    nextRequest_ = 0;
-    node_ = 0;
-    parent_ = noParent;
-}
-
 } // namespace mercury::trace

@@ -162,11 +162,6 @@ class Tracer
      */
     void writeChromeJson(std::ostream &os) const;
 
-    /** FNV-1a fold of the retained spans, for drift tests. */
-    std::uint64_t digest() const;
-
-    void clear();
-
   private:
     std::uint32_t nextRequest_ = 0;
     std::uint64_t written_ = 0;

@@ -351,9 +351,14 @@ mixedTrace(std::uint64_t seed)
           case 6:
             b.streamRead(line_in(64 * miB), (1 + rng.nextInt(8)) * 64);
             break;
-          default:
-            b.streamWrite(line_in(64 * miB), (1 + rng.nextInt(8)) * 64);
+          default: {
+            const std::uint64_t lines = 1 + rng.nextInt(8);
+            const Addr base = line_in(64 * miB);
+            for (std::uint64_t l = 0; l < lines; ++l)
+                trace.push_back(
+                    Op::store(base + l * 64, Stream::Sequential));
             break;
+          }
         }
     }
     return trace;

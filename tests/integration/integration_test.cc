@@ -80,7 +80,10 @@ TEST(Integration, IridiumChurnTriggersGcAndStaysConsistent)
     params.storeMemLimit = 16 * miB;
     // Small flash so churn reaches GC quickly.
     params.flashCapacity = 2048ull * miB;
-    server::ServerModel node(params);
+    mem::FlashController flash(server::flashParamsFor(params, "flash"));
+    server::SharedStackDevices shared;
+    shared.flash = &flash;
+    server::ServerModel node(params, &shared);
 
     node.populate(200, 4096);
     for (int round = 0; round < 12; ++round) {
@@ -89,8 +92,6 @@ TEST(Integration, IridiumChurnTriggersGcAndStaysConsistent)
     }
 
     EXPECT_TRUE(node.store().checkConsistency());
-    const auto &flash =
-        dynamic_cast<mem::FlashController &>(node.dataDevice());
     EXPECT_GE(flash.writeAmplification(), 1.0);
     const server::RequestTiming timing = node.get("v4096:5");
     EXPECT_TRUE(timing.hit);

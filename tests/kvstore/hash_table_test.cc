@@ -65,7 +65,7 @@ class TableFixture : public ::testing::Test
         return item;
     }
 
-    HashTable table_{4};  // 16 buckets; expansion kicks in quickly
+    HashTable table_{4};  // 16 buckets; doubles at 24 items
     std::vector<std::unique_ptr<char[]>> storage_;
 };
 
@@ -116,41 +116,44 @@ TEST_F(TableFixture, ManyKeysAllFindable)
     }
 }
 
-TEST_F(TableFixture, ExpansionHappensIncrementally)
+TEST_F(TableFixture, DoublesOncePastLoadFactorInOneRehash)
 {
-    // From 16 buckets, inserting past load factor 1.5 must start an
-    // expansion and every key must remain findable mid-migration.
-    const std::size_t initial_buckets = table_.buckets();
+    // 16 buckets hold 23 items; the 24th reaches load factor 1.5 and
+    // the table doubles to 32 in that insert, and stays at 32 until
+    // the 48th.
+    ASSERT_EQ(table_.buckets(), 16u);
     int i = 0;
-    while (!table_.expanding() && i < 1000) {
-        const std::string key = concat("k", i++);
+    for (; i < 23; ++i) {
+        const std::string key = concat("k", i);
         table_.insert(makeItem(key), hashKey(key));
     }
-    ASSERT_TRUE(table_.expanding());
-    EXPECT_GT(table_.buckets(), initial_buckets);
-
-    for (int j = 0; j < i; ++j) {
-        const std::string key = concat("k", j);
-        EXPECT_NE(table_.find(key, hashKey(key)).item, nullptr);
+    EXPECT_EQ(table_.buckets(), 16u);
+    for (; i < 47; ++i) {
+        const std::string key = concat("k", i);
+        table_.insert(makeItem(key), hashKey(key));
+        EXPECT_EQ(table_.buckets(), 32u) << "after " << i + 1;
     }
 
-    // Drive migration to completion.
-    while (table_.expanding())
-        table_.migrateStep(16);
+    table_.validate();
     for (int j = 0; j < i; ++j) {
         const std::string key = concat("k", j);
-        EXPECT_NE(table_.find(key, hashKey(key)).item, nullptr);
+        const ProbeResult probe = table_.find(key, hashKey(key));
+        ASSERT_NE(probe.item, nullptr) << key;
+        EXPECT_EQ(probe.item->key(), key);
+        EXPECT_LT(probe.bucketIndex, table_.buckets()) << key;
+        EXPECT_EQ(probe.bucketIndex, hashKey(key) % 32) << key;
     }
 }
 
-TEST_F(TableFixture, RemoveWorksDuringExpansion)
+TEST_F(TableFixture, RemoveWorksAfterDoubling)
 {
     int i = 0;
-    while (!table_.expanding())
-        table_.insert(makeItem(concat("k", i)),
-                      hashKey(concat("k", i))), ++i;
+    for (; table_.buckets() == 16u; ++i) {
+        const std::string key = concat("k", i);
+        table_.insert(makeItem(key), hashKey(key));
+    }
 
-    // Remove every other key while migration is in flight.
+    // Remove every other key from the doubled table.
     std::size_t removed = 0;
     for (int j = 0; j < i; j += 2) {
         const std::string key = concat("k", j);
@@ -158,10 +161,14 @@ TEST_F(TableFixture, RemoveWorksDuringExpansion)
             ++removed;
     }
     EXPECT_EQ(removed, static_cast<std::size_t>((i + 1) / 2));
-    for (int j = 1; j < i; j += 2) {
+    EXPECT_EQ(table_.size(), static_cast<std::size_t>(i / 2));
+    for (int j = 0; j < i; ++j) {
         const std::string key = concat("k", j);
-        EXPECT_NE(table_.find(key, hashKey(key)).item, nullptr);
+        EXPECT_EQ(table_.find(key, hashKey(key)).item != nullptr,
+                  j % 2 == 1)
+            << key;
     }
+    table_.validate();
 }
 
 TEST_F(TableFixture, ChainLengthCountsCollisions)

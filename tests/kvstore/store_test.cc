@@ -231,9 +231,10 @@ TEST(Store, RandomOpsMatchReferenceModel)
 
 TEST(Store, GetsStayCorrectThroughTableDoublings)
 {
-    // 16 buckets pass the 1.5 load factor at 24 items, so the inserts
-    // below double the table eight times, and the GET after each
-    // insert walks chains while buckets migrate.
+    // 16 buckets reach the 1.5 load factor at 24 items, so the
+    // inserts below double the table eight times, and the GET after
+    // each insert walks the chains of a table that may just have
+    // doubled.
     StoreParams p = smallStore();
     p.hashPower = 4;
     Store store(p);

@@ -30,7 +30,7 @@ tinyCache(unsigned size_kib = 1, unsigned assoc = 2)
 TEST(SetAssocCache, MissesWhenEmpty)
 {
     SetAssocCache cache(tinyCache());
-    EXPECT_FALSE(cache.lookup(0x1000));
+    EXPECT_FALSE(cache.probe(0x1000).hit);
     EXPECT_FALSE(cache.contains(0x1000));
 }
 
@@ -38,9 +38,9 @@ TEST(SetAssocCache, HitsAfterInsert)
 {
     SetAssocCache cache(tinyCache());
     cache.insert(0x1000, false);
-    EXPECT_TRUE(cache.lookup(0x1000));
+    EXPECT_TRUE(cache.contains(0x1000));
     // Any address within the same line also hits.
-    EXPECT_TRUE(cache.lookup(0x103F));
+    EXPECT_TRUE(cache.probe(0x103F).hit);
     // The adjacent line does not.
     EXPECT_FALSE(cache.contains(0x1040));
 }
@@ -54,7 +54,9 @@ TEST(SetAssocCache, LruEvictsLeastRecentlyUsed)
 
     cache.insert(a, false);
     cache.insert(b, false);
-    ASSERT_TRUE(cache.lookup(a));  // make b the LRU way
+    const SetAssocCache::Probe hit = cache.probe(a);
+    ASSERT_TRUE(hit.hit);
+    cache.touch(hit, false);  // make b the LRU way
 
     auto victim = cache.insert(c, false);
     ASSERT_TRUE(victim.has_value());
@@ -80,8 +82,10 @@ TEST(SetAssocCache, MarkDirtyOnPresentLine)
 {
     SetAssocCache cache(tinyCache(1, 1));
     cache.insert(0x0, false);
-    EXPECT_TRUE(cache.markDirty(0x0));
-    EXPECT_FALSE(cache.markDirty(0x9999999));
+    // A store hit: touch with the dirty bit.
+    const SetAssocCache::Probe hit = cache.probe(0x0);
+    ASSERT_TRUE(hit.hit);
+    cache.touch(hit, true);
 
     auto victim = cache.insert(16 * 64, false);
     ASSERT_TRUE(victim.has_value());
@@ -100,13 +104,9 @@ TEST(SetAssocCache, ReinsertRefreshesWithoutVictim)
     EXPECT_TRUE(evicted->dirty) << "re-insert dirty bit must stick";
 }
 
-TEST(SetAssocCache, InvalidateAndFlush)
+TEST(SetAssocCache, FlushDropsEveryLine)
 {
     SetAssocCache cache(tinyCache());
-    cache.insert(0x40, false);
-    cache.invalidate(0x40);
-    EXPECT_FALSE(cache.contains(0x40));
-
     cache.insert(0x40, false);
     cache.insert(0x80, false);
     cache.flush();
@@ -231,10 +231,16 @@ TEST_F(HierarchyTest, StoresMakeLinesDirtyAndWriteBack)
 
 TEST_F(HierarchyTest, MissRatesTrackAccesses)
 {
-    CacheHierarchy h(params(false), dram.get());
+    stats::StatGroup root("root");
+    CacheHierarchy h(params(false), dram.get(), &root);
     h.access(CpuAccessKind::Load, 0x0, 0);
     h.access(CpuAccessKind::Load, 0x0, tickUs);
-    EXPECT_NEAR(h.l1dMissRate(), 0.5, 1e-9);
+    for (const char *name : {"caches.l1dHits", "caches.l1dMisses"}) {
+        const auto *stat =
+            dynamic_cast<const stats::Scalar *>(root.find(name));
+        ASSERT_NE(stat, nullptr) << name;
+        EXPECT_EQ(stat->value(), 1.0) << name;
+    }
     EXPECT_EQ(h.memoryAccesses(), 1u);
 }
 

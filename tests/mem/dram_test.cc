@@ -14,6 +14,16 @@ namespace
 using namespace mercury;
 using namespace mercury::mem;
 
+/** The value of statistic @p name in @p dram's group. */
+double
+stat(const DramModel &dram, const char *name)
+{
+    const auto *scalar = dynamic_cast<const stats::Scalar *>(
+        dram.statGroup().find(name));
+    EXPECT_NE(scalar, nullptr) << name;
+    return scalar ? scalar->value() : -1.0;
+}
+
 TEST(DramModel, StackedPresetMatchesPaper)
 {
     DramParams p = stackedDramParams();
@@ -43,7 +53,8 @@ TEST(DramModel, ClosedPageNeverRowHits)
     Tick now = 0;
     for (int i = 0; i < 10; ++i)
         now = dram.access(AccessType::Read, 0x100, 64, now);
-    EXPECT_DOUBLE_EQ(dram.rowHitRate(), 0.0);
+    EXPECT_EQ(stat(dram, "rowHits"), 0.0);
+    EXPECT_EQ(stat(dram, "rowMisses"), 10.0);
 }
 
 TEST(DramModel, OpenPageHitsOnSameRow)
@@ -57,7 +68,8 @@ TEST(DramModel, OpenPageHitsOnSameRow)
     // Second access is a row hit: pays rowHitLatency, not array.
     EXPECT_EQ(second - now, p.rowHitLatency +
               secondsToTicks(64 / p.portBandwidth));
-    EXPECT_DOUBLE_EQ(dram.rowHitRate(), 0.5);
+    EXPECT_EQ(stat(dram, "rowHits"), 1.0);
+    EXPECT_EQ(stat(dram, "rowMisses"), 1.0);
 }
 
 TEST(DramModel, OpenPageMissesAcrossRows)
@@ -69,7 +81,8 @@ TEST(DramModel, OpenPageMissesAcrossRows)
     Tick now = dram.access(AccessType::Read, 0, 64, 0);
     // Next row within the same bank.
     now = dram.access(AccessType::Read, p.rowBytes, 64, now);
-    EXPECT_DOUBLE_EQ(dram.rowHitRate(), 0.0);
+    EXPECT_EQ(stat(dram, "rowHits"), 0.0);
+    EXPECT_EQ(stat(dram, "rowMisses"), 2.0);
 }
 
 TEST(DramModel, SameBankAccessesSerialize)
@@ -107,7 +120,8 @@ TEST(DramModel, BytesTransferredAccumulates)
     DramModel dram(stackedDramParams());
     dram.access(AccessType::Read, 0, 64, 0);
     dram.access(AccessType::Write, 4096, 64, tickUs);
-    EXPECT_EQ(dram.bytesTransferred(), 128u);
+    EXPECT_EQ(stat(dram, "bytesRead"), 64.0);
+    EXPECT_EQ(stat(dram, "bytesWritten"), 64.0);
 }
 
 TEST(DramModel, LatencyOverrideSweepsLikeThePaper)

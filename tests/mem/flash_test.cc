@@ -17,6 +17,16 @@ namespace
 using namespace mercury;
 using namespace mercury::mem;
 
+/** The value of statistic @p name in @p flash's group. */
+double
+stat(const FlashController &flash, const char *name)
+{
+    const auto *scalar = dynamic_cast<const stats::Scalar *>(
+        flash.statGroup().find(name));
+    EXPECT_NE(scalar, nullptr) << name;
+    return scalar ? scalar->value() : -1.0;
+}
+
 /** Small FTL for fast property testing: 64 blocks x 16 pages. */
 mercury::mem::Ftl
 smallFtl()
@@ -43,8 +53,9 @@ TEST(Ftl, WriteMapsAndTranslates)
     Ftl ftl = smallFtl();
     auto outcome = ftl.write(5);
     EXPECT_TRUE(ftl.isMapped(5));
-    EXPECT_EQ(ftl.translate(5), outcome.physicalPage);
+    EXPECT_LT(outcome.physicalPage, ftl.physicalPages());
     EXPECT_EQ(outcome.movedPages, 0u);
+    EXPECT_TRUE(ftl.checkConsistency());
 }
 
 TEST(Ftl, OverwriteRelocatesToNewPhysicalPage)
@@ -53,7 +64,7 @@ TEST(Ftl, OverwriteRelocatesToNewPhysicalPage)
     auto first = ftl.write(7);
     auto second = ftl.write(7);
     EXPECT_NE(first.physicalPage, second.physicalPage);
-    EXPECT_EQ(ftl.translate(7), second.physicalPage);
+    EXPECT_TRUE(ftl.checkConsistency());
 }
 
 TEST(Ftl, SequentialWritesUseDistinctPhysicalPages)
@@ -210,10 +221,8 @@ TEST(FtlTables, ReadsAndAuditsAllocateNothing)
 
     std::uint64_t mapped = 0;
     for (std::uint64_t lpn = 0; lpn < ftl.logicalPages(); ++lpn) {
-        if (ftl.isMapped(lpn)) {
+        if (ftl.isMapped(lpn))
             ++mapped;
-            EXPECT_LT(ftl.translate(lpn), ftl.physicalPages());
-        }
     }
     EXPECT_TRUE(ftl.checkConsistency());
     EXPECT_EQ(mapped, 64u);
@@ -228,20 +237,23 @@ TEST(FtlTables, WritesAllocateOnlyTheChunksTheyTouch)
 
     // 100 pages inside one map chunk; fresh blocks hand out physical
     // pages in order, so their reverse entries share one chunk too.
+    // No page is written twice and nothing is collected, so each
+    // page stays where its write put it.
+    std::set<std::uint64_t> reverse_chunks;
     for (std::uint64_t lpn = 0; lpn < 100; ++lpn)
-        ftl.write(lpn);
+        reverse_chunks.insert(ftl.write(lpn).physicalPage / chunk_pages);
     EXPECT_LE(ftl.tableBytes() - fresh, 2 * Ftl::tableChunkBytes);
 
     // Ten pages one chunk apart touch ten more map chunks at most.
     std::set<std::uint64_t> map_chunks;
-    std::set<std::uint64_t> reverse_chunks;
-    for (std::uint64_t i = 1; i <= 10; ++i)
-        ftl.write(i * chunk_pages + 7);
+    for (std::uint64_t i = 1; i <= 10; ++i) {
+        const auto outcome = ftl.write(i * chunk_pages + 7);
+        ASSERT_EQ(outcome.movedPages, 0u);
+        reverse_chunks.insert(outcome.physicalPage / chunk_pages);
+    }
     for (std::uint64_t lpn = 0; lpn < ftl.logicalPages(); ++lpn) {
-        if (!ftl.isMapped(lpn))
-            continue;
-        map_chunks.insert(lpn / chunk_pages);
-        reverse_chunks.insert(ftl.translate(lpn) / chunk_pages);
+        if (ftl.isMapped(lpn))
+            map_chunks.insert(lpn / chunk_pages);
     }
     EXPECT_EQ(map_chunks.size(), 11u);
     EXPECT_LE(ftl.tableBytes() - fresh,
@@ -258,20 +270,27 @@ TEST(FtlTables, CopiedFtlTranslatesLikeTheOriginal)
         original.write(rng.nextInt(original.logicalPages()));
 
     Ftl copy = original;
+    Ftl twin = original;
     ASSERT_TRUE(copy.checkConsistency());
     EXPECT_EQ(copy.tableBytes(), original.tableBytes());
-    for (std::uint64_t lpn = 0; lpn < original.logicalPages(); ++lpn) {
+    for (std::uint64_t lpn = 0; lpn < original.logicalPages(); ++lpn)
         ASSERT_EQ(copy.isMapped(lpn), original.isMapped(lpn));
-        if (original.isMapped(lpn)) {
-            ASSERT_EQ(copy.translate(lpn), original.translate(lpn));
-        }
-    }
 
-    // The copy owns its tables: rewriting it leaves the original be.
-    const std::uint64_t before = original.translate(0);
-    copy.write(0);
-    EXPECT_NE(copy.translate(0), before);
-    EXPECT_EQ(original.translate(0), before);
+    // The copy owns its tables: rewriting it leaves the original be,
+    // so the original and a second copy still place every later
+    // write alike, collections included.
+    for (int i = 0; i < 2000; ++i)
+        copy.write(rng.nextInt(copy.logicalPages()));
+    ASSERT_TRUE(copy.checkConsistency());
+    ASSERT_TRUE(original.checkConsistency());
+    for (int i = 0; i < 5000; ++i) {
+        const std::uint64_t lpn = rng.nextInt(original.logicalPages());
+        const auto want = original.write(lpn);
+        const auto got = twin.write(lpn);
+        ASSERT_EQ(got.physicalPage, want.physicalPage) << "write " << i;
+        ASSERT_EQ(got.movedPages, want.movedPages) << "write " << i;
+    }
+    EXPECT_TRUE(original.checkConsistency());
 }
 
 FlashParams
@@ -434,7 +453,7 @@ TEST(FlashController, SustainedOverwriteDrivesGc)
     }
     flash.drainWrites(now);
 
-    EXPECT_GT(flash.totalErases(), 0u);
+    EXPECT_GT(stat(flash, "erases"), 0.0);
     EXPECT_GE(flash.writeAmplification(), 1.0);
 }
 
@@ -473,18 +492,15 @@ TEST(FtlFaults, AttachedInjectorWithZeroProbsChangesNothing)
     Rng rng(21);
     for (int i = 0; i < 20000; ++i) {
         const std::uint64_t lpn = rng.nextInt(clean.logicalPages());
-        clean.write(lpn);
-        armed.write(lpn);
+        const auto want = clean.write(lpn);
+        const auto got = armed.write(lpn);
+        ASSERT_EQ(got.physicalPage, want.physicalPage) << "write " << i;
+        ASSERT_EQ(got.movedPages, want.movedPages) << "write " << i;
     }
     EXPECT_EQ(clean.totalErases(), armed.totalErases());
     EXPECT_EQ(clean.flashWrites(), armed.flashWrites());
     EXPECT_EQ(armed.retiredBlocks(), 0u);
     EXPECT_EQ(injector.faultCount(), 0u);
-    for (std::uint64_t lpn = 0; lpn < clean.logicalPages(); ++lpn) {
-        if (clean.isMapped(lpn)) {
-            ASSERT_EQ(clean.translate(lpn), armed.translate(lpn));
-        }
-    }
 }
 
 TEST(FtlFaults, EraseFailuresGrowBadBlocksConsistently)
@@ -499,13 +515,9 @@ TEST(FtlFaults, EraseFailuresGrowBadBlocksConsistently)
 
     EXPECT_GT(ftl.retiredBlocks(), 0u);
     EXPECT_GT(ftl.capacityLossFraction(), 0.0);
+    // Every mapped logical page still maps to a live physical page
+    // that maps back to it, despite the shrinkage.
     EXPECT_TRUE(ftl.checkConsistency());
-    // Every logical page is still reachable despite the shrinkage.
-    for (std::uint64_t lpn = 0; lpn < ftl.logicalPages(); ++lpn) {
-        if (ftl.isMapped(lpn)) {
-            EXPECT_LT(ftl.translate(lpn), ftl.physicalPages());
-        }
-    }
     // Each retirement is on the recorded timeline.
     std::uint64_t bad_blocks = 0;
     for (const auto &record : injector.timeline()) {
@@ -591,8 +603,7 @@ TEST(FlashControllerFaults, RetirementSurfacesInAggregateStats)
     }
     flash.drainWrites(now);
 
-    EXPECT_GT(flash.totalRetiredBlocks(), 0u);
-    EXPECT_GT(flash.capacityDegradation(), 0.0);
+    EXPECT_GT(stat(flash, "badBlocks"), 0.0);
     EXPECT_GT(injector.faultCount(), 0u);
 }
 

@@ -114,16 +114,6 @@ TEST(NicGetCache, OversizedValuesAreNotCached)
     EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(NicGetCache, ClearEmptiesEverything)
-{
-    NicGetCache cache(cacheParams(4));
-    cache.fill("a", "1");
-    cache.fill("b", "2");
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.lookup("a").has_value());
-}
-
 TEST(NicGetCache, EvictionOrderIsDeterministic)
 {
     // Same operation sequence twice -> same survivor set.
@@ -153,7 +143,7 @@ TEST(NicGetCache, EvictionOrderIsDeterministic)
 
 TEST(DeliverDatagrams, ChargesUdpOverheadPerDatagram)
 {
-    NetworkPath path(tenGbEParams());
+    NetworkPath path(NetParams{});
     const DeliveryResult r = path.deliverDatagrams(1000, 0, 2);
     EXPECT_EQ(r.packets, 2u);
     EXPECT_EQ(r.wireBytes,
@@ -165,8 +155,8 @@ TEST(DeliverDatagrams, ChargesUdpOverheadPerDatagram)
 TEST(DeliverDatagrams, UdpBeatsTcpForSmallMessages)
 {
     // One 64 B response: UDP's 66-byte overhead vs TCP's 78.
-    NetworkPath udp(tenGbEParams());
-    NetworkPath tcp(tenGbEParams());
+    NetworkPath udp(NetParams{});
+    NetworkPath tcp(NetParams{});
     const DeliveryResult u = udp.deliverDatagrams(64, 0, 1);
     const DeliveryResult t = tcp.deliver(64, 0);
     EXPECT_LT(u.wireBytes, t.wireBytes);
@@ -175,7 +165,7 @@ TEST(DeliverDatagrams, UdpBeatsTcpForSmallMessages)
 
 TEST(DeliverDatagrams, BackToBackMessagesQueue)
 {
-    NetworkPath path(tenGbEParams());
+    NetworkPath path(NetParams{});
     const DeliveryResult first = path.deliverDatagrams(100000, 0, 72);
     const DeliveryResult second = path.deliverDatagrams(100000, 0, 72);
     EXPECT_GT(second.completion, first.completion)

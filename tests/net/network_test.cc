@@ -15,7 +15,7 @@ using namespace mercury::net;
 
 TEST(TcpSegmenter, SmallPayloadIsOnePacket)
 {
-    TcpSegmenter seg(tenGbEParams());
+    TcpSegmenter seg(NetParams{});
     EXPECT_EQ(seg.numSegments(0), 1u);
     EXPECT_EQ(seg.numSegments(64), 1u);
     EXPECT_EQ(seg.numSegments(1448), 1u);
@@ -23,7 +23,7 @@ TEST(TcpSegmenter, SmallPayloadIsOnePacket)
 
 TEST(TcpSegmenter, LargePayloadSplitsAtMss)
 {
-    TcpSegmenter seg(tenGbEParams());
+    TcpSegmenter seg(NetParams{});
     EXPECT_EQ(seg.numSegments(1449), 2u);
     EXPECT_EQ(seg.numSegments(64 * kiB), 46u);
     EXPECT_EQ(seg.numSegments(1 * miB), 725u);
@@ -31,7 +31,7 @@ TEST(TcpSegmenter, LargePayloadSplitsAtMss)
 
 TEST(TcpSegmenter, SegmentSizesSumToPayload)
 {
-    TcpSegmenter seg(tenGbEParams());
+    TcpSegmenter seg(NetParams{});
     for (std::uint64_t payload : {0ull, 64ull, 1448ull, 5000ull,
                                   1048576ull}) {
         auto sizes = seg.segmentSizes(payload);
@@ -47,7 +47,7 @@ TEST(TcpSegmenter, SegmentSizesSumToPayload)
 
 TEST(TcpSegmenter, WireBytesIncludePerPacketOverhead)
 {
-    NetParams p = tenGbEParams();
+    NetParams p = NetParams{};
     TcpSegmenter seg(p);
     EXPECT_EQ(seg.wireBytes(64), 64 + p.perPacketOverhead);
     EXPECT_EQ(seg.wireBytes(2896),
@@ -56,7 +56,7 @@ TEST(TcpSegmenter, WireBytesIncludePerPacketOverhead)
 
 TEST(NetworkPath, SmallMessageLatencyIsFixedCostsPlusSerialization)
 {
-    NetParams p = tenGbEParams();
+    NetParams p = NetParams{};
     NetworkPath path(p);
     auto r = path.deliver(64, 0);
     const Tick wire = secondsToTicks((64.0 + p.perPacketOverhead) /
@@ -68,9 +68,9 @@ TEST(NetworkPath, SmallMessageLatencyIsFixedCostsPlusSerialization)
 
 TEST(NetworkPath, LargeMessagePaysSerializationPerByte)
 {
-    NetworkPath path(tenGbEParams());
+    NetworkPath path(NetParams{});
     auto small = path.deliver(64, 0);
-    NetworkPath path2(tenGbEParams());
+    NetworkPath path2(NetParams{});
     auto large = path2.deliver(1 * miB, 0);
     // 1 MiB at 1.25 GB/s is ~839 us of serialization alone.
     EXPECT_GT(large.completion, small.completion + 800 * tickUs);
@@ -79,7 +79,7 @@ TEST(NetworkPath, LargeMessagePaysSerializationPerByte)
 
 TEST(NetworkPath, BackToBackMessagesQueueOnTheLink)
 {
-    NetworkPath path(tenGbEParams());
+    NetworkPath path(NetParams{});
     auto first = path.deliver(1 * miB, 0);
     auto second = path.deliver(64, 0);
     // The second message waits for the first's serialization.
@@ -88,8 +88,8 @@ TEST(NetworkPath, BackToBackMessagesQueueOnTheLink)
 
 TEST(NetworkPath, IndependentPathsDoNotInterfere)
 {
-    NetworkPath a(tenGbEParams());
-    NetworkPath b(tenGbEParams());
+    NetworkPath a(NetParams{});
+    NetworkPath b(NetParams{});
     a.deliver(1 * miB, 0);
     auto r = b.deliver(64, 0);
     EXPECT_LT(r.completion, 10 * tickUs);
@@ -97,7 +97,7 @@ TEST(NetworkPath, IndependentPathsDoNotInterfere)
 
 TEST(NetworkPath, UtilizationTracksOfferedLoad)
 {
-    NetworkPath path(tenGbEParams());
+    NetworkPath path(NetParams{});
     // Offer all messages at once: the link serializes them back to
     // back and should run near line rate.
     Tick last = 0;
@@ -112,8 +112,8 @@ TEST(NetworkPath, AttachedInjectorWithZeroLossIsBitIdentical)
 {
     // The zero-cost-off contract: an attached injector with zero
     // probabilities must not perturb timing or counters.
-    NetworkPath clean(tenGbEParams());
-    NetworkPath armed(tenGbEParams());
+    NetworkPath clean(NetParams{});
+    NetworkPath armed(NetParams{});
     mercury::fault::FaultInjector injector(1);
     armed.setFaultInjector(&injector);
 
@@ -132,7 +132,7 @@ TEST(NetworkPath, AttachedInjectorWithZeroLossIsBitIdentical)
 
 TEST(NetworkPath, PacketLossPaysRetransmissionTimeouts)
 {
-    NetParams params = tenGbEParams();
+    NetParams params = NetParams{};
     params.lossProbability = 1.0;
     params.maxRetransmits = 3;
     NetworkPath path(params);
@@ -153,7 +153,7 @@ TEST(NetworkPath, PacketLossPaysRetransmissionTimeouts)
 
 TEST(NetworkPath, LossTimelineIsDeterministicPerSeed)
 {
-    NetParams params = tenGbEParams();
+    NetParams params = NetParams{};
     params.lossProbability = 0.3;
     NetworkPath a(params), b(params);
     mercury::fault::FaultInjector ia(77), ib(77);
@@ -176,7 +176,7 @@ TEST(NetworkPath, BufferOverflowIsCountedEvenFaultFree)
 {
     // A burst far beyond the 128 KiB MAC buffer: the overflow is
     // accounted, but nothing is dropped or slowed.
-    NetworkPath path(tenGbEParams());
+    NetworkPath path(NetParams{});
     path.deliver(1 * miB, 0);
     const auto r = path.deliver(1 * miB, 0);
     EXPECT_GT(path.bufferDropPackets(), 0u);
@@ -190,7 +190,7 @@ TEST(NetworkPath, TenGigLineRateForBigTransfers)
 {
     // Property: sustained throughput approaches but never exceeds
     // 10 Gb/s.
-    NetworkPath path(tenGbEParams());
+    NetworkPath path(NetParams{});
     Tick now = 0;
     const int messages = 50;
     for (int i = 0; i < messages; ++i)

@@ -166,12 +166,7 @@ class ReferenceCache
         return true;
     }
 
-    void
-    invalidate(Addr addr)
-    {
-        if (Way *way = find(addr))
-            way->valid = false;
-    }
+    bool contains(Addr addr) { return find(addr) != nullptr; }
 
     std::optional<Victim>
     insert(Addr addr, bool dirty)
@@ -280,24 +275,42 @@ TEST_P(CacheReferenceTest, MatchesTextbookCacheStepForStep)
     std::uint64_t victims = 0;
     for (int step = 0; step < 40000; ++step) {
         const Addr addr = next_addr();
-        switch (rng.nextInt(10)) {
+        const std::uint64_t op = rng.nextInt(10);
+        switch (op) {
           case 0:
           case 1:
           case 2:
-            ASSERT_EQ(cache.lookup(addr), reference.lookup(addr))
-                << "step " << step;
+          case 3: {
+            // A load (case 3: a store) that fills nothing: touch on
+            // a hit, as CacheHierarchy does.
+            const bool store = op == 3;
+            const SetAssocCache::Probe p = cache.probe(addr);
+            if (p.hit)
+                cache.touch(p, store);
+            const bool want = reference.lookup(addr);
+            if (want && store)
+                reference.markDirty(addr);
+            ASSERT_EQ(p.hit, want) << "step " << step;
             break;
-          case 3:
-            ASSERT_EQ(cache.markDirty(addr), reference.markDirty(addr))
-                << "step " << step;
-            break;
+          }
           case 4:
-            cache.invalidate(addr);
-            reference.invalidate(addr);
+            ASSERT_EQ(cache.contains(addr), reference.contains(addr))
+                << "step " << step;
             break;
           default: {
+            // An access that fills on a miss: probe, then touch or
+            // fill, as CacheHierarchy does; case 9 through insert(),
+            // as an L1 victim enters the L2.
             const bool dirty = rng.nextInt(2) == 0;
-            const auto got = cache.insert(addr, dirty);
+            std::optional<Victim> got;
+            if (op == 9) {
+                got = cache.insert(addr, dirty);
+            } else if (const SetAssocCache::Probe p = cache.probe(addr);
+                       p.hit) {
+                cache.touch(p, dirty);
+            } else {
+                got = cache.fill(p, dirty);
+            }
             const auto want = reference.insert(addr, dirty);
             ASSERT_EQ(got.has_value(), want.has_value())
                 << "step " << step;
@@ -640,8 +653,6 @@ TEST_P(TableLoadSweep, MeanChainStaysBoundedByExpansion)
         item->setValue("v");
         table.insert(item, hashKey(key));
     }
-    while (table.expanding())
-        table.migrateStep(64);
 
     // Load factor must be kept under the expansion threshold.
     EXPECT_LT(table.loadFactor(), 1.5 + 1e-9);

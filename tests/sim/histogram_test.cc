@@ -2,12 +2,11 @@
  * @file
  * Unit tests for stats::LatencyHistogram: exact quantiles within the
  * precision range, the relative-error bound above it, overflow
- * behaviour, merge algebra, and the zero-allocation guarantee of the
+ * behaviour, reset, and the zero-allocation guarantee of the
  * record() hot path.
  */
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@ namespace
 {
 
 using mercury::stats::LatencyHistogram;
-using mercury::detail::concat;
 
 /** Stats require a parent group; give every test a scratch one. */
 class LatencyHistogramTest : public ::testing::Test
@@ -129,63 +127,6 @@ mix(std::uint64_t &state)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
-}
-
-void
-expectSameDistribution(const LatencyHistogram &a,
-                       const LatencyHistogram &b)
-{
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.totalSum(), b.totalSum());
-    EXPECT_EQ(a.minValue(), b.minValue());
-    EXPECT_EQ(a.maxValue(), b.maxValue());
-    EXPECT_EQ(a.overflowCount(), b.overflowCount());
-    for (double p = 0.0; p <= 1.0; p += 0.01)
-        EXPECT_EQ(a.percentile(p), b.percentile(p)) << "p=" << p;
-}
-
-TEST_F(LatencyHistogramTest, MergeIsAssociativeAndCommutative)
-{
-    const unsigned precision = 4;
-    auto make = [&](std::uint64_t seed, unsigned samples) {
-        auto h = std::make_unique<LatencyHistogram>(
-            &group, concat("h", seed), "", precision, 48);
-        std::uint64_t state = seed;
-        for (unsigned i = 0; i < samples; ++i)
-            h->record(mix(state) >> (i % 40));
-        return h;
-    };
-
-    const auto a = make(1, 500), b = make(2, 300), c = make(3, 700);
-
-    // (a + b) + c
-    LatencyHistogram left(&group, "l", "", precision, 48);
-    left.merge(*a);
-    left.merge(*b);
-    left.merge(*c);
-
-    // a + (b + c), folded in a different order
-    LatencyHistogram bc(&group, "bc", "", precision, 48);
-    bc.merge(*c);
-    bc.merge(*b);
-    LatencyHistogram right(&group, "r", "", precision, 48);
-    right.merge(bc);
-    right.merge(*a);
-
-    expectSameDistribution(left, right);
-
-    // Merging must agree with recording the union directly.
-    LatencyHistogram direct(&group, "d", "", precision, 48);
-    std::uint64_t state = 1;
-    for (unsigned i = 0; i < 500; ++i)
-        direct.record(mix(state) >> (i % 40));
-    state = 2;
-    for (unsigned i = 0; i < 300; ++i)
-        direct.record(mix(state) >> (i % 40));
-    state = 3;
-    for (unsigned i = 0; i < 700; ++i)
-        direct.record(mix(state) >> (i % 40));
-    expectSameDistribution(left, direct);
 }
 
 TEST_F(LatencyHistogramTest, ResetClearsEverything)

@@ -62,21 +62,6 @@ TEST(Rng, NextIntCoversAllResidues)
         EXPECT_GT(count, 0);
 }
 
-TEST(Rng, NextRangeInclusiveBounds)
-{
-    Rng rng(7);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 10000; ++i) {
-        std::uint64_t v = rng.nextRange(3, 5);
-        EXPECT_GE(v, 3u);
-        EXPECT_LE(v, 5u);
-        saw_lo = saw_lo || v == 3;
-        saw_hi = saw_hi || v == 5;
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, NextDoubleInUnitInterval)
 {
     Rng rng(99);

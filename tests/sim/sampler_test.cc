@@ -2,9 +2,8 @@
  * @file
  * Unit tests for the windowed time-series sampler: window math and
  * boundary conventions, per-window channel reset, ratio semantics,
- * windowed latency percentiles, the interval histogram's reset/merge
- * algebra, determinism, and the zero-allocation steady-state
- * contract.
+ * windowed latency percentiles, the interval histogram's reset,
+ * determinism, and the zero-allocation steady-state contract.
  */
 
 #include <string>
@@ -150,39 +149,31 @@ TEST(Sampler, IdenticalInputsProduceIdenticalBytes)
     EXPECT_EQ(run(), run());
 }
 
-// The sampler's latency channels are interval histograms; their
-// merge is the offline-refold operation (coarser windows = merged
-// finer windows), so pin the algebra: merge(a, b) sees exactly the
-// union of samples, and reset() forgets everything.
-TEST(Sampler, IntervalHistogramMergeAndResetAlgebra)
+// The sampler's latency channels are interval histograms that reset
+// at every window boundary: after reset() a histogram reads exactly
+// like a fresh one fed the samples recorded since.
+TEST(Sampler, IntervalHistogramResetForgetsEverything)
 {
     stats::StatGroup root("root");
-    stats::LatencyHistogram a(&root, "a", "", 7);
-    stats::LatencyHistogram b(&root, "b", "", 7);
-    stats::LatencyHistogram all(&root, "all", "", 7);
+    stats::LatencyHistogram window(&root, "window", "", 7);
+    stats::LatencyHistogram fresh(&root, "fresh", "", 7);
 
-    for (std::uint64_t v = 1; v <= 100; ++v) {
-        a.record(v);
-        all.record(v);
-    }
+    for (std::uint64_t v = 1; v <= 100; ++v)
+        window.record(v);
+    window.reset();
+    EXPECT_EQ(window.count(), 0u);
+    EXPECT_EQ(window.percentile(0.99), 0u);
+
     for (std::uint64_t v = 200; v <= 300; ++v) {
-        b.record(v);
-        all.record(v);
+        window.record(v);
+        fresh.record(v);
     }
-
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_EQ(a.totalSum(), all.totalSum());
-    EXPECT_EQ(a.minValue(), all.minValue());
-    EXPECT_EQ(a.maxValue(), all.maxValue());
+    EXPECT_EQ(window.count(), fresh.count());
+    EXPECT_EQ(window.totalSum(), fresh.totalSum());
+    EXPECT_EQ(window.minValue(), fresh.minValue());
+    EXPECT_EQ(window.maxValue(), fresh.maxValue());
     for (const double p : {0.5, 0.9, 0.99, 0.999})
-        EXPECT_EQ(a.percentile(p), all.percentile(p)) << p;
-
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_EQ(a.percentile(0.99), 0u);
-    // b is untouched by having been merged from.
-    EXPECT_EQ(b.count(), 101u);
+        EXPECT_EQ(window.percentile(p), fresh.percentile(p)) << p;
 }
 
 TEST(Sampler, SteadyStateSamplingNeverAllocates)

@@ -182,55 +182,6 @@ TEST(Tracer, ChromeJsonLinksClientAndAttemptSpans)
               std::string::npos);
 }
 
-TEST(Tracer, DigestCoversNodeAndParent)
-{
-    Tracer a(8), b(8), c(8);
-    a.record(0, Stage::Attempt, 0, 10);
-    b.setContext(1);
-    b.record(0, Stage::Attempt, 0, 10);
-    c.setContext(0, 5);
-    c.record(0, Stage::Attempt, 0, 10);
-
-    EXPECT_NE(a.digest(), b.digest());
-    EXPECT_NE(a.digest(), c.digest());
-    EXPECT_NE(b.digest(), c.digest());
-}
-
-TEST(Tracer, DigestDetectsAnySpanChange)
-{
-    auto fill = [](Tracer &tracer, Tick delta) {
-        tracer.record(0, Stage::NicIn, 0, 100 + delta, 15);
-        tracer.record(0, Stage::Request, 0, 500, 1);
-    };
-
-    Tracer a(8), b(8), c(8);
-    fill(a, 0);
-    fill(b, 0);
-    fill(c, 1);  // one tick of drift in one span
-
-    EXPECT_EQ(a.digest(), b.digest());
-    EXPECT_NE(a.digest(), c.digest());
-
-    // An empty tracer digests differently from a populated one.
-    Tracer empty(8);
-    EXPECT_NE(empty.digest(), a.digest());
-}
-
-TEST(Tracer, ClearResetsRetentionAndRequestIds)
-{
-    Tracer tracer(8);
-    tracer.beginRequest();
-    tracer.setContext(4, 9);
-    tracer.record(0, Stage::NicIn, 0, 10);
-    tracer.clear();
-
-    EXPECT_EQ(tracer.size(), 0u);
-    EXPECT_EQ(tracer.droppedSpans(), 0u);
-    EXPECT_EQ(tracer.beginRequest(), 0u);
-    EXPECT_EQ(tracer.contextNode(), 0u);
-    EXPECT_EQ(tracer.contextParent(), trace::noParent);
-}
-
 TEST(Tracer, RecordHotPathNeverAllocates)
 {
     Tracer tracer(1024);
