@@ -233,6 +233,7 @@ class Session
                 smoke_ = true;
             } else if (match(arg, "--jobs", i, argc, argv, value)) {
                 jobs_ = parseJobs(value);
+                jobsGiven_ = true;
             } else if (arg == "--help") {
                 std::fputs(helpText(registry_.name()).c_str(),
                            stdout);
@@ -289,6 +290,10 @@ class Session
     {
         return tracer_ ? 1u : jobs_;
     }
+
+    /** Whether --jobs was given (jobs() is then what it asked for,
+     * unless tracing forces 1). */
+    bool jobsGiven() const { return jobsGiven_; }
 
     /** Accepts --flag=VALUE and --flag VALUE; advances @p i for the
      * two-token form. A value flag given last fails fast (exit 2).
@@ -555,6 +560,7 @@ class Session
     bool smoke_ = false;
     bool finished_ = false;
     unsigned jobs_ = 1;
+    bool jobsGiven_ = false;
 };
 
 /**

@@ -170,10 +170,10 @@ main(int argc, char **argv)
             out = value;
     }
 
-    // --jobs defaults to 1 in Session; for the sweep section the
-    // interesting default is "all hardware threads".
+    // The sweep section runs on every hardware thread unless --jobs
+    // names a count, 1 included.
     const unsigned jobs =
-        session.jobs() > 1
+        session.jobsGiven()
             ? session.jobs()
             : std::max(1u, std::thread::hardware_concurrency());
 

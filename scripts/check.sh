@@ -32,7 +32,11 @@
 #      (a hard failure when installed; skipped with a warning when
 #      not -- the CI image may not ship it);
 #   8. the project-specific lint rules in tools/lint/mercury_lint.py
-#      over src/ and bench/, plus the waiver-budget ratchet.
+#      over src/ and bench/, plus the waiver-budget ratchet;
+#   9. with --reach only, the reach ratchet (`scripts/coverage.sh
+#      --reach`, about three minutes of coverage builds and runs;
+#      with --skip-build too, `--reach --skip-build` re-reports the
+#      last reach run's counters).
 #
 # The golden observability suite (`ctest -L golden`) runs inside both
 # the asan-ubsan ctest pass and an explicit release-preset stage, so a
@@ -41,21 +45,25 @@
 # coverage gate lives in scripts/coverage.sh, and so does the reach
 # ratchet (`scripts/coverage.sh --reach`: every src function that no
 # bench, example or simbench workload runs must be allowlisted with a
-# reason); both need a coverage build, so neither runs here. Stage 6
+# reason); both need a coverage build, so the default run runs
+# neither, and --reach adds the reach ratchet as stage 9. Stage 6
 # checks the reach report's logic on a canned fixture.
 #
 # Fails on the first stage that reports a problem. Usage:
-#   scripts/check.sh [--skip-build]
+#   scripts/check.sh [--skip-build] [--reach]
 
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
 
 skip_build=0
+reach=0
 for arg in "$@"; do
     case "$arg" in
       --skip-build) skip_build=1 ;;
-      *) echo "usage: scripts/check.sh [--skip-build]" >&2; exit 2 ;;
+      --reach) reach=1 ;;
+      *) echo "usage: scripts/check.sh [--skip-build] [--reach]" >&2
+         exit 2 ;;
     esac
 done
 
@@ -306,5 +314,17 @@ if [ "$failures" -ne 0 ]; then
     echo "check.sh: FAILED ($failures stage(s) reported findings)" >&2
     exit 1
 fi
+
+if [ "$reach" -eq 1 ]; then
+    note "reach ratchet (scripts/coverage.sh --reach)"
+    reach_args=(--reach)
+    [ "$skip_build" -eq 1 ] && reach_args+=(--skip-build)
+    if ! scripts/coverage.sh "${reach_args[@]}"; then
+        echo "check.sh: reach ratchet failed (scripts/coverage.sh" \
+             "--reach)" >&2
+        exit 1
+    fi
+fi
+
 echo
 echo "check.sh: all stages clean"

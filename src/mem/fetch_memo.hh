@@ -9,7 +9,10 @@
  * lines, stride). The memo stores each L1I state it meets by its
  * exact contents and, for each (state, pass) it has walked, the
  * state after the pass and which of the pass's lines missed. A
- * hierarchy that finds its (state, pass) replays only the misses.
+ * hierarchy that finds its (state, pass) replays only the misses,
+ * and only those that miss its L2 as well take a time step. Bit i
+ * of the miss masks also indexes each hierarchy's own hint of the
+ * L2 way that holds that miss's line (CacheHierarchy::replayPass).
  * See CacheHierarchy::fetchPass and DESIGN.md Sec. 8.
  */
 

@@ -382,15 +382,18 @@ sharedDramParams(bool refresh = true)
  */
 struct SharedDramRig
 {
-    /** @p memo, when given, is shared by every hierarchy. */
+    /** @p memo, when given, is shared by every hierarchy; an L2 has
+     * @p l2_bytes. */
     SharedDramRig(bool with_l2, unsigned count, FetchMemo *memo = nullptr,
-                  const DramParams &dp = sharedDramParams())
+                  const DramParams &dp = sharedDramParams(),
+                  std::uint64_t l2_bytes = 2 * miB)
     {
         dram = std::make_unique<DramModel>(dp, &stats);
         for (unsigned i = 0; i < count; ++i) {
             HierarchyParams hp =
                 defaultHierarchy(CoreType::CortexA7, with_l2);
             hp.name = detail::concat("caches", i);
+            hp.l2.sizeBytes = l2_bytes;
             caches.push_back(std::make_unique<CacheHierarchy>(
                 hp, dram.get(), &stats, memo));
             cores.push_back(std::make_unique<CoreModel>(
@@ -535,8 +538,10 @@ dataOps(Rng &rng)
 struct MemoTwins
 {
     MemoTwins(bool with_l2, unsigned count,
-              const DramParams &dp = sharedDramParams())
-        : rig(with_l2, count, &memo, dp), twin(with_l2, count, nullptr, dp)
+              const DramParams &dp = sharedDramParams(),
+              std::uint64_t l2_bytes = 2 * miB)
+        : rig(with_l2, count, &memo, dp, l2_bytes),
+          twin(with_l2, count, nullptr, dp, l2_bytes)
     {}
 
     /** Run @p trace on core @p c. */
@@ -615,6 +620,12 @@ struct MemoTwins
     closed(unsigned c) const
     {
         return rig.caches[c]->closedReplays();
+    }
+
+    std::uint64_t
+    hinted(unsigned c) const
+    {
+        return rig.caches[c]->hintedL2Hits();
     }
 
     FetchMemo memo;
@@ -955,6 +966,156 @@ TEST(FetchMemo, DramSubclassKeepsThePerCallReplay)
     EXPECT_EQ(caches.closedReplays(), 0u);
     EXPECT_EQ(static_cast<double>(dram.calls),
               statValue(stats, "caches.l1iMisses"));
+}
+
+/** The A7's L2 cut to 64 KiB: 128 sets of 8 ways, a set every 8 KiB,
+ * as in its L1D. */
+constexpr std::uint64_t smallL2Bytes = 64 * kiB;
+
+/**
+ * Six accesses, stores if @p store, to lines of L2 (and L1D) set
+ * @p set that no earlier round touched. In the 64 KiB L2 they push
+ * the oldest of the set's three thrashingPasses lines out.
+ */
+OpTrace
+crowdL2Set(unsigned round, unsigned set, bool store)
+{
+    OpTrace trace;
+    TraceBuilder b(trace);
+    for (Addr j = 0; j < 6; ++j) {
+        const Addr addr =
+            16 * miB + round * 64 * kiB + j * 8 * kiB + set * 64;
+        if (store)
+            b.randomStore(addr);
+        else
+            b.chaseLoad(addr);
+    }
+    return trace;
+}
+
+/** A counter of hierarchy @p c's twin under test. */
+double
+hierarchyStat(const MemoTwins &twins, unsigned c, const char *counter)
+{
+    return twins.rig.stat(detail::concat("caches", c, ".", counter));
+}
+
+TEST(FetchMemo, WarmL2HitsReplayThroughTheirHints)
+{
+    // The 2 MB L2 holds the GET's code, as Iridium's does: once warm,
+    // every L1I miss of a replayed pass hits the L2 in the way its
+    // hint names, and no pass takes a device step.
+    MemoTwins twins(true, 1);
+    const OpTrace get = getCodePasses();
+    for (int i = 0; i < 10; ++i)
+        twins.run(0, get);
+    const double l1i_misses = hierarchyStat(twins, 0, "l1iMisses");
+    const double l2_hits = hierarchyStat(twins, 0, "l2Hits");
+    const double l2_misses = hierarchyStat(twins, 0, "l2Misses");
+    const std::uint64_t hinted = twins.hinted(0);
+    const std::uint64_t replayed = twins.replayed(0);
+    for (int i = 0; i < 20; ++i)
+        twins.run(0, get);
+    twins.expectSameCounters();
+    const double misses = hierarchyStat(twins, 0, "l1iMisses") - l1i_misses;
+    EXPECT_GT(misses, 20 * 400.0);
+    EXPECT_EQ(twins.replayed(0) - replayed, 6u * 20);
+    EXPECT_EQ(hierarchyStat(twins, 0, "l2Misses"), l2_misses);
+    EXPECT_EQ(hierarchyStat(twins, 0, "l2Hits") - l2_hits, misses);
+    EXPECT_EQ(static_cast<double>(twins.hinted(0) - hinted), misses);
+}
+
+TEST(FetchMemo, EvictedCodeLineMissesPastItsHint)
+{
+    // Each odd round first stores to six new lines of L2 set 40,
+    // which push a code line of that set out of the 64 KiB L2. The
+    // replays then find a hint whose way holds another line: the
+    // code line misses to the DRAM, returns in another way, and the
+    // misses it sets off in the set evict a dirty stored line, which
+    // is written back. Even rounds run the code alone: every L1I miss
+    // hits through its hint again, the moved lines' hints included.
+    MemoTwins twins(true, 1, sharedDramParams(), smallL2Bytes);
+    const OpTrace thrash = thrashingPasses(0x200000);
+    for (int i = 0; i < 3; ++i)
+        twins.run(0, thrash);
+    double code_misses = 0;
+    double code_writes = 0;
+    for (unsigned round = 1; round <= 20; ++round) {
+        if (round % 2)
+            twins.run(0, crowdL2Set(round, 40, true));
+        const double l2_misses = hierarchyStat(twins, 0, "l2Misses");
+        const double writes = twins.rig.stat("stackedDram.writes");
+        const std::uint64_t hinted = twins.hinted(0);
+        const std::uint64_t replayed = twins.replayed(0);
+        twins.run(0, thrash);
+        EXPECT_EQ(twins.replayed(0) - replayed, 3u) << round;
+        if (round % 2) {
+            code_misses += hierarchyStat(twins, 0, "l2Misses") - l2_misses;
+            code_writes += twins.rig.stat("stackedDram.writes") - writes;
+            EXPECT_LT(twins.hinted(0) - hinted, 3u * 64) << round;
+        } else {
+            EXPECT_EQ(hierarchyStat(twins, 0, "l2Misses"), l2_misses)
+                << round;
+            EXPECT_EQ(twins.hinted(0) - hinted, 3u * 64) << round;
+        }
+    }
+    twins.expectSameCounters();
+    EXPECT_GE(code_misses, 10.0);
+    EXPECT_GT(code_writes, 0.0);
+}
+
+TEST(FetchMemo, L2MissBetweenL2HitsReplaysExactly)
+{
+    // Clean loads push a code line of L2 set 40 out before each odd
+    // round, so line 40 of a pass misses to the DRAM between runs of
+    // L2 hits on both sides. The first 50 lines run one instruction
+    // more, so that boundary falls after the miss.
+    OpTrace code;
+    TraceBuilder b(code);
+    for (Addr k = 0; k < 3; ++k)
+        b.codePass(0x200000 + k * 16 * kiB, 64 * 64, 64 * 5 + 50);
+    MemoTwins twins(true, 1, sharedDramParams(), smallL2Bytes);
+    for (int i = 0; i < 3; ++i)
+        twins.run(0, code);
+    const std::uint64_t replayed = twins.replayed(0);
+    const double l2_misses = hierarchyStat(twins, 0, "l2Misses");
+    for (unsigned round = 1; round <= 20; ++round) {
+        if (round % 2)
+            twins.run(0, crowdL2Set(round, 40, false));
+        twins.run(0, code);
+    }
+    twins.expectSameCounters();
+    EXPECT_EQ(twins.replayed(0) - replayed, 3u * 20);
+    // The loads miss the L2 60 times; the code's own misses add more.
+    EXPECT_GT(hierarchyStat(twins, 0, "l2Misses") - l2_misses, 60.0);
+    EXPECT_GT(twins.hinted(0), 3u * 64 * 10);
+}
+
+TEST(FetchMemo, HierarchiesSharingOneMemoKeepTheirOwnHints)
+{
+    // Both hierarchies replay the same passes from one memo, each in
+    // front of its own 64 KiB L2. Stores crowd only core 1's L2, whose
+    // code lines move to other ways; core 0's hints stay right.
+    MemoTwins twins(true, 2, sharedDramParams(), smallL2Bytes);
+    const OpTrace thrash = thrashingPasses(0x200000);
+    for (int i = 0; i < 3; ++i) {
+        twins.run(0, thrash);
+        twins.run(1, thrash);
+    }
+    const std::uint64_t hinted = twins.hinted(0);
+    const double l2_misses = hierarchyStat(twins, 0, "l2Misses");
+    const double l2_misses_1 = hierarchyStat(twins, 1, "l2Misses");
+    for (unsigned round = 1; round <= 20; ++round) {
+        twins.run(1, crowdL2Set(round, 40, true));
+        twins.run(0, thrash);
+        twins.run(1, thrash);
+    }
+    twins.expectSameCounters();
+    EXPECT_GE(twins.replayed(0), 3u * 20);
+    EXPECT_GE(twins.replayed(1), 3u * 20);
+    EXPECT_EQ(twins.hinted(0) - hinted, 3u * 64 * 20);
+    EXPECT_EQ(hierarchyStat(twins, 0, "l2Misses"), l2_misses);
+    EXPECT_GT(hierarchyStat(twins, 1, "l2Misses") - l2_misses_1, 120.0);
 }
 
 TEST(CoreModel, SteadyStateRunNeverAllocates)
