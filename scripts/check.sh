@@ -33,37 +33,31 @@
 #      not -- the CI image may not ship it);
 #   8. the project-specific lint rules in tools/lint/mercury_lint.py
 #      over src/ and bench/, plus the waiver-budget ratchet;
-#   9. with --reach only, the reach ratchet (`scripts/coverage.sh
-#      --reach`, about three minutes of coverage builds and runs;
-#      with --skip-build too, `--reach --skip-build` re-reports the
-#      last reach run's counters).
+#   9. the reach ratchet (`scripts/coverage.sh --reach`: every src
+#      function that no bench, example or simbench workload runs must
+#      be allowlisted with a reason), about three minutes of coverage
+#      builds and runs.
 #
 # The golden observability suite (`ctest -L golden`) runs inside both
 # the asan-ubsan ctest pass and an explicit release-preset stage, so a
 # stats drift fails this gate under either compiler mode. That stage
 # first builds every target, tests included, at -O3 with -Werror. The line
-# coverage gate lives in scripts/coverage.sh, and so does the reach
-# ratchet (`scripts/coverage.sh --reach`: every src function that no
-# bench, example or simbench workload runs must be allowlisted with a
-# reason); both need a coverage build, so the default run runs
-# neither, and --reach adds the reach ratchet as stage 9. Stage 6
-# checks the reach report's logic on a canned fixture.
+# coverage gate lives in scripts/coverage.sh and does not run here.
+# Stage 6 checks the reach report's logic on a canned fixture.
+# --skip-build runs only stages 6 to 8: the others build and run.
 #
 # Fails on the first stage that reports a problem. Usage:
-#   scripts/check.sh [--skip-build] [--reach]
+#   scripts/check.sh [--skip-build]
 
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
 
 skip_build=0
-reach=0
 for arg in "$@"; do
     case "$arg" in
       --skip-build) skip_build=1 ;;
-      --reach) reach=1 ;;
-      *) echo "usage: scripts/check.sh [--skip-build] [--reach]" >&2
-         exit 2 ;;
+      *) echo "usage: scripts/check.sh [--skip-build]" >&2; exit 2 ;;
     esac
 done
 
@@ -309,22 +303,19 @@ if ! python3 tools/lint/mercury_lint.py --budget; then
     failures=$((failures + 1))
 fi
 
+if [ "$skip_build" -eq 0 ]; then
+    note "reach ratchet (scripts/coverage.sh --reach)"
+    if ! scripts/coverage.sh --reach; then
+        failures=$((failures + 1))
+    fi
+else
+    note "reach ratchet (skipped)"
+fi
+
 if [ "$failures" -ne 0 ]; then
     echo
     echo "check.sh: FAILED ($failures stage(s) reported findings)" >&2
     exit 1
 fi
-
-if [ "$reach" -eq 1 ]; then
-    note "reach ratchet (scripts/coverage.sh --reach)"
-    reach_args=(--reach)
-    [ "$skip_build" -eq 1 ] && reach_args+=(--skip-build)
-    if ! scripts/coverage.sh "${reach_args[@]}"; then
-        echo "check.sh: reach ratchet failed (scripts/coverage.sh" \
-             "--reach)" >&2
-        exit 1
-    fi
-fi
-
 echo
 echo "check.sh: all stages clean"

@@ -134,9 +134,8 @@ lastMiss(const std::uint64_t *mask, std::uint64_t lines)
 
 } // anonymous namespace
 
-// fillL2, reprobeL2 and l2HintsOf stay out of line, so that
-// replayPass holds little more than the hinted touch that nearly
-// every replayed miss takes.
+// fillL2 stays out of line, so that replayPass holds little more
+// than the L2 probe that nearly every replayed miss takes.
 [[gnu::noinline]] Tick
 CacheHierarchy::fillL2(const SetAssocCache::Probe &miss, Addr line_addr,
                        bool store, Tick after_l2)
@@ -155,25 +154,6 @@ CacheHierarchy::fillL2(const SetAssocCache::Probe &miss, Addr line_addr,
                         mem_done);
     }
     return mem_done;
-}
-
-[[gnu::noinline]] SetAssocCache::Probe
-CacheHierarchy::reprobeL2(Addr line_addr, std::uint8_t &hint)
-{
-    const SetAssocCache::Probe p = l2_->probe(line_addr);
-    hint = static_cast<std::uint8_t>(l2_->wayInSet(p));
-    if (p.hit)
-        l2_->touch(p, false);
-    return p;
-}
-
-[[gnu::noinline]] std::uint8_t *
-CacheHierarchy::l2HintsOf(const FetchMemo::Transition &pass)
-{
-    const std::size_t end = (pass.mask + (pass.lines + 63) / 64) * 64;
-    if (l2Hints_.size() < end)
-        l2Hints_.resize(end);
-    return l2Hints_.data() + pass.mask * 64;
 }
 
 Tick
@@ -203,54 +183,40 @@ CacheHierarchy::replayPass(const FetchMemo::Transition &pass, Tick cursor,
     // fetch, then runs its share. An L2 hit costs exactly the L2's
     // latency, and its only state change is a clean LRU touch of its
     // own line: no device is involved and no time feeds back. So only
-    // the misses that reach the device need a step each. Every miss
-    // since the last step hit the L2, so their latency is pending
-    // until the next step (or the end of the pass) adds it. Without
-    // an L2 every miss is a step and nothing is pending.
+    // the misses that reach the device need a step each; the latency
+    // of the L2 hits since the last step is pending until the next
+    // step (or the end of the pass) adds it. Without an L2 every miss
+    // is a step and nothing is pending.
     const Tick hit_latency = params_.l1i.hitLatency;
     const Tick hit_step = issue + hit_latency;
+    const Tick l2_latency = l2_ ? params_.l2.hitLatency : 0;
     const std::uint64_t *mask = fetchMemo_->missMask(pass);
-    std::uint8_t *hints = nullptr;
-    Tick l2_latency = 0;
-    if (l2_) {
-        hints = l2HintsOf(pass);
-        l2_latency = params_.l2.hitLatency;
-    }
-    const Addr addr = pass.addr;
-    const std::uint64_t stride = pass.stride;
-    const Addr last_line = addr + (pass.lines - 1) * stride;
+    const Addr last_line = pass.addr + (pass.lines - 1) * pass.stride;
     DramModel *const dram =
-        serialDram_ && serialDram_->oneBank(addr, last_line)
+        serialDram_ && serialDram_->oneBank(pass.addr, last_line)
             ? serialDram_
             : nullptr;
-    // next: the line after the last step; stepped: the misses up to
-    // and including it; fetched: the steps.
     std::uint64_t next = 0;
-    std::uint64_t stepped = 0;
     std::uint64_t fetched = 0;
-    std::uint64_t probed_hits = 0;
-    std::uint64_t seen = 0;
+    Tick pending = 0;
     for (std::uint64_t word = 0; word * 64 < pass.lines; ++word) {
         for (std::uint64_t bits = mask[word]; bits; bits &= bits - 1) {
             const std::uint64_t miss =
                 word * 64 + static_cast<unsigned>(std::countr_zero(bits));
-            // The misses before this one.
-            const std::uint64_t before = seen++;
-            const Addr line_addr = addr + miss * stride;
+            const Addr line_addr = pass.addr + miss * pass.stride;
             SetAssocCache::Probe below{};
-            if (hints) {
-                if (l2_->touchAt(line_addr, hints[miss]))
-                    continue;
-                below = reprobeL2(line_addr, hints[miss]);
+            if (l2_) {
+                below = l2_->probe(line_addr);
                 if (below.hit) {
-                    ++probed_hits;
+                    l2_->touch(below, false);
+                    pending += l2_latency;
                     continue;
                 }
             }
             const Tick at = cursor + (miss - next + 1) * hit_step +
                             lineTicks(next, miss, extra, per_line_ticks,
                                       extra_ticks) +
-                            (before - stepped) * l2_latency;
+                            pending;
             if (dram && dram->idleFor(line_addr, at)) {
                 // This miss costs lineReadLatency() and completes
                 // before the next one issues, so every later miss
@@ -273,25 +239,22 @@ CacheHierarchy::replayPass(const FetchMemo::Transition &pass, Tick cursor,
                        miss_ticks;
             }
             const Tick done =
-                hints ? fillL2(below, line_addr, false, at + l2_latency)
-                      : memory_->access(AccessType::Read, line_addr,
-                                        params_.l1d.lineBytes, at);
+                l2_ ? fillL2(below, line_addr, false, at + l2_latency)
+                    : memory_->access(AccessType::Read, line_addr,
+                                      params_.l1d.lineBytes, at);
             cursor = done + lineTicks(miss, miss + 1, extra,
                                       per_line_ticks, extra_ticks);
             next = miss + 1;
-            stepped = before + 1;
+            pending = 0;
             ++fetched;
         }
     }
-    if (hints) {
-        const std::uint64_t l2_hits = pass.misses - fetched;
-        l2Hits_ += static_cast<double>(l2_hits);
-        hintedL2Hits_ += l2_hits - probed_hits;
-    }
+    if (l2_)
+        l2Hits_ += static_cast<double>(pass.misses - fetched);
     return cursor + (pass.lines - next) * hit_step +
            lineTicks(next, pass.lines, extra, per_line_ticks,
                      extra_ticks) +
-           (pass.misses - stepped) * l2_latency;
+           pending;
 }
 
 Tick

@@ -104,32 +104,6 @@ class SetAssocCache
         dirty_[hit.way] |= dirty;
     }
 
-    /** The way of @p p within its set, below assoc. */
-    unsigned
-    wayInSet(const Probe &p) const
-    {
-        return static_cast<unsigned>(p.way -
-                                     (p.line & setMask_) * params_.assoc);
-    }
-
-    /**
-     * If way @p way (below assoc) of @p addr's own set holds the
-     * line, make it most recently used, as touch(p, false) after a
-     * hit would, and return true; else change nothing and return
-     * false. A wrong @p way only costs the caller a probe.
-     */
-    bool
-    touchAt(Addr addr, unsigned way)
-    {
-        MERCURY_ASSERT_SLOW(way < params_.assoc, "way hint past the set");
-        const std::uint64_t line = addr >> lineShift_;
-        const std::size_t index = (line & setMask_) * params_.assoc + way;
-        if (keys_[index] != (line >> setShift_) + 1)
-            return false;
-        stamps_[index] = nextStamp_++;
-        return true;
-    }
-
     /**
      * Install the line of a miss in the way its probe chose.
      *
@@ -343,10 +317,6 @@ class CacheHierarchy
      * (for tests; not a statistic). */
     std::uint64_t closedReplays() const { return closedReplays_; }
 
-    /** Replayed L1I misses that hit the L2 in the way their hint
-     * named (for tests; not a statistic). */
-    std::uint64_t hintedL2Hits() const { return hintedL2Hits_; }
-
   private:
     /** Service a miss from the level below L1. */
     AccessResult fillFromBelow(Addr line_addr, bool store, Tick now);
@@ -359,16 +329,6 @@ class CacheHierarchy
     Tick fillL2(const SetAssocCache::Probe &miss, Addr line_addr,
                 bool store, Tick after_l2);
 
-    /**
-     * Probe the L2 for the line of a replayed miss whose way hint
-     * failed: set @p hint to the way the probe found or chose, and
-     * touch the line (clean) on a hit.
-     */
-    SetAssocCache::Probe reprobeL2(Addr line_addr, std::uint8_t &hint);
-
-    /** The L2 way hints of @p pass's misses, grown to cover it. */
-    std::uint8_t *l2HintsOf(const FetchMemo::Transition &pass);
-
     /** Fetch the line of an L1I miss at @p now from below; returns
      * its completion. */
     Tick fetchBelow(Addr line_addr, Tick now);
@@ -376,10 +336,10 @@ class CacheHierarchy
     /**
      * Replay @p pass, which the memo recorded from the L1I's current
      * state, from @p cursor; returns the cursor after it. Only misses
-     * that reach the device take a time step: L2 hits, found through
-     * l2Hints_, add their latency to the next step. On a serialDram_
-     * whose bank holds the whole pass, the misses from the first
-     * that finds the bank and port idle on are closed in one step.
+     * that reach the device take a time step: L2 hits add their
+     * latency to the next step. On a serialDram_ whose bank holds the
+     * whole pass, the misses from the first that finds the bank and
+     * port idle on are closed in one step.
      */
     Tick replayPass(const FetchMemo::Transition &pass, Tick cursor,
                     Tick issue, std::uint64_t extra, Tick per_line_ticks,
@@ -408,16 +368,8 @@ class CacheHierarchy
     std::uint32_t memoState_ = FetchMemo::none;
     /** True when memoState_ is ahead of the L1I arrays. */
     bool l1iStale_ = false;
-    /**
-     * With an L2: for bit i of the memo's miss masks, the L2 way,
-     * within its set, where the line of that miss last hit or was
-     * filled. Per hierarchy (hierarchies share a memo, not an L2);
-     * grown only to cover a pass the memo recorded since.
-     */
-    std::vector<std::uint8_t> l2Hints_;
     std::uint64_t replayedPasses_ = 0;
     std::uint64_t closedReplays_ = 0;
-    std::uint64_t hintedL2Hits_ = 0;
 
     stats::StatGroup statGroup_;
     stats::Scalar l1iHits_;

@@ -10,9 +10,7 @@
  * exact contents and, for each (state, pass) it has walked, the
  * state after the pass and which of the pass's lines missed. A
  * hierarchy that finds its (state, pass) replays only the misses,
- * and only those that miss its L2 as well take a time step. Bit i
- * of the miss masks also indexes each hierarchy's own hint of the
- * L2 way that holds that miss's line (CacheHierarchy::replayPass).
+ * and only those that miss its L2 as well take a time step.
  * See CacheHierarchy::fetchPass and DESIGN.md Sec. 8.
  */
 

@@ -622,12 +622,6 @@ struct MemoTwins
         return rig.caches[c]->closedReplays();
     }
 
-    std::uint64_t
-    hinted(unsigned c) const
-    {
-        return rig.caches[c]->hintedL2Hits();
-    }
-
     FetchMemo memo;
     SharedDramRig rig;
     SharedDramRig twin;
@@ -1000,11 +994,11 @@ hierarchyStat(const MemoTwins &twins, unsigned c, const char *counter)
     return twins.rig.stat(detail::concat("caches", c, ".", counter));
 }
 
-TEST(FetchMemo, WarmL2HitsReplayThroughTheirHints)
+TEST(FetchMemo, WarmL2HitsReplayWithoutDeviceSteps)
 {
     // The 2 MB L2 holds the GET's code, as Iridium's does: once warm,
-    // every L1I miss of a replayed pass hits the L2 in the way its
-    // hint names, and no pass takes a device step.
+    // every L1I miss of a replayed pass hits the L2, and no pass
+    // takes a device step.
     MemoTwins twins(true, 1);
     const OpTrace get = getCodePasses();
     for (int i = 0; i < 10; ++i)
@@ -1012,7 +1006,7 @@ TEST(FetchMemo, WarmL2HitsReplayThroughTheirHints)
     const double l1i_misses = hierarchyStat(twins, 0, "l1iMisses");
     const double l2_hits = hierarchyStat(twins, 0, "l2Hits");
     const double l2_misses = hierarchyStat(twins, 0, "l2Misses");
-    const std::uint64_t hinted = twins.hinted(0);
+    const double reads = twins.rig.stat("stackedDram.reads");
     const std::uint64_t replayed = twins.replayed(0);
     for (int i = 0; i < 20; ++i)
         twins.run(0, get);
@@ -1022,18 +1016,17 @@ TEST(FetchMemo, WarmL2HitsReplayThroughTheirHints)
     EXPECT_EQ(twins.replayed(0) - replayed, 6u * 20);
     EXPECT_EQ(hierarchyStat(twins, 0, "l2Misses"), l2_misses);
     EXPECT_EQ(hierarchyStat(twins, 0, "l2Hits") - l2_hits, misses);
-    EXPECT_EQ(static_cast<double>(twins.hinted(0) - hinted), misses);
+    EXPECT_EQ(twins.rig.stat("stackedDram.reads"), reads);
 }
 
-TEST(FetchMemo, EvictedCodeLineMissesPastItsHint)
+TEST(FetchMemo, EvictedCodeLineMissesToTheDevice)
 {
     // Each odd round first stores to six new lines of L2 set 40,
     // which push a code line of that set out of the 64 KiB L2. The
-    // replays then find a hint whose way holds another line: the
-    // code line misses to the DRAM, returns in another way, and the
-    // misses it sets off in the set evict a dirty stored line, which
-    // is written back. Even rounds run the code alone: every L1I miss
-    // hits through its hint again, the moved lines' hints included.
+    // replay then misses that line to the DRAM, and the misses it
+    // sets off in the set evict a dirty stored line, which is written
+    // back. Even rounds run the code alone: every one of the three
+    // passes' 192 L1I misses hits the L2 again.
     MemoTwins twins(true, 1, sharedDramParams(), smallL2Bytes);
     const OpTrace thrash = thrashingPasses(0x200000);
     for (int i = 0; i < 3; ++i)
@@ -1045,18 +1038,20 @@ TEST(FetchMemo, EvictedCodeLineMissesPastItsHint)
             twins.run(0, crowdL2Set(round, 40, true));
         const double l2_misses = hierarchyStat(twins, 0, "l2Misses");
         const double writes = twins.rig.stat("stackedDram.writes");
-        const std::uint64_t hinted = twins.hinted(0);
+        const double l2_hits = hierarchyStat(twins, 0, "l2Hits");
         const std::uint64_t replayed = twins.replayed(0);
         twins.run(0, thrash);
         EXPECT_EQ(twins.replayed(0) - replayed, 3u) << round;
+        const double code_hits =
+            hierarchyStat(twins, 0, "l2Hits") - l2_hits;
         if (round % 2) {
             code_misses += hierarchyStat(twins, 0, "l2Misses") - l2_misses;
             code_writes += twins.rig.stat("stackedDram.writes") - writes;
-            EXPECT_LT(twins.hinted(0) - hinted, 3u * 64) << round;
+            EXPECT_LT(code_hits, 3 * 64.0) << round;
         } else {
             EXPECT_EQ(hierarchyStat(twins, 0, "l2Misses"), l2_misses)
                 << round;
-            EXPECT_EQ(twins.hinted(0) - hinted, 3u * 64) << round;
+            EXPECT_EQ(code_hits, 3 * 64.0) << round;
         }
     }
     twins.expectSameCounters();
@@ -1078,6 +1073,7 @@ TEST(FetchMemo, L2MissBetweenL2HitsReplaysExactly)
     for (int i = 0; i < 3; ++i)
         twins.run(0, code);
     const std::uint64_t replayed = twins.replayed(0);
+    const double l2_hits = hierarchyStat(twins, 0, "l2Hits");
     const double l2_misses = hierarchyStat(twins, 0, "l2Misses");
     for (unsigned round = 1; round <= 20; ++round) {
         if (round % 2)
@@ -1088,21 +1084,22 @@ TEST(FetchMemo, L2MissBetweenL2HitsReplaysExactly)
     EXPECT_EQ(twins.replayed(0) - replayed, 3u * 20);
     // The loads miss the L2 60 times; the code's own misses add more.
     EXPECT_GT(hierarchyStat(twins, 0, "l2Misses") - l2_misses, 60.0);
-    EXPECT_GT(twins.hinted(0), 3u * 64 * 10);
+    EXPECT_GT(hierarchyStat(twins, 0, "l2Hits") - l2_hits,
+              3 * 64 * 10.0);
 }
 
-TEST(FetchMemo, HierarchiesSharingOneMemoKeepTheirOwnHints)
+TEST(FetchMemo, HierarchiesSharingOneMemoKeepTheirOwnL2s)
 {
     // Both hierarchies replay the same passes from one memo, each in
-    // front of its own 64 KiB L2. Stores crowd only core 1's L2, whose
-    // code lines move to other ways; core 0's hints stay right.
+    // front of its own 64 KiB L2. Stores crowd only core 1's L2, which
+    // loses code lines; core 0's replays keep hitting its own L2.
     MemoTwins twins(true, 2, sharedDramParams(), smallL2Bytes);
     const OpTrace thrash = thrashingPasses(0x200000);
     for (int i = 0; i < 3; ++i) {
         twins.run(0, thrash);
         twins.run(1, thrash);
     }
-    const std::uint64_t hinted = twins.hinted(0);
+    const double l2_hits = hierarchyStat(twins, 0, "l2Hits");
     const double l2_misses = hierarchyStat(twins, 0, "l2Misses");
     const double l2_misses_1 = hierarchyStat(twins, 1, "l2Misses");
     for (unsigned round = 1; round <= 20; ++round) {
@@ -1113,7 +1110,7 @@ TEST(FetchMemo, HierarchiesSharingOneMemoKeepTheirOwnHints)
     twins.expectSameCounters();
     EXPECT_GE(twins.replayed(0), 3u * 20);
     EXPECT_GE(twins.replayed(1), 3u * 20);
-    EXPECT_EQ(twins.hinted(0) - hinted, 3u * 64 * 20);
+    EXPECT_EQ(hierarchyStat(twins, 0, "l2Hits") - l2_hits, 3 * 64 * 20.0);
     EXPECT_EQ(hierarchyStat(twins, 0, "l2Misses"), l2_misses);
     EXPECT_GT(hierarchyStat(twins, 1, "l2Misses") - l2_misses_1, 120.0);
 }

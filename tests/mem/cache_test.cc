@@ -5,9 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <utility>
-#include <vector>
-
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "sim/contract.hh"
@@ -105,64 +102,6 @@ TEST(SetAssocCache, ReinsertRefreshesWithoutVictim)
     auto evicted = cache.insert(16 * 64, false);
     ASSERT_TRUE(evicted.has_value());
     EXPECT_TRUE(evicted->dirty) << "re-insert dirty bit must stick";
-}
-
-/** Fill set 0 of a 1 KiB, 4-way cache (4 sets) with lines 0, 4, 8
- * and 12: tags 0 to 3 in ways 0 to 3, line 4 dirty. */
-void
-fillSetZero(SetAssocCache &cache)
-{
-    for (const Addr line : {0, 4, 8, 12})
-        cache.insert(line * 64, line == 4);
-}
-
-/** The victims of four new lines filled into set 0: its LRU order,
- * with each line's dirty bit. */
-std::vector<std::pair<Addr, bool>>
-drainSetZero(SetAssocCache &cache)
-{
-    std::vector<std::pair<Addr, bool>> order;
-    for (Addr line = 16; line < 32; line += 4) {
-        const auto victim = cache.insert(line * 64, false);
-        if (victim)
-            order.emplace_back(victim->lineAddr, victim->dirty);
-    }
-    return order;
-}
-
-TEST(SetAssocCache, TouchAtActsOnlyOnItsLineInItsOwnWay)
-{
-    SetAssocCache hinted(tinyCache(1, 4));
-    SetAssocCache probed(tinyCache(1, 4));
-    fillSetZero(hinted);
-    fillSetZero(probed);
-
-    // Lines 4 (dirty) and 12 sit in ways 1 and 3 of set 0. A touch
-    // through the right way does what probe and a clean touch do.
-    for (const Addr line : {4, 12}) {
-        const SetAssocCache::Probe hit = probed.probe(line * 64);
-        ASSERT_TRUE(hit.hit);
-        EXPECT_EQ(probed.wayInSet(hit), line / 4);
-        probed.touch(hit, false);
-        EXPECT_TRUE(hinted.touchAt(line * 64 + 8, line / 4)) << line;
-    }
-
-    // A stale way (line 8 sits in way 2), a line set 0 does not hold,
-    // and line 5, which has line 4's tag but lives in set 1, whose
-    // way 1 is empty: none matches, and none changes anything.
-    EXPECT_FALSE(hinted.touchAt(8 * 64, 0));
-    for (unsigned way = 0; way < 4; ++way)
-        EXPECT_FALSE(hinted.touchAt(16 * 64, way)) << way;
-    EXPECT_FALSE(hinted.touchAt(5 * 64, 1));
-    EXPECT_FALSE(hinted.contains(5 * 64));
-
-    // LRU order 0, 8, 4, 12: the touches moved only their own lines,
-    // line 4 is still dirty and line 12 still clean.
-    const std::vector<std::pair<Addr, bool>> order = drainSetZero(hinted);
-    const std::vector<std::pair<Addr, bool>> want = {
-        {0, false}, {8 * 64, false}, {4 * 64, true}, {12 * 64, false}};
-    EXPECT_EQ(order, want);
-    EXPECT_EQ(drainSetZero(probed), want);
 }
 
 TEST(SetAssocCache, FlushDropsEveryLine)
