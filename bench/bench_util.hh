@@ -40,7 +40,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -254,16 +253,8 @@ class Session
         argc = out;
         argv[argc] = nullptr;
 
-        if (!tracePath_.empty() || !chromePath_.empty()) {
-            if (MERCURY_TRACING) {
-                tracer_ = std::make_unique<trace::Tracer>();
-            } else {
-                std::fprintf(stderr,
-                             "%s: built with MERCURY_TRACING=OFF; "
-                             "--trace-out/--trace-chrome ignored\n",
-                             registry_.name().c_str());
-            }
-        }
+        if (!tracePath_.empty() || !chromePath_.empty())
+            tracer_ = std::make_unique<trace::Tracer>();
     }
 
     ~Session() { finish(); }
@@ -339,7 +330,6 @@ class Session
     {
         if (statsPath_.empty())
             return;
-        std::lock_guard<std::mutex> lock(emitMutex_);
         if (captured_.capacity() < 4096)
             captured_.reserve(4096);
         registry_.formatJson(captured_, "", capturedFirst_);
@@ -371,7 +361,6 @@ class Session
     {
         if (timeseriesPath_.empty() || jsonl.empty())
             return;
-        std::lock_guard<std::mutex> lock(emitMutex_);
         timeseries_ += jsonl;
     }
 
@@ -388,7 +377,6 @@ class Session
     {
         if (statsPath_.empty() || fragment.empty())
             return;
-        std::lock_guard<std::mutex> lock(emitMutex_);
         if (!capturedFirst_)
             captured_ += ',';
         capturedFirst_ = false;
@@ -406,7 +394,6 @@ class Session
         if (finished_)
             return;
         finished_ = true;
-        std::lock_guard<std::mutex> lock(emitMutex_);
         if (!statsPath_.empty())
             writeTo(statsPath_, [this](std::ostream &os) {
                 if (haveCapture_)
@@ -549,9 +536,6 @@ class Session
     std::string tracePath_;
     std::string chromePath_;
     std::string timeseriesPath_;
-    /** Serializes the capture/append/finish emission state; guards
-     * captured_, timeseries_, capturedFirst_ and haveCapture_. */
-    mutable std::mutex emitMutex_;
     std::string captured_;
     std::string timeseries_;
     std::uint64_t sampleIntervalUs_ = 1000;

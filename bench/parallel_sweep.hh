@@ -38,21 +38,59 @@
 #include <atomic>
 #include <cstdarg>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
 
 #include "sim/stats.hh"
-#include "sim/thread_pool.hh"
 #include "sim/trace.hh"
 
 namespace mercury::bench
 {
+
+/**
+ * Call @p fn(i) once for every i in [0, count): inline when @p jobs
+ * is 1, otherwise on @p jobs threads that pull the next index from a
+ * shared counter. Returns after every call has finished; the join is
+ * the barrier that hands the calls' results to the calling thread.
+ * An exception a call throws on a worker is rethrown here after the
+ * join, as it would propagate from the inline loop.
+ */
+template <typename Fn>
+void
+forEachIndex(unsigned jobs, std::size_t count, Fn fn)
+{
+    if (jobs <= 1) {
+        for (std::size_t i = 0; i < count; ++i)
+            fn(i);
+        return;
+    }
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(jobs);
+    {
+        std::vector<std::jthread> workers;
+        workers.reserve(jobs);
+        for (unsigned w = 0; w < jobs; ++w)
+            workers.emplace_back([&, w] {
+                try {
+                    for (std::size_t i = next.fetch_add(1); i < count;
+                         i = next.fetch_add(1))
+                        fn(i);
+                } catch (...) {
+                    errors[w] = std::current_exception();
+                }
+            });
+    }
+    for (const std::exception_ptr &error : errors)
+        if (error)
+            std::rethrow_exception(error);
+}
 
 /**
  * One sweep point's private output channels. Handed to the point's
@@ -101,7 +139,6 @@ class PointContext
     void
     timeseries(const std::string &jsonl)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         timeseries_ += jsonl;
     }
 
@@ -119,7 +156,6 @@ class PointContext
         if (needed < 0)
             return;
         if (static_cast<std::size_t>(needed) < sizeof(stack)) {
-            std::lock_guard<std::mutex> lock(mutex_);
             text_.append(stack, static_cast<std::size_t>(needed));
             return;
         }
@@ -127,7 +163,6 @@ class PointContext
         va_start(args, fmt);
         std::vsnprintf(heap.data(), heap.size(), fmt, args);
         va_end(args);
-        std::lock_guard<std::mutex> lock(mutex_);
         text_.append(heap.data(), static_cast<std::size_t>(needed));
     }
 
@@ -140,8 +175,10 @@ class PointContext
     void
     capture()
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        captureLocked();
+        if (!wantStats_ || !registry_)
+            return;
+        registry_->formatJson(fragment_, "", fragmentFirst_);
+        captured_ = true;
     }
 
   private:
@@ -156,30 +193,20 @@ class PointContext
           sampleInterval_(sample_interval)
     {}
 
-    /** @pre mutex_ held. */
-    void
-    captureLocked()
-    {
-        if (!wantStats_ || !registry_)
-            return;
-        registry_->formatJson(fragment_, "", fragmentFirst_);
-        captured_ = true;
-    }
-
     /**
      * Emit the point's accumulated outputs on the calling thread --
      * the submission-order merge step that makes --jobs N
      * byte-identical to serial. ParallelSweep calls this after
-     * pool.wait(), so the worker that filled the buffers is done.
+     * joining the workers, so the one that filled the buffers is
+     * done.
      */
     void
     publish(Session &session)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         if (!text_.empty())
             std::fwrite(text_.data(), 1, text_.size(), stdout);
-        if (!captured_ && registry_)
-            captureLocked();  // stats objects that outlived work()
+        if (!captured_)
+            capture();  // stats objects that outlived work()
         session.appendStatsFragment(fragment_);
         session.appendTimeseries(timeseries_);
     }
@@ -190,13 +217,11 @@ class PointContext
     trace::Tracer *tracer_;
     bool wantTimeseries_ = false;
     Tick sampleInterval_ = 0;
-    /** Worker-confined until pool.wait(), then emitter-confined; the
-     * handoff happens-before via the pool's idle barrier, so it needs
-     * no lock. */
+    /** This state and everything below is filled by the one worker
+     * that runs the point and read by publish() on the calling
+     * thread after the workers are joined; the join orders the two,
+     * so none of it needs a lock. */
     std::optional<stats::Registry> registry_;
-    /** Guards the per-point merge state below: filled by the owning
-     * worker, drained by publish() on the calling thread. */
-    mutable std::mutex mutex_;
     std::string text_;
     std::string fragment_;
     std::string timeseries_;
@@ -245,29 +270,12 @@ class ParallelSweep
                 session_.sampleInterval()));
         }
 
-        if (jobs == 1) {
-            // Same code path as the parallel branch, minus threads:
-            // per-point registries and ordered emission keep the
-            // bytes identical by construction.
-            for (Point &p : points_)
-                execute(p);
-        } else {
-            sim::ThreadPool pool(jobs);
-            std::atomic<std::size_t> next{0};
-            for (unsigned w = 0; w < jobs; ++w) {
-                pool.submit([this, &next] {
-                    for (;;) {
-                        const std::size_t i =
-                            next.fetch_add(1,
-                                           std::memory_order_relaxed);
-                        if (i >= points_.size())
-                            return;
-                        execute(points_[i]);
-                    }
-                });
-            }
-            pool.wait();
-        }
+        // --jobs 1 takes the same path minus threads: per-point
+        // registries and ordered emission keep the bytes identical
+        // by construction.
+        forEachIndex(jobs, points_.size(), [this](std::size_t i) {
+            points_[i].work(*points_[i].context);
+        });
 
         for (Point &p : points_) {
             p.context->publish(session_);
@@ -284,12 +292,6 @@ class ParallelSweep
         std::function<void()> after;
         std::unique_ptr<PointContext> context;
     };
-
-    static void
-    execute(Point &point)
-    {
-        point.work(*point.context);
-    }
 
     Session &session_;
     std::vector<Point> points_;

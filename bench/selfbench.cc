@@ -13,7 +13,7 @@
  *    the kernel path and the batched bypass fast path (how much the
  *    batching bookkeeping costs the simulator itself);
  *  - sweep: wall-clock for a fig5-style batch of independent server
- *    measurements run serially and through sim::ThreadPool, i.e.
+ *    measurements run serially and on --jobs workers, i.e.
  *    what `--jobs N` buys on this host. (On a single-hardware-thread
  *    container the parallel time roughly equals the serial time;
  *    the JSON records the measured ratio honestly either way.)
@@ -38,9 +38,9 @@
 
 #include "bench_util.hh"
 #include "net/datapath.hh"
+#include "parallel_sweep.hh"
 #include "server/server_model.hh"
 #include "sim/json.hh"
-#include "sim/thread_pool.hh"
 
 namespace
 {
@@ -144,11 +144,9 @@ double
 sweepParallelSeconds(unsigned points, unsigned samples,
                      unsigned jobs)
 {
-    sim::ThreadPool pool(jobs);
     const auto start = Clock::now();
-    for (unsigned i = 0; i < points; ++i)
-        pool.submit([samples] { sweepTask(samples); });
-    pool.wait();
+    bench::forEachIndex(jobs, points,
+                        [samples](std::size_t) { sweepTask(samples); });
     return secondsSince(start);
 }
 

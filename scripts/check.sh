@@ -6,11 +6,8 @@
 #      under AddressSanitizer + UBSan with expensive invariant checks
 #      (MERCURY_EXTRA_CHECKS) compiled in;
 #   2. the tsan preset: golden + parallel-sweep determinism suites
-#      and the thread-pool unit tests under ThreadSanitizer (the
+#      and the ParallelSweep unit tests under ThreadSanitizer (the
 #      `--jobs` machinery must be race-free, not just byte-stable);
-#   2b. the tracer compiled out (-DMERCURY_TRACING=OFF, -Werror):
-#      build everything and run the golden label, so the off
-#      configuration stays warning-free and byte-identical;
 #   3. the timeseries label (windowed-JSONL golden, --timeseries-out
 #      jobs-invariance, Chrome-trace exporter) under both the release
 #      and asan-ubsan builds;
@@ -99,25 +96,6 @@ if [ "$skip_build" -eq 0 ]; then
         exit 1
     fi
 
-    # The tracer compiled out: MERCURY_TRACE_SPAN's off form must
-    # leave no -Werror warning behind, and the goldens must not move.
-    note "tracing-off build (-Werror) + golden suite"
-    if ! cmake -S . -B build/tracing-off -DMERCURY_TRACING=OFF \
-            -DMERCURY_WERROR=ON; then
-        echo "check.sh: tracing-off configure failed" >&2
-        exit 1
-    fi
-    if ! cmake --build build/tracing-off -j "$(nproc)"; then
-        echo "check.sh: tracing-off build failed (warnings are" \
-             "errors)" >&2
-        exit 1
-    fi
-    if ! ctest --test-dir build/tracing-off -L golden \
-            --output-on-failure; then
-        echo "check.sh: golden suite failed with tracing off" >&2
-        exit 1
-    fi
-
     # Time-resolved telemetry: the windowed-JSONL golden, the
     # --jobs invariance of --timeseries-out, and the Chrome-trace
     # exporter, under both the release and sanitized builds (the
@@ -172,7 +150,7 @@ if [ "$skip_build" -eq 0 ]; then
         exit 1
     fi
 
-    note "tsan: determinism + golden suites + thread tests"
+    note "tsan: determinism + golden suites + sweep runner tests"
     if ! cmake --preset tsan; then
         echo "check.sh: tsan configure failed" >&2
         exit 1
@@ -187,8 +165,8 @@ if [ "$skip_build" -eq 0 ]; then
         exit 1
     fi
     if ! ctest --test-dir build/tsan \
-            -R '^ThreadPool\.' --output-on-failure; then
-        echo "check.sh: thread-pool tests failed under tsan" >&2
+            -R '^ParallelSweep\.' --output-on-failure; then
+        echo "check.sh: sweep runner tests failed under tsan" >&2
         exit 1
     fi
 

@@ -88,7 +88,8 @@ class DramModel : public MemDevice
     Tick access(AccessType type, Addr addr, unsigned size,
                 Tick now) override;
 
-    std::uint64_t capacityBytes() const override
+    /** Total addressable capacity of the device in bytes. */
+    std::uint64_t capacityBytes() const
     {
         return params_.capacity;
     }

@@ -351,7 +351,8 @@ class FlashController : public MemDevice
     Tick access(AccessType type, Addr addr, unsigned size,
                 Tick now) override;
 
-    std::uint64_t capacityBytes() const override;
+    /** Total addressable capacity of the device in bytes. */
+    std::uint64_t capacityBytes() const;
 
     const FlashParams &params() const { return params_; }
 

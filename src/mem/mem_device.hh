@@ -41,9 +41,6 @@ class MemDevice
      */
     virtual Tick access(AccessType type, Addr addr, unsigned size,
                         Tick now) = 0;
-
-    /** Total addressable capacity of the device in bytes. */
-    virtual std::uint64_t capacityBytes() const = 0;
 };
 
 } // namespace mercury::mem

@@ -39,13 +39,4 @@ RegionRouter::access(AccessType type, Addr addr, unsigned size,
     MERCURY_UNREACHABLE("access to unmapped address ", addr, " on ", name_);
 }
 
-std::uint64_t
-RegionRouter::capacityBytes() const
-{
-    std::uint64_t total = 0;
-    for (const Entry &entry : entries_)
-        total += entry.region.size;
-    return total;
-}
-
 } // namespace mercury::mem

@@ -53,8 +53,6 @@ class RegionRouter : public MemDevice
     Tick access(AccessType type, Addr addr, unsigned size,
                 Tick now) override;
 
-    std::uint64_t capacityBytes() const override;
-
   private:
     struct Entry
     {

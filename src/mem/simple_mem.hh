@@ -20,7 +20,6 @@ namespace mercury::mem
 struct SimpleMemParams
 {
     std::string name = "sram";
-    std::uint64_t capacity = 1 * miB;
     static constexpr Tick latency = 8 * tickNs;
     /** Bytes per second. */
     static constexpr double bandwidth = 32e9;
@@ -35,11 +34,6 @@ class SimpleMemory : public MemDevice
 
     Tick access(AccessType type, Addr addr, unsigned size,
                 Tick now) override;
-
-    std::uint64_t capacityBytes() const override
-    {
-        return params_.capacity;
-    }
 
   private:
     SimpleMemParams params_;

@@ -87,81 +87,34 @@ DeliveryResult
 NetworkPath::deliver(std::uint64_t payload_bytes, Tick now)
 {
     const unsigned n = segmenter_.numSegments(payload_bytes);
-    const std::uint64_t wire = segmenter_.wireBytes(payload_bytes);
-
-    // Store-and-forward buffering: everything queued behind the link
-    // plus this message sits in the MAC buffer until serialized out.
-    // Occupancy clamps at capacity; the excess is packets the buffer
-    // cannot hold, accounted even in fault-free runs.
-    const std::uint64_t occupancy = backlogBytes(now) + wire;
-    const std::uint64_t clamped =
-        std::min(occupancy, params_.macBufferBytes);
-    if (clamped > peakBuffer_.value())
-        peakBuffer_ = static_cast<double>(clamped);
-
-    if (occupancy > params_.macBufferBytes) {
-        const std::uint64_t overflow =
-            occupancy - params_.macBufferBytes;
-        const std::uint64_t per_packet =
-            params_.mss + params_.perPacketOverhead;
-        bufferDrops_ += static_cast<double>(
-            std::min<std::uint64_t>(
-                n, (overflow + per_packet - 1) / per_packet));
-    }
-
-    const Tick start = std::max(now, linkBusyUntil_);
-    queueTicks_ += static_cast<double>(start - now);
-
-    DeliveryResult result;
-    result.packets = n;
 
     // Fault path: lost segments are resent after an RTO that doubles
-    // per consecutive loss, so every drop surfaces as latency. Both
-    // legs are skipped entirely (no RNG, no arithmetic) when no
-    // injector is attached, keeping fault-free runs bit-identical.
-    Tick penalty = 0;
-    std::uint64_t retrans_wire = 0;
+    // per consecutive loss, so every drop surfaces as latency. It is
+    // skipped entirely (no RNG, no arithmetic) when no injector is
+    // attached, keeping fault-free runs bit-identical.
+    Resends resends;
     if (faults_ != nullptr && params_.lossProbability > 0.0) {
         const std::vector<unsigned> sizes =
             segmenter_.segmentSizes(payload_bytes);
         for (unsigned i = 0; i < n; ++i) {
             Tick rto = params_.rtoMin;
-            unsigned attempt = 0;
-            while (attempt < params_.maxRetransmits &&
-                   faults_->roll(params_.lossProbability)) {
-                ++result.drops;
-                ++result.retransmits;
+            for (unsigned attempt = 0;
+                 attempt < params_.maxRetransmits &&
+                 faults_->roll(params_.lossProbability);
+                 ++attempt) {
+                ++resends.count;
                 faults_->record(now, fault::FaultKind::PacketLoss,
                                 params_.name, i);
-                penalty += rto;
+                resends.penalty += rto;
                 rto *= 2;
-                retrans_wire += sizes[i] + params_.perPacketOverhead;
-                ++attempt;
+                resends.wireBytes +=
+                    sizes[i] + params_.perPacketOverhead;
             }
         }
     }
-
-    // Packets serialize back to back; the receiver sees the last one
-    // after the full wire time (original + retransmitted bytes), any
-    // retransmission timeouts, plus the fixed per-hop latencies for
-    // the final (store-and-forward) packet.
-    const Tick serialization = serializationTime(wire + retrans_wire);
-    linkBusyUntil_ = start + serialization;
-
-    result.wireBytes = wire + retrans_wire;
-    result.completion = start + serialization + penalty +
-                        params_.phyLatency + params_.macLatency +
-                        params_.propagation;
-
-    ++messages_;
-    packets_ += static_cast<double>(n);
-    payloadBytes_ += static_cast<double>(payload_bytes);
-    wireBytes_ += static_cast<double>(result.wireBytes);
-    drops_ += static_cast<double>(result.drops);
-    retransmits_ += static_cast<double>(result.retransmits);
-    rtoTicks_ += static_cast<double>(penalty);
-
-    return result;
+    return transmit(payload_bytes, now, n,
+                    segmenter_.wireBytes(payload_bytes),
+                    params_.perPacketOverhead, resends);
 }
 
 DeliveryResult
@@ -172,8 +125,19 @@ NetworkPath::deliverDatagrams(std::uint64_t payload_bytes, Tick now,
     const std::uint64_t wire =
         payload_bytes + static_cast<std::uint64_t>(n) *
                             params_.udpPerPacketOverhead;
+    return transmit(payload_bytes, now, n, wire,
+                    params_.udpPerPacketOverhead, Resends{});
+}
 
-    // Same store-and-forward occupancy accounting as deliver().
+DeliveryResult
+NetworkPath::transmit(std::uint64_t payload_bytes, Tick now,
+                      unsigned packets, std::uint64_t wire,
+                      std::uint64_t overhead, const Resends &resends)
+{
+    // Store-and-forward buffering: everything queued behind the link
+    // plus this message sits in the MAC buffer until serialized out.
+    // Occupancy clamps at capacity; the excess is packets the buffer
+    // cannot hold, accounted even in fault-free runs.
     const std::uint64_t occupancy = backlogBytes(now) + wire;
     const std::uint64_t clamped =
         std::min(occupancy, params_.macBufferBytes);
@@ -182,29 +146,39 @@ NetworkPath::deliverDatagrams(std::uint64_t payload_bytes, Tick now,
     if (occupancy > params_.macBufferBytes) {
         const std::uint64_t overflow =
             occupancy - params_.macBufferBytes;
-        const std::uint64_t per_packet =
-            params_.mss + params_.udpPerPacketOverhead;
+        const std::uint64_t per_packet = params_.mss + overhead;
         bufferDrops_ += static_cast<double>(
             std::min<std::uint64_t>(
-                n, (overflow + per_packet - 1) / per_packet));
+                packets, (overflow + per_packet - 1) / per_packet));
     }
 
     const Tick start = std::max(now, linkBusyUntil_);
     queueTicks_ += static_cast<double>(start - now);
 
-    const Tick serialization = serializationTime(wire);
+    // Packets serialize back to back; the receiver sees the last one
+    // after the full wire time (original + retransmitted bytes), any
+    // retransmission timeouts, plus the fixed per-hop latencies for
+    // the final (store-and-forward) packet.
+    const Tick serialization =
+        serializationTime(wire + resends.wireBytes);
     linkBusyUntil_ = start + serialization;
 
     DeliveryResult result;
-    result.packets = n;
-    result.wireBytes = wire;
-    result.completion = start + serialization + params_.phyLatency +
-                        params_.macLatency + params_.propagation;
+    result.packets = packets;
+    result.wireBytes = wire + resends.wireBytes;
+    result.drops = resends.count;
+    result.retransmits = resends.count;
+    result.completion = start + serialization + resends.penalty +
+                        params_.phyLatency + params_.macLatency +
+                        params_.propagation;
 
     ++messages_;
-    packets_ += static_cast<double>(n);
+    packets_ += static_cast<double>(packets);
     payloadBytes_ += static_cast<double>(payload_bytes);
     wireBytes_ += static_cast<double>(result.wireBytes);
+    drops_ += static_cast<double>(result.drops);
+    retransmits_ += static_cast<double>(result.retransmits);
+    rtoTicks_ += static_cast<double>(resends.penalty);
 
     return result;
 }

@@ -198,6 +198,25 @@ class NetworkPath
     }
 
   private:
+    /** Segments the loss leg resent for one message. */
+    struct Resends
+    {
+        /** Each one was lost once and sent again. */
+        unsigned count = 0;
+        std::uint64_t wireBytes = 0;
+        /** Retransmission timeouts waited out. */
+        Tick penalty = 0;
+    };
+
+    /** The accounting both delivery forms share: MAC-buffer
+     * occupancy, link queueing, completion time and counters for a
+     * message of @p wire bytes in @p packets packets, each carrying
+     * @p overhead framing bytes. */
+    DeliveryResult transmit(std::uint64_t payload_bytes, Tick now,
+                            unsigned packets, std::uint64_t wire,
+                            std::uint64_t overhead,
+                            const Resends &resends);
+
     Tick serializationTime(std::uint64_t bytes) const;
 
     /** Bytes still queued in the MAC buffer at @p now (the link has

@@ -137,7 +137,6 @@ ServerModel::ServerModel(const ServerModelParams &params,
 
         mem::SimpleMemParams sp;
         sp.name = params_.name + ".sram";
-        sp.capacity = 512 * kiB;
         sram_ = std::make_unique<mem::SimpleMemory>(sp);
 
         router_ = std::make_unique<mem::RegionRouter>(params_.name +
@@ -559,8 +558,8 @@ ServerModel::serve(const std::string &key, bool is_put,
                                        : params_.datapath.kind;
     const Tick t0 = cursor_;
 
-    [[maybe_unused]] std::uint32_t traceReq = 0;
-    if (MERCURY_TRACING && tracer_)
+    std::uint32_t traceReq = 0;
+    if (tracer_)
         traceReq = tracer_->beginRequest();
 
     PhaseTimes pt;
@@ -568,10 +567,9 @@ ServerModel::serve(const std::string &key, bool is_put,
     trace.clear();
     // Run the phase built in `trace`, charge its time to @p into and
     // record it as a @p stage span.
-    const auto phase = [&](Tick &into,
-                           [[maybe_unused]] trace::Stage stage,
-                           [[maybe_unused]] std::uint64_t arg) {
-        [[maybe_unused]] const Tick begin = cursor_;
+    const auto phase = [&](Tick &into, trace::Stage stage,
+                           std::uint64_t arg) {
+        const Tick begin = cursor_;
         into += runPhase(trace);
         MERCURY_TRACE_SPAN(tracer_, traceReq, stage, begin, cursor_,
                            arg);
@@ -593,7 +591,7 @@ ServerModel::serve(const std::string &key, bool is_put,
     bool resp_datagrams = datagrams;
     std::uint64_t resp_payload = 0;
     if (nicCache_ && !is_put) {
-        [[maybe_unused]] const Tick begin = cursor_;
+        const Tick begin = cursor_;
         const auto cached = nicCache_->lookup(key);
         pt.nicCache = params_.datapath.nicCacheLookupLatency;
         cursor_ += pt.nicCache;
@@ -660,7 +658,7 @@ ServerModel::serve(const std::string &key, bool is_put,
         // write latency at 200 us and PUT throughput is bound by it
         // (Fig. 6).
         if (is_put && copies && params_.memory == MemoryKind::Flash) {
-            [[maybe_unused]] const Tick memBegin = cursor_;
+            const Tick memBegin = cursor_;
             const std::uint64_t item_bytes =
                 kvstore::Item::totalSize(key.size(), put_bytes);
             Tick t = persistItem(probe, item_bytes, cursor_);

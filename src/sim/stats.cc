@@ -248,15 +248,9 @@ Registry::writeJson(std::string &out) const
 void
 Registry::writeJson(std::ostream &os) const
 {
-    std::lock_guard<std::mutex> lock(jsonMutex_);
-    // clear() keeps the buffer's capacity, so after the first dump a
-    // sweep loop formats into already-sized storage.
-    jsonBuffer_.clear();
-    if (jsonBuffer_.capacity() < 4096)
-        jsonBuffer_.reserve(4096);
-    writeJson(jsonBuffer_);
-    os.write(jsonBuffer_.data(),
-             static_cast<std::streamsize>(jsonBuffer_.size()));
+    std::string text;
+    writeJson(text);
+    os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 } // namespace mercury::stats

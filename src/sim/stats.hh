@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -277,24 +276,11 @@ class Registry : public StatGroup
         : StatGroup(std::move(name))
     {}
 
-    /** Write the flat {"path":value,...} object plus newline. The
-     * text is built in a pre-sized buffer that the registry keeps
-     * and reuses, so repeated --stats-json dumps in a sweep loop
-     * stop paying reallocation-per-append. */
+    /** Write the flat {"path":value,...} object plus newline. */
     void writeJson(std::ostream &os) const;
 
     /** Append the flat {"path":value,...} object plus newline. */
     void writeJson(std::string &out) const;
-
-  private:
-    /** Serializes dumps through the shared buffer. The stats tree
-     * itself is single-writer by design (each sweep point owns its
-     * own Registry); the buffer is the one piece of state a shared
-     * root registry mutates on a *read* path, so it gets a lock. */
-    mutable std::mutex jsonMutex_;
-    /** Reused across dumps; capacity persists, contents do not.
-     * Guarded by jsonMutex_. */
-    mutable std::string jsonBuffer_;
 };
 
 } // namespace mercury::stats

@@ -8,13 +8,10 @@
  * reconstructed offline from `--trace-out` instead of bespoke
  * plumbing.
  *
- * Off modes, both provably zero-cost on the simulated timeline
- * (recording is pure observation and never consumes RNG state):
- *
- *  - compile-time: configure with -DMERCURY_TRACING=OFF and the
- *    MERCURY_TRACE_SPAN macro evaluates none of its arguments;
- *  - runtime: subsystems only record through a Tracer pointer they
- *    were explicitly handed (default nullptr).
+ * Tracing is off unless a subsystem was explicitly handed a Tracer
+ * pointer (default nullptr), and it is zero-cost on the simulated
+ * timeline either way: recording is pure observation and never
+ * consumes RNG state.
  *
  * The buffer is a fixed-capacity ring: recording never allocates
  * after construction, and when full the oldest spans are overwritten
@@ -30,10 +27,6 @@
 #include <vector>
 
 #include "sim/types.hh"
-
-#ifndef MERCURY_TRACING
-#define MERCURY_TRACING 1
-#endif
 
 namespace mercury::trace
 {
@@ -206,30 +199,12 @@ class ScopedTraceContext
 
 } // namespace mercury::trace
 
-/**
- * Record a span through an optional tracer pointer. Compiles to
- * nothing when tracing is configured out, so instrumented hot paths
- * carry provably zero cost in that build.
- */
-#if MERCURY_TRACING
+/** Record a span through an optional tracer pointer. */
 #define MERCURY_TRACE_SPAN(tracer, request, stage, begin, end, arg)   \
     do {                                                              \
         if (tracer)                                                   \
             (tracer)->record((request), (stage), (begin), (end),      \
                              (arg));                                  \
     } while (0)
-#else
-// The arguments appear only in unevaluated sizeof operands: nothing
-// runs, yet a variable that only feeds a span is still "used".
-#define MERCURY_TRACE_SPAN(tracer, request, stage, begin, end, arg)   \
-    do {                                                              \
-        static_cast<void>(sizeof(tracer));                            \
-        static_cast<void>(sizeof(request));                           \
-        static_cast<void>(sizeof(stage));                             \
-        static_cast<void>(sizeof(begin));                             \
-        static_cast<void>(sizeof(end));                               \
-        static_cast<void>(sizeof(arg));                               \
-    } while (0)
-#endif
 
 #endif // MERCURY_SIM_TRACE_HH

@@ -342,7 +342,6 @@ TEST(ClusterSim, EveryClientPathIsPinnedExactly)
         digestBytes(h, sampler.jsonl());
         EXPECT_EQ(h, pin.digest)
             << pin.name << " digest 0x" << std::hex << h;
-#if MERCURY_TRACING
         EXPECT_EQ(tracer.droppedSpans(), 0u) << pin.name;
         std::ostringstream spans;
         tracer.writeJsonl(spans);
@@ -350,7 +349,6 @@ TEST(ClusterSim, EveryClientPathIsPinnedExactly)
         digestBytes(hs, spans.str());
         EXPECT_EQ(hs, pin.spanDigest)
             << pin.name << " span digest 0x" << std::hex << hs;
-#endif
     }
 }
 

@@ -367,8 +367,6 @@ class RecordingDevice : public MemDevice
         return now + (30 + (addr >> 6) % 16) * tickNs;
     }
 
-    std::uint64_t capacityBytes() const override { return 4 * giB; }
-
     std::vector<DeviceCall> calls;
 };
 
